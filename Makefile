@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench bench-json bench-check bench-cold bench-eco experiments \
+.PHONY: all build test vet bench-json bench-check bench-cold bench-eco experiments \
 	experiments-full examples clean difftest eco-difftest golden-update \
 	fuzz-smoke cover faultinject serve-smoke telemetry-smoke tenant-smoke \
 	dist-difftest dist-smoke
@@ -23,14 +23,15 @@ test:
 # thousands of seeded via-drop/spacing queries replayed through the engine and
 # the naive reference checker, failing on any verdict divergence.
 difftest:
-	$(GO) test -race -v -run 'TestDifferential|TestTranslation|TestMirror|TestWorkers|TestRebind' ./internal/difftest
+	$(GO) test -race -v -run 'TestDifferential|TestTranslation|TestMirror|TestWorkers|TestECOPhaseMove' ./internal/difftest
 
 # Differential ECO harness: seeded ECO scripts (moves/swaps/inserts/deletes)
 # applied to a resident session must produce byte-identical snapshots to a
 # fresh analysis of the mutated design, cache-on and cache-off, plus the
-# metamorphic invariants (site-move == Rebind, apply-then-revert == original,
-# disjoint-op order independence), the /v1/eco server path under the race
-# detector, and the scoped via-cache invalidation unit tests.
+# metamorphic invariants (site-move == fresh, apply-then-revert == original,
+# disjoint-op order independence), the incremental failed-pin recount against
+# a full check, the /v1/eco server path under the race detector, and the
+# scoped via-cache invalidation unit tests.
 eco-difftest:
 	$(GO) test -v -run 'TestECO' ./internal/difftest
 	$(GO) test -race -run 'TestServeECO' ./internal/serve
@@ -119,12 +120,6 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/pao,./internal/drc,./internal/oracle \
 		./internal/pao ./internal/drc ./internal/oracle ./internal/difftest
 	$(GO) tool cover -func=coverage.out | tail -1
-
-# One benchmark run per paper table/figure plus the ablations; the output is
-# kept in BENCH_PR1.txt as the PR's perf record. Also refreshes the
-# machine-readable cache-speedup artifact (bench-json).
-bench: bench-json
-	$(GO) test -bench=. -benchmem . | tee BENCH_PR1.txt
 
 # Measure the Step 1/2/3 hot paths with the memoization layers on and off and
 # write the machine-readable report checked in as the perf baseline.

@@ -286,7 +286,7 @@ func BenchmarkWorkers(b *testing.B) {
 }
 
 // BenchmarkMemoization runs the internal/bench scenarios (the same ones
-// `make bench-json` turns into BENCH_PR5.json): Step 1/2/3 with the
+// `make bench-json` turns into BENCH_PR10.json): Step 1/2/3 with the
 // via-verdict and via-pair caches on and off. The cached variants report
 // steady-state hit rates as custom metrics.
 func BenchmarkMemoization(b *testing.B) {

@@ -3,7 +3,7 @@ package bench
 // The eco_reanalysis scenario (BENCH_PR7.json): how much work a single-
 // instance ECO re-does compared to a full pipeline run, and how surgical the
 // via-verdict cache invalidation is. Kept out of Scenarios() so the
-// BENCH_PR5.json regression gate is untouched; cmd/paobench emits this
+// BENCH_PR10.json regression gate is untouched; cmd/paobench emits this
 // report separately via -eco-out.
 //
 // Machine-independent quantities carried in the report, in gate order:

@@ -7,7 +7,7 @@
 //     with the testcase, seed and the exact query for a byte-for-byte repro;
 //   - metamorphic invariants: whole-design transformations with a known effect
 //     on the answer — translation, mirroring (orientation equivalence),
-//     Workers=1 vs Workers=N, and incremental Rebind vs a fresh Run — asserted
+//     Workers=1 vs Workers=N, and an ECO phase move vs a fresh Run — asserted
 //     end-to-end through pao.Analyzer;
 //   - golden regression: per-testcase result summaries pinned under
 //     testdata/golden (go test ./internal/difftest -update regenerates).

@@ -87,7 +87,8 @@ func genECOScript(d *db.Design, rng *rand.Rand, n, round int) []pao.ECOOp {
 // TestECOFuzzDifferential is the ECO equivalence gate: for each testcase,
 // chained pseudo-random ECO scripts applied through one resident session must
 // produce a result byte-identical to a fresh full analysis of the mutated
-// twin — with the via cache on and with it off.
+// twin — with the via cache on and with it off. Some round must change
+// FailedPins, so the incremental failed-pin recount is covered.
 func TestECOFuzzDifferential(t *testing.T) {
 	specs := []suite.Spec{
 		suite.Testcases[0].Scale(0.01).WithSeed(7),
@@ -121,12 +122,17 @@ func TestECOFuzzDifferential(t *testing.T) {
 			sessOff := pao.NewECOSession(acOff, acOff.Run())
 
 			rng := rand.New(rand.NewSource(seed))
+			// The failed-pin recount is only exercised when some round moves
+			// FailedPins; a chain that never does proves nothing about it.
+			prevFailed, failedMoved := sess.Result().Stats.FailedPins, false
 			for round := 0; round < rounds; round++ {
 				ops := genECOScript(d, rng, opsPerRound, round)
 				res, _, err := sess.Apply(ops)
 				if err != nil {
 					t.Fatalf("round %d: eco apply: %v", round, err)
 				}
+				failedMoved = failedMoved || res.Stats.FailedPins != prevFailed
+				prevFailed = res.Stats.FailedPins
 				resOff, _, err := sessOff.Apply(ops)
 				if err != nil {
 					t.Fatalf("round %d: cache-off eco apply: %v", round, err)
@@ -156,45 +162,50 @@ func TestECOFuzzDifferential(t *testing.T) {
 			if cs := ac.CacheStats(); cs.ViaHits+cs.ViaMisses == 0 {
 				t.Fatalf("via cache was not exercised (%+v); the cache-on/off comparison is vacuous", cs)
 			}
+			if !failedMoved {
+				t.Fatalf("no round changed FailedPins (%d); the failed-pin recount went unexercised", prevFailed)
+			}
 		})
 	}
 }
 
-// TestECOSiteMoveMatchesRebind: an ECO move by an integral placement-site
-// offset within the same row keeps the instance's track signature, which is
-// exactly the case the lightweight Rebind seam handles. Both repair paths
-// must expose identical per-term access-point sets and failed-pin counts.
-func TestECOSiteMoveMatchesRebind(t *testing.T) {
+// TestECOSiteMoveMatchesFresh: an ECO move by an integral placement-site
+// offset within the same row keeps the instance's track signature, so the
+// session rebinds the moved instances to their existing classes. The result
+// must still equal a fresh analysis of the moved design: per-term
+// access-point sets, failed-pin count and snapshot bytes.
+func TestECOSiteMoveMatchesFresh(t *testing.T) {
 	spec := suite.Testcases[0].Scale(0.01).WithSeed(7)
-	dECO, err := suite.Generate(spec)
+	d, err := suite.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dReb, err := suite.Generate(spec)
+	twin, err := suite.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Three spread instances, each moved by one M2 pitch (an integral number
 	// of placement sites) within its own row.
-	idx := []int{0, len(dECO.Instances) / 2, len(dECO.Instances) - 1}
+	idx := []int{0, len(d.Instances) / 2, len(d.Instances) - 1}
 	const dx = 140
 	var ops []pao.ECOOp
 	for _, i := range idx {
-		inst := dECO.Instances[i]
+		inst := d.Instances[i]
 		ops = append(ops, pao.ECOOp{Kind: pao.ECOMove, Inst: inst.Name, To: geom.Pt(inst.Pos.X+dx, inst.Pos.Y)})
 	}
 
-	aECO := pao.NewAnalyzer(dECO, pao.DefaultConfig())
-	sess := pao.NewECOSession(aECO, aECO.Run())
-	resECO, rep, err := sess.Apply(ops)
+	cfg := pao.DefaultConfig()
+	a := pao.NewAnalyzer(d, cfg)
+	sess := pao.NewECOSession(a, a.Run())
+	res, rep, err := sess.Apply(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range idx {
-		inst := dReb.Instances[i]
-		ua := resECO.ByInstance[dECO.Instances[i].ID]
-		if ua == nil || ua.UI.Signature() != dECO.InstanceSignature(dECO.Instances[i]) {
+		inst := d.Instances[i]
+		ua := res.ByInstance[inst.ID]
+		if ua == nil || ua.UI.Signature() != d.InstanceSignature(inst) {
 			t.Fatalf("site move changed the class binding of %s; the premise is broken", inst.Name)
 		}
 	}
@@ -202,24 +213,18 @@ func TestECOSiteMoveMatchesRebind(t *testing.T) {
 		t.Fatalf("site moves created %d classes, want 0", rep.NewClasses)
 	}
 
-	aReb := pao.NewAnalyzer(dReb, pao.DefaultConfig())
-	resReb := aReb.Run()
-	var moved []*db.Instance
-	for _, i := range idx {
-		inst := dReb.Instances[i]
-		inst.Pos = geom.Pt(inst.Pos.X+dx, inst.Pos.Y)
-		moved = append(moved, inst)
+	if err := pao.ApplyOpsToDesign(twin, ops); err != nil {
+		t.Fatal(err)
 	}
-	eng := aReb.GlobalEngine()
-	aReb.Rebind(resReb, eng, moved)
-	aReb.CountFailedPins(resReb, eng)
-
-	if g, w := resECO.Stats.FailedPins, resReb.Stats.FailedPins; g != w {
-		t.Errorf("failed pins: eco %d, rebind %d", g, w)
+	fresh := pao.NewAnalyzer(twin, cfg).Run()
+	if g, w := res.Stats.FailedPins, fresh.Stats.FailedPins; g != w {
+		t.Errorf("failed pins: eco %d, fresh %d", g, w)
 	}
-	e := termAPs(dECO, resECO, func(k apKey) apKey { return k })
-	r := termAPs(dReb, resReb, func(k apKey) apKey { return k })
-	sameAPSets(t, "eco-vs-rebind", e, r)
+	id := func(k apKey) apKey { return k }
+	sameAPSets(t, "eco-vs-fresh", termAPs(d, res, id), termAPs(twin, fresh, id))
+	if !bytes.Equal(snapshotBytes(t, d, cfg, res), snapshotBytes(t, twin, cfg, fresh)) {
+		t.Error("site-move ECO snapshot differs from the fresh analysis")
+	}
 }
 
 // TestECORevertRestoresResult: applying a script of moves and swaps and then

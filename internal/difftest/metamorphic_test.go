@@ -161,44 +161,48 @@ func TestWorkersEquivalence(t *testing.T) {
 	sameAPSets(t, "workers", termAPs(d, seq, id), termAPs(d, par, id))
 }
 
-// TestRebindMatchesFullRun: after moving instances to new placement phases,
-// the incremental Rebind path must leave every net terminal with the same
-// access point a from-scratch analysis of the mutated design produces.
-func TestRebindMatchesFullRun(t *testing.T) {
+// TestECOPhaseMoveMatchesFullRun: after an ECO script moves instances to new
+// placement phases, every net terminal must have the same selected access
+// point, and the result the same failed-pin count, as a from-scratch analysis
+// of the mutated design.
+func TestECOPhaseMoveMatchesFullRun(t *testing.T) {
 	spec := suite.Testcases[0].Scale(0.01).WithSeed(7)
 	d, err := suite.Generate(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := pao.NewAnalyzer(d, pao.DefaultConfig())
-	res := a.Run()
+	sess := pao.NewECOSession(a, a.Run())
 
 	// Shift a few spread-out instances by half an M1 pitch: a track phase the
-	// design has never seen, forcing fresh class analysis on rebind.
-	var moved []*db.Instance
+	// design has never seen, forcing fresh class analysis.
+	var ops []pao.ECOOp
 	for i := 1; i <= 3; i++ {
 		inst := d.Instances[i*len(d.Instances)/4]
-		inst.Pos = geom.Pt(inst.Pos.X+70, inst.Pos.Y)
-		moved = append(moved, inst)
+		ops = append(ops, pao.ECOOp{Kind: pao.ECOMove, Inst: inst.Name, To: geom.Pt(inst.Pos.X+70, inst.Pos.Y)})
 	}
-	eng := a.GlobalEngine()
-	a.Rebind(res, eng, moved)
-	a.CountFailedPins(res, eng)
+	res, rep, err := sess.Apply(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NewClasses == 0 {
+		t.Fatal("half-pitch moves created no class; the premise is broken")
+	}
 
 	fresh := pao.NewAnalyzer(d, pao.DefaultConfig()).Run()
 	if res.Stats.FailedPins != fresh.Stats.FailedPins {
-		t.Errorf("failed pins: rebind %d vs fresh %d", res.Stats.FailedPins, fresh.Stats.FailedPins)
+		t.Errorf("failed pins: eco %d vs fresh %d", res.Stats.FailedPins, fresh.Stats.FailedPins)
 	}
 	for _, net := range d.Nets {
 		for _, term := range net.Terms {
-			ra := res.AccessPointFor(term.Inst, term.Pin)
+			ea := res.AccessPointFor(term.Inst, term.Pin)
 			fa := fresh.AccessPointFor(term.Inst, term.Pin)
 			switch {
-			case ra == nil && fa == nil:
-			case ra == nil || fa == nil:
-				t.Fatalf("%s/%s: nil mismatch (rebind %v, fresh %v)", term.Inst.Name, term.Pin.Name, ra, fa)
-			case ra.Pos != fa.Pos || ra.Layer != fa.Layer:
-				t.Fatalf("%s/%s: rebind %v vs fresh %v", term.Inst.Name, term.Pin.Name, ra, fa)
+			case ea == nil && fa == nil:
+			case ea == nil || fa == nil:
+				t.Fatalf("%s/%s: nil mismatch (eco %v, fresh %v)", term.Inst.Name, term.Pin.Name, ea, fa)
+			case ea.Pos != fa.Pos || ea.Layer != fa.Layer:
+				t.Fatalf("%s/%s: eco %v vs fresh %v", term.Inst.Name, term.Pin.Name, ea, fa)
 			}
 		}
 	}

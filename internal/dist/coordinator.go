@@ -385,7 +385,7 @@ func (c *Coordinator) selectShards(merged *pao.Result) []*shard {
 			sort.Strings(sigs)
 			var classes bytes.Buffer
 			if err := pao.EncodeSnapshot(&classes, c.Design, c.Cfg,
-				pao.SliceResult(merged, c.Design, sigs)); err != nil {
+				pao.SliceResult(merged, sigs)); err != nil {
 				// Encoding a result we just merged cannot fail short of OOM;
 				// skip the shard body and let local fallback handle it.
 				continue

@@ -274,7 +274,8 @@ func (e *Engine) AttachViaCache(c *ViaCache) {
 // ViaCacheAttached reports whether a via-verdict cache is installed.
 func (e *Engine) ViaCacheAttached() bool { return e.cache != nil }
 
-// Add registers a shape and returns its ID.
+// Add registers a shape and returns its ID. IDs are handed out consecutively
+// in insertion order and never reused (Remove only marks an ID dead).
 func (e *Engine) Add(o Obj) int {
 	if e.cache != nil {
 		e.cache.noteMutation(o.Rect, e.Counters)

@@ -254,10 +254,11 @@ func (e *Engine) compactIndex(b *binIndex) {
 
 // Compact folds every index's overflow inserts and lazy removals into its
 // dense grid. It must run under the engine mutation contract — the analyzer
-// calls it at engine freeze points (after bulk construction, after an ECO
-// commit, after Step-3 placement) before fanning queries out to goroutines;
-// queries themselves never rebuild, so a missed Compact costs speed, never
-// correctness.
+// calls it at engine freeze points (after bulk construction, after Step-3
+// placement) before fanning queries out to goroutines; queries themselves
+// never rebuild, so a missed Compact costs speed, never correctness. An ECO
+// session skips it: a rebuild costs time proportional to the whole index,
+// while an edit leaves only a few shapes in the overflow map.
 func (e *Engine) Compact() {
 	for _, idx := range e.metal {
 		if idx != nil && idx.dirty() {

@@ -167,8 +167,7 @@ func (a *Analyzer) CacheStats() CacheStats {
 
 // SharedViaCache exposes the analyzer's shared via-verdict cache (nil with
 // Cfg.NoCache) for introspection: benchmarks read its entry count and
-// eviction counters directly, unpolluted by the private scratch caches the
-// ECO path spins up.
+// eviction counters directly.
 func (a *Analyzer) SharedViaCache() *drc.ViaCache { return a.viaCache }
 
 // NetOf returns the net index of an instance pin, allocating a pseudo net for
@@ -231,10 +230,10 @@ func (a *Analyzer) GlobalEngine() *drc.Engine {
 	return a.globalEngine(a.viaCache, nil)
 }
 
-// globalEngine is GlobalEngine with an explicit verdict cache (so mutating
-// flows can use a private one and leave the shared warm cache untouched) and
+// globalEngine is GlobalEngine with an explicit verdict cache (nil for none:
+// the ECO failed-pin engine re-validates too few vias to need one) and
 // an optional per-object callback that reports which instance contributed
-// each engine object — the ECO engine uses it to remove exactly an instance's
+// each engine object — the ECO engines use it to remove exactly an instance's
 // shapes later. IO-pin objects are not reported (they never mutate).
 func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instance, objID int)) *drc.Engine {
 	eng := drc.NewEngine(a.Design.Tech)
@@ -550,7 +549,6 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		}
 		foldClass(res, ui, uas[i])
 	}
-	res.indexSignatures(a.Design)
 
 	var selDur, failDur time.Duration
 	finish := func() {

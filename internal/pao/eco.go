@@ -5,7 +5,7 @@ package pao
 // Result without re-running the whole pipeline. The repair is provably
 // equivalent to a fresh full analysis of the mutated design (the
 // internal/difftest ECO fuzzer byte-compares the snapshots); the work is
-// scoped by three dirtiness rules:
+// scoped by these rules:
 //
 //   - class dirtiness: a unique-instance class is re-analyzed (Steps 1-2)
 //     only when its pivot identity or pivot position changed, or when the
@@ -27,14 +27,26 @@ package pao
 //     Each mutation is noted against the shared via-verdict cache, which
 //     evicts only the entries whose query windows overlap the mutated rects
 //     (see drc.ViaCache) — the warm verdicts elsewhere survive.
+//   - failed-pin scoping: a second engine holds the fixed shapes plus every
+//     net terminal's selected via, with each terminal's verdict on record.
+//     A commit moves only the mutated instances' shapes and the vias whose
+//     (via, position) changed, then re-validates the terminals of moved
+//     instances, the terminals whose via changed, and every terminal whose
+//     via-check window can reach a removed or added object. A via check
+//     queries only within the ECO halo of the via's own shapes on their own
+//     layers, so querying the engine around each mutated object finds them
+//     all (see recount). The Step-3 vertex costs need the tracked engine's
+//     fixed-shapes-only view, hence two engines.
 //
-// Failed-pin accounting is recomputed in full on a scratch engine with a
-// private cache, because CountFailedPins mutates its engine (it places the
-// selected vias) and must not perturb the tracked engine or the shared cache.
+// The paper motivates all of this with placement optimization, "where
+// frequent changes in placement require a tremendous amount of inter-cell pin
+// access analysis" (Section IV-B): the re-analysis, re-selection and
+// failed-pin recount of an ECO scale with the edit, not with the design.
 
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/db"
@@ -77,24 +89,28 @@ type ECOOp struct {
 
 // validateOps checks a whole script against the design before anything is
 // mutated (all-or-nothing: a rejected script leaves design and result
-// untouched). The name set is simulated so later ops may reference earlier
-// inserts and may not reference earlier deletes.
+// untouched). The script's own inserts and deletes are simulated over the
+// design's names, so later ops may reference earlier inserts and may not
+// reference earlier deletes.
 func validateOps(d *db.Design, ops []ECOOp) error {
-	exists := make(map[string]bool, len(d.Instances))
-	for _, inst := range d.Instances {
-		exists[inst.Name] = true
+	simulated := make(map[string]bool) // name -> exists, for names the script inserted or deleted
+	exists := func(name string) bool {
+		if e, ok := simulated[name]; ok {
+			return e
+		}
+		return d.InstByName(name) != nil
 	}
 	for i, op := range ops {
 		switch op.Kind {
 		case ECOMove:
-			if !exists[op.Inst] {
+			if !exists(op.Inst) {
 				return fmt.Errorf("eco: op %d: move: unknown instance %q", i, op.Inst)
 			}
 		case ECOSwap:
-			if !exists[op.Inst] {
+			if !exists(op.Inst) {
 				return fmt.Errorf("eco: op %d: swap: unknown instance %q", i, op.Inst)
 			}
-			if !exists[op.Other] {
+			if !exists(op.Other) {
 				return fmt.Errorf("eco: op %d: swap: unknown instance %q", i, op.Other)
 			}
 			if op.Inst == op.Other {
@@ -104,18 +120,18 @@ func validateOps(d *db.Design, ops []ECOOp) error {
 			if op.Inst == "" {
 				return fmt.Errorf("eco: op %d: insert: empty instance name", i)
 			}
-			if exists[op.Inst] {
+			if exists(op.Inst) {
 				return fmt.Errorf("eco: op %d: insert: instance %q already exists", i, op.Inst)
 			}
 			if d.MasterByName(op.Master) == nil {
 				return fmt.Errorf("eco: op %d: insert: unknown master %q", i, op.Master)
 			}
-			exists[op.Inst] = true
+			simulated[op.Inst] = true
 		case ECODelete:
-			if !exists[op.Inst] {
+			if !exists(op.Inst) {
 				return fmt.Errorf("eco: op %d: delete: unknown instance %q", i, op.Inst)
 			}
-			delete(exists, op.Inst)
+			simulated[op.Inst] = false
 		default:
 			return fmt.Errorf("eco: op %d: unknown kind %d", i, op.Kind)
 		}
@@ -214,40 +230,137 @@ func instExtent(inst *db.Instance) geom.Rect {
 	return r
 }
 
-// clusterIDKey identifies a cluster by its member IDs (IDs are never reused,
-// so equal keys mean identical membership).
-func clusterIDKey(cl db.Cluster) string {
-	var b strings.Builder
+// appendClusterKey appends a cluster's identity, its member IDs, to b (IDs
+// are never reused, so equal keys mean identical membership).
+func appendClusterKey(b []byte, cl db.Cluster) []byte {
 	for _, inst := range cl.Insts {
-		fmt.Fprintf(&b, "%d,", inst.ID)
+		b = append(strconv.AppendInt(b, int64(inst.ID), 10), ',')
 	}
-	return b.String()
+	return b
 }
 
 // ECOSession holds the mutable state incremental re-analysis needs across ECO
 // batches: the current Result, a tracked global engine kept in sync with the
-// design, and the engine object IDs each instance contributed. A session is
-// single-writer: Begin/Commit (or Apply) must not run concurrently, and the
-// design must not be mutated behind its back. Readers of the previous Result
-// are never disturbed — Commit merges copy-on-write into a fresh Result.
+// design, the engine object IDs and shape extent of each instance, the
+// cluster keys of the current placement, and the failed-pin engine with
+// every net terminal's verdict. A session is single-writer: Begin/Commit (or
+// Apply) must not run concurrently, and the design must not be mutated behind
+// its back. Readers of the previous Result are never disturbed — Commit
+// merges copy-on-write into a fresh Result.
 type ECOSession struct {
 	a    *Analyzer
 	res  *Result
 	eng  *drc.Engine
-	objs map[int][]int // instance ID -> its live engine object IDs
+	qc   *drc.QueryCtx
+	objs map[int][]int     // instance ID -> its live engine object IDs
+	ext  map[int]geom.Rect // instance ID -> instExtent at its current placement
+	keys map[string]bool   // appendClusterKey of every current cluster
 	halo int64
 	txn  *ECOTxn
+
+	// Failed-pin accounting: fp holds the fixed shapes plus the selected via
+	// of every net terminal.
+	fp      *drc.Engine
+	fpQC    *drc.QueryCtx
+	fpObjs  map[int][]int   // instance ID -> its fixed-shape object IDs in fp
+	terms   []ecoTerm       // every net terminal the session started with
+	termsOf map[int][]int32 // instance ID -> its indexes into terms
+	owner   []int32         // fp object ID -> 1 + terms index of its via; 0 for fixed shapes
+	live    int             // terminals of instances not deleted (TotalPins)
+	failing int             // live terminals that fail (FailedPins)
 }
+
+// ecoTerm is one net terminal's state in the failed-pin engine.
+type ecoTerm struct {
+	termVia
+	access bool // has a selected access point; false counts as failed
+	obj0   int  // first fp object of the placed via (access with a via)
+	failed bool
+}
+
+// hasVia reports whether the terminal places a via in the failed-pin engine.
+func (tm *ecoTerm) hasVia() bool { return tm.access && tm.via != nil }
 
 // NewECOSession builds a session over an analyzed result. The analyzer must
 // be the one that produced res (or an equivalent over the same design); the
 // design must still be in the placement res was computed from.
 func NewECOSession(a *Analyzer, res *Result) *ECOSession {
-	s := &ECOSession{a: a, res: res, halo: a.ecoHalo(), objs: make(map[int][]int, len(a.Design.Instances))}
+	d := a.Design
+	s := &ECOSession{
+		a: a, res: res, halo: a.ecoHalo(),
+		objs:    make(map[int][]int, len(d.Instances)),
+		ext:     make(map[int]geom.Rect, len(d.Instances)),
+		keys:    make(map[string]bool),
+		fpObjs:  make(map[int][]int, len(d.Instances)),
+		termsOf: make(map[int][]int32),
+	}
 	s.eng = a.globalEngine(a.viaCache, func(inst *db.Instance, id int) {
 		s.objs[inst.ID] = append(s.objs[inst.ID], id)
 	})
+	s.qc = s.eng.NewQueryCtx()
+	for _, inst := range d.Instances {
+		s.ext[inst.ID] = instExtent(inst)
+	}
+	var kb []byte
+	for _, cl := range d.Clusters() {
+		kb = appendClusterKey(kb[:0], cl)
+		s.keys[string(kb)] = true
+	}
+
+	// The failed-pin engine needs no via cache: after this one full pass, a
+	// commit re-validates only the terminals an edit can reach.
+	s.fp = a.globalEngine(nil, func(inst *db.Instance, id int) {
+		s.fpObjs[inst.ID] = append(s.fpObjs[inst.ID], id)
+	})
+	s.terms = make([]ecoTerm, 0, numNetTerms(d))
+	for _, net := range d.Nets {
+		for _, t := range net.Terms {
+			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
+			i := int32(len(s.terms))
+			s.terms = append(s.terms, ecoTerm{termVia: tv, access: ok})
+			s.termsOf[t.Inst.ID] = append(s.termsOf[t.Inst.ID], i)
+			s.placeVia(i)
+		}
+	}
+	s.live = len(s.terms)
+	s.fp.Compact()
+	s.fpQC = s.fp.NewQueryCtx()
+	for i := range s.terms {
+		s.recheck(int32(i))
+	}
 	return s
+}
+
+// placeVia drops terminal i's via (if any) into the failed-pin engine and
+// records the via's objects as owned by it.
+func (s *ECOSession) placeVia(i int32) {
+	tm := &s.terms[i]
+	if !tm.hasVia() {
+		return
+	}
+	tm.obj0 = tm.place(s.fp)
+	end := tm.obj0 + viaObjs(tm.via)
+	if n := len(s.owner); n < end {
+		s.owner = append(s.owner, make([]int32, end-n)...)
+	}
+	for id := tm.obj0; id < end; id++ {
+		s.owner[id] = i + 1
+	}
+}
+
+// recheck re-validates terminal i against the failed-pin engine and keeps
+// the failing count in step.
+func (s *ECOSession) recheck(i int32) {
+	tm := &s.terms[i]
+	f := !tm.access || (tm.via != nil && tm.fails(s.fp, s.fpQC))
+	if f != tm.failed {
+		tm.failed = f
+		if f {
+			s.failing++
+		} else {
+			s.failing--
+		}
+	}
 }
 
 // Result returns the session's current result (the merged result after the
@@ -284,7 +397,6 @@ type ECOTxn struct {
 	changes  map[string]*sigChange
 	curSig   map[int]string // class sig of instances touched so far this txn
 	rects    []geom.Rect    // op extents bloated by the ECO halo
-	oldKeys  map[string]bool
 }
 
 // Begin validates an ECO script, applies it to the design database and the
@@ -307,10 +419,6 @@ func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 		dirty:    make(map[int]bool),
 		changes:  make(map[string]*sigChange),
 		curSig:   make(map[int]string),
-		oldKeys:  make(map[string]bool),
-	}
-	for _, cl := range d.Clusters() {
-		t.oldKeys[clusterIDKey(cl)] = true
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -378,17 +486,12 @@ func (t *ECOTxn) currentSig(inst *db.Instance) string {
 	return t.s.a.Design.InstanceSignature(inst)
 }
 
-// noteExtent adds the instance's current shape extent (bloated by the ECO
-// halo) to the dirty region.
-func (t *ECOTxn) noteExtent(inst *db.Instance) {
-	t.rects = append(t.rects, instExtent(inst).Bloat(t.s.halo))
-}
-
 // detach records the instance leaving its current placement: extent into the
 // dirty region, membership out of its class, shapes out of the tracked
 // engine.
 func (t *ECOTxn) detach(inst *db.Instance) {
-	t.noteExtent(inst)
+	t.rects = append(t.rects, t.s.ext[inst.ID].Bloat(t.s.halo))
+	delete(t.s.ext, inst.ID)
 	ch := t.change(t.currentSig(inst))
 	delete(ch.added, inst.ID)
 	ch.removed[inst.ID] = true
@@ -402,7 +505,9 @@ func (t *ECOTxn) detach(inst *db.Instance) {
 // detach) and classifies it as affected; it is genuinely dirty mid-ECO only
 // when its class binding changed.
 func (t *ECOTxn) attach(inst *db.Instance) {
-	t.noteExtent(inst)
+	ext := instExtent(inst)
+	t.s.ext[inst.ID] = ext
+	t.rects = append(t.rects, ext.Bloat(t.s.halo))
 	sig := t.s.a.Design.InstanceSignature(inst)
 	t.change(sig).added[inst.ID] = inst
 	t.curSig[inst.ID] = sig
@@ -425,6 +530,7 @@ type ECOReport struct {
 	TotalClusters     int `json:"total_clusters"`
 	DirtyClusters     int `json:"dirty_clusters"`
 	DirtyRects        int `json:"dirty_rects"`
+	RecheckedPins     int `json:"rechecked_pins"`
 }
 
 // offsOrderKey renders class offsets in the comparison format
@@ -450,10 +556,11 @@ func sortedMembers(set map[int]*db.Instance) []*db.Instance {
 }
 
 // Commit re-analyzes the dirty classes, merges copy-on-write into a fresh
-// Result, re-selects the dirty clusters on the tracked engine, and recounts
-// failed pins on a scratch engine. The previous Result is left fully intact
-// for concurrent readers. The merged Result is byte-identical (snapshot
-// encoding, timings zeroed) to a fresh full analysis of the mutated design.
+// Result, re-selects the dirty clusters on the tracked engine, and brings the
+// failed-pin accounting up to date (recount). The previous Result is left
+// fully intact for concurrent readers. The merged Result is byte-identical
+// (snapshot encoding, timings zeroed) to a fresh full analysis of the
+// mutated design.
 func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	s := t.s
 	a := s.a
@@ -466,11 +573,6 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		DirtyRects:        len(t.rects),
 	}
 
-	uaBySig := make(map[string]*UniqueAccess, len(old.Unique))
-	for _, ua := range old.Unique {
-		uaBySig[ua.UI.Signature()] = ua
-	}
-
 	res := &Result{
 		CorrID:     old.CorrID,
 		ByInstance: make(map[int]*UniqueAccess, len(old.ByInstance)),
@@ -479,9 +581,11 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	}
 
 	// Merge pass 1: carry or rebuild the existing classes.
+	uaBySig := make(map[string]*UniqueAccess, len(old.Unique))
 	var changedMembers []*db.Instance
 	for _, ua := range old.Unique {
 		sig := ua.UI.Signature()
+		uaBySig[sig] = ua
 		ch := t.changes[sig]
 		if ch == nil {
 			res.Unique = append(res.Unique, ua)
@@ -579,9 +683,17 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			res.Selected[id] = ni
 		}
 	}
+	// touched collects every instance whose selected access may differ from
+	// the pre-ECO result: the re-placed ones, the members of changed classes
+	// and the members of re-selected clusters.
+	touched := make(map[int]*db.Instance, len(t.affected)+len(changedMembers))
+	for id, inst := range t.affected {
+		touched[id] = inst
+	}
 	changedSet := make(map[int]bool, len(changedMembers))
 	for _, inst := range changedMembers {
 		changedSet[inst.ID] = true
+		touched[inst.ID] = inst
 		if ua := res.ByInstance[inst.ID]; ua != nil && len(ua.Patterns) > 0 {
 			res.Selected[inst.ID] = 0
 		} else {
@@ -590,48 +702,47 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	}
 	clusters := d.Clusters()
 	rep.TotalClusters = len(clusters)
-	s.eng.Compact() // ECO mutations are committed; queries only from here on
-	qc := s.eng.NewQueryCtx()
+	keys := make(map[string]bool, len(clusters))
+	var kb []byte
 	for _, cl := range clusters {
-		if !t.clusterDirty(cl, changedSet) {
+		kb = appendClusterKey(kb[:0], cl)
+		k := string(kb)
+		keys[k] = true
+		// A membership no pre-ECO cluster had is a split or merge, which
+		// re-couples the DP chain.
+		if s.keys[k] && !t.clusterDirty(cl, changedSet) {
 			continue
 		}
 		rep.DirtyClusters++
-		for id, ni := range a.selectForCluster(res, s.eng, cl, qc) {
+		for id, ni := range a.selectForCluster(res, s.eng, cl, s.qc) {
 			res.Selected[id] = ni
 		}
+		for _, inst := range cl.Insts {
+			touched[inst.ID] = inst
+		}
 	}
+	s.keys = keys
 
-	// Failed pins are a whole-design statistic over the final selection;
-	// recount on a scratch engine (CountFailedPins places vias) with a
-	// private cache so the shared warm cache sees no spurious mutations.
-	var scratchCache *drc.ViaCache
-	if !a.Cfg.NoCache {
-		scratchCache = drc.NewViaCache()
-	}
-	a.CountFailedPins(res, a.globalEngine(scratchCache, nil))
-
-	res.indexSignatures(d)
+	rep.RecheckedPins = t.recount(res, touched)
+	res.Stats.TotalPins = s.live
+	res.Stats.FailedPins = s.failing
 	s.res = res
 	s.txn = nil
 	return res, rep
 }
 
-// clusterDirty decides whether a cluster's Step-3 DP must re-run. The DP
-// couples every member through the chain of edge terms, so any change inside
-// the cluster (or near enough to change a vertex cost) dirties the whole
-// cluster — but nothing outside it.
+// clusterDirty decides whether a cluster whose membership predates the ECO
+// must re-run its Step-3 DP. The DP couples every member through the chain
+// of edge terms, so any change inside the cluster (or near enough to change
+// a vertex cost) dirties the whole cluster — but nothing outside it.
 func (t *ECOTxn) clusterDirty(cl db.Cluster, changed map[int]bool) bool {
-	if !t.oldKeys[clusterIDKey(cl)] {
-		return true // membership changed: a split/merge re-couples the chain
-	}
 	for _, inst := range cl.Insts {
 		if t.affected[inst.ID] != nil || changed[inst.ID] {
 			return true
 		}
 	}
 	for _, inst := range cl.Insts {
-		ext := instExtent(inst)
+		ext := t.s.ext[inst.ID]
 		for _, r := range t.rects {
 			if ext.Touches(r) {
 				return true
@@ -639,4 +750,106 @@ func (t *ECOTxn) clusterDirty(cl db.Cluster, changed map[int]bool) bool {
 		}
 	}
 	return false
+}
+
+// recount brings the failed-pin engine and the terminal verdicts in step
+// with res and returns how many terminals it re-validated. touched holds
+// every instance whose selected access may have changed.
+//
+// A terminal's verdict depends only on its own via, position, net and pin
+// shapes and on the engine objects its via check can see. The check queries
+// each via shape's own layer within the largest rule halo around it, and
+// ecoHalo bounds that halo, so any removed or added object that can change
+// the verdict lies within ecoHalo of one of the terminal's via shapes on the
+// same layer. Querying the engine around each mutated object therefore finds
+// every terminal whose verdict can change; the rest keep theirs, and the
+// counts equal a full CountFailedPins over the mutated design.
+func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
+	s := t.s
+	var mutated []drc.Obj
+	note := func(id int) { mutated = append(mutated, *s.fp.Obj(id)) }
+	remove := func(id int) {
+		note(id)
+		s.fp.Remove(id)
+	}
+	removeVia := func(tm *ecoTerm) {
+		if tm.hasVia() {
+			for id := tm.obj0; id < tm.obj0+viaObjs(tm.via); id++ {
+				remove(id)
+			}
+		}
+	}
+	recheck := make(map[int32]bool)
+
+	// Deleted instances take their shapes and their terminals with them.
+	for id := range t.deleted {
+		for _, oid := range s.fpObjs[id] {
+			remove(oid)
+		}
+		delete(s.fpObjs, id)
+		for _, i := range s.termsOf[id] {
+			tm := &s.terms[i]
+			removeVia(tm)
+			if tm.failed {
+				tm.failed = false
+				s.failing--
+			}
+			s.live--
+		}
+		delete(s.termsOf, id)
+	}
+	// Re-placed instances move their shapes; their pin shapes join every
+	// own terminal's check, so those are re-validated regardless.
+	for id, inst := range t.affected {
+		for _, oid := range s.fpObjs[id] {
+			remove(oid)
+		}
+		ids := s.a.addInstanceShapes(s.fp, inst)
+		for _, oid := range ids {
+			note(oid)
+		}
+		s.fpObjs[id] = ids
+		for _, i := range s.termsOf[id] {
+			recheck[i] = true
+		}
+	}
+	// Replace exactly the vias whose selected (via, position) changed.
+	for id, inst := range touched {
+		for _, i := range s.termsOf[id] {
+			tm := &s.terms[i]
+			tv, ok := s.a.resolveTerm(res, inst, tm.pin)
+			if ok == tm.access && tv == tm.termVia {
+				continue
+			}
+			removeVia(tm)
+			tm.termVia, tm.access = tv, ok
+			s.placeVia(i)
+			if tm.hasVia() {
+				for oid := tm.obj0; oid < tm.obj0+viaObjs(tm.via); oid++ {
+					note(oid)
+				}
+			}
+			recheck[i] = true
+		}
+	}
+	// Every terminal whose via-check window can reach a mutated object.
+	for i := range mutated {
+		o := &mutated[i]
+		win := o.Rect.Bloat(s.halo)
+		var ids []int
+		if o.CutBelow > 0 {
+			ids = s.fp.QueryCutCtx(o.CutBelow, win, s.fpQC)
+		} else {
+			ids = s.fp.QueryMetalCtx(o.MetalLayer, win, s.fpQC)
+		}
+		for _, id := range ids {
+			if id < len(s.owner) && s.owner[id] > 0 {
+				recheck[s.owner[id]-1] = true
+			}
+		}
+	}
+	for i := range recheck {
+		s.recheck(i)
+	}
+	return len(recheck)
 }

@@ -116,9 +116,11 @@ func TestParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestRebindIncremental: move an instance to a new placement phase, rebind
-// incrementally, and confirm the result matches a from-scratch analysis.
-func TestRebindIncremental(t *testing.T) {
+// TestECOPhaseMoveIncremental: move an instance to a new placement phase
+// with an ECO script, confirm the session analyzed exactly one new class and
+// the moved pin keeps clean access, move it back, and check each step
+// against a from-scratch analysis of the same placement.
+func TestECOPhaseMoveIncremental(t *testing.T) {
 	d, err := suite.Generate(suite.Testcases[0].Scale(0.02))
 	if err != nil {
 		t.Fatal(err)
@@ -129,19 +131,27 @@ func TestRebindIncremental(t *testing.T) {
 		t.Fatalf("baseline failed pins = %d", res.Stats.FailedPins)
 	}
 	uniqueBefore := res.Stats.NumUnique
-
-	// Move one instance to a free spot with a different track phase (+70 =
-	// half a pitch: a signature the design has never seen).
-	inst := d.Instances[len(d.Instances)/2]
-	inst.Pos = geom.Pt(inst.Pos.X+70, inst.Pos.Y)
-
-	eng := a.GlobalEngine() // placement changed: rebuild the context
-	a.Rebind(res, eng, []*db.Instance{inst})
-
-	if res.Stats.NumUnique != uniqueBefore+1 {
-		t.Errorf("NumUnique = %d, want %d (one new phase class)", res.Stats.NumUnique, uniqueBefore+1)
+	sess := NewECOSession(a, res)
+	matchesFresh := func(step string, got *Result) {
+		t.Helper()
+		fresh := NewAnalyzer(d, DefaultConfig()).Run()
+		if got.Stats.Counts() != fresh.Stats.Counts() {
+			t.Errorf("%s: stats diverge from a fresh analysis:\neco   %+v\nfresh %+v",
+				step, got.Stats.Counts(), fresh.Stats.Counts())
+		}
 	}
-	ap := res.AccessPointFor(inst, inst.Master.SignalPins()[0])
+
+	// +70 = half a pitch: a track phase the design has never seen.
+	inst := d.Instances[len(d.Instances)/2]
+	home := inst.Pos
+	res1, rep, err := sess.Apply([]ECOOp{{Kind: ECOMove, Inst: inst.Name, To: geom.Pt(home.X+70, home.Y)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.NewClasses != 1 {
+		t.Errorf("NewClasses = %d, want 1 (one new phase class)", rep.NewClasses)
+	}
+	ap := res1.AccessPointFor(inst, inst.Master.SignalPins()[0])
 	if ap == nil {
 		t.Fatal("moved instance lost access")
 	}
@@ -152,22 +162,21 @@ func TestRebindIncremental(t *testing.T) {
 		}
 	}
 	if !on {
-		t.Fatalf("rebound AP %v not on the moved pin", ap.Pos)
+		t.Fatalf("AP %v not on the moved pin", ap.Pos)
 	}
+	matchesFresh("phase move", res1)
 
-	// A second rebind to a previously seen signature must reuse the class.
-	inst.Pos = geom.Pt(inst.Pos.X-70, inst.Pos.Y) // back to the original phase
-	a.Rebind(res, a.GlobalEngine(), []*db.Instance{inst})
-	if res.Stats.NumUnique != uniqueBefore+1 {
-		t.Errorf("rebind to a known signature must not add classes: %d", res.Stats.NumUnique)
+	// Moving back to a signature the design already has rebinds to that
+	// class and drops the one-member phase class again.
+	res2, rep, err := sess.Apply([]ECOOp{{Kind: ECOMove, Inst: inst.Name, To: home}})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// The incremental result matches a full re-analysis.
-	fresh := NewAnalyzer(d, DefaultConfig()).Run()
-	a.CountFailedPins(res, a.GlobalEngine())
-	if res.Stats.FailedPins != fresh.Stats.FailedPins {
-		t.Errorf("incremental failed pins %d != fresh %d", res.Stats.FailedPins, fresh.Stats.FailedPins)
+	if rep.NewClasses != 0 || res2.Stats.NumUnique != uniqueBefore {
+		t.Errorf("move home: NewClasses = %d, NumUnique = %d, want 0 and %d",
+			rep.NewClasses, res2.Stats.NumUnique, uniqueBefore)
 	}
+	matchesFresh("move home", res2)
 }
 
 // TestLShapedPins: multi-rectangle (polygon) pins run through the maximal-

@@ -325,9 +325,6 @@ type Result struct {
 	// Always non-nil on results produced by Run/RunContext; a clean run has
 	// Health.OK() == true.
 	Health *Health
-
-	// bySig caches signature -> class for incremental rebinding.
-	bySig map[string]*UniqueAccess
 }
 
 // UAFor returns the unique access class of an instance, or nil.

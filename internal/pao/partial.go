@@ -85,7 +85,6 @@ func (a *Analyzer) AnalyzeClasses(ctx context.Context, sigs []string) (*Result, 
 			foldClass(res, ui, uas[i])
 		}
 	}
-	res.indexSignatures(a.Design)
 	if err := ctx.Err(); err != nil {
 		res.Health.markCancelled()
 		return res, err
@@ -100,7 +99,7 @@ func (a *Analyzer) AnalyzeClasses(ctx context.Context, sigs []string) (*Result, 
 // classes' statuses and errors. Slicing the wire payload this way keeps
 // partial snapshots small and makes slice -> merge the identity on a full
 // cover of the class set.
-func SliceResult(res *Result, d *db.Design, sigs []string) *Result {
+func SliceResult(res *Result, sigs []string) *Result {
 	want := make(map[string]bool, len(sigs))
 	for _, s := range sigs {
 		want[s] = true
@@ -135,7 +134,6 @@ func SliceResult(res *Result, d *db.Design, sigs []string) *Result {
 		}
 		res.Health.mu.Unlock()
 	}
-	out.indexSignatures(d)
 	return out
 }
 
@@ -195,7 +193,6 @@ func MergeResults(d *db.Design, parts ...*Result) *Result {
 		res.Health.respawns += p.Health.respawns
 		p.Health.mu.Unlock()
 	}
-	res.indexSignatures(d)
 	return res
 }
 

@@ -60,7 +60,7 @@ func TestPartialSliceMergeRoundTrip(t *testing.T) {
 	}
 	var parts []*pao.Result
 	for _, shard := range interleave(sigs, 3) {
-		sliced := pao.SliceResult(full, d, shard)
+		sliced := pao.SliceResult(full, shard)
 		var wire bytes.Buffer
 		if err := pao.EncodeSnapshot(&wire, d, cfg, sliced); err != nil {
 			t.Fatal(err)

@@ -21,6 +21,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"repro/internal/db"
 	"repro/internal/geom"
@@ -60,31 +62,56 @@ func SnapshotPermanent(err error) bool {
 // designs with equal hashes yield interchangeable Results (for equal configs).
 func DesignHash(d *db.Design) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "design %s tech %s node %d sigmax %d\n",
-		d.Name, d.Tech.Name, d.Tech.NodeNM, d.SigMaxLayer)
-	fmt.Fprintf(h, "die %d %d %d %d\n", d.Die.XL, d.Die.YL, d.Die.XH, d.Die.YH)
+	// One reused line buffer, written with strconv: the bytes equal what
+	// fmt's %s/%d verbs produced, so snapshots on disk keep validating.
+	var b []byte
+	flush := func() {
+		b = append(b, '\n')
+		h.Write(b)
+		b = b[:0]
+	}
+	b = append(append(append(b, "design "...), d.Name...), " tech "...)
+	b = append(b, d.Tech.Name...)
+	b = appendInts(append(b, " node"...), int64(d.Tech.NodeNM))
+	b = appendInts(append(b, " sigmax"...), int64(d.SigMaxLayer))
+	flush()
+	b = appendInts(append(b, "die"...), d.Die.XL, d.Die.YL, d.Die.XH, d.Die.YH)
+	flush()
 	for _, tp := range d.Tracks {
-		fmt.Fprintf(h, "track %d %d %d %d %d\n", tp.Layer, tp.WireDir, tp.Start, tp.Num, tp.Step)
+		b = appendInts(append(b, "track"...), int64(tp.Layer), int64(tp.WireDir), tp.Start, int64(tp.Num), tp.Step)
+		flush()
 	}
 	for _, inst := range d.Instances {
-		fmt.Fprintf(h, "inst %s %s %d %d %d\n",
-			inst.Name, inst.Master.Name, inst.Pos.X, inst.Pos.Y, inst.Orient)
+		b = append(append(append(b, "inst "...), inst.Name...), ' ')
+		b = append(b, inst.Master.Name...)
+		b = appendInts(b, inst.Pos.X, inst.Pos.Y, int64(inst.Orient))
+		flush()
 	}
 	for _, net := range d.Nets {
-		fmt.Fprintf(h, "net %s", net.Name)
+		b = append(append(b, "net "...), net.Name...)
 		for _, t := range net.Terms {
-			fmt.Fprintf(h, " %d/%s", t.Inst.ID, t.Pin.Name)
+			b = append(append(appendInts(b, int64(t.Inst.ID)), '/'), t.Pin.Name...)
 		}
 		for _, io := range net.IOPins {
-			fmt.Fprintf(h, " io/%s", io.Name)
+			b = append(append(b, " io/"...), io.Name...)
 		}
-		fmt.Fprintln(h)
+		flush()
 	}
 	for _, io := range d.IOPins {
-		fmt.Fprintf(h, "iopin %s %d %d %d %d %d %d\n", io.Name, io.Dir,
-			io.Shape.Layer, io.Shape.Rect.XL, io.Shape.Rect.YL, io.Shape.Rect.XH, io.Shape.Rect.YH)
+		r := io.Shape.Rect
+		b = append(append(b, "iopin "...), io.Name...)
+		b = appendInts(b, int64(io.Dir), int64(io.Shape.Layer), r.XL, r.YL, r.XH, r.YH)
+		flush()
 	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendInts appends " v" for each value, as fmt's " %d" would.
+func appendInts(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = strconv.AppendInt(append(b, ' '), v, 10)
+	}
+	return b
 }
 
 // ConfigFingerprint renders the analysis-relevant config fields. Workers and
@@ -341,7 +368,6 @@ func DecodeSnapshot(r io.Reader, d *db.Design, cfg Config) (*Result, error) {
 	for _, sel := range doc.Selected {
 		res.Selected[sel[0]] = sel[1]
 	}
-	res.indexSignatures(d)
 	return res, nil
 }
 

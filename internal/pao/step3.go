@@ -10,6 +10,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/drc"
 	"repro/internal/geom"
+	"repro/internal/tech"
 )
 
 // SelectPatterns implements Step 3: cluster-based access pattern selection.
@@ -290,6 +291,65 @@ func (a *Analyzer) CountFailedPins(res *Result, eng *drc.Engine) {
 	a.countFailedPins(context.Background(), res, eng, h)
 }
 
+// termVia is a net terminal's selected primary via in design coordinates:
+// the unit that failed-pin accounting places and re-validates. A nil via
+// means planar-only access (macro pins): the point was validated in Step 1
+// and places no via, so it cannot conflict here.
+type termVia struct {
+	inst  *db.Instance
+	pin   *db.MPin
+	net   int
+	via   *tech.ViaDef
+	pos   geom.Point
+	layer int // the access point's metal: its pin shapes join the min-step union
+}
+
+// resolveTerm looks up the selected access point of an instance pin. ok is
+// false when the pin has no access point at all, which counts as failed.
+func (a *Analyzer) resolveTerm(res *Result, inst *db.Instance, pin *db.MPin) (tv termVia, ok bool) {
+	tv = termVia{inst: inst, pin: pin}
+	ap := res.AccessPointFor(inst, pin)
+	if ap == nil {
+		return tv, false
+	}
+	tv.via, tv.pos, tv.layer = ap.Primary(), ap.Pos, ap.Layer
+	if tv.via != nil {
+		tv.net = a.NetOf(inst, pin)
+	}
+	return tv, true
+}
+
+// place adds the via to eng on the terminal's net: the two enclosures as
+// via-enclosure metal, then every cut. It returns the first object ID; the
+// via occupies viaObjs(tv.via) consecutive IDs from there.
+func (tv *termVia) place(eng *drc.Engine) int {
+	v := tv.via
+	first := eng.AddMetal(v.CutBelow, v.BotRect(tv.pos), tv.net, drc.KindViaEnc, "")
+	eng.AddMetal(v.CutBelow+1, v.TopRect(tv.pos), tv.net, drc.KindViaEnc, "")
+	for _, c := range v.Cuts {
+		eng.AddCut(v.CutBelow, c.Shift(tv.pos), tv.net, "")
+	}
+	return first
+}
+
+// viaObjs is the number of engine objects place adds for v.
+func viaObjs(v *tech.ViaDef) int { return 2 + len(v.Cuts) }
+
+// fails re-validates the placed via in eng's full context.
+func (tv *termVia) fails(eng *drc.Engine, qc *drc.QueryCtx) bool {
+	pinRects := pinRectsOnLayer(tv.inst, tv.pin, tv.layer)
+	return eng.CheckViaVerdictCtx(tv.via, tv.pos, tv.net, pinRects, qc) > 0
+}
+
+// numNetTerms counts the instance terminals on the design's nets.
+func numNetTerms(d *db.Design) int {
+	n := 0
+	for _, net := range d.Nets {
+		n += len(net.Terms)
+	}
+	return n
+}
+
 // countFailedPins is CountFailedPins under a context (cancellation is checked
 // periodically inside both the placement and validation loops; the stats then
 // reflect the pins validated so far) with whole-phase panic quarantine.
@@ -304,13 +364,7 @@ func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.En
 	if hook := a.FaultHook; hook != nil {
 		hook(SiteFailedPins, "")
 	}
-	type placed struct {
-		inst *db.Instance
-		pin  *db.MPin
-		ap   *AccessPoint
-		net  int
-	}
-	var all []placed
+	all := make([]termVia, 0, numNetTerms(a.Design))
 	total := 0
 	failed := 0
 place:
@@ -320,24 +374,16 @@ place:
 				break place
 			}
 			total++
-			ap := res.AccessPointFor(t.Inst, t.Pin)
-			if ap == nil {
+			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
+			if !ok {
 				failed++
 				continue
 			}
-			if ap.Primary() == nil {
-				// Planar-only access (macro pins): the point was validated in
-				// Step 1 and places no via, so it cannot conflict here.
+			if tv.via == nil {
 				continue
 			}
-			n := a.NetOf(t.Inst, t.Pin)
-			v := ap.Primary()
-			eng.AddMetal(v.CutBelow, v.BotRect(ap.Pos), n, drc.KindViaEnc, "")
-			eng.AddMetal(v.CutBelow+1, v.TopRect(ap.Pos), n, drc.KindViaEnc, "")
-			for _, cut := range v.CutRects(ap.Pos) {
-				eng.AddCut(v.CutBelow, cut, n, "")
-			}
-			all = append(all, placed{t.Inst, t.Pin, ap, n})
+			tv.place(eng)
+			all = append(all, tv)
 		}
 	}
 	// The validation pass is read-only over the frozen engine; fold the
@@ -347,12 +393,11 @@ place:
 	workers := a.Cfg.workers()
 	if workers == 1 {
 		qc := eng.NewQueryCtx()
-		for i, p := range all {
+		for i := range all {
 			if i%64 == 0 && ctx.Err() != nil {
 				break
 			}
-			pinRects := pinRectsOnLayer(p.inst, p.pin, p.ap.Layer)
-			if eng.CheckViaVerdictCtx(p.ap.Primary(), p.ap.Pos, p.net, pinRects, qc) > 0 {
+			if all[i].fails(eng, qc) {
 				failed++
 			}
 		}
@@ -373,9 +418,7 @@ place:
 					if ctx.Err() != nil {
 						break
 					}
-					p := all[i]
-					pinRects := pinRectsOnLayer(p.inst, p.pin, p.ap.Layer)
-					if eng.CheckViaVerdictCtx(p.ap.Primary(), p.ap.Pos, p.net, pinRects, qc) > 0 {
+					if all[i].fails(eng, qc) {
 						counts[w]++
 					}
 				}

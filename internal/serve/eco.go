@@ -167,9 +167,11 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 
 	res, rep := txn.Commit()
 
+	// ecoMu already excludes every design writer, so the hash is computed
+	// without blocking readers; designMu guards only the stored value.
+	hash := pao.DesignHash(s.design)
 	s.designMu.Lock()
-	s.designHash = pao.DesignHash(s.design)
-	hash := s.designHash
+	s.designHash = hash
 	s.designMu.Unlock()
 	s.swap(res, "eco")
 

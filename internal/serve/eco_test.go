@@ -6,6 +6,7 @@ package serve
 // genuinely invalidated. Run with -race (the eco-difftest CI target does).
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/pao"
+	"repro/internal/telemetry"
 )
 
 func postECO(t *testing.T, h http.Handler, body string) (int, []byte) {
@@ -88,6 +90,41 @@ func TestServeECOApplyAndQuery(t *testing.T) {
 	fresh := pao.NewAnalyzer(d, pao.DefaultConfig()).Run()
 	if got, want := s.Result().Stats.Counts(), fresh.Stats.Counts(); got != want {
 		t.Errorf("served stats diverge from fresh analysis:\nserved %+v\nfresh  %+v", got, want)
+	}
+}
+
+// TestServeECOSkipsStepHistogram: an ECO swap runs no pipeline steps, so it
+// must add no samples to pao_step_seconds, which records analysis runs only.
+func TestServeECOSkipsStepHistogram(t *testing.T) {
+	d := serveDesign(t)
+	s := newTestServer(t, d, Config{})
+	mustInit(t, s)
+	h := s.Handler()
+	series := fmt.Sprintf("pao_step_seconds_count{design=%q,step=%q}", d.Name, "total")
+	count := func() float64 {
+		t.Helper()
+		_, _, body := get(t, h, "/metrics")
+		scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v", err)
+		}
+		v, ok := scrape.Series[series]
+		if !ok {
+			t.Fatalf("%s missing from the exposition", series)
+		}
+		return v
+	}
+	before := count()
+	inst := d.Instances[0]
+	body := fmt.Sprintf(`{"ops":[{"op":"move","inst":%q,"x":%d,"y":%d}]}`, inst.Name, inst.Pos.X+70, inst.Pos.Y)
+	if code, resp := postECO(t, h, body); code != http.StatusOK {
+		t.Fatalf("eco status %d: %s", code, resp)
+	}
+	if s.Source() != "eco" {
+		t.Fatalf("source = %q, want eco", s.Source())
+	}
+	if after := count(); after != before {
+		t.Errorf("%s = %v after an ECO, want %v", series, after, before)
 	}
 }
 

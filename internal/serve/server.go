@@ -270,27 +270,31 @@ func (s *Server) Breaker() BreakerState { return s.brk.current() }
 func (s *Server) swap(res *pao.Result, source string) {
 	s.curState.Store(&state{res: res, source: source})
 	s.publishGauges()
-	s.publishResultMetrics(res)
+	s.publishResultMetrics(res, source)
 }
 
 // publishResultMetrics folds the swapped-in result into the labeled families:
 // per-step pipeline durations and per-layer access point counts. Called on
-// every swap, so reanalyses accumulate into the same histogram series.
-func (s *Server) publishResultMetrics(res *pao.Result) {
+// every swap, so reanalyses accumulate into the same histogram series. ECO
+// results ran no pipeline steps (their Stats.Steps are zero), so an "eco"
+// swap observes no step durations.
+func (s *Server) publishResultMetrics(res *pao.Result, source string) {
 	d := s.design.Name
-	st := res.Stats.Steps
-	for _, step := range []struct {
-		name string
-		dur  time.Duration
-	}{
-		{"step1", st.Step1},
-		{"step2", st.Step2},
-		{"step12_wall", st.Step12Wall},
-		{"step3", st.Step3},
-		{"failed_pins", st.FailedPins},
-		{"total", st.Total},
-	} {
-		s.stepSecs.With(d, step.name).Observe(step.dur)
+	if source != "eco" {
+		st := res.Stats.Steps
+		for _, step := range []struct {
+			name string
+			dur  time.Duration
+		}{
+			{"step1", st.Step1},
+			{"step2", st.Step2},
+			{"step12_wall", st.Step12Wall},
+			{"step3", st.Step3},
+			{"failed_pins", st.FailedPins},
+			{"total", st.Total},
+		} {
+			s.stepSecs.With(d, step.name).Observe(step.dur)
+		}
 	}
 	byLayer := make(map[int]int)
 	for _, ua := range res.Unique {
