@@ -6,6 +6,11 @@
 // (X-Tenant-Id header or ?tenant=) for per-tenant fairness, and a design
 // scope (?design= or X-Design) when more than one design is resident.
 //
+// The initial design is an ordinary registration under its own name:
+// -snapshot sets its snapshot file, and -snapshot-interval periodically
+// rewrites the snapshot of every ready design that has one, this one
+// included.
+//
 // Endpoints:
 //
 //	POST   /v1/designs             register a design (suite case, inline
@@ -116,7 +121,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.defPath, "def", "", "DEF file (alternative to -case)")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8347", "listen address (use :0 for an ephemeral port)")
 	fs.StringVar(&o.snapshotPath, "snapshot", "", "snapshot file for the initial design (empty: derive from -snapshot-dir)")
-	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", 0, "periodic snapshot interval (0: only on shutdown/evict)")
+	fs.DurationVar(&o.snapshotInterval, "snapshot-interval", 0, "periodic snapshot interval for every ready design, the -snapshot one included (0: only on shutdown/evict)")
 	fs.StringVar(&o.snapshotDir, "snapshot-dir", "", "directory for per-design eviction snapshots (empty: evicted designs recompute)")
 	fs.IntVar(&o.maxResident, "max-resident", 0, "resident-design budget; coldest design evicts past it (0: unlimited)")
 	fs.DurationVar(&o.warmWait, "warm-wait", 2*time.Second, "how long a query blocks for a lazy warm restart before 202 (0: immediate 202)")
@@ -239,7 +244,6 @@ func run(opts *options) error {
 			RequestTimeout:   opts.requestTimeout,
 			RatePerSec:       opts.rate,
 			Burst:            opts.burst,
-			SnapshotInterval: opts.snapshotInterval,
 			BreakerThreshold: opts.breakerThreshold,
 			BreakerCooldown:  opts.breakerCooldown,
 			DrainTimeout:     opts.drainTimeout,
@@ -247,11 +251,12 @@ func run(opts *options) error {
 			SlowLogSize:      opts.slowlogSize,
 			SlowThreshold:    opts.slowThreshold,
 		},
-		MaxResident:    opts.maxResident,
-		SnapshotDir:    opts.snapshotDir,
-		WarmWait:       opts.warmWait,
-		MaxUploadBytes: opts.maxUpload,
-		DrainTimeout:   opts.drainTimeout,
+		MaxResident:      opts.maxResident,
+		SnapshotDir:      opts.snapshotDir,
+		SnapshotInterval: opts.snapshotInterval,
+		WarmWait:         opts.warmWait,
+		MaxUploadBytes:   opts.maxUpload,
+		DrainTimeout:     opts.drainTimeout,
 	})
 	mgr.Logger = logger
 	if o != nil {

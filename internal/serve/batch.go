@@ -35,9 +35,13 @@ type BatchResponse struct {
 	Answers []BatchAnswer `json:"answers"`
 }
 
-// maxBatchBody caps the batch request body; ~64 bytes per instance name at
-// the instance cap, with generous slack for JSON framing.
-const maxBatchBody = 1 << 20
+// maxBatch caps the instances per batch request; maxBatchBody caps its body,
+// ~64 bytes per instance name at the instance cap, with generous slack for
+// JSON framing.
+const (
+	maxBatch     = 256
+	maxBatchBody = 1 << 20
+)
 
 // batchCtxKey carries the parsed batch body from batchCost (which must read
 // it to price admission) to handleBatch.
@@ -62,18 +66,11 @@ func (s *Server) batchCost(r *http.Request) (*http.Request, int, error) {
 	if len(req.Instances) == 0 {
 		return nil, 0, fmt.Errorf("empty batch")
 	}
-	if max := s.maxBatch(); len(req.Instances) > max {
-		return nil, 0, fmt.Errorf("batch of %d exceeds the %d-instance cap", len(req.Instances), max)
+	if len(req.Instances) > maxBatch {
+		return nil, 0, fmt.Errorf("batch of %d exceeds the %d-instance cap", len(req.Instances), maxBatch)
 	}
 	r = r.WithContext(context.WithValue(r.Context(), batchCtxKey{}, &req))
 	return r, len(req.Instances), nil
-}
-
-func (s *Server) maxBatch() int {
-	if s.cfg.MaxBatch > 0 {
-		return s.cfg.MaxBatch
-	}
-	return 256
 }
 
 // handleBatch answers every instance in the parsed batch from one immutable

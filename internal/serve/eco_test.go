@@ -29,9 +29,9 @@ func postECO(t *testing.T, h http.Handler, body string) (int, []byte) {
 
 func TestServeECOApplyAndQuery(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{})
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
 	hashBefore := s.DesignHash()
 
 	mover := d.Instances[0]
@@ -97,10 +97,10 @@ func TestServeECOApplyAndQuery(t *testing.T) {
 // must add no samples to pao_step_seconds, which records analysis runs only.
 func TestServeECOSkipsStepHistogram(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
-	series := fmt.Sprintf("pao_step_seconds_count{design=%q,step=%q}", d.Name, "total")
+	m := newTestManager(t, ManagerConfig{})
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
+	series := fmt.Sprintf("pao_step_seconds_count{design=%q,step=%q}", testID, "total")
 	count := func() float64 {
 		t.Helper()
 		_, _, body := get(t, h, "/metrics")
@@ -130,9 +130,9 @@ func TestServeECOSkipsStepHistogram(t *testing.T) {
 
 func TestServeECORejectsBadScripts(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{})
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	cases := []struct {
 		name, body string
@@ -177,9 +177,9 @@ func TestServeECORejectsBadScripts(t *testing.T) {
 // (signature-changing moves) may answer eco_pending fallbacks mid-window.
 func TestServeECOConcurrentQueries(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{MaxInFlight: 16, QueueDepth: -1})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{Design: Config{MaxInFlight: 16, QueueDepth: -1}})
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	// Five instances moved by +70 in x: half an M2 pitch, so every one of
 	// them changes signature and is genuinely dirty mid-ECO.

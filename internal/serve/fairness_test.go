@@ -43,11 +43,11 @@ func TestTokenBucketTakeN(t *testing.T) {
 
 func TestTenantBucketsIsolate(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{RatePerSec: 1, Burst: 2})
+	m := newTestManager(t, ManagerConfig{Design: Config{RatePerSec: 1, Burst: 2}})
+	s := oneDesign(t, m, d, nil)
 	clock := time.Unix(2000, 0)
 	s.now = func() time.Time { return clock }
-	mustInit(t, s)
-	h := s.Handler()
+	h := m.Handler()
 
 	get := func(tenant, inst string) int {
 		req := httptest.NewRequest(http.MethodGet, "/v1/access?inst="+inst, nil)
@@ -74,10 +74,10 @@ func TestTenantBucketsIsolate(t *testing.T) {
 		}
 	}
 	// Shed accounting is per tenant.
-	if got := s.tShed.With(d.Name, "greedy").Load(); got != 1 {
+	if got := s.tShed.With(testID, "greedy").Load(); got != 1 {
 		t.Fatalf("greedy shed counter = %d, want 1", got)
 	}
-	if got := s.tShed.With(d.Name, "steady").Load(); got != 0 {
+	if got := s.tShed.With(testID, "steady").Load(); got != 0 {
 		t.Fatalf("steady shed counter = %d, want 0", got)
 	}
 	// A malformed tenant ID is a 400, not a metric-label injection.
@@ -160,17 +160,16 @@ func TestBatchCostCannotMonopolize(t *testing.T) {
 // entire flood as FIFO would have it.
 func TestFloodCannotStarveSteadyTenant(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{MaxInFlight: 1, QueueDepth: -1})
-	mustInit(t, s)
-
+	m := newTestManager(t, ManagerConfig{Design: Config{MaxInFlight: 1, QueueDepth: -1}})
 	block := make(chan struct{})
 	var once sync.Once
-	s.FaultHook = func(site, detail string) {
+	m.FaultHook = func(site, detail string) {
 		if site == SiteQuery {
 			once.Do(func() { <-block }) // first query holds the slot
 		}
 	}
-	h := s.Handler()
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
 	inst := d.Instances[0].Name
 
 	var mu sync.Mutex
@@ -227,7 +226,7 @@ func TestFloodCannotStarveSteadyTenant(t *testing.T) {
 		t.Fatalf("steady tenant's last completion at index %d of %d; flood starved it (fair share ~20)",
 			lastSteady, len(completions))
 	}
-	if got := s.tAdmit.With(d.Name, "steady").Load(); got != steady {
+	if got := s.tAdmit.With(testID, "steady").Load(); got != steady {
 		t.Fatalf("steady admitted = %d, want %d", got, steady)
 	}
 }

@@ -1,13 +1,13 @@
 package serve
 
-// HTTP endpoints. Query handlers degrade, never 500 on bad analysis state:
+// Design-scoped HTTP endpoints; the Manager resolves the design and dispatches
+// to them. Query handlers degrade, never 500 on bad analysis state:
 // an instance whose class is quarantined in Result.Health still answers, with
 // best-effort fallback access points and "degraded": true, because a router
 // with an approximate answer beats a router with an error page.
 
 import (
 	"net/http"
-	"time"
 
 	"repro/internal/db"
 	"repro/internal/pao"
@@ -46,104 +46,10 @@ type QueryResponse struct {
 	Pins       []PinAnswer `json:"pins"`
 }
 
-// HealthzResponse answers /healthz (always 200: liveness + health summary).
-type HealthzResponse struct {
-	Status          string  `json:"status"` // ok | degraded
-	Design          string  `json:"design"`
-	Source          string  `json:"source"`
-	Health          string  `json:"health,omitempty"`
-	FailedClasses   int     `json:"failed_classes"`
-	DegradedClasses int     `json:"degraded_classes"`
-	Breaker         string  `json:"breaker"`
-	QueueDepth      int     `json:"queue_depth"`
-	SnapshotAgeSec  float64 `json:"snapshot_age_sec"` // -1 when no snapshot
-	P50MS           float64 `json:"p50_ms"`
-	P99MS           float64 `json:"p99_ms"`
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthzResponse{
-		Status:         "ok",
-		Design:         s.design.Name,
-		Breaker:        s.brk.current().String(),
-		QueueDepth:     s.adm.queueDepth(),
-		SnapshotAgeSec: -1,
-	}
-	if last := s.lastSnapshotNS.Load(); last > 0 {
-		resp.SnapshotAgeSec = s.now().Sub(time.Unix(0, last)).Seconds()
-	}
-	if st := s.curState.Load(); st != nil {
-		resp.Source = st.source
-		if h := st.res.Health; h != nil {
-			resp.Health = h.String()
-			resp.FailedClasses = len(h.FailedClasses())
-			resp.DegradedClasses = len(h.DegradedClasses())
-			if !h.OK() {
-				resp.Status = "degraded"
-			}
-		}
-	} else {
-		resp.Status = "degraded"
-	}
-	if lat := s.reg().Histogram("serve.latency"); lat.Count() > 0 {
-		resp.P50MS = float64(lat.Quantile(0.5)) / 1e6
-		resp.P99MS = float64(lat.Quantile(0.99)) / 1e6
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if ok, reason := s.Ready(); !ok {
-		if s.brk.current() == BreakerOpen {
-			w.Header().Set("Retry-After", retryAfterSecs(s.brk.retryAfter()))
-		}
-		http.Error(w, "not ready: "+reason, http.StatusServiceUnavailable)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte("ready\n"))
-}
-
-func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
-	s.publishGauges()
-	writeJSON(w, http.StatusOK, s.reg().Snapshot())
-}
-
-// handleMetrics is the Prometheus text exposition: the labeled families
-// (pao_queries_total, pao_query_seconds, pao_step_seconds, pao_access_points)
-// plus every flat obs metric stamped with a design label.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.publishGauges()
-	fams := append(s.prom.Gather(),
-		telemetry.ObsFamilies(s.reg().Snapshot(), telemetry.Label{Name: "design", Value: s.design.Name})...)
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_ = telemetry.WriteProm(w, fams)
-}
-
 // handleSlowlog dumps the bounded slow-query ring, newest first, with trace
 // exemplars for sampled queries.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.slow.Snapshot())
-}
-
-// VersionResponse answers /version: what binary, over what design, under what
-// configuration.
-type VersionResponse struct {
-	Build             telemetry.BuildInfo `json:"build"`
-	Design            string              `json:"design"`
-	DesignHash        string              `json:"design_hash"`
-	ConfigFingerprint string              `json:"config_fingerprint"`
-	Source            string              `json:"source,omitempty"`
-}
-
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, VersionResponse{
-		Build:             telemetry.Build(),
-		Design:            s.design.Name,
-		DesignHash:        s.DesignHash(),
-		ConfigFingerprint: pao.ConfigFingerprint(s.paoCfg),
-		Source:            s.Source(),
-	})
 }
 
 // ExplainResponse answers /v1/access/explain?inst=NAME&pin=NAME: the decision

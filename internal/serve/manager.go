@@ -100,8 +100,7 @@ func (s DesignState) String() string {
 type ManagerConfig struct {
 	// Addr is the listen address for Start ("127.0.0.1:0" picks a free port).
 	Addr string
-	// Design is the per-design Server config template. Addr and SnapshotPath
-	// are ignored (the manager owns the listener and derives snapshot paths).
+	// Design is the per-design bulkhead config template.
 	Design Config
 	// MaxResident bounds resident (ready or warming) designs; registering or
 	// warming past it evicts the coldest ready design. 0 means unlimited.
@@ -109,6 +108,9 @@ type ManagerConfig struct {
 	// SnapshotDir is where eviction/shutdown snapshots land (<id>.snap).
 	// Empty disables persistence: evicted designs recompute on first query.
 	SnapshotDir string
+	// SnapshotInterval adds timer-driven snapshots of every ready design on
+	// top of the eviction and shutdown writes; 0 disables the timer.
+	SnapshotInterval time.Duration
 	// WarmWait bounds how long a query blocks for a lazy warm restart before
 	// answering 202 {"status":"warming"}. 0 answers 202 immediately.
 	WarmWait time.Duration
@@ -244,15 +246,14 @@ func (m *Manager) RegisterDesign(ctx context.Context, id string, d *db.Design, p
 		opts = &RegisterOptions{}
 	}
 	scfg := m.cfg.Design
-	scfg.Addr = ""
-	scfg.SnapshotPath = opts.SnapshotPath
-	if scfg.SnapshotPath == "" {
-		scfg.SnapshotPath = m.snapPath(id)
-	}
 	if opts.Tune != nil {
 		opts.Tune(&scfg)
 	}
-	srv := New(d, paoCfg, scfg)
+	snap := opts.SnapshotPath
+	if snap == "" {
+		snap = m.snapPath(id)
+	}
+	srv := newServer(id, d, paoCfg, scfg, snap)
 	srv.Logger = m.Logger.With(telemetry.F("design", id))
 	srv.FaultHook = m.FaultHook
 	srv.PaoFaultHook = m.PaoFaultHook
@@ -443,7 +444,7 @@ func (m *Manager) evictEntry(ctx context.Context, e *entry) error {
 	m.reg().Counter("serve.evictions").Inc()
 	m.publishGauges()
 	m.Logger.Info("design evicted",
-		telemetry.F("design", e.id), telemetry.F("snapshot", e.srv.cfg.SnapshotPath))
+		telemetry.F("design", e.id), telemetry.F("snapshot", e.srv.snapPath))
 	return nil
 }
 
@@ -470,7 +471,7 @@ func (m *Manager) DeleteDesign(id string) error {
 	e.gate.Lock()
 	defer e.gate.Unlock()
 	e.srv.bgCancel()
-	if p := m.snapPath(id); p != "" && e.srv.cfg.SnapshotPath == p {
+	if p := m.snapPath(id); p != "" && e.srv.snapPath == p {
 		_ = os.Remove(p)
 	}
 	m.reg().Counter("serve.designs.deleted").Inc()
@@ -729,14 +730,10 @@ func (m *Manager) designInfo(e *entry) DesignInfo {
 		Design:     srv.design.Name,
 		DesignHash: srv.DesignHash(),
 		Instances:  len(srv.design.Instances),
-		Snapshot:   srv.cfg.SnapshotPath,
+		Snapshot:   srv.snapPath,
 		IdleSec:    m.now().Sub(time.Unix(0, e.lastAccess.Load())).Seconds(),
 	}
-	if DesignState(e.state.Load()) == DesignReady {
-		info.Ready, info.Reason = srv.Ready()
-	} else {
-		info.Reason = info.State
-	}
+	info.Ready, info.Reason = m.ready(e)
 	if res := srv.Result(); res != nil {
 		info.Source = srv.Source()
 		info.Classes = len(res.Unique)
@@ -745,6 +742,24 @@ func (m *Manager) designInfo(e *entry) DesignInfo {
 		}
 	}
 	return info
+}
+
+// ready reports whether a design should receive traffic, with the reason when
+// not: the process is not draining, the design is resident with a loaded
+// result, and its breaker is not open.
+func (m *Manager) ready(e *entry) (bool, string) {
+	st := DesignState(e.state.Load())
+	switch {
+	case m.draining.Load():
+		return false, "draining"
+	case st != DesignReady:
+		return false, st.String()
+	case e.srv.Result() == nil:
+		return false, "analysis not loaded"
+	case e.srv.Breaker() == BreakerOpen:
+		return false, "circuit breaker open"
+	}
+	return true, ""
 }
 
 // ListResponse answers GET /v1/designs.
@@ -821,11 +836,11 @@ func (m *Manager) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleReadyz reports readiness. With ?design= it is that design's: 200
-// only when resident with a closed breaker — a fault storm on design A
-// flips A's readiness, never B's. Without a design it reports the process:
-// 503 only while draining, with the per-design map in the body (one broken
-// bulkhead must not make a load balancer pull the whole multi-tenant node).
+// handleReadyz reports readiness. With ?design= it is that design's (see
+// ready): a fault storm on design A flips A's readiness, never B's. Without a
+// design it reports the process: 503 only while draining, with the per-design
+// map in the body (one broken bulkhead must not make a load balancer pull the
+// whole multi-tenant node).
 func (m *Manager) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if id := r.URL.Query().Get("design"); id != "" {
 		e := m.get(id)
@@ -833,15 +848,11 @@ func (m *Manager) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "unknown design "+id, http.StatusNotFound)
 			return
 		}
-		if st := DesignState(e.state.Load()); st != DesignReady {
-			http.Error(w, "not ready: design "+id+" "+st.String(), http.StatusServiceUnavailable)
-			return
-		}
-		if ok, reason := e.srv.Ready(); !ok {
+		if ok, reason := m.ready(e); !ok {
 			if e.srv.brk.current() == BreakerOpen {
 				w.Header().Set("Retry-After", retryAfterSecs(e.srv.brk.retryAfter()))
 			}
-			http.Error(w, "not ready: "+reason, http.StatusServiceUnavailable)
+			http.Error(w, "not ready: design "+id+" "+reason, http.StatusServiceUnavailable)
 			return
 		}
 		w.WriteHeader(http.StatusOK)
@@ -929,7 +940,7 @@ func (m *Manager) Start() error {
 			m.Logger.Error("serve error", telemetry.F("err", err))
 		}
 	}()
-	if m.cfg.Design.SnapshotInterval > 0 && m.cfg.SnapshotDir != "" {
+	if m.cfg.SnapshotInterval > 0 {
 		go m.snapshotLoop()
 	}
 	return nil
@@ -943,9 +954,10 @@ func (m *Manager) Addr() string {
 	return m.ln.Addr().String()
 }
 
-// snapshotLoop periodically snapshots every ready design.
+// snapshotLoop periodically snapshots every ready design (a no-op for one
+// without a snapshot path).
 func (m *Manager) snapshotLoop() {
-	t := time.NewTicker(m.cfg.Design.SnapshotInterval)
+	t := time.NewTicker(m.cfg.SnapshotInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -961,9 +973,10 @@ func (m *Manager) snapshotLoop() {
 	}
 }
 
-// Shutdown drains in-flight requests (bounded by DrainTimeout), then writes a
-// final snapshot for EVERY resident design — SIGTERM becomes a clean handoff
-// of the whole registry to the next process.
+// Shutdown drains in-flight requests (bounded by DrainTimeout), cancels
+// background work (an in-flight warm restart or re-analysis aborts), then
+// writes a final snapshot for every ready design — SIGTERM becomes a clean
+// handoff of the whole registry to the next process.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.draining.Store(true)
 	var first error
@@ -980,7 +993,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	sctx, cancel := context.WithTimeout(context.Background(), m.cfg.DrainTimeout)
 	defer cancel()
 	for _, e := range m.list() {
-		e.srv.draining.Store(true)
 		e.srv.bgCancel()
 		if DesignState(e.state.Load()) != DesignReady {
 			continue

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/pao"
+	"repro/internal/telemetry"
 )
 
 func newTestManager(t *testing.T, cfg ManagerConfig) *Manager {
@@ -293,7 +294,9 @@ func TestBulkheadIsolation(t *testing.T) {
 }
 
 func TestBulkheadPanicStormIsolated(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{WarmWait: 5 * time.Second})
+	// An unbounded wait queue: each design's own 20 concurrent queries must
+	// wait for its NumCPU slots, not shed, whatever the host's core count.
+	m := newTestManager(t, ManagerConfig{WarmWait: 5 * time.Second, Design: Config{QueueDepth: -1}})
 	dA := registerTestDesign(t, m, "panicky", nil)
 	dB := registerTestDesign(t, m, "healthy", nil)
 	h := m.Handler()
@@ -332,27 +335,45 @@ func TestBulkheadPanicStormIsolated(t *testing.T) {
 	}
 }
 
+// TestManagerMetricsLabeled registers one generated design twice under
+// different IDs without renaming it: every labeled family must carry the
+// registry ID, or the two bulkheads emit the same series and the exposition
+// keeps only one of them.
 func TestManagerMetricsLabeled(t *testing.T) {
 	m := newTestManager(t, ManagerConfig{WarmWait: 5 * time.Second})
-	dA := registerTestDesign(t, m, "m1", nil)
-	registerTestDesign(t, m, "m2", nil)
+	d1, d2 := serveDesign(t), serveDesign(t)
+	for id, d := range map[string]*db.Design{"m1": d1, "m2": d2} {
+		if _, err := m.RegisterDesign(context.Background(), id, d, m.paoCfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	h := m.Handler()
-	if code, _ := do(t, h, http.MethodGet, "/v1/access?design=m1&inst="+dA.Instances[0].Name, nil); code != http.StatusOK {
-		t.Fatalf("query = %d", code)
+	for id, n := range map[string]int{"m1": 3, "m2": 1} {
+		for i := 0; i < n; i++ {
+			if code, _ := do(t, h, http.MethodGet, "/v1/access?design="+id+"&inst="+d1.Instances[0].Name, nil); code != http.StatusOK {
+				t.Fatalf("query %s = %d", id, code)
+			}
+		}
 	}
 	code, body := do(t, h, http.MethodGet, "/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}
-	text := string(body)
-	for _, want := range []string{
-		`pao_queries_total{design="m1",status="ok"} 1`,
-		`serve_tenant_admitted_total{design="m1",tenant="default"} 1`,
-		`serve_resident_designs 2`,
-		`design="m2"`,
+	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, body)
+	}
+	for series, want := range map[string]float64{
+		`pao_queries_total{design="m1",status="ok"}`:                3,
+		`pao_queries_total{design="m2",status="ok"}`:                1,
+		`serve_tenant_admitted_total{design="m1",tenant="default"}`: 3,
+		`serve_tenant_admitted_total{design="m2",tenant="default"}`: 1,
+		`pao_query_seconds_count{design="m2"}`:                      1,
+		`pao_step_seconds_count{design="m2",step="total"}`:          1,
+		`serve_resident_designs`:                                    2,
 	} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, text)
+		if got, ok := scrape.Series[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
 		}
 	}
 }
@@ -394,23 +415,44 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("batch answer diverges from single query:\n%s\n%s", a, b)
 	}
 
-	// Parsing hardening: empty batch, oversized batch, bad method.
+	// Parsing hardening: empty batch, bad method (TestBatchCapChargesNothing
+	// covers the oversized batch).
 	if code, _ = do(t, h, http.MethodPost, "/v1/access/batch", []byte(`{"instances":[]}`)); code != http.StatusBadRequest {
 		t.Fatalf("empty batch = %d, want 400", code)
 	}
 	if code, _ = do(t, h, http.MethodGet, "/v1/access/batch", nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET batch = %d, want 405", code)
 	}
-	big := make([]string, 300)
-	for i := range big {
-		big[i] = fmt.Sprintf("inst_%d", i)
-	}
-	body, _ = json.Marshal(BatchRequest{Instances: big})
-	if code, _ = do(t, h, http.MethodPost, "/v1/access/batch", body); code != http.StatusBadRequest {
-		t.Fatalf("oversized batch = %d, want 400", code)
-	}
 	// Batch is admission-charged per instance: tenant counter moved by 3.
 	if got := m.ServerFor("batchy").reg().Counter("serve.batch.instances").Load(); got != 3 {
 		t.Fatalf("serve.batch.instances = %d, want 3", got)
+	}
+}
+
+// TestBatchCapChargesNothing: a batch one instance over the cap answers 400
+// before admission, so the tenant's token bucket keeps its whole burst.
+func TestBatchCapChargesNothing(t *testing.T) {
+	d := serveDesign(t)
+	m := newTestManager(t, ManagerConfig{Design: Config{RatePerSec: 1, Burst: 2}})
+	s := oneDesign(t, m, d, nil)
+	s.now = func() time.Time { return time.Unix(3000, 0) } // no refill
+	h := m.Handler()
+
+	big := make([]string, maxBatch+1)
+	for i := range big {
+		big[i] = d.Instances[i%len(d.Instances)].Name
+	}
+	body, _ := json.Marshal(BatchRequest{Instances: big})
+	if code, out := do(t, h, http.MethodPost, "/v1/access/batch", body); code != http.StatusBadRequest {
+		t.Fatalf("batch of %d = %d, want 400: %s", len(big), code, out)
+	}
+	inst := d.Instances[0].Name
+	for i := 0; i < 2; i++ {
+		if code, out := do(t, h, http.MethodGet, "/v1/access?inst="+inst, nil); code != http.StatusOK {
+			t.Fatalf("query %d after the rejected batch = %d, want 200 (bucket charged?): %s", i, code, out)
+		}
+	}
+	if code, _ := do(t, h, http.MethodGet, "/v1/access?inst="+inst, nil); code != http.StatusTooManyRequests {
+		t.Fatalf("query past the burst = %d, want 429", code)
 	}
 }

@@ -1,10 +1,12 @@
-// Package serve is the resident pin-access-oracle server: it loads a design,
-// runs (or restores from snapshot) the PAAF pipeline once, and then answers
-// per-instance access-pattern queries over HTTP/JSON with production
-// robustness semantics — the deployment shape of a library-verification
-// service rather than a batch tool.
+// Package serve is the resident pin-access-oracle server. A Manager
+// (manager.go) owns the process: the design registry, the one HTTP listener,
+// request routing, the snapshot timer and the SIGTERM drain. Each registered
+// design lives in a Server, its bulkhead: it runs (or restores from snapshot)
+// the PAAF pipeline once and answers the design-scoped endpoints the Manager
+// dispatches to it, with production robustness semantics — the deployment
+// shape of a library-verification service rather than a batch tool.
 //
-// Three layers of robustness:
+// Three layers of robustness per bulkhead:
 //
 //   - Admission control (admission.go): a token-bucket rate limiter and a
 //     bounded wait queue in front of MaxInFlight execution slots shed
@@ -17,9 +19,10 @@
 //     result via an atomic copy-on-write pointer, so readers never block on
 //     writers and keep serving the stale-but-valid oracle meanwhile.
 //   - Crash safety: the analysis Result persists as a versioned, checksummed
-//     snapshot (internal/pao/snapshot.go) written atomically on a timer and
-//     on drain; warm restart validates checksum + design hash and falls back
-//     to a full recompute on any corruption or mismatch.
+//     snapshot (internal/pao/snapshot.go) written atomically on eviction, on
+//     the Manager's timer and on drain; warm restart validates checksum +
+//     design hash and falls back to a full recompute on any corruption or
+//     mismatch.
 package serve
 
 import (
@@ -28,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"net"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -61,11 +63,9 @@ const (
 	SiteReanalyze = "serve.reanalyze"
 )
 
-// Config tunes the server. The zero value is usable for tests: unlimited
-// rate, NumCPU in-flight slots, an unbounded queue and no snapshotting.
+// Config tunes one design's bulkhead. The zero value is usable: no rate
+// limit, NumCPU in-flight slots and no wait queue.
 type Config struct {
-	// Addr is the listen address for Start ("127.0.0.1:0" picks a free port).
-	Addr string
 	// MaxInFlight bounds concurrently executing queries; < 1 means NumCPU.
 	MaxInFlight int
 	// QueueDepth bounds requests waiting for a slot; 0 sheds immediately
@@ -78,17 +78,12 @@ type Config struct {
 	// <= 0 disables rate limiting.
 	RatePerSec float64
 	Burst      int
-	// SnapshotPath enables crash-safe persistence; empty disables it.
-	SnapshotPath string
-	// SnapshotInterval adds timer-driven snapshots on top of the final
-	// on-drain write; 0 disables the timer.
-	SnapshotInterval time.Duration
 	// BreakerThreshold is the consecutive-failure count that trips the
 	// re-analysis circuit breaker (< 1 means 1); BreakerCooldown is how long
 	// it stays open before admitting a probe (<= 0 means 30s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// DrainTimeout caps Shutdown's wait for in-flight requests (0 means 10s).
+	// DrainTimeout is the fallback for ManagerConfig.DrainTimeout.
 	DrainTimeout time.Duration
 	// TraceSample is the fraction of admitted queries that record a full
 	// span-tree exemplar into the slow-query log (0 disables tracing, 1
@@ -99,8 +94,6 @@ type Config struct {
 	// SlowThreshold is the latency at or above which a query enters the slow
 	// log even when unsampled (0 means 100ms).
 	SlowThreshold time.Duration
-	// MaxBatch caps the instances per /v1/access/batch request (0 means 256).
-	MaxBatch int
 }
 
 // state is the immutable serving snapshot readers load atomically. Swapping
@@ -115,12 +108,16 @@ type state struct {
 	ecoDirty map[int]bool
 }
 
-// Server is the resident oracle. Create with New, then Init (warm restart or
-// first compute), then Start/Shutdown — or drive Handler() directly in tests.
+// Server is one design's bulkhead. Manager.RegisterDesign creates it and runs
+// Init (warm restart or first compute); the Manager's routes then dispatch
+// the design-scoped requests to its handlers.
 type Server struct {
 	cfg    Config
+	id     string // registry ID: the design label on every metric family
 	design *db.Design
 	paoCfg pao.Config
+	// snapPath is the snapshot file ("" disables persistence).
+	snapPath string
 
 	// Obs receives the server's metrics; defaults to a private observer.
 	// Set before Init.
@@ -143,7 +140,6 @@ type Server struct {
 	adm         *admission
 	brk         *breaker
 	reanalyzing atomic.Bool
-	draining    atomic.Bool
 
 	// tenantBuckets holds one token bucket per tenant (lazily created with
 	// the configured rate), so one tenant draining its budget never rate-
@@ -178,31 +174,28 @@ type Server struct {
 	tShed      *telemetry.CounterVec   // serve_tenant_shed_total{design,tenant}
 	designHash string
 
-	ln       net.Listener
-	http     *http.Server
 	bgCtx    context.Context
 	bgCancel context.CancelFunc
 }
 
-// New builds a server over a loaded design. cfg zero values select defaults
-// documented on Config.
-func New(d *db.Design, paoCfg pao.Config, cfg Config) *Server {
+// newServer builds the bulkhead for design d, registered under id, with its
+// snapshot at snapPath. cfg zero values select defaults documented on Config.
+func newServer(id string, d *db.Design, paoCfg pao.Config, cfg Config, snapPath string) *Server {
 	if cfg.MaxInFlight < 1 {
 		cfg.MaxInFlight = runtime.NumCPU()
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 10 * time.Second
 	}
 	if cfg.SlowThreshold <= 0 {
 		cfg.SlowThreshold = 100 * time.Millisecond
 	}
 	s := &Server{
-		cfg:    cfg,
-		design: d,
-		paoCfg: paoCfg,
-		Obs:    obs.NewObserver("paoserve"),
-		now:    time.Now,
-		snapMu: make(chan struct{}, 1),
+		cfg:      cfg,
+		id:       id,
+		design:   d,
+		paoCfg:   paoCfg,
+		snapPath: snapPath,
+		Obs:      obs.NewObserver("paoserve"),
+		now:      time.Now,
+		snapMu:   make(chan struct{}, 1),
 	}
 	s.adm = newAdmission(cfg.MaxInFlight, cfg.QueueDepth)
 	s.tenantBuckets = make(map[string]*tokenBucket)
@@ -279,7 +272,7 @@ func (s *Server) swap(res *pao.Result, source string) {
 // results ran no pipeline steps (their Stats.Steps are zero), so an "eco"
 // swap observes no step durations.
 func (s *Server) publishResultMetrics(res *pao.Result, source string) {
-	d := s.design.Name
+	d := s.id
 	if source != "eco" {
 		st := res.Stats.Steps
 		for _, step := range []struct {
@@ -357,7 +350,7 @@ func writeRetry() cliutil.RetryPolicy {
 // serve.snapshot.corrupt).
 func (s *Server) Init(ctx context.Context) error {
 	reg := s.reg()
-	if path := s.cfg.SnapshotPath; path != "" {
+	if path := s.snapPath; path != "" {
 		var res *pao.Result
 		err := cliutil.Retry(ctx, loadRetry(), func() error {
 			if h := s.FaultHook; h != nil {
@@ -401,7 +394,7 @@ func (s *Server) Init(ctx context.Context) error {
 // panics at SiteSnapshotWrite convert to retryable errors, proving the
 // cliutil.Retry path.
 func (s *Server) WriteSnapshot(ctx context.Context) error {
-	if s.cfg.SnapshotPath == "" {
+	if s.snapPath == "" {
 		return nil
 	}
 	// A snapshot pairs the design with the result; taking ecoMu keeps an ECO
@@ -426,14 +419,14 @@ func (s *Server) WriteSnapshot(ctx context.Context) error {
 			}
 		}()
 		if h := s.FaultHook; h != nil {
-			h(SiteSnapshotWrite, s.cfg.SnapshotPath)
+			h(SiteSnapshotWrite, s.snapPath)
 		}
-		return pao.WriteSnapshotFile(s.cfg.SnapshotPath, s.design, s.paoCfg, st.res)
+		return pao.WriteSnapshotFile(s.snapPath, s.design, s.paoCfg, st.res)
 	})
 	if err != nil {
 		reg.Counter("serve.snapshot.write_errors").Inc()
 		s.Logger.Error("snapshot write failed",
-			telemetry.F("path", s.cfg.SnapshotPath), telemetry.F("err", err))
+			telemetry.F("path", s.snapPath), telemetry.F("err", err))
 		return err
 	}
 	s.lastSnapshotNS.Store(s.now().UnixNano())
@@ -521,103 +514,6 @@ func (s *Server) reanalyze(ctx context.Context) {
 	s.publishGauges()
 }
 
-// Ready reports whether the server should receive traffic, with the reason
-// when not.
-func (s *Server) Ready() (bool, string) {
-	if s.draining.Load() {
-		return false, "draining"
-	}
-	if s.curState.Load() == nil {
-		return false, "analysis not loaded"
-	}
-	if s.brk.current() == BreakerOpen {
-		return false, "circuit breaker open"
-	}
-	return true, ""
-}
-
-// Start listens on cfg.Addr and serves in the background; Addr() reports the
-// bound address. The snapshot timer starts here too.
-func (s *Server) Start() error {
-	ln, err := net.Listen("tcp", s.cfg.Addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	s.http = &http.Server{Handler: s.Handler()}
-	go func() {
-		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.Logger.Error("serve error", telemetry.F("err", err))
-		}
-	}()
-	if s.cfg.SnapshotInterval > 0 && s.cfg.SnapshotPath != "" {
-		go s.snapshotLoop()
-	}
-	return nil
-}
-
-// Addr returns the bound listen address (valid after Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-func (s *Server) snapshotLoop() {
-	t := time.NewTicker(s.cfg.SnapshotInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			_ = s.WriteSnapshot(s.bgCtx) // logged and counted inside
-		case <-s.bgCtx.Done():
-			return
-		}
-	}
-}
-
-// Shutdown drains in-flight requests (bounded by DrainTimeout), then writes
-// the final snapshot — SIGTERM becomes a clean handoff to the next process.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	s.bgCancel()
-	var first error
-	if s.http != nil {
-		dctx, cancel := context.WithTimeout(ctx, s.cfg.DrainTimeout)
-		defer cancel()
-		if err := s.http.Shutdown(dctx); err != nil {
-			first = err
-		}
-	}
-	// The final snapshot must not inherit the drain deadline's cancellation
-	// cause if requests drained cleanly; give it its own bounded context.
-	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
-	defer cancel()
-	if err := s.WriteSnapshot(sctx); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// Handler returns the full endpoint mux (admission applied per route).
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/metricz", s.handleMetricz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
-	mux.HandleFunc("/version", s.handleVersion)
-	mux.HandleFunc("/v1/stats", s.handleStats)
-	mux.HandleFunc("/v1/access", s.admitted("access", s.handleAccess))
-	mux.HandleFunc("/v1/access/batch", s.admittedCost("batch", s.batchCost, s.handleBatch))
-	mux.HandleFunc("/v1/access/explain", s.admitted("explain", s.handleExplain))
-	mux.HandleFunc("/v1/reanalyze", s.handleReanalyze)
-	mux.HandleFunc("/v1/eco", s.admitted("eco", s.handleECO))
-	return mux
-}
-
 // DesignHash returns the hash of the design as currently placed (ECOs update
 // it).
 func (s *Server) DesignHash() string {
@@ -698,7 +594,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		w.Header().Set("X-Correlation-Id", corr)
 		tenant, terr := tenantOf(r)
 		if terr != nil {
-			s.qTotal.With(s.design.Name, "client_error").Inc()
+			s.qTotal.With(s.id, "client_error").Inc()
 			http.Error(w, terr.Error(), http.StatusBadRequest)
 			return
 		}
@@ -706,7 +602,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		if costFn != nil {
 			r2, n, err := costFn(r)
 			if err != nil {
-				s.qTotal.With(s.design.Name, "client_error").Inc()
+				s.qTotal.With(s.id, "client_error").Inc()
 				code := http.StatusBadRequest
 				var ae *admitError
 				if errors.As(err, &ae) {
@@ -719,8 +615,8 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		}
 		if ok, retry := s.tenantBucket(tenant).takeN(cost); !ok {
 			reg.Counter("serve.shed.rate").Inc()
-			s.qTotal.With(s.design.Name, "shed").Inc()
-			s.tShed.With(s.design.Name, tenant).Inc()
+			s.qTotal.With(s.id, "shed").Inc()
+			s.tShed.With(s.id, tenant).Inc()
 			w.Header().Set("Retry-After", retryAfterSecs(retry))
 			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 			return
@@ -739,14 +635,14 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 			} else {
 				reg.Counter("serve.shed.queue").Inc()
 			}
-			s.qTotal.With(s.design.Name, "shed").Inc()
-			s.tShed.With(s.design.Name, tenant).Inc()
+			s.qTotal.With(s.id, "shed").Inc()
+			s.tShed.With(s.id, tenant).Inc()
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "server overloaded, request shed", http.StatusServiceUnavailable)
 			return
 		}
 		defer release()
-		s.tAdmit.With(s.design.Name, tenant).Inc()
+		s.tAdmit.With(s.id, tenant).Inc()
 		var root *obs.Span
 		if s.sampler.Sample() {
 			root = obs.NewTrace("serve." + op).Root
@@ -764,8 +660,8 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 					telemetry.F("breaker", s.brk.current()), telemetry.F("panic", fmt.Sprint(rec)))
 				http.Error(sw, "internal error (recovered)", http.StatusInternalServerError)
 			}
-			s.qTotal.With(s.design.Name, statusLabel(sw.code)).Inc()
-			s.qSeconds.With(s.design.Name).Observe(d)
+			s.qTotal.With(s.id, statusLabel(sw.code)).Inc()
+			s.qSeconds.With(s.id).Observe(d)
 			entry := telemetry.Entry{
 				CorrID: corr, Op: op, Detail: r.URL.RawQuery, Status: sw.code,
 				Start: t0, DurMS: float64(d) / 1e6,

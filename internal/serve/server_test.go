@@ -1,8 +1,9 @@
 package serve
 
-// White-box server tests: the injectable clock (s.now) drives the rate
-// limiter and circuit breaker deterministically, and the nil-by-default fault
-// hooks stand in for crashes, slow queries and broken disks.
+// White-box bulkhead tests, driven through a one-design Manager: the
+// injectable clock (s.now) drives the rate limiter and circuit breaker
+// deterministically, and the nil-by-default fault hooks stand in for crashes,
+// slow queries and broken disks.
 
 import (
 	"bytes"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/pao"
 	"repro/internal/suite"
+	"repro/internal/telemetry"
 )
 
 func serveDesign(t *testing.T) *db.Design {
@@ -34,18 +36,21 @@ func serveDesign(t *testing.T) *db.Design {
 	return d
 }
 
-func newTestServer(t *testing.T, d *db.Design, cfg Config) *Server {
-	t.Helper()
-	s := New(d, pao.DefaultConfig(), cfg)
-	t.Cleanup(s.bgCancel)
-	return s
-}
+// testID is the registry ID of the one-design managers below.
+const testID = "d1"
 
-func mustInit(t *testing.T, s *Server) {
+// oneDesign registers d as m's only design and returns its bulkhead. With one
+// design registered, m.Handler() resolves requests without ?design=, so tests
+// use bare per-design URLs. Hooks that must fire during registration go on m
+// beforehand; the design keeps its generated name, so metric labels must
+// carry testID, not d.Name.
+func oneDesign(t *testing.T, m *Manager, d *db.Design, opts *RegisterOptions) *Server {
 	t.Helper()
-	if err := s.Init(context.Background()); err != nil {
+	s, err := m.RegisterDesign(context.Background(), testID, d, m.paoCfg, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	return s
 }
 
 func get(t *testing.T, h http.Handler, path string) (int, http.Header, []byte) {
@@ -71,9 +76,9 @@ func queryInst(t *testing.T, h http.Handler, name string) (int, QueryResponse, [
 
 func TestServeQueryBasics(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{})
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	inst := d.Instances[0]
 	code, resp, _ := queryInst(t, h, inst.Name)
@@ -118,16 +123,16 @@ func TestServeQueryBasics(t *testing.T) {
 func TestServeDegradedAnswers(t *testing.T) {
 	d := serveDesign(t)
 	sig := d.UniqueInstances()[0].Signature()
-	s := newTestServer(t, d, Config{})
+	m := newTestManager(t, ManagerConfig{})
 	inj := faultinject.New().Add(&faultinject.Fault{
 		Site: pao.SiteAnalyzeUnique, Detail: sig, Kind: faultinject.Panic, Note: "quarantine",
 	})
-	s.PaoFaultHook = inj.SiteHook()
-	mustInit(t, s)
+	m.PaoFaultHook = inj.SiteHook()
+	s := oneDesign(t, m, d, nil)
 	if inj.FiredCount() == 0 {
 		t.Fatal("fault never fired")
 	}
-	h := s.Handler()
+	h := m.Handler()
 
 	queried := 0
 	for _, inst := range d.Instances {
@@ -173,11 +178,11 @@ func TestServeDegradedAnswers(t *testing.T) {
 
 func TestServeRateLimit(t *testing.T) {
 	d := serveDesign(t)
+	m := newTestManager(t, ManagerConfig{Design: Config{RatePerSec: 1, Burst: 1}})
+	s := oneDesign(t, m, d, nil)
 	clock := time.Unix(1000, 0)
-	s := newTestServer(t, d, Config{RatePerSec: 1, Burst: 1})
 	s.now = func() time.Time { return clock }
-	mustInit(t, s)
-	h := s.Handler()
+	h := m.Handler()
 	inst := d.Instances[0].Name
 
 	if code, _, _ := queryInst(t, h, inst); code != http.StatusOK {
@@ -203,19 +208,19 @@ func TestServeRateLimit(t *testing.T) {
 // query; with QueueDepth 0 the next request must shed 503 immediately.
 func TestServeQueueShed(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{MaxInFlight: 1, QueueDepth: 0})
+	m := newTestManager(t, ManagerConfig{Design: Config{MaxInFlight: 1, QueueDepth: 0}})
 	blocker := d.Instances[0].Name
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	s.FaultHook = func(site, detail string) {
+	m.FaultHook = func(site, detail string) {
 		if site == SiteQuery && detail == blocker {
 			once.Do(func() { close(entered) })
 			<-release
 		}
 	}
-	mustInit(t, s)
-	ts := httptest.NewServer(s.Handler())
+	s := oneDesign(t, m, d, nil)
+	ts := httptest.NewServer(m.Handler())
 	defer ts.Close()
 
 	errc := make(chan error, 1)
@@ -255,13 +260,13 @@ func TestServeQueueShed(t *testing.T) {
 // trips the breaker at its threshold, and never kills the server.
 func TestServeQueryPanicRecovered(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{BreakerThreshold: 2, BreakerCooldown: time.Minute})
+	m := newTestManager(t, ManagerConfig{Design: Config{BreakerThreshold: 2, BreakerCooldown: time.Minute}})
 	inj := faultinject.New().Add(&faultinject.Fault{
 		Site: SiteQuery, Kind: faultinject.Panic, Note: "boom",
 	})
-	s.FaultHook = inj.SiteHook()
-	mustInit(t, s)
-	h := s.Handler()
+	m.FaultHook = inj.SiteHook()
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
 	inst := d.Instances[0].Name
 
 	for i := 0; i < 2; i++ {
@@ -273,7 +278,7 @@ func TestServeQueryPanicRecovered(t *testing.T) {
 	if s.Breaker() != BreakerOpen {
 		t.Fatalf("breaker = %v after %d panics, want open", s.Breaker(), 2)
 	}
-	if code, _, _ := get(t, h, "/readyz"); code != http.StatusServiceUnavailable {
+	if code, _, _ := get(t, h, "/readyz?design="+testID); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with open breaker = %d, want 503", code)
 	}
 	if got := s.reg().Counter("serve.panics").Load(); got != 2 {
@@ -281,20 +286,20 @@ func TestServeQueryPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestServeWarmRestart: a second server over the same design restores from
+// TestServeWarmRestart: a second manager over the same design restores from
 // the first one's snapshot without recomputing and answers identically.
 func TestServeWarmRestart(t *testing.T) {
 	d := serveDesign(t)
 	snap := filepath.Join(t.TempDir(), "oracle.snap")
 
-	s1 := newTestServer(t, d, Config{SnapshotPath: snap})
-	mustInit(t, s1)
+	m1 := newTestManager(t, ManagerConfig{})
+	s1 := oneDesign(t, m1, d, &RegisterOptions{SnapshotPath: snap})
 	if err := s1.WriteSnapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	s2 := newTestServer(t, d, Config{SnapshotPath: snap})
-	mustInit(t, s2)
+	m2 := newTestManager(t, ManagerConfig{})
+	s2 := oneDesign(t, m2, d, &RegisterOptions{SnapshotPath: snap})
 	if s2.Source() != "snapshot" {
 		t.Fatalf("second server source = %q, want snapshot", s2.Source())
 	}
@@ -305,7 +310,7 @@ func TestServeWarmRestart(t *testing.T) {
 		t.Fatalf("serve.restart.warm = %d, want 1", got)
 	}
 
-	h1, h2 := s1.Handler(), s2.Handler()
+	h1, h2 := m1.Handler(), m2.Handler()
 	for _, inst := range d.Instances {
 		_, r1, _ := queryInst(t, h1, inst.Name)
 		_, r2, _ := queryInst(t, h2, inst.Name)
@@ -323,8 +328,7 @@ func TestServeWarmRestart(t *testing.T) {
 func TestServeCorruptSnapshotFallsBack(t *testing.T) {
 	d := serveDesign(t)
 	snap := filepath.Join(t.TempDir(), "oracle.snap")
-	s1 := newTestServer(t, d, Config{SnapshotPath: snap})
-	mustInit(t, s1)
+	s1 := oneDesign(t, newTestManager(t, ManagerConfig{}), d, &RegisterOptions{SnapshotPath: snap})
 	if err := s1.WriteSnapshot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -343,15 +347,15 @@ func TestServeCorruptSnapshotFallsBack(t *testing.T) {
 			if err := os.WriteFile(snap, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			s := newTestServer(t, d, Config{SnapshotPath: snap})
-			mustInit(t, s)
+			m := newTestManager(t, ManagerConfig{})
+			s := oneDesign(t, m, d, &RegisterOptions{SnapshotPath: snap})
 			if s.Source() != "recompute" {
 				t.Fatalf("source = %q, want recompute", s.Source())
 			}
 			if got := s.reg().Counter("serve.snapshot.corrupt").Load(); got == 0 {
 				t.Error("serve.snapshot.corrupt not counted")
 			}
-			if code, resp, _ := queryInst(t, s.Handler(), d.Instances[0].Name); code != 200 || resp.Degraded {
+			if code, resp, _ := queryInst(t, m.Handler(), d.Instances[0].Name); code != 200 || resp.Degraded {
 				t.Fatalf("recomputed server unhealthy: %d %+v", code, resp)
 			}
 		})
@@ -363,12 +367,12 @@ func TestServeCorruptSnapshotFallsBack(t *testing.T) {
 func TestServeSnapshotWriteRetry(t *testing.T) {
 	d := serveDesign(t)
 	snap := filepath.Join(t.TempDir(), "oracle.snap")
-	s := newTestServer(t, d, Config{SnapshotPath: snap})
+	m := newTestManager(t, ManagerConfig{})
 	inj := faultinject.New().Add(&faultinject.Fault{
 		Site: SiteSnapshotWrite, Call: 1, Kind: faultinject.Panic, Note: "disk hiccup",
 	})
-	s.FaultHook = inj.SiteHook()
-	mustInit(t, s)
+	m.FaultHook = inj.SiteHook()
+	s := oneDesign(t, m, d, &RegisterOptions{SnapshotPath: snap})
 	if err := s.WriteSnapshot(context.Background()); err != nil {
 		t.Fatalf("write with transient fault failed: %v", err)
 	}
@@ -380,23 +384,37 @@ func TestServeSnapshotWriteRetry(t *testing.T) {
 	}
 }
 
-// TestServeReadyFlips walks /readyz through the full lifecycle: not ready
-// before Init, ready after, not ready while the breaker is open following a
-// failing background re-analysis, ready again after a clean probe.
+// TestServeReadyFlips walks /readyz?design= through the full lifecycle: not
+// ready while evicted (no result loaded), ready after a query warms it, not
+// ready while the breaker is open following a failing background
+// re-analysis, ready again after a clean probe.
 func TestServeReadyFlips(t *testing.T) {
 	d := serveDesign(t)
+	m := newTestManager(t, ManagerConfig{
+		WarmWait: 10 * time.Second,
+		Design:   Config{BreakerThreshold: 1, BreakerCooldown: 10 * time.Second},
+	})
+	s := oneDesign(t, m, d, nil)
 	clock := time.Unix(5000, 0)
 	var clockMu sync.Mutex
-	s := newTestServer(t, d, Config{BreakerThreshold: 1, BreakerCooldown: 10 * time.Second})
 	s.now = func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return clock }
-	h := s.Handler()
-
-	if code, _, _ := get(t, h, "/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("pre-Init readyz = %d, want 503", code)
+	h := m.Handler()
+	ready := func() int {
+		code, _, _ := get(t, h, "/readyz?design="+testID)
+		return code
 	}
-	mustInit(t, s)
-	if code, _, _ := get(t, h, "/readyz"); code != http.StatusOK {
-		t.Fatalf("post-Init readyz = %d, want 200", code)
+
+	if err := m.EvictDesign(context.Background(), testID); err != nil {
+		t.Fatal(err)
+	}
+	if code := ready(); code != http.StatusServiceUnavailable {
+		t.Fatalf("evicted readyz = %d, want 503", code)
+	}
+	if code, _, body := queryInst(t, h, d.Instances[0].Name); code != http.StatusOK {
+		t.Fatalf("warming query = %d (%s), want 200", code, body)
+	}
+	if code := ready(); code != http.StatusOK {
+		t.Fatalf("warm readyz = %d, want 200", code)
 	}
 
 	// Poison background re-analysis: every class panics, Health collects
@@ -412,7 +430,7 @@ func TestServeReadyFlips(t *testing.T) {
 		t.Fatalf("reanalyze = %d, want 202", rec.Code)
 	}
 	waitFor(t, func() bool { return s.Breaker() == BreakerOpen })
-	if code, _, _ := get(t, h, "/readyz"); code != http.StatusServiceUnavailable {
+	if code := ready(); code != http.StatusServiceUnavailable {
 		t.Fatal("readyz still ready with breaker open")
 	}
 	// The poisoned result must NOT have replaced the healthy one.
@@ -438,16 +456,16 @@ func TestServeReadyFlips(t *testing.T) {
 		t.Fatalf("half-open probe = %d, want 202", rec.Code)
 	}
 	waitFor(t, func() bool { return s.Breaker() == BreakerClosed })
-	if code, _, _ := get(t, h, "/readyz"); code != http.StatusOK {
+	if code := ready(); code != http.StatusOK {
 		t.Fatal("readyz not ready after breaker closed")
 	}
 }
 
 func TestServeHealthzAndMetricz(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{})
+	oneDesign(t, m, d, nil)
+	h := m.Handler()
 	for i := 0; i < 3; i++ {
 		queryInst(t, h, d.Instances[0].Name)
 	}
@@ -456,15 +474,23 @@ func TestServeHealthzAndMetricz(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
-	var hz HealthzResponse
+	var hz ManagerHealthz
 	if err := json.Unmarshal(body, &hz); err != nil {
 		t.Fatalf("healthz JSON: %v\n%s", err, body)
 	}
-	if hz.Status != "ok" || hz.Breaker != "closed" || hz.Source != "recompute" {
+	if info := hz.Designs[testID]; hz.Status != "ok" || info.Breaker != "closed" || info.Source != "recompute" {
 		t.Fatalf("bad healthz: %+v", hz)
 	}
-	if hz.P99MS < hz.P50MS || hz.P99MS == 0 {
-		t.Fatalf("bad latency quantiles: %+v", hz)
+
+	// Query latency is the design-labeled serve_latency_seconds histogram.
+	_, _, body = get(t, h, "/metrics")
+	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v", err)
+	}
+	lat := fmt.Sprintf("serve_latency_seconds_count{design=%q}", testID)
+	if got := scrape.Series[lat]; got < 3 {
+		t.Fatalf("%s = %v, want >= 3", lat, got)
 	}
 
 	code, _, body = get(t, h, "/metricz")
@@ -478,17 +504,18 @@ func TestServeHealthzAndMetricz(t *testing.T) {
 	}
 }
 
-// TestServeStartShutdown exercises the real listener path end to end,
-// including the final on-drain snapshot.
+// TestServeStartShutdown exercises the manager's real listener path end to
+// end: per-design readiness over TCP, then a drain that leaves a final
+// snapshot.
 func TestServeStartShutdown(t *testing.T) {
 	d := serveDesign(t)
 	snap := filepath.Join(t.TempDir(), "oracle.snap")
-	s := newTestServer(t, d, Config{Addr: "127.0.0.1:0", SnapshotPath: snap})
-	mustInit(t, s)
-	if err := s.Start(); err != nil {
+	m := newTestManager(t, ManagerConfig{Addr: "127.0.0.1:0"})
+	oneDesign(t, m, d, &RegisterOptions{SnapshotPath: snap})
+	if err := m.Start(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Get("http://" + s.Addr() + "/readyz")
+	resp, err := http.Get("http://" + m.Addr() + "/readyz?design=" + testID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,11 +523,29 @@ func TestServeStartShutdown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz over TCP = %d", resp.StatusCode)
 	}
-	if err := s.Shutdown(context.Background()); err != nil {
+	if err := m.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pao.ReadSnapshotFile(snap, d, pao.DefaultConfig()); err != nil {
 		t.Fatalf("no final snapshot after shutdown: %v", err)
+	}
+}
+
+// TestServePeriodicSnapshotWithoutDir: the snapshot timer covers a design
+// registered with its own snapshot path even when the manager has no
+// snapshot directory, so a crash loses at most one interval of work.
+func TestServePeriodicSnapshotWithoutDir(t *testing.T) {
+	d := serveDesign(t)
+	snap := filepath.Join(t.TempDir(), "oracle.snap")
+	m := newTestManager(t, ManagerConfig{Addr: "127.0.0.1:0", SnapshotInterval: 20 * time.Millisecond})
+	oneDesign(t, m, d, &RegisterOptions{SnapshotPath: snap})
+	if err := m.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = m.Shutdown(context.Background()) })
+	waitFor(t, func() bool { _, err := os.Stat(snap); return err == nil })
+	if _, err := pao.ReadSnapshotFile(snap, d, pao.DefaultConfig()); err != nil {
+		t.Fatalf("periodic snapshot unreadable: %v", err)
 	}
 }
 

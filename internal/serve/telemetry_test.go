@@ -21,9 +21,9 @@ import (
 
 func TestServeExplainEndpoint(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{})
+	oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	inst := d.Instances[0]
 	pins := inst.Master.SignalPins()
@@ -99,9 +99,9 @@ func TestServeExplainEndpoint(t *testing.T) {
 
 func TestServeMetricsPromFormat(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{})
+	oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	const n = 5
 	for i := 0; i < n; i++ {
@@ -123,18 +123,18 @@ func TestServeMetricsPromFormat(t *testing.T) {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}
 
-	okSeries := fmt.Sprintf("pao_queries_total{design=%q,status=%q}", d.Name, "ok")
+	okSeries := fmt.Sprintf("pao_queries_total{design=%q,status=%q}", testID, "ok")
 	if got := scrape.Series[okSeries]; got < n {
 		t.Fatalf("%s = %v, want >= %d", okSeries, got, n)
 	}
-	clientErr := fmt.Sprintf("pao_queries_total{design=%q,status=%q}", d.Name, "client_error")
+	clientErr := fmt.Sprintf("pao_queries_total{design=%q,status=%q}", testID, "client_error")
 	if got := scrape.Series[clientErr]; got < 1 {
 		t.Fatalf("%s = %v, want >= 1", clientErr, got)
 	}
 	if typ := scrape.Families["pao_query_seconds"].Type; typ != "histogram" {
 		t.Fatalf("pao_query_seconds type = %q, want histogram", typ)
 	}
-	cnt := fmt.Sprintf("pao_query_seconds_count{design=%q}", d.Name)
+	cnt := fmt.Sprintf("pao_query_seconds_count{design=%q}", testID)
 	if got := scrape.Series[cnt]; got < n {
 		t.Fatalf("%s = %v, want >= %d", cnt, got, n)
 	}
@@ -153,7 +153,7 @@ func TestServeMetricsPromFormat(t *testing.T) {
 	}
 	// Obs registry metrics must appear design-labeled with the rename rules
 	// (counter serve.requests → serve_requests_total).
-	reqs := fmt.Sprintf("serve_requests_total{design=%q}", d.Name)
+	reqs := fmt.Sprintf("serve_requests_total{design=%q}", testID)
 	if got := scrape.Series[reqs]; got < n+1 {
 		t.Fatalf("%s = %v, want >= %d; %d series total", reqs, got, n+1, len(scrape.Series))
 	}
@@ -165,9 +165,11 @@ func TestServeMetricsPromFormat(t *testing.T) {
 // also proves the registry and histogram snapshots are data-race free.
 func TestServeScrapeWhileServing(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{TraceSample: 1, SlowThreshold: time.Nanosecond})
-	mustInit(t, s)
-	h := s.Handler()
+	// An unbounded wait queue: the workers outnumber the NumCPU slots on a
+	// small host, and a shed query is not what this test is about.
+	m := newTestManager(t, ManagerConfig{Design: Config{QueueDepth: -1, TraceSample: 1, SlowThreshold: time.Nanosecond}})
+	oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	const workers, iters = 4, 25
 	var wg sync.WaitGroup
@@ -243,9 +245,9 @@ func TestServeScrapeWhileServing(t *testing.T) {
 
 func TestServeCorrelationIDEcho(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{TraceSample: 1, SlowThreshold: time.Nanosecond})
-	mustInit(t, s)
-	h := s.Handler()
+	m := newTestManager(t, ManagerConfig{Design: Config{TraceSample: 1, SlowThreshold: time.Nanosecond}})
+	oneDesign(t, m, d, nil)
+	h := m.Handler()
 
 	const corr = "caller-supplied-0042"
 	req := httptest.NewRequest(http.MethodGet, "/v1/access?inst="+d.Instances[0].Name, nil)
@@ -281,27 +283,35 @@ func TestServeCorrelationIDEcho(t *testing.T) {
 
 func TestServeVersionEndpoint(t *testing.T) {
 	d := serveDesign(t)
-	s := newTestServer(t, d, Config{})
-	mustInit(t, s)
+	m := newTestManager(t, ManagerConfig{})
+	oneDesign(t, m, d, nil)
 
-	code, _, body := get(t, s.Handler(), "/version")
+	code, _, body := get(t, m.Handler(), "/version")
 	if code != http.StatusOK {
 		t.Fatalf("/version = %d", code)
 	}
-	var v VersionResponse
+	var v struct {
+		Build   telemetry.BuildInfo `json:"build"`
+		Designs map[string]struct {
+			DesignHash        string `json:"design_hash"`
+			ConfigFingerprint string `json:"config_fingerprint"`
+			Source            string `json:"source"`
+		} `json:"designs"`
+	}
 	if err := json.Unmarshal(body, &v); err != nil {
 		t.Fatalf("bad version JSON: %v\n%s", err, body)
 	}
-	if v.Design != d.Name {
-		t.Fatalf("design = %q, want %q", v.Design, d.Name)
+	dv, ok := v.Designs[testID]
+	if !ok {
+		t.Fatalf("no /version entry for design %q: %s", testID, body)
 	}
-	if v.DesignHash == "" || v.ConfigFingerprint == "" {
-		t.Fatalf("missing fingerprints: %+v", v)
+	if dv.DesignHash == "" || dv.ConfigFingerprint == "" {
+		t.Fatalf("missing fingerprints: %+v", dv)
 	}
 	if v.Build.GoVersion == "" {
 		t.Fatal("missing go version in build info")
 	}
-	if v.Source != "recompute" {
-		t.Fatalf("source = %q, want recompute", v.Source)
+	if dv.Source != "recompute" {
+		t.Fatalf("source = %q, want recompute", dv.Source)
 	}
 }
