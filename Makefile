@@ -108,12 +108,15 @@ dist-smoke:
 golden-update:
 	$(GO) test ./internal/difftest -update -run TestGolden
 
-# Short coverage-guided fuzz of each parser, seeded from testdata/fuzz.
+# Short coverage-guided fuzz of each parser and of the snapshot decoder,
+# seeded from testdata/fuzz. Snapshot inputs are kilobytes long, and
+# minimizing each new one without a bound would use up the whole run.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/lef
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/def
 	$(GO) test -fuzz=FuzzParse -fuzztime=10s ./internal/guide
 	$(GO) test -fuzz=FuzzRegisterRequest -fuzztime=10s ./internal/serve
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -fuzzminimizetime=200x ./internal/pao
 
 # Coverage over the core analysis/check packages (the CI floor gates on this).
 cover:

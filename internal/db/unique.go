@@ -1,9 +1,8 @@
 package db
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
@@ -24,21 +23,39 @@ type UniqueInstance struct {
 // Pivot returns the representative member whose coordinates the analysis uses.
 func (u *UniqueInstance) Pivot() *Instance { return u.Insts[0] }
 
-// Signature renders the unique-instance key as a readable string.
+// Signature renders the unique-instance key as a readable string:
+// master/orient/offset/offset/...
 func (u *UniqueInstance) Signature() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s", u.Master.Name, u.Orient)
-	for _, off := range u.Offsets {
-		fmt.Fprintf(&b, "/%d", off)
+	return string(appendSignature(nil, u.Master, u.Orient, u.Offsets))
+}
+
+func appendSignature(b []byte, m *Master, o geom.Orient, offs []int64) []byte {
+	b = append(append(append(b, m.Name...), '/'), o.String()...)
+	for _, off := range offs {
+		b = strconv.AppendInt(append(b, '/'), off, 10)
 	}
-	return b.String()
+	return b
+}
+
+// AppendOffsetsKey appends the offsets in the form UniqueInstances orders
+// classes by: each offset in decimal followed by a comma. Classes of one
+// master and orientation sort by this key as a string.
+func AppendOffsetsKey(b []byte, offs []int64) []byte {
+	for _, off := range offs {
+		b = append(strconv.AppendInt(b, off, 10), ',')
+	}
+	return b
 }
 
 // instanceOffsets computes the phase of an instance's placement against every
 // track pattern: the x phase for vertical-wire patterns (tracks are x
 // coordinates) and the y phase for horizontal-wire patterns.
 func instanceOffsets(d *Design, inst *Instance) []int64 {
-	out := make([]int64, 0, len(d.Tracks))
+	return appendOffsets(make([]int64, 0, len(d.Tracks)), d, inst)
+}
+
+// appendOffsets appends the instance's per-track-pattern phases to out.
+func appendOffsets(out []int64, d *Design, inst *Instance) []int64 {
 	for _, tp := range d.Tracks {
 		if d.SigMaxLayer > 0 && tp.Layer > d.SigMaxLayer {
 			out = append(out, 0) // pattern excluded from the signature
@@ -63,41 +80,44 @@ func (d *Design) OffsetsOf(inst *Instance) []int64 { return instanceOffsets(d, i
 // unique-instance classes. The result is deterministic: classes are sorted by
 // master name, then orientation, then offsets; members keep design order.
 func (d *Design) UniqueInstances() []*UniqueInstance {
-	type key struct {
-		master string
-		orient geom.Orient
-		offs   string
+	type class struct {
+		ui   *UniqueInstance
+		offs string // AppendOffsetsKey of ui.Offsets
 	}
-	classes := make(map[key]*UniqueInstance)
-	var order []key
+	// The map key is the signature; offsets and key are rendered into reused
+	// buffers, so only an instance that opens a new class allocates.
+	byKey := make(map[string]int)
+	var order []class
+	var offs []int64
+	var key []byte
 	for _, inst := range d.Instances {
-		offs := instanceOffsets(d, inst)
-		var sb strings.Builder
-		for _, o := range offs {
-			fmt.Fprintf(&sb, "%d,", o)
-		}
-		k := key{inst.Master.Name, inst.Orient, sb.String()}
-		u, seen := classes[k]
+		offs = appendOffsets(offs[:0], d, inst)
+		key = appendSignature(key[:0], inst.Master, inst.Orient, offs)
+		i, seen := byKey[string(key)]
 		if !seen {
-			u = &UniqueInstance{Master: inst.Master, Orient: inst.Orient, Offsets: offs}
-			classes[k] = u
-			order = append(order, k)
+			i = len(order)
+			byKey[string(key)] = i
+			order = append(order, class{
+				ui: &UniqueInstance{Master: inst.Master, Orient: inst.Orient,
+					Offsets: append([]int64(nil), offs...)},
+				offs: string(AppendOffsetsKey(nil, offs)),
+			})
 		}
-		u.Insts = append(u.Insts, inst)
+		order[i].ui.Insts = append(order[i].ui.Insts, inst)
 	}
 	sort.Slice(order, func(a, b int) bool {
-		ka, kb := order[a], order[b]
-		if ka.master != kb.master {
-			return ka.master < kb.master
+		ca, cb := order[a], order[b]
+		if ca.ui.Master.Name != cb.ui.Master.Name {
+			return ca.ui.Master.Name < cb.ui.Master.Name
 		}
-		if ka.orient != kb.orient {
-			return ka.orient < kb.orient
+		if ca.ui.Orient != cb.ui.Orient {
+			return ca.ui.Orient < cb.ui.Orient
 		}
-		return ka.offs < kb.offs
+		return ca.offs < cb.offs
 	})
 	out := make([]*UniqueInstance, len(order))
-	for i, k := range order {
-		out[i] = classes[k]
+	for i, c := range order {
+		out[i] = c.ui
 	}
 	return out
 }
@@ -107,10 +127,5 @@ func (d *Design) UniqueInstances() []*UniqueInstance {
 // UniqueInstance.Signature. Incremental flows use it to rebind a moved
 // instance to an existing class without re-partitioning the whole design.
 func (d *Design) InstanceSignature(inst *Instance) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%s", inst.Master.Name, inst.Orient)
-	for _, off := range instanceOffsets(d, inst) {
-		fmt.Fprintf(&b, "/%d", off)
-	}
-	return b.String()
+	return string(appendSignature(nil, inst.Master, inst.Orient, instanceOffsets(d, inst)))
 }

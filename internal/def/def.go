@@ -106,47 +106,75 @@ const (
 	maxSectionCount = int64(50_000_000)
 )
 
+// parser streams tokens off the input a line at a time: white-space
+// separated fields with "#" comments stripped. Each token is a substring of
+// its own line, so a retained name cannot pin the whole input.
 type parser struct {
-	toks []string
-	pos  int
+	sc     *bufio.Scanner
+	fields []string // unread tokens of the current line
+	tok    string   // lookahead token, when has
+	has    bool
+	pos    int   // tokens consumed, for error positions
+	err    error // first tokenizer error; it ends the stream
 }
 
-func newParser(r io.Reader) (*parser, error) {
+func newParser(r io.Reader) *parser {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	var toks []string
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		for _, f := range strings.Fields(line) {
-			if len(f) > maxTokenLen {
-				return nil, fmt.Errorf("def: token of %d bytes exceeds the %d-byte limit", len(f), maxTokenLen)
-			}
-			toks = append(toks, f)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return &parser{toks: toks}, nil
+	return &parser{sc: sc}
 }
 
-func (p *parser) eof() bool { return p.pos >= len(p.toks) }
+// fill loads the lookahead token, reading lines as needed. It reports false
+// at the end of the input or after a tokenizer error.
+func (p *parser) fill() bool {
+	for !p.has {
+		if p.err != nil {
+			return false
+		}
+		if len(p.fields) > 0 {
+			p.tok, p.fields, p.has = p.fields[0], p.fields[1:], true
+			if len(p.tok) > maxTokenLen {
+				p.err = fmt.Errorf("def: token of %d bytes exceeds the %d-byte limit", len(p.tok), maxTokenLen)
+				return false
+			}
+			break
+		}
+		if !p.sc.Scan() {
+			p.err = p.sc.Err()
+			return false
+		}
+		line := p.sc.Text()
+		if i := strings.IndexByte(line, '#'); i >= 0 {
+			line = line[:i]
+		}
+		p.fields = strings.Fields(line)
+	}
+	return true
+}
+
+// finish drains the rest of the input and returns the first tokenizer error,
+// which takes precedence over the parse outcome wherever it occurs.
+func (p *parser) finish() error {
+	for p.fill() {
+		p.has = false
+	}
+	return p.err
+}
+
+func (p *parser) eof() bool { return !p.fill() }
 func (p *parser) peek() string {
-	if p.eof() {
+	if !p.fill() {
 		return ""
 	}
-	return p.toks[p.pos]
+	return p.tok
 }
 func (p *parser) next() string {
-	if p.eof() {
+	if !p.fill() {
 		return ""
 	}
-	t := p.toks[p.pos]
+	p.has = false
 	p.pos++
-	return t
+	return p.tok
 }
 func (p *parser) skipStatement() {
 	for !p.eof() {
@@ -192,10 +220,15 @@ func (p *parser) sectionCount(section string) (int64, error) {
 // Parse reads a DEF design against a technology and master library (as
 // produced by lef.Parse).
 func Parse(r io.Reader, t *tech.Technology, masters []*db.Master) (*db.Design, error) {
-	p, err := newParser(r)
-	if err != nil {
-		return nil, err
+	p := newParser(r)
+	d, err := parse(p, t, masters)
+	if terr := p.finish(); terr != nil {
+		return nil, terr
 	}
+	return d, err
+}
+
+func parse(p *parser, t *tech.Technology, masters []*db.Master) (*db.Design, error) {
 	d := db.NewDesign("", t)
 	for _, m := range masters {
 		if err := d.AddMaster(m); err != nil {

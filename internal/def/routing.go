@@ -100,10 +100,15 @@ func WriteRouted(w io.Writer, d *db.Design, routing map[string]*Routing) error {
 // input as Parse (routing is optional) and additionally returns the parsed
 // routing per net name.
 func ParseRouted(r io.Reader, t *tech.Technology, masters []*db.Master) (*db.Design, map[string]*Routing, error) {
-	p, err := newParser(r)
-	if err != nil {
-		return nil, nil, err
+	p := newParser(r)
+	d, routing, err := parseRouted(p, t, masters)
+	if terr := p.finish(); terr != nil {
+		return nil, nil, terr
 	}
+	return d, routing, err
+}
+
+func parseRouted(p *parser, t *tech.Technology, masters []*db.Master) (*db.Design, map[string]*Routing, error) {
 	d := db.NewDesign("", t)
 	for _, m := range masters {
 		if err := d.AddMaster(m); err != nil {

@@ -47,7 +47,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/db"
 	"repro/internal/drc"
@@ -535,13 +534,7 @@ type ECOReport struct {
 
 // offsOrderKey renders class offsets in the comparison format
 // Design.UniqueInstances sorts by.
-func offsOrderKey(offs []int64) string {
-	var b strings.Builder
-	for _, o := range offs {
-		fmt.Fprintf(&b, "%d,", o)
-	}
-	return b.String()
-}
+func offsOrderKey(offs []int64) string { return string(db.AppendOffsetsKey(nil, offs)) }
 
 func sortedMembers(set map[int]*db.Instance) []*db.Instance {
 	out := make([]*db.Instance, 0, len(set))

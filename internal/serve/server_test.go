@@ -362,6 +362,48 @@ func TestServeCorruptSnapshotFallsBack(t *testing.T) {
 	}
 }
 
+// TestServeSnapshotChoicesOutOfRange: a checksummed snapshot whose pattern
+// choices point past their pins' access points must be rejected when it is
+// uploaded, and the design recomputed, never served into index-out-of-range
+// 500s.
+func TestServeSnapshotChoicesOutOfRange(t *testing.T) {
+	d := serveDesign(t)
+	res := pao.NewAnalyzer(d, pao.DefaultConfig()).Run()
+	bad := *res
+	bad.Unique = nil
+	for _, ua := range res.Unique {
+		cp := *ua
+		cp.Patterns = nil
+		for _, p := range ua.Patterns {
+			choice := make([]int, len(p.Choice))
+			for i := range choice {
+				choice[i] = 999
+			}
+			cp.Patterns = append(cp.Patterns, &pao.AccessPattern{Choice: choice, Cost: p.Cost})
+		}
+		bad.Unique = append(bad.Unique, &cp)
+	}
+	var snap bytes.Buffer
+	if err := pao.EncodeSnapshot(&snap, d, pao.DefaultConfig(), &bad); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, ManagerConfig{})
+	s := oneDesign(t, m, d, &RegisterOptions{Snapshot: snap.Bytes()})
+	if got := m.reg().Counter("serve.register.snapshot_rejected").Load(); got != 1 {
+		t.Fatalf("serve.register.snapshot_rejected = %d, want 1", got)
+	}
+	if s.Source() != "recompute" {
+		t.Fatalf("source = %q, want recompute", s.Source())
+	}
+	h := m.Handler()
+	for _, inst := range d.Instances {
+		if code, _, body := queryInst(t, h, inst.Name); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", inst.Name, code, body)
+		}
+	}
+}
+
 // TestServeSnapshotWriteRetry: a one-shot injected panic in the write path is
 // absorbed by the retry policy and the snapshot still lands.
 func TestServeSnapshotWriteRetry(t *testing.T) {
