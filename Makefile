@@ -29,11 +29,12 @@ difftest:
 # applied to a resident session must produce byte-identical snapshots to a
 # fresh analysis of the mutated design, cache-on and cache-off, plus the
 # metamorphic invariants (site-move == fresh, apply-then-revert == original,
-# disjoint-op order independence), the incremental failed-pin recount against
-# a full check, the /v1/eco server path under the race detector, and the
-# scoped via-cache invalidation unit tests.
+# disjoint-op order independence), pivot independence of every class's
+# answers (fresh and after an ECO script), the incremental failed-pin recount
+# against a full check, the /v1/eco server path under the race detector, and
+# the scoped via-cache invalidation unit tests.
 eco-difftest:
-	$(GO) test -v -run 'TestECO' ./internal/difftest
+	$(GO) test -v -run 'TestECO|TestPivotIndependence' ./internal/difftest
 	$(GO) test -race -run 'TestServeECO' ./internal/serve
 	$(GO) test -run 'TestECO' ./internal/pao
 	$(GO) test -run 'TestViaCache' ./internal/drc

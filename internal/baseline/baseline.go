@@ -17,8 +17,6 @@
 package baseline
 
 import (
-	"sort"
-
 	"repro/internal/db"
 	"repro/internal/geom"
 	"repro/internal/pao"
@@ -104,15 +102,7 @@ func analyzeUnique(d *db.Design, ui *db.UniqueInstance) *pao.UniqueAccess {
 // maximal rectangles and keeps the first K that pass the naive overlap scan.
 func genPin(d *db.Design, pivot *db.Instance, pin *db.MPin, shapes []cellShape) *pao.PinAccess {
 	pa := &pao.PinAccess{Pin: pin}
-	layers := map[int][]geom.Rect{}
-	var order []int
-	for _, s := range pin.Shapes {
-		if _, seen := layers[s.Layer]; !seen {
-			order = append(order, s.Layer)
-		}
-	}
-	sort.Ints(order)
-	for _, layer := range order {
+	for _, layer := range pin.Layers() {
 		var rects []geom.Rect
 		for _, s := range pivot.PinShapes(pin) {
 			if s.Layer == layer {
@@ -137,8 +127,7 @@ func genPinOnLayer(d *db.Design, pin *db.MPin, layer int, rects []geom.Rect, sha
 		return
 	}
 	defVia := vias[0] // the baseline always uses the default variant
-	pref, _ := d.TracksFor(layer)
-	nonPref := nonPreferredTracks(d, layer)
+	pref, nonPref := d.AccessTracks(layer)
 
 	seen := map[geom.Point]bool{}
 	emit := func(p geom.Point, tx, ty pao.CoordType) {
@@ -183,15 +172,6 @@ func genPinOnLayer(d *db.Design, pin *db.MPin, layer int, rects []geom.Rect, sha
 		// Shape center as the fallback candidate.
 		emit(r.Center(), pao.ShapeCenter, pao.ShapeCenter)
 	}
-}
-
-func nonPreferredTracks(d *db.Design, layer int) []db.TrackPattern {
-	_, np := d.TracksFor(layer)
-	if len(np) > 0 {
-		return np
-	}
-	up, _ := d.TracksFor(layer + 1)
-	return up
 }
 
 // naiveClean is the baseline's legality test: the via's enclosures and cut

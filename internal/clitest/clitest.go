@@ -1,9 +1,12 @@
-// Package clitest provides fixtures for the cmd/ smoke tests: it generates a
-// small suite testcase and serializes it to a LEF/DEF pair in a test temp
-// directory, so every tool exercises its real parse path end to end.
+// Package clitest provides LEF/DEF fixtures for tests. WriteLEFDEF writes a
+// small suite testcase as a LEF/DEF pair in a test temp directory, so every
+// cmd/ tool exercises its real parse path end to end; RoundTrip passes a
+// design through LEF/DEF text, the input path of paorun -lef/-def and inline
+// registrations.
 package clitest
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -35,28 +38,42 @@ func WriteLEFDEF(tb testing.TB, spec suite.Spec, mutate func(*db.Design)) (lefPa
 	dir := tb.TempDir()
 	lefPath = filepath.Join(dir, d.Name+".lef")
 	defPath = filepath.Join(dir, d.Name+".def")
-
-	lf, err := os.Create(lefPath)
-	if err != nil {
+	lefText, defText := encode(tb, d)
+	if err := os.WriteFile(lefPath, lefText, 0o644); err != nil {
 		tb.Fatal(err)
 	}
-	if err := lef.Write(lf, d.Tech, d.Masters); err != nil {
-		tb.Fatal(err)
-	}
-	if err := lf.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	df, err := os.Create(defPath)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := def.Write(df, d); err != nil {
-		tb.Fatal(err)
-	}
-	if err := df.Close(); err != nil {
+	if err := os.WriteFile(defPath, defText, 0o644); err != nil {
 		tb.Fatal(err)
 	}
 	return lefPath, defPath
+}
+
+// RoundTrip writes d as LEF and DEF and parses both back into a new design.
+func RoundTrip(tb testing.TB, d *db.Design) *db.Design {
+	tb.Helper()
+	lefText, defText := encode(tb, d)
+	lib, err := lef.Parse(bytes.NewReader(lefText))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out, err := def.Parse(bytes.NewReader(defText), lib.Tech, lib.Masters)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// encode serializes d's library as LEF and the design as DEF.
+func encode(tb testing.TB, d *db.Design) (lefText, defText []byte) {
+	tb.Helper()
+	var lefBuf, defBuf bytes.Buffer
+	if err := lef.Write(&lefBuf, d.Tech, d.Masters); err != nil {
+		tb.Fatal(err)
+	}
+	if err := def.Write(&defBuf, d); err != nil {
+		tb.Fatal(err)
+	}
+	return lefBuf.Bytes(), defBuf.Bytes()
 }
 
 // ForceShort adds an IO pin whose shape exactly copies a connected signal

@@ -5,6 +5,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -61,6 +62,20 @@ func (p *MPin) BBox() geom.Rect {
 	for _, s := range p.Shapes[1:] {
 		out = out.UnionBBox(s.Rect)
 	}
+	return out
+}
+
+// Layers lists the metal numbers carrying the pin's shapes, ascending. Step 1
+// generates access points on these layers, lowest first, and the
+// unique-instance signature covers their tracks (see signatureTracks).
+func (p *MPin) Layers() []int {
+	var out []int
+	for _, s := range p.Shapes {
+		if !slices.Contains(out, s.Layer) {
+			out = append(out, s.Layer)
+		}
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -260,13 +275,6 @@ type Design struct {
 	Nets      []*Net
 	IOPins    []*IOPin
 
-	// SigMaxLayer bounds the track patterns that join the unique-instance
-	// signature to layers <= SigMaxLayer. Zero means every pattern counts
-	// (the paper's definition); benchmark designs set it to the highest
-	// pin-access-relevant layer so that upper-metal track phases, which can
-	// never influence pin access, do not fragment the classes.
-	SigMaxLayer int
-
 	masterByName map[string]*Master
 	instByName   map[string]*Instance
 	// nextID is the next instance ID to hand out. IDs are never reused, so
@@ -387,6 +395,21 @@ func (d *Design) TracksFor(layer int) (preferred, nonPreferred []TrackPattern) {
 		} else {
 			nonPreferred = append(nonPreferred, tp)
 		}
+	}
+	return preferred, nonPreferred
+}
+
+// AccessTracks returns the tracks pin access reads on the given metal
+// number: its preferred-direction patterns, and the coordinates used for its
+// non-preferred direction. Per Section II-C, the upper layer's preferred
+// tracks serve as the non-preferred ones so that on-track up-via access
+// aligns to both layers; a design-provided non-preferred pattern on the
+// layer itself takes precedence. Step 1, the TrRte baseline and the
+// unique-instance signature (signatureTracks) all read tracks through it.
+func (d *Design) AccessTracks(layer int) (preferred, nonPreferred []TrackPattern) {
+	preferred, nonPreferred = d.TracksFor(layer)
+	if len(nonPreferred) == 0 {
+		nonPreferred, _ = d.TracksFor(layer + 1)
 	}
 	return preferred, nonPreferred
 }

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -310,6 +311,26 @@ func TestTracksFor(t *testing.T) {
 	if p, n := d.TracksFor(99); p != nil || n != nil {
 		t.Fatal("TracksFor(99) must be empty")
 	}
+}
+
+// TestSignatureTracksFollowAccessTracks: the signature covers exactly the
+// patterns Step 1 reads for the M1 pins — M1's preferred tracks, plus M2's
+// preferred ones as M1's non-preferred tracks until M1 carries its own.
+func TestSignatureTracksFollowAccessTracks(t *testing.T) {
+	d, m := newTestDesign(t)
+	d.Tracks = append(d.Tracks,
+		TrackPattern{Layer: 2, WireDir: tech.Horizontal, Start: 35, Num: 100, Step: 140},
+		TrackPattern{Layer: 3, WireDir: tech.Horizontal, Start: 35, Num: 100, Step: 140},
+	)
+	check := func(want []bool) {
+		t.Helper()
+		if got := signatureTracks(d, m); !slices.Equal(got, want) {
+			t.Fatalf("signature tracks %v, want %v (tracks %+v)", got, want, d.Tracks)
+		}
+	}
+	check([]bool{true, true, false, false})
+	d.Tracks = append(d.Tracks, TrackPattern{Layer: 1, WireDir: tech.Vertical, Start: 35, Num: 142, Step: 140})
+	check([]bool{true, false, false, false, true})
 }
 
 func TestRowBBox(t *testing.T) {

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -10,13 +11,14 @@ import (
 
 // UniqueInstance is an equivalence class of instances sharing a signature:
 // the same cell master, the same orientation and the same offsets to every
-// track pattern in the design (Section II-A of the paper). All members see
-// identical on-track/off-track conditions, so intra-cell pin access analysis
-// runs once per unique instance and its result applies to every member.
+// track pattern the master's pin access reads (Section II-A of the paper;
+// signatureTracks). All members see identical on-track/off-track conditions,
+// so intra-cell pin access analysis runs once per unique instance and its
+// result applies to every member.
 type UniqueInstance struct {
 	Master  *Master
 	Orient  geom.Orient
-	Offsets []int64     // per design track pattern, phase of the pivot's origin
+	Offsets []int64     // per design track pattern, phase of the pivot's origin (0 outside the signature)
 	Insts   []*Instance // members, in design order
 }
 
@@ -47,18 +49,47 @@ func AppendOffsetsKey(b []byte, offs []int64) []byte {
 	return b
 }
 
+// signatureTracks reports, per design track pattern, whether its phase joins
+// the master's unique-instance signature: exactly the patterns Step 1 reads,
+// AccessTracks of every layer a signal pin's shapes occupy (MPin.Layers).
+// The phase of any other pattern cannot change an answer. The rule reads the
+// master, never the placement, so an ECO insert cannot change the partition;
+// it is evaluated afresh on every call, so an edited library cannot leave it
+// stale.
+func signatureTracks(d *Design, m *Master) []bool {
+	var layers []int
+	for _, p := range m.SignalPins() {
+		for _, l := range p.Layers() {
+			if !slices.Contains(layers, l) {
+				layers = append(layers, l)
+			}
+		}
+	}
+	use := make([]bool, len(d.Tracks))
+	for _, l := range layers {
+		pref, nonPref := d.AccessTracks(l)
+		// AccessTracks returns copies; a pattern equal to a read one has the
+		// same phase, so marking it too changes no class.
+		for i, tp := range d.Tracks {
+			use[i] = use[i] || slices.Contains(pref, tp) || slices.Contains(nonPref, tp)
+		}
+	}
+	return use
+}
+
 // instanceOffsets computes the phase of an instance's placement against every
 // track pattern: the x phase for vertical-wire patterns (tracks are x
 // coordinates) and the y phase for horizontal-wire patterns.
 func instanceOffsets(d *Design, inst *Instance) []int64 {
-	return appendOffsets(make([]int64, 0, len(d.Tracks)), d, inst)
+	return appendOffsets(make([]int64, 0, len(d.Tracks)), d, signatureTracks(d, inst.Master), inst)
 }
 
-// appendOffsets appends the instance's per-track-pattern phases to out.
-func appendOffsets(out []int64, d *Design, inst *Instance) []int64 {
-	for _, tp := range d.Tracks {
-		if d.SigMaxLayer > 0 && tp.Layer > d.SigMaxLayer {
-			out = append(out, 0) // pattern excluded from the signature
+// appendOffsets appends the instance's per-track-pattern phases to out; a
+// pattern outside the signature (use[i] false) contributes 0.
+func appendOffsets(out []int64, d *Design, use []bool, inst *Instance) []int64 {
+	for i, tp := range d.Tracks {
+		if !use[i] {
+			out = append(out, 0)
 			continue
 		}
 		coord := inst.Pos.Y // horizontal wires: tracks are y coordinates
@@ -87,11 +118,17 @@ func (d *Design) UniqueInstances() []*UniqueInstance {
 	// The map key is the signature; offsets and key are rendered into reused
 	// buffers, so only an instance that opens a new class allocates.
 	byKey := make(map[string]int)
+	use := make(map[*Master][]bool)
 	var order []class
 	var offs []int64
 	var key []byte
 	for _, inst := range d.Instances {
-		offs = appendOffsets(offs[:0], d, inst)
+		u, ok := use[inst.Master]
+		if !ok {
+			u = signatureTracks(d, inst.Master)
+			use[inst.Master] = u
+		}
+		offs = appendOffsets(offs[:0], d, u, inst)
 		key = appendSignature(key[:0], inst.Master, inst.Orient, offs)
 		i, seen := byKey[string(key)]
 		if !seen {

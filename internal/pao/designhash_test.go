@@ -1,12 +1,14 @@
 package pao_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-
 	"testing"
 
+	"repro/internal/db"
 	"repro/internal/geom"
 	"repro/internal/pao"
 	"repro/internal/suite"
@@ -22,11 +24,11 @@ func TestDesignHashPinned(t *testing.T) {
 		before, after string
 	}{
 		{suite.Testcases[0].Scale(0.01).WithSeed(7),
-			"c2923790d772ca0ae5cb22cf640815032c6ab68207e993fa296943dfb6a65ed1",
-			"ad1a4d898e49ae54642ad0d87e413cc5a8ca785d70b82876abcf55deb0e6be26"},
+			"fa86ef25b5e9267fd1226ff0d46bc2b4899ab4bc0141016c5849141679bec75f",
+			"9e3d79eb4dddcfb8def055b685395b65ee5eaa1f9b62248361b3c6641ccde79f"},
 		{suite.AES14.Scale(0.01).WithSeed(7), // has IO pins
-			"41da1133fbb89dcffee35129ffa49859063078050d66bbc8ff6bb106232b90ca",
-			"15cb2a1f5edd050e0c996f01d6ffb2bcf0f220f16f4dad387a24004bbfb29dc1"},
+			"d42df0ccd69bfab41ac9b6cca8366d19175629ff9fb3d497460f7b092072c569",
+			"5bf51e59c10073d786a2271b783045101d62df285ec59acc6a1f950e13c71d4f"},
 	} {
 		d, err := suite.Generate(tc.spec)
 		if err != nil {
@@ -64,15 +66,15 @@ func TestSignaturePinned(t *testing.T) {
 		moved              string // d.Instances[3] shifted off its tracks
 	}{
 		{suite.Testcases[0].Scale(0.01).WithSeed(7),
-			"AND2X1_V2/FS/70/70/70/70/0/0/0/0/0", "OR2X1_V7/N/70/70/70/70/0/0/0/0/0", "66",
-			"78f42b850931ee1369211b8b712fb4a6b61abefa0dbefc773b2af6702bd79ec8",
-			"996ae9dbbeaea9c0015b5c372f3962621cd5457d1521f5da4339c42ce4853541",
-			"DFFX1_V5/FS/73/105/73/105/0/0/0/0/0"},
+			"AND2X1_V2/FS/70/70/0/0/0/0/0/0/0", "OR2X1_V7/N/70/70/0/0/0/0/0/0/0", "66",
+			"d6322c9b1fb5dc561276ddc1062e01bb43d0d0eba1ed76befb5f29768d79f8b9",
+			"de0bd4e6742c4486a03f43691c190f9af043125ec8c347521753ed3da1275ec3",
+			"DFFX1_V5/FS/73/105/0/0/0/0/0/0/0"},
 		{suite.AES14.Scale(0.01).WithSeed(7),
-			"AND2X1/FS/32/40/32/40/0/0/0/0/0", "OR2X1_V8/FS/32/40/32/40/0/0/0/0/0", "150",
-			"4eaad3392dceddeeedabce56663d2c356a87b6d531b2c1950d7e395a2651cfbf",
-			"c7f2ba0d224328900d86d6c252a07dd6cbb86bb9601d3bc7c2f9a19f0a48619b",
-			"OR2X1_V8/FS/35/11/35/11/0/0/0/0/0"},
+			"AND2X1/FS/32/40/0/0/0/0/0/0/0", "OR2X1_V8/FS/32/40/0/0/0/0/0/0/0", "150",
+			"7c06adaf243c97e667e572e84fed1ffcfb8aeef0734b88ef17d7cd3ef5c47027",
+			"5615970cd031ae76f011566aa470f7b60a62af08af6961d41c703b21890f0b49",
+			"OR2X1_V8/FS/35/11/0/0/0/0/0/0/0"},
 	} {
 		d, err := suite.Generate(tc.spec)
 		if err != nil {
@@ -96,6 +98,52 @@ func TestSignaturePinned(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("%s: %s = %s, want %s", tc.spec.Name, name, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestDesignHashCoversMasters: a corrected library under the same design —
+// one pin shifted by an M1 pitch, an obstruction added, a pin's use or the
+// cell size changed — must change the design hash, so the snapshot analyzed
+// against the old library is refused (ErrSnapshotMismatch) instead of
+// serving its stale access points.
+func TestDesignHashCoversMasters(t *testing.T) {
+	spec := suite.Testcases[0].Scale(0.01).WithSeed(7)
+	d, err := suite.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := pao.DefaultConfig()
+	var snap bytes.Buffer
+	if err := pao.EncodeSnapshot(&snap, d, cfg, pao.NewAnalyzer(d, cfg).Run()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(m *db.Master, pitch int64)
+	}{
+		{"pin shape", func(m *db.Master, pitch int64) {
+			for i := range m.PinByName("A").Shapes {
+				r := &m.PinByName("A").Shapes[i].Rect
+				*r = geom.R(r.XL+pitch, r.YL, r.XH+pitch, r.YH)
+			}
+		}},
+		{"obs", func(m *db.Master, pitch int64) {
+			m.Obs = append(m.Obs, db.Shape{Layer: 1, Rect: geom.R(0, 0, pitch, pitch)})
+		}},
+		{"pin use", func(m *db.Master, _ int64) { m.PinByName("A").Use = db.UseClock }},
+		{"size", func(m *db.Master, pitch int64) { m.Size.X += pitch }},
+	} {
+		e, err := suite.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(e.MasterByName("NOR2X1"), e.Tech.Metal(1).Pitch)
+		if pao.DesignHash(e) == pao.DesignHash(d) {
+			t.Errorf("%s edit: DesignHash unchanged", tc.name)
+		}
+		if _, err := pao.DecodeSnapshot(bytes.NewReader(snap.Bytes()), e, cfg); !errors.Is(err, pao.ErrSnapshotMismatch) {
+			t.Errorf("%s edit: DecodeSnapshot error = %v, want ErrSnapshotMismatch", tc.name, err)
 		}
 	}
 }

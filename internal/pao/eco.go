@@ -14,7 +14,9 @@ package pao
 //     the per-member translation uses the captured PivotPos, so member lists
 //     do not affect the data — or its serialized bytes).
 //   - cluster dirtiness: a row cluster's Step-3 DP is re-run when it contains
-//     an affected instance or a member of a changed class, when its
+//     an affected instance, a member of a re-analyzed or new class, or an
+//     instance that joined a class (the members that stayed in a carried
+//     class keep their pattern list, so their picks stay valid), when its
 //     membership differs from every pre-ECO cluster (splits/merges re-couple
 //     the DP chain), or when a member's shape extent touches the dirty
 //     region. The dirty region is the union of every op's old and new
@@ -573,9 +575,12 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		Health:     old.Health,
 	}
 
-	// Merge pass 1: carry or rebuild the existing classes.
+	// Merge pass 1: carry or rebuild the existing classes. repick collects
+	// the instances whose pattern list may have changed under them: every
+	// member of a re-analyzed or new class, and every instance that joined
+	// a carried class (its old pick indexes its previous class's patterns).
 	uaBySig := make(map[string]*UniqueAccess, len(old.Unique))
-	var changedMembers []*db.Instance
+	repick := make(map[int]*db.Instance)
 	for _, ua := range old.Unique {
 		sig := ua.UI.Signature()
 		uaBySig[sig] = ua
@@ -598,7 +603,6 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			continue
 		}
 		members := sortedMembers(memberSet)
-		changedMembers = append(changedMembers, members...)
 		ui := &db.UniqueInstance{Master: ua.UI.Master, Orient: ua.UI.Orient, Offsets: ua.UI.Offsets, Insts: members}
 		if members[0] == ua.UI.Insts[0] && members[0].Pos == ua.PivotPos {
 			// Pivot identity and position unchanged: the analysis (and its
@@ -607,6 +611,9 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			cp := *ua
 			cp.UI = ui
 			res.Unique = append(res.Unique, &cp)
+			for id, m := range ch.added {
+				repick[id] = m
+			}
 		} else {
 			// The pivot moved or a lower-ID member took over: re-analyze at
 			// the new pivot. Translating the stored APs instead would not be
@@ -614,6 +621,9 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			// pivot coordinates).
 			res.Unique = append(res.Unique, a.AnalyzeUnique(ui))
 			rep.ReanalyzedClasses++
+			for _, m := range members {
+				repick[m.ID] = m
+			}
 		}
 	}
 
@@ -633,7 +643,9 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		res.Unique = append(res.Unique, a.AnalyzeUnique(ui))
 		rep.ReanalyzedClasses++
 		rep.NewClasses++
-		changedMembers = append(changedMembers, members...)
+		for _, m := range members {
+			repick[m.ID] = m
+		}
 	}
 
 	// Restore the fresh-partition class order (master, orient, offsets).
@@ -667,30 +679,28 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		}
 	}
 
-	// Selection: carry the old picks, reset defaults for every member of a
-	// changed class (their pattern lists may have changed), then re-run the
-	// DP over the dirty clusters. Clean clusters provably keep picks equal to
-	// a fresh run's.
+	// Selection: carry the old picks, reset defaults for every instance to
+	// re-pick (a macro belongs to no cluster, so the default is its pick),
+	// then re-run the DP over the dirty clusters. Clean clusters provably
+	// keep picks equal to a fresh run's.
 	for id, ni := range old.Selected {
 		if !t.deleted[id] {
 			res.Selected[id] = ni
 		}
 	}
 	// touched collects every instance whose selected access may differ from
-	// the pre-ECO result: the re-placed ones, the members of changed classes
-	// and the members of re-selected clusters.
-	touched := make(map[int]*db.Instance, len(t.affected)+len(changedMembers))
+	// the pre-ECO result: the re-placed ones, the ones to re-pick and the
+	// members of re-selected clusters.
+	touched := make(map[int]*db.Instance, len(t.affected)+len(repick))
 	for id, inst := range t.affected {
 		touched[id] = inst
 	}
-	changedSet := make(map[int]bool, len(changedMembers))
-	for _, inst := range changedMembers {
-		changedSet[inst.ID] = true
-		touched[inst.ID] = inst
-		if ua := res.ByInstance[inst.ID]; ua != nil && len(ua.Patterns) > 0 {
-			res.Selected[inst.ID] = 0
+	for id, inst := range repick {
+		touched[id] = inst
+		if ua := res.ByInstance[id]; ua != nil && len(ua.Patterns) > 0 {
+			res.Selected[id] = 0
 		} else {
-			delete(res.Selected, inst.ID)
+			delete(res.Selected, id)
 		}
 	}
 	clusters := d.Clusters()
@@ -703,7 +713,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		keys[k] = true
 		// A membership no pre-ECO cluster had is a split or merge, which
 		// re-couples the DP chain.
-		if s.keys[k] && !t.clusterDirty(cl, changedSet) {
+		if s.keys[k] && !t.clusterDirty(cl, repick) {
 			continue
 		}
 		rep.DirtyClusters++
@@ -728,9 +738,9 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 // must re-run its Step-3 DP. The DP couples every member through the chain
 // of edge terms, so any change inside the cluster (or near enough to change
 // a vertex cost) dirties the whole cluster — but nothing outside it.
-func (t *ECOTxn) clusterDirty(cl db.Cluster, changed map[int]bool) bool {
+func (t *ECOTxn) clusterDirty(cl db.Cluster, repick map[int]*db.Instance) bool {
 	for _, inst := range cl.Insts {
-		if t.affected[inst.ID] != nil || changed[inst.ID] {
+		if t.affected[inst.ID] != nil || repick[inst.ID] != nil {
 			return true
 		}
 	}

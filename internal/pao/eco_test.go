@@ -1,10 +1,14 @@
 package pao
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/clitest"
 	"repro/internal/db"
 	"repro/internal/geom"
+	"repro/internal/stdcell"
+	"repro/internal/suite"
 )
 
 // ecoFixture places a row of nine cells from two masters plus a detached cell
@@ -238,4 +242,123 @@ func TestECOMatchesFreshRun(t *testing.T) {
 		}
 	}
 	_ = insts
+}
+
+// TestECOMoveScopedInLargeClass: on a LEF/DEF-parsed design, a member of a
+// class with 20+ members spread across rows moves off its track phase and
+// back home — a signature-changing move out of, then into, that class. The
+// class is carried copy-on-write both times, so each commit re-selects only
+// the clusters the move's old and new extents reach, not every cluster that
+// holds a member of the class; and each commit equals a fresh analysis.
+func TestECOMoveScopedInLargeClass(t *testing.T) {
+	src, err := suite.Generate(suite.Testcases[0].Scale(0.3).WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := clitest.RoundTrip(t, src)
+
+	a := NewAnalyzer(d, DefaultConfig())
+	res := a.Run()
+	target := res.Unique[0]
+	for _, ua := range res.Unique {
+		if len(ua.UI.Insts) > len(target.UI.Insts) {
+			target = ua
+		}
+	}
+	if n := len(target.UI.Insts); n < 20 {
+		t.Fatalf("largest class has %d members, want >= 20", n)
+	}
+	sig := target.UI.Signature()
+	mover := target.UI.Insts[len(target.UI.Insts)/2] // not the pivot
+	home := mover.Pos
+	halo := a.ecoHalo()
+	sess := NewECOSession(a, res)
+	for _, leg := range []struct {
+		name string
+		to   geom.Point
+	}{{"out", home.Add(geom.Pt(70, 0))}, {"home", home}} {
+		reach := []geom.Rect{instExtent(mover).Bloat(halo)}
+		got, rep, err := sess.Apply([]ECOOp{{Kind: ECOMove, Inst: mover.Name, To: leg.to}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reach = append(reach, instExtent(mover).Bloat(halo))
+		if (got.ByInstance[mover.ID].UI.Signature() == sig) != (leg.to == home) {
+			t.Fatalf("%s: move did not change the mover's class; the premise is broken", leg.name)
+		}
+		if rep.ReanalyzedClasses != rep.NewClasses {
+			t.Fatalf("%s: %d classes re-analyzed, %d new; the large class must be carried", leg.name, rep.ReanalyzedClasses, rep.NewClasses)
+		}
+		// near: the clusters the move can reach; spread: the clusters that
+		// hold a member of the large class.
+		near, spread := 0, 0
+		for _, cl := range d.Clusters() {
+			isNear, inClass := false, false
+			for _, inst := range cl.Insts {
+				ext := instExtent(inst)
+				isNear = isNear || ext.Touches(reach[0]) || ext.Touches(reach[1])
+				inClass = inClass || got.ByInstance[inst.ID].UI.Signature() == sig
+			}
+			if isNear {
+				near++
+			}
+			if inClass {
+				spread++
+			}
+		}
+		t.Logf("%s: %d dirty clusters; %d within reach, %d hold a class member", leg.name, rep.DirtyClusters, near, spread)
+		if spread <= near {
+			t.Fatalf("%s: the class sits within the move's reach; the premise is broken", leg.name)
+		}
+		if rep.DirtyClusters > near {
+			t.Errorf("%s: DirtyClusters = %d, want <= %d (the clusters the move's extents reach)", leg.name, rep.DirtyClusters, near)
+		}
+		fresh := NewAnalyzer(d, DefaultConfig()).Run()
+		if !bytes.Equal(EncodeCounts(t, d, DefaultConfig(), got), EncodeCounts(t, d, DefaultConfig(), fresh)) {
+			t.Fatalf("%s: ECO result differs from a fresh analysis", leg.name)
+		}
+	}
+}
+
+// TestECOMacroJoinsCarriedClass: a macro belongs to no row cluster, so no
+// Step-3 DP re-picks it. One moved and one inserted into a carried macro
+// class must still get the class's default pattern — the pick a fresh
+// analysis makes.
+func TestECOMacroJoinsCarriedClass(t *testing.T) {
+	d, _ := ecoFixture(t)
+	mac := stdcell.Macro(d.Tech, "MAC", 20, 4, 3)
+	mustAdd(t, d, mac)
+	// M3 pins: the signature covers the M3 and M4 phases. x = 10010 sits half
+	// an M4 pitch off m0's phase; 5600 and 16800 sit on it.
+	m0 := mustPlace(t, d, "m0", mac, 0, 5600, geom.OrientN)
+	m1 := mustPlace(t, d, "m1", mac, 10010, 5600, geom.OrientN)
+	sig := d.InstanceSignature(m0)
+	if d.InstanceSignature(m1) == sig {
+		t.Fatal("m1 starts in m0's class; the premise is broken")
+	}
+	a := NewAnalyzer(d, DefaultConfig())
+	sess := NewECOSession(a, a.Run())
+	res, rep, err := sess.Apply([]ECOOp{
+		{Kind: ECOMove, Inst: "m1", To: geom.Pt(5600, 5600)},
+		{Kind: ECOInsert, Inst: "m2", Master: "MAC", To: geom.Pt(16800, 5600), Orient: geom.OrientN},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ReanalyzedClasses != 0 {
+		t.Fatalf("ReanalyzedClasses = %d, want 0: m0's class must be carried", rep.ReanalyzedClasses)
+	}
+	for _, inst := range []*db.Instance{m1, d.InstByName("m2")} {
+		if ua := res.ByInstance[inst.ID]; ua == nil || ua.UI.Signature() != sig {
+			t.Fatalf("%s did not join m0's class", inst.Name)
+		}
+		if res.PatternFor(inst) == nil {
+			t.Errorf("%s: no valid pick (Selected %d of %d patterns)", inst.Name,
+				res.Selected[inst.ID], len(res.ByInstance[inst.ID].Patterns))
+		}
+	}
+	fresh := NewAnalyzer(d, DefaultConfig()).Run()
+	if !bytes.Equal(EncodeCounts(t, d, DefaultConfig(), res), EncodeCounts(t, d, DefaultConfig(), fresh)) {
+		t.Fatal("ECO result differs from a fresh analysis")
+	}
 }

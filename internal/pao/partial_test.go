@@ -31,16 +31,6 @@ func interleave(items []string, n int) [][]string {
 	return out
 }
 
-func encodeZeroed(t *testing.T, d *db.Design, cfg pao.Config, res *pao.Result) []byte {
-	t.Helper()
-	res.Stats = res.Stats.Counts()
-	var buf bytes.Buffer
-	if err := pao.EncodeSnapshot(&buf, d, cfg, res); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestPartialSliceMergeRoundTrip is the coordinator's merge primitive pinned
 // at the wire level: a Result sliced to class subsets, each subset shipped
 // through the snapshot format (encode -> decode), and the decoded partials
@@ -49,7 +39,7 @@ func TestPartialSliceMergeRoundTrip(t *testing.T) {
 	d := partialDesign(t)
 	cfg := pao.DefaultConfig()
 	full := pao.NewAnalyzer(d, cfg).Run()
-	want := encodeZeroed(t, d, cfg, full)
+	want := pao.EncodeCounts(t, d, cfg, full)
 
 	var sigs []string
 	for _, ui := range d.UniqueInstances() {
@@ -77,7 +67,7 @@ func TestPartialSliceMergeRoundTrip(t *testing.T) {
 	merged := pao.MergeResults(d, parts...)
 	merged.Stats.TotalPins = full.Stats.TotalPins
 	merged.Stats.FailedPins = full.Stats.FailedPins
-	got := encodeZeroed(t, d, cfg, merged)
+	got := pao.EncodeCounts(t, d, cfg, merged)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("slice -> wire -> merge is not the identity: %d vs %d bytes", len(got), len(want))
 	}
@@ -91,7 +81,7 @@ func TestAnalyzeSelectShardsEquivalence(t *testing.T) {
 	d := partialDesign(t)
 	cfg := pao.DefaultConfig()
 	full := pao.NewAnalyzer(d, cfg).Run()
-	want := encodeZeroed(t, d, cfg, full)
+	want := pao.EncodeCounts(t, d, cfg, full)
 
 	var sigs []string
 	for _, ui := range d.UniqueInstances() {
@@ -130,7 +120,7 @@ func TestAnalyzeSelectShardsEquivalence(t *testing.T) {
 	fin := pao.NewAnalyzer(d, cfg)
 	fin.CountFailedPins(merged, fin.GlobalEngine())
 
-	got := encodeZeroed(t, d, cfg, merged)
+	got := pao.EncodeCounts(t, d, cfg, merged)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("sharded analyze+select differs from single-process run: %d vs %d bytes",
 			len(got), len(want))

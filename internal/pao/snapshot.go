@@ -83,12 +83,14 @@ func SnapshotPermanent(err error) bool {
 }
 
 // DesignHash fingerprints everything the analysis result depends on: the
-// technology, die, track patterns, instance placements and netlist. Two
-// designs with equal hashes yield interchangeable Results (for equal configs).
+// technology (by name and node), the unique-instance signature rule, the die,
+// track patterns, cell masters (class, size, pin names, uses and shapes, and
+// obstructions), instance placements and netlist. Two designs with equal
+// hashes yield interchangeable Results (for equal configs).
 func DesignHash(d *db.Design) string {
 	h := sha256.New()
-	// One reused line buffer, written with strconv: the bytes equal what
-	// fmt's %s/%d verbs produced, so snapshots on disk keep validating.
+	// One reused line buffer, written with strconv: the serve ECO handler
+	// hashes after every commit, so this stays cheap.
 	var b []byte
 	flush := func() {
 		b = append(b, '\n')
@@ -98,12 +100,35 @@ func DesignHash(d *db.Design) string {
 	b = append(append(append(b, "design "...), d.Name...), " tech "...)
 	b = append(b, d.Tech.Name...)
 	b = appendInts(append(b, " node"...), int64(d.Tech.NodeNM))
-	b = appendInts(append(b, " sigmax"...), int64(d.SigMaxLayer))
+	// Names the signature rule (db.signatureTracks): a snapshot written
+	// under another partition fails the header check and recomputes.
+	b = append(b, " sig access-tracks"...)
 	flush()
 	b = appendInts(append(b, "die"...), d.Die.XL, d.Die.YL, d.Die.XH, d.Die.YH)
 	flush()
 	for _, tp := range d.Tracks {
 		b = appendInts(append(b, "track"...), int64(tp.Layer), int64(tp.WireDir), tp.Start, int64(tp.Num), tp.Step)
+		flush()
+	}
+	appendShape := func(b []byte, s db.Shape) []byte {
+		return appendInts(b, int64(s.Layer), s.Rect.XL, s.Rect.YL, s.Rect.XH, s.Rect.YH)
+	}
+	for _, m := range d.Masters {
+		b = append(append(b, "master "...), m.Name...)
+		b = appendInts(b, int64(m.Class), m.Size.X, m.Size.Y)
+		flush()
+		for _, p := range m.Pins {
+			b = append(append(b, "pin "...), p.Name...)
+			b = appendInts(b, int64(p.Use))
+			for _, s := range p.Shapes {
+				b = appendShape(b, s)
+			}
+			flush()
+		}
+		b = append(b, "obs"...)
+		for _, s := range m.Obs {
+			b = appendShape(b, s)
+		}
 		flush()
 	}
 	for _, inst := range d.Instances {

@@ -4,8 +4,16 @@ import (
 	"bytes"
 	"compress/flate"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/db"
@@ -60,6 +68,155 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			t.Fatalf("accepted snapshot re-encodes to other bytes (%d vs %d)", re.Len(), len(snap))
 		}
 	})
+}
+
+var updateCorpus = flag.Bool("update-corpus", false,
+	"rewrite the FuzzDecodeSnapshot corpus entries of snapshotCorruptions")
+
+// snapshotCorruptions are crafted payload corruptions, each built at run time
+// from a valid payload of the codec design and named after its committed
+// FuzzDecodeSnapshot corpus entry. Each must fail as ErrSnapshotCorrupt with
+// its reason: a corruption that fails earlier, for instance on a class the
+// design no longer has, tests nothing past that point.
+var snapshotCorruptions = []struct {
+	name, reason string
+	// build returns the corrupt payload; res is a private copy it may edit.
+	build func(tb testing.TB, res *Result) []byte
+}{
+	{"overlong_varint", "bad varint", func(tb testing.TB, res *Result) []byte {
+		p := appendPayload(nil, res)
+		_, n := binary.Uvarint(p)
+		p[n-1] |= 0x80 // the first varint, one zero byte too long
+		return append(p[:n:n], append([]byte{0}, p[n:]...)...)
+	}},
+	{"huge_via_count", "via count", func(tb testing.TB, res *Result) []byte {
+		p := appendPayload(nil, res)
+		k := 0
+		ints, durs := statsFields(&res.Stats)
+		for range len(ints) + len(durs) {
+			_, n := binary.Uvarint(p[k:])
+			k += n
+		}
+		return binary.AppendUvarint(p[:k], math.MaxUint32)
+	}},
+	{"choice_out_of_range", "chooses access point", func(tb testing.TB, res *Result) []byte {
+		ua := patternedClass(tb, res)
+		ua.Patterns[0].Choice[0] = len(ua.Pins[0].APs)
+		return appendPayload(nil, res)
+	}},
+	{"choice_list_short", "choices for", func(tb testing.TB, res *Result) []byte {
+		p := patternedClass(tb, res).Patterns[0]
+		p.Choice = p.Choice[:len(p.Choice)-1]
+		return appendPayload(nil, res)
+	}},
+	{"selected_pattern_out_of_range", "selected pattern", func(tb testing.TB, res *Result) []byte {
+		id := lastSelected(tb, res)
+		res.Selected[id] = len(res.ByInstance[id].Patterns)
+		return appendPayload(nil, res)
+	}},
+	{"selected_foreign_instance", "no snapshot class holds", func(tb testing.TB, res *Result) []byte {
+		id := lastSelected(tb, res)
+		delete(res.Selected, id)
+		foreign := 0
+		for k := range res.ByInstance {
+			foreign = max(foreign, k+1)
+		}
+		res.Selected[foreign] = 0
+		return appendPayload(nil, res)
+	}},
+	{"trailing_byte", "bytes after the payload", func(tb testing.TB, res *Result) []byte {
+		return append(appendPayload(nil, res), 0)
+	}},
+}
+
+// patternedClass returns the first class with a pin and a pattern.
+func patternedClass(tb testing.TB, res *Result) *UniqueAccess {
+	for _, ua := range res.Unique {
+		if len(ua.Pins) > 0 && len(ua.Patterns) > 0 {
+			return ua
+		}
+	}
+	tb.Fatal("no class has a pin and a pattern")
+	return nil
+}
+
+// lastSelected returns the highest instance ID with a selection.
+func lastSelected(tb testing.TB, res *Result) int {
+	last := -1
+	for id := range res.Selected {
+		last = max(last, id)
+	}
+	if last < 0 {
+		tb.Fatal("no selections")
+	}
+	return last
+}
+
+// TestSnapshotCorruptReasons decodes each of snapshotCorruptions, built from
+// today's payload and read from the committed corpus, and requires
+// ErrSnapshotCorrupt with its reason. A corpus entry that fails for another
+// reason has gone stale: rebuild the corpus with -update-corpus.
+func TestSnapshotCorruptReasons(t *testing.T) {
+	d, cfg, res := codecDesign(t)
+	good := appendPayload(nil, res)
+	hash, fp := DesignHash(d), ConfigFingerprint(cfg)
+	decode := func(payload []byte) error {
+		t.Helper()
+		snap, err := sealSnapshot(hash, fp, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodeSnapshot(bytes.NewReader(snap), d, cfg)
+		return err
+	}
+	if err := decode(good); err != nil {
+		t.Fatalf("the unmutated payload does not decode: %v", err)
+	}
+	for _, tc := range snapshotCorruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			own, err := decodePayload(good, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own.Stats = own.Stats.Counts() // reproducible corpus bytes
+			payload := tc.build(t, own)
+			path := filepath.Join("testdata", "fuzz", "FuzzDecodeSnapshot", tc.name)
+			if *updateCorpus {
+				entry := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", payload)
+				if err := os.WriteFile(path, []byte(entry), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			corpus, err := readCorpusBytes(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range []struct {
+				what    string
+				payload []byte
+			}{{"built", payload}, {"corpus", corpus}} {
+				err := decode(in.payload)
+				if !errors.Is(err, ErrSnapshotCorrupt) || !strings.Contains(err.Error(), tc.reason) {
+					t.Errorf("%s payload: err = %v, want ErrSnapshotCorrupt with %q", in.what, err, tc.reason)
+				}
+			}
+		})
+	}
+}
+
+// readCorpusBytes reads a one-value []byte fuzz corpus file.
+func readCorpusBytes(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lit, okPrefix := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	lit, okSuffix := strings.CutSuffix(lit, ")")
+	if !okPrefix || !okSuffix {
+		return nil, fmt.Errorf("%s: not a one-value []byte corpus file", path)
+	}
+	s, err := strconv.Unquote(lit)
+	return []byte(s), err
 }
 
 // TestSnapshotInflateBounded: a checksummed snapshot whose payload inflates

@@ -16,30 +16,13 @@ import (
 // early-terminates once at least Cfg.K valid points exist.
 func (a *Analyzer) genAccessPoints(eng *drc.Engine, qc *drc.QueryCtx, pivot *db.Instance, pin *db.MPin, net int) *PinAccess {
 	pa := &PinAccess{Pin: pin}
-	layers := pinLayers(pivot, pin)
-	for _, layer := range layers {
+	for _, layer := range pin.Layers() {
 		a.genAccessPointsOnLayer(eng, qc, pivot, pin, net, layer, pa)
 		if len(pa.APs) >= a.Cfg.K {
 			break
 		}
 	}
 	return pa
-}
-
-// pinLayers lists the metal numbers carrying pin shapes, ascending (lower
-// layers first: via access from the lowest pin layer is the common case).
-func pinLayers(inst *db.Instance, pin *db.MPin) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, s := range pin.Shapes {
-		if !seen[s.Layer] {
-			seen[s.Layer] = true
-			out = append(out, s.Layer)
-		}
-	}
-	_ = inst
-	sort.Ints(out)
-	return out
 }
 
 // coordCandidates holds the per-type candidate coordinates for one axis of
@@ -51,15 +34,14 @@ func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, piv
 	if l == nil {
 		return
 	}
-	rects := geom.MaxRects(pinRectsOnLayer(pivot, pin, layer))
+	allPinRects := pinRectsOnLayer(pivot, pin, layer)
+	rects := geom.MaxRects(allPinRects)
 	if len(rects) == 0 {
 		return
 	}
-	allPinRects := pinRectsOnLayer(pivot, pin, layer)
 	vias := a.Design.Tech.ViasAbove(layer)
 
-	prefTracks, _ := a.Design.TracksFor(layer)
-	nonPrefTracks := a.nonPreferredTracks(layer)
+	prefTracks, nonPrefTracks := a.Design.AccessTracks(layer)
 
 	// Per maximal rect, candidates for the preferred-direction coordinate
 	// (all four types) and the non-preferred one (first three types).
@@ -112,20 +94,6 @@ func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, piv
 			}
 		}
 	}
-}
-
-// nonPreferredTracks returns the track coordinates used for a layer's
-// non-preferred direction. Per Section II-C, the upper layer's preferred
-// tracks serve as the current layer's non-preferred tracks so that on-track
-// up-via access aligns to both layers; a design-provided non-preferred
-// pattern on the layer itself takes precedence.
-func (a *Analyzer) nonPreferredTracks(layer int) []db.TrackPattern {
-	_, nonPref := a.Design.TracksFor(layer)
-	if len(nonPref) > 0 {
-		return nonPref
-	}
-	upPref, _ := a.Design.TracksFor(layer + 1)
-	return upPref
 }
 
 // axisCandidates computes the candidate coordinates of each type along one

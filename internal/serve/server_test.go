@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/faultinject"
+	"repro/internal/geom"
 	"repro/internal/pao"
 	"repro/internal/suite"
 	"repro/internal/telemetry"
@@ -320,6 +321,33 @@ func TestServeWarmRestart(t *testing.T) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("%s: answers differ after warm restart:\n%s\n%s", inst.Name, b1, b2)
 		}
+	}
+}
+
+// TestServeWarmRestartEditedLibrary: a restart under the same ID with a
+// corrected library (one pin shifted by an M1 pitch) must recompute, not
+// serve the access points analyzed against the old pin.
+func TestServeWarmRestartEditedLibrary(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "oracle.snap")
+	m1 := newTestManager(t, ManagerConfig{})
+	s1 := oneDesign(t, m1, serveDesign(t), &RegisterOptions{SnapshotPath: snap})
+	if err := s1.WriteSnapshot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	d := serveDesign(t)
+	pitch := d.Tech.Metal(1).Pitch
+	for i := range d.MasterByName("NOR2X1").PinByName("A").Shapes {
+		r := &d.MasterByName("NOR2X1").PinByName("A").Shapes[i].Rect
+		*r = geom.R(r.XL+pitch, r.YL, r.XH+pitch, r.YH)
+	}
+	m2 := newTestManager(t, ManagerConfig{})
+	s2 := oneDesign(t, m2, d, &RegisterOptions{SnapshotPath: snap})
+	if s2.Source() != "recompute" {
+		t.Fatalf("source after a library edit = %q, want recompute", s2.Source())
+	}
+	if got := s2.reg().Counter("serve.restart.recompute").Load(); got != 1 {
+		t.Fatalf("serve.restart.recompute = %d, want 1", got)
 	}
 }
 

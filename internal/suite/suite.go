@@ -151,7 +151,6 @@ func Generate(spec Spec) (*db.Design, error) {
 	}
 	d := db.NewDesign(spec.Name, t)
 	d.Die = geom.R(0, 0, spec.DieW, spec.DieH)
-	d.SigMaxLayer = 4 // pins live on M1..M3; phases above M4 can't matter
 	for _, m := range lib.Masters {
 		if err := d.AddMaster(m); err != nil {
 			return nil, err
