@@ -32,7 +32,8 @@ difftest:
 # disjoint-op order independence), pivot independence of every class's
 # answers (fresh and after an ECO script), the incremental failed-pin recount
 # against a full check, the /v1/eco server path under the race detector, and
-# the scoped via-cache invalidation unit tests.
+# the via-cache unit tests (mutation re-keys a drop, shard cap, alloc-free
+# hits).
 eco-difftest:
 	$(GO) test -v -run 'TestECO|TestPivotIndependence' ./internal/difftest
 	$(GO) test -race -run 'TestServeECO' ./internal/serve
@@ -143,8 +144,8 @@ bench-cold:
 	$(GO) run ./cmd/paobench -cold
 
 # ECO re-analysis scoping report: dirty-class/cluster counts for a single
-# move, the resident-session apply loop vs a fresh full run, and the
-# scoped-vs-wholesale via-cache eviction fractions (BENCH_PR7.json).
+# move, and the resident-session apply loop vs a fresh full run
+# (BENCH_PR7.json).
 bench-eco:
 	$(GO) run ./cmd/paobench -scale 0.01 -eco-out BENCH_PR7.json
 

@@ -15,8 +15,7 @@
 //
 // -eco-out runs the eco_reanalysis scenario instead of the standard set: a
 // single-instance ECO against a resident session versus a fresh full run,
-// plus the dirty-class/cluster counts and the scoped-vs-wholesale cache
-// eviction fractions.
+// plus the dirty-class/cluster counts.
 package main
 
 import (

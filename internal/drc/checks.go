@@ -31,6 +31,17 @@ func (e *Engine) CheckMetalRectCtx(layer int, r geom.Rect, net int, ctx *QueryCt
 	return e.checkMetalRectInto(layer, r, net, ctx, true, nil)
 }
 
+// CheckMetalRectCountCtx is len(CheckMetalRectCtx(...)) without report
+// construction: the violations accumulate on the QueryCtx arena and no note
+// is built. Counters move exactly as on the report path.
+func (e *Engine) CheckMetalRectCountCtx(layer int, r geom.Rect, net int, qc *QueryCtx) int {
+	if qc == nil {
+		return len(e.CheckMetalRectCtx(layer, r, net, nil))
+	}
+	qc.viol = e.checkMetalRectInto(layer, r, net, qc, false, qc.viol[:0])
+	return len(qc.viol)
+}
+
 func (e *Engine) checkMetalRectInto(layer int, r geom.Rect, net int, ctx *QueryCtx, notes bool, out []Violation) []Violation {
 	l := e.Tech.Metal(layer)
 	if l == nil {

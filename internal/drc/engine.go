@@ -8,6 +8,7 @@ package drc
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -133,17 +134,9 @@ type Counters struct {
 	Violations    atomic.Int64 // violations found (pre-dedup)
 
 	// Via-verdict cache instrumentation (see ViaCache): lookups answered from
-	// the cache, lookups that ran the full check, and cache invalidations
-	// triggered by engine mutation (one per Add/Remove noted against an
-	// attached cache).
-	CacheHits        atomic.Int64
-	CacheMisses      atomic.Int64
-	CacheInvalidates atomic.Int64
-	// CacheEvictScoped counts entries evicted because their query-window
-	// region overlapped a mutated rectangle; CacheEvictWholesale counts
-	// entries dropped by a whole-cache flush (mutation-queue overflow).
-	CacheEvictScoped    atomic.Int64
-	CacheEvictWholesale atomic.Int64
+	// the cache, and lookups that ran the full check.
+	CacheHits   atomic.Int64
+	CacheMisses atomic.Int64
 }
 
 // Snapshot exports the counters under their canonical metric names.
@@ -152,21 +145,18 @@ func (c *Counters) Snapshot() map[string]int64 {
 		return nil
 	}
 	return map[string]int64{
-		"drc.query.count":                   c.Queries.Load(),
-		"drc.query.objects":                 c.QueryObjects.Load(),
-		"drc.check.metal":                   c.MetalChecks.Load(),
-		"drc.check.cut":                     c.CutChecks.Load(),
-		"drc.check.eol":                     c.EOLChecks.Load(),
-		"drc.check.minstep":                 c.MinStepChecks.Load(),
-		"drc.check.pair":                    c.PairChecks.Load(),
-		"drc.via.attempted":                 c.ViaChecks.Load(),
-		"drc.via.clean":                     c.ViaClean.Load(),
-		"drc.violations":                    c.Violations.Load(),
-		"drc.viacache.hit":                  c.CacheHits.Load(),
-		"drc.viacache.miss":                 c.CacheMisses.Load(),
-		"drc.viacache.invalidate":           c.CacheInvalidates.Load(),
-		"drc.viacache.invalidate.scoped":    c.CacheEvictScoped.Load(),
-		"drc.viacache.invalidate.wholesale": c.CacheEvictWholesale.Load(),
+		"drc.query.count":   c.Queries.Load(),
+		"drc.query.objects": c.QueryObjects.Load(),
+		"drc.check.metal":   c.MetalChecks.Load(),
+		"drc.check.cut":     c.CutChecks.Load(),
+		"drc.check.eol":     c.EOLChecks.Load(),
+		"drc.check.minstep": c.MinStepChecks.Load(),
+		"drc.check.pair":    c.PairChecks.Load(),
+		"drc.via.attempted": c.ViaChecks.Load(),
+		"drc.via.clean":     c.ViaClean.Load(),
+		"drc.violations":    c.Violations.Load(),
+		"drc.viacache.hit":  c.CacheHits.Load(),
+		"drc.viacache.miss": c.CacheMisses.Load(),
 	}
 }
 
@@ -203,7 +193,7 @@ type Engine struct {
 	curPass int32
 
 	// cache, when attached, memoizes via-drop verdicts (CheckViaVerdictCtx)
-	// keyed by canonicalized local geometry. Engine mutation invalidates it.
+	// keyed by canonicalized local geometry.
 	cache *ViaCache
 }
 
@@ -256,12 +246,11 @@ func (e *Engine) ForEachObj(fn func(o *Obj)) {
 	}
 }
 
-// AttachViaCache installs a via-verdict cache on the engine. Attach after the
-// engine's shapes are loaded: every later Add/Remove invalidates the cache
-// (the memoized verdicts describe an environment that no longer exists), so
-// attaching before construction would wipe it once per shape. One cache may be
-// shared by several engines over the same Technology — verdicts are keyed by
-// canonicalized local geometry, so a hit from another engine is still exact.
+// AttachViaCache installs a via-verdict cache on the engine. The engine may
+// be mutated afterwards: a changed environment encodes to a new key, so no
+// verdict goes stale. One cache may be shared by several engines over the
+// same Technology — verdicts are keyed by canonicalized local geometry, so a
+// hit from another engine is still exact.
 func (e *Engine) AttachViaCache(c *ViaCache) {
 	if c != nil && !c.tech.CompareAndSwap(nil, e.Tech) && c.tech.Load() != e.Tech {
 		// A cache keyed under different design rules would alias verdicts;
@@ -277,9 +266,6 @@ func (e *Engine) ViaCacheAttached() bool { return e.cache != nil }
 // Add registers a shape and returns its ID. IDs are handed out consecutively
 // in insertion order and never reused (Remove only marks an ID dead).
 func (e *Engine) Add(o Obj) int {
-	if e.cache != nil {
-		e.cache.noteMutation(o.Rect, e.Counters)
-	}
 	o.ID = len(e.objs)
 	e.objs = append(e.objs, o)
 	e.alive = append(e.alive, true)
@@ -316,6 +302,21 @@ func (e *Engine) Add(o Obj) int {
 	return o.ID
 }
 
+// Grow reserves room for n more objects in every per-object column, so a
+// caller that knows its shape count adds them without slice regrowth.
+func (e *Engine) Grow(n int) {
+	e.objs = slices.Grow(e.objs, n)
+	e.alive = slices.Grow(e.alive, n)
+	e.stamp = slices.Grow(e.stamp, n)
+	e.sxl = slices.Grow(e.sxl, n)
+	e.syl = slices.Grow(e.syl, n)
+	e.sxh = slices.Grow(e.sxh, n)
+	e.syh = slices.Grow(e.syh, n)
+	e.snet = slices.Grow(e.snet, n)
+	e.sinfo = slices.Grow(e.sinfo, n)
+	e.slay = slices.Grow(e.slay, n)
+}
+
 // AddMetal is a convenience wrapper for metal shapes.
 func (e *Engine) AddMetal(layer int, r geom.Rect, net int, kind Kind, tag string) int {
 	return e.Add(Obj{Kind: kind, MetalLayer: layer, Rect: r, Net: net, Tag: tag})
@@ -330,9 +331,6 @@ func (e *Engine) AddCut(cutBelow int, r geom.Rect, net int, tag string) int {
 func (e *Engine) Remove(id int) {
 	if id < 0 || id >= len(e.objs) || !e.alive[id] {
 		return
-	}
-	if e.cache != nil {
-		e.cache.noteMutation(e.objs[id].Rect, e.Counters)
 	}
 	o := &e.objs[id]
 	e.alive[id] = false

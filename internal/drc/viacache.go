@@ -1,8 +1,9 @@
 package drc
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -20,20 +21,14 @@ import (
 // one across every per-cell context and the global engine) and a hit from a
 // different unique-instance class is still exact.
 //
+// Content addressing also makes engine mutation free: a changed environment
+// encodes to a new key, so an entry about geometry that no longer exists is
+// never looked up again. Nothing is invalidated; the per-shard cap alone
+// bounds memory.
+//
 // Fill is exactly-once per key (singleflight): concurrent workers that miss on
 // the same key run the underlying check once and share the verdict, keeping
 // the engine's check counters deterministic across worker schedules.
-//
-// Invalidation: engines with an attached cache note the mutated rectangle on
-// every Add/Remove, and the next lookup (or Len) sweeps the cache, evicting
-// only the entries whose recorded query-window region overlaps a mutated
-// rectangle. Content addressing alone already keeps stale entries from
-// answering wrongly (a mutated environment hashes to a new signature), so
-// invalidation here is memory hygiene — it bounds the cache to verdicts about
-// live geometry. When too many mutations pile up between sweeps the pending
-// list degrades to a wholesale flush (the pre-scoped behaviour); the
-// drc.viacache.invalidate.scoped / .wholesale counters make the split
-// observable.
 type ViaCache struct {
 	shards [viaCacheShards]viaShard
 
@@ -41,44 +36,25 @@ type ViaCache struct {
 	// atomically on first attach (engines are built concurrently by analysis
 	// workers), engines over a different Technology refuse the cache.
 	tech atomic.Pointer[tech.Technology]
-
-	invalidations    atomic.Int64
-	scopedEvicted    atomic.Int64
-	wholesaleEvicted atomic.Int64
-
-	// dirty flags queued mutations; the hot lookup path pays one atomic load
-	// when the queue is empty. pending holds the mutated rectangles (absolute
-	// coordinates) guarded by pmu; overflow past viaPendingMax sets
-	// pendingWholesale and drops the list.
-	dirty            atomic.Bool
-	pmu              sync.Mutex
-	pending          []geom.Rect
-	pendingWholesale bool
-	pendingCtrs      *Counters
 }
 
 const (
 	viaCacheShards = 64
 	// viaShardCap bounds each shard; an overflowing shard is reset wholesale
 	// (the cache is a memo, not a store — losing entries only costs misses).
-	viaShardCap = 1 << 15
-	// viaPendingMax bounds the queued mutation rectangles per sweep; a burst
-	// beyond it (bulk engine edits) degrades to a wholesale flush, which is
-	// cheaper than testing every entry against hundreds of rects. A single
-	// instance re-placement enqueues roughly twice its shape count (removes
-	// plus adds), so the bound comfortably covers a several-op ECO while
-	// keeping the worst-case sweep at entries x 256 rectangle tests.
-	viaPendingMax = 256
+	// 64 shards x 4096 = 262,144 entries: about 15x the 17,103 that one
+	// analysis of perfbench's batch_lowreuse fills (the most of its three
+	// workloads), so in practice the reset only bounds a long-lived ECO
+	// session. Keys average about 30 bytes.
+	viaShardCap = 1 << 12
 )
 
+// viaShard maps each via definition to its signature-keyed entries, so a hit
+// looks up the encoded signature bytes without building a key string.
 type viaShard struct {
 	mu sync.Mutex
-	m  map[viaKey]*viaEntry
-}
-
-type viaKey struct {
-	via *tech.ViaDef
-	sig string
+	n  int // entries across every inner map
+	m  map[*tech.ViaDef]map[string]*viaEntry
 }
 
 // viaEntry is a singleflight slot: the filling goroutine computes the verdict
@@ -88,135 +64,62 @@ type viaEntry struct {
 	wg      sync.WaitGroup
 	verdict int
 	failed  bool // the fill panicked; waiters fall back to an uncached check
-	// region is the union of the absolute query windows every lookup that
-	// reached this entry opened (the signature is translation invariant, so
-	// one entry may describe drops at many positions; hits grow the union).
-	// A mutation outside region cannot change which key a future lookup at
-	// any of those positions computes, so the scoped sweep keeps the entry.
-	// Guarded by the owning shard's mutex.
-	region geom.Rect
 }
 
 // NewViaCache creates an empty verdict cache.
 func NewViaCache() *ViaCache {
 	c := &ViaCache{}
 	for i := range c.shards {
-		c.shards[i].m = make(map[viaKey]*viaEntry)
+		c.shards[i].m = make(map[*tech.ViaDef]map[string]*viaEntry)
 	}
 	return c
 }
 
-// Len returns the number of cached verdicts, after applying any pending
-// invalidations (so a mutation's eviction effect is visible immediately).
+// Len returns the number of cached verdicts.
 func (c *ViaCache) Len() int {
-	c.sweep()
 	n := 0
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += len(sh.m)
+		n += sh.n
 		sh.mu.Unlock()
 	}
 	return n
 }
 
-// Invalidations returns how many engine mutations (Add/Remove) were noted
-// against the cache.
-func (c *ViaCache) Invalidations() int64 { return c.invalidations.Load() }
-
-// ScopedEvicted returns the number of entries evicted by halo-overlap-scoped
-// sweeps; WholesaleEvicted the number dropped by whole-cache flushes
-// (pending-queue overflow).
-func (c *ViaCache) ScopedEvicted() int64    { return c.scopedEvicted.Load() }
-func (c *ViaCache) WholesaleEvicted() int64 { return c.wholesaleEvicted.Load() }
-
-// noteMutation queues a mutated rectangle for the next sweep. Engines call it
-// from Add/Remove; the engine mutation contract (no concurrent queries during
-// mutation) covers the queue's consistency with the entries, and the sweep
-// itself is safe against concurrent lookups.
-func (c *ViaCache) noteMutation(r geom.Rect, ctrs *Counters) {
-	c.pmu.Lock()
-	c.pendingCtrs = ctrs
-	if !c.pendingWholesale {
-		if len(c.pending) >= viaPendingMax {
-			c.pendingWholesale = true
-			c.pending = c.pending[:0]
-		} else {
-			c.pending = append(c.pending, r)
-		}
-	}
-	c.pmu.Unlock()
-	c.dirty.Store(true)
-	c.invalidations.Add(1)
-	if ctrs != nil {
-		ctrs.CacheInvalidates.Add(1)
-	}
-}
-
-// sweep applies the queued invalidations: scoped (evict entries whose region
-// overlaps a mutated rect) or wholesale on queue overflow. Runs at the next
-// lookup or Len call after a mutation; a clean queue costs one atomic load.
-func (c *ViaCache) sweep() {
-	if !c.dirty.Load() {
-		return
-	}
-	c.pmu.Lock()
-	if !c.dirty.Swap(false) {
-		c.pmu.Unlock()
-		return
-	}
-	rects := append([]geom.Rect(nil), c.pending...)
-	whole := c.pendingWholesale
-	ctrs := c.pendingCtrs
-	c.pending = c.pending[:0]
-	c.pendingWholesale = false
-	c.pmu.Unlock()
-
-	var evicted int64
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		switch {
-		case whole:
-			if n := len(sh.m); n > 0 {
-				evicted += int64(n)
-				sh.m = make(map[viaKey]*viaEntry)
-			}
-		default:
-			for k, ent := range sh.m {
-				for _, r := range rects {
-					if ent.region.Touches(r) {
-						delete(sh.m, k)
-						evicted++
-						break
-					}
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	if whole {
-		c.wholesaleEvicted.Add(evicted)
-		if ctrs != nil {
-			ctrs.CacheEvictWholesale.Add(evicted)
-		}
-	} else {
-		c.scopedEvicted.Add(evicted)
-		if ctrs != nil {
-			ctrs.CacheEvictScoped.Add(evicted)
-		}
-	}
-}
-
-func (c *ViaCache) shard(sig string) *viaShard {
-	// FNV-1a over the signature bytes; the via pointer is folded in by the
-	// signature's layer-dependent content already.
+func (c *ViaCache) shard(sig []byte) *viaShard {
+	// FNV-1a over the signature bytes; the via definition keys the inner map.
 	h := uint64(14695981039346656037)
-	for i := 0; i < len(sig); i++ {
-		h ^= uint64(sig[i])
+	for _, b := range sig {
+		h ^= uint64(b)
 		h *= 1099511628211
 	}
 	return &c.shards[h%viaCacheShards]
+}
+
+// entry returns the slot for (v, sig), creating it on a miss (found reports
+// whether it already existed). Only a miss copies sig into a key string.
+func (sh *viaShard) entry(v *tech.ViaDef, sig []byte) (ent *viaEntry, found bool) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	vm := sh.m[v]
+	if ent = vm[string(sig)]; ent != nil {
+		return ent, true
+	}
+	if sh.n >= viaShardCap {
+		sh.m = make(map[*tech.ViaDef]map[string]*viaEntry)
+		sh.n = 0
+		vm = nil
+	}
+	if vm == nil {
+		vm = make(map[string]*viaEntry)
+		sh.m[v] = vm
+	}
+	ent = &viaEntry{}
+	ent.wg.Add(1)
+	vm[string(sig)] = ent
+	sh.n++
+	return ent, false
 }
 
 // sigEntry is one canonicalized environment object: its index class, net
@@ -229,26 +132,8 @@ type sigEntry struct {
 
 // SigHalo is the exported form of sigHalo: the halo distance that covers
 // every query window a via check opens on the layer. Incremental flows use it
-// to bound how far an engine mutation can influence cached via verdicts.
+// to bound how far an engine mutation can change a via verdict.
 func SigHalo(l *tech.RoutingLayer) int64 { return sigHalo(l) }
-
-// viaRegion returns the union of the query windows a CheckVia of v at p opens
-// — exactly the geometry viaSignature canonicalizes. A mutation that does not
-// touch this region cannot change the signature (hence the verdict) of a drop
-// at p.
-func (e *Engine) viaRegion(v *tech.ViaDef, p geom.Point) geom.Rect {
-	k := v.CutBelow
-	r := v.BotRect(p).Bloat(sigHalo(e.Tech.Metal(k)))
-	r = r.UnionBBox(v.TopRect(p).Bloat(sigHalo(e.Tech.Metal(k + 1))))
-	if c := e.Tech.Cut(k); c != nil && len(v.Cuts) > 0 {
-		win := v.Cuts[0].Shift(p)
-		for _, cr := range v.Cuts[1:] {
-			win = win.UnionBBox(cr.Shift(p))
-		}
-		r = r.UnionBBox(win.Bloat(c.Spacing))
-	}
-	return r
-}
 
 // sigHalo returns the halo distance that covers every query window CheckVia
 // opens on the layer: the spacing-table maximum plus the end-of-line window
@@ -271,8 +156,9 @@ func sigHalo(l *tech.RoutingLayer) int64 {
 // (relative to p, tagged with its net relation) plus the caller-provided
 // same-net rects that join the min-step union. Identical signatures guarantee
 // identical verdicts; the converse need not hold (a too-wide halo only costs
-// hit rate, never correctness).
-func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRects []geom.Rect, qc *QueryCtx) string {
+// hit rate, never correctness). The encoding aliases qc.enc and is valid
+// until the next signature built through qc.
+func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRects []geom.Rect, qc *QueryCtx) []byte {
 	k := v.CutBelow
 	ents := qc.sig[:0]
 	add := func(cls, flags uint8, r geom.Rect) {
@@ -308,25 +194,7 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 	for _, r := range sameNetRects {
 		add(3, 0, r)
 	}
-	sort.Slice(ents, func(i, j int) bool {
-		a, b := &ents[i], &ents[j]
-		if a.cls != b.cls {
-			return a.cls < b.cls
-		}
-		if a.r.XL != b.r.XL {
-			return a.r.XL < b.r.XL
-		}
-		if a.r.YL != b.r.YL {
-			return a.r.YL < b.r.YL
-		}
-		if a.r.XH != b.r.XH {
-			return a.r.XH < b.r.XH
-		}
-		if a.r.YH != b.r.YH {
-			return a.r.YH < b.r.YH
-		}
-		return a.flags < b.flags
-	})
+	slices.SortFunc(ents, cmpSigEntry)
 	qc.sig = ents
 
 	buf := qc.enc[:0]
@@ -339,7 +207,27 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 		buf = binary.AppendVarint(buf, en.r.YH)
 	}
 	qc.enc = buf
-	return string(buf)
+	return buf
+}
+
+// cmpSigEntry orders signature entries by class, rectangle, then flags.
+func cmpSigEntry(a, b sigEntry) int {
+	if c := cmp.Compare(a.cls, b.cls); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.r.XL, b.r.XL); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.r.YL, b.r.YL); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.r.XH, b.r.XH); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.r.YH, b.r.YH); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.flags, b.flags)
 }
 
 // CheckViaVerdict is CheckViaVerdictCtx without caller-owned query state (the
@@ -377,27 +265,9 @@ func (e *Engine) CheckViaVerdictProvCtx(v *tech.ViaDef, p geom.Point, net int, s
 	if e.cache == nil {
 		return e.checkViaVerdictCount(v, p, net, sameNetRects, qc), false
 	}
-	e.cache.sweep()
-	key := viaKey{via: v, sig: e.viaSignature(v, p, net, sameNetRects, qc)}
-	region := e.viaRegion(v, p)
-	sh := e.cache.shard(key.sig)
-	sh.mu.Lock()
-	ent, ok := sh.m[key]
-	if !ok {
-		if len(sh.m) >= viaShardCap {
-			sh.m = make(map[viaKey]*viaEntry)
-		}
-		ent = &viaEntry{region: region}
-		ent.wg.Add(1)
-		sh.m[key] = ent
-	} else {
-		// The signature is translation invariant, so this hit may be a drop at
-		// a new absolute position; grow the region so a future mutation near
-		// it still evicts the entry.
-		ent.region = ent.region.UnionBBox(region)
-	}
-	sh.mu.Unlock()
-	if ok {
+	sig := e.viaSignature(v, p, net, sameNetRects, qc)
+	ent, found := e.cache.shard(sig).entry(v, sig)
+	if found {
 		ent.wg.Wait()
 		if !ent.failed {
 			e.Counters.CacheHits.Add(1)

@@ -1,6 +1,7 @@
 package drc
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -91,41 +92,57 @@ func TestViaCacheHitAndVerdictAgreement(t *testing.T) {
 	}
 }
 
-// TestViaCacheInvalidationOnRemove checks the eviction path: mutating the
-// engine clears the attached cache, and the next query recomputes against the
-// new geometry.
-func TestViaCacheInvalidationOnRemove(t *testing.T) {
+// TestViaCacheMutationRekeys: the cache needs no invalidation. After an Add
+// or Remove next to a cached drop, the drop's environment encodes to a new
+// key, so its verdict is recomputed (a miss) and equals the live check, while
+// an entry far from the mutation keeps serving hits.
+func TestViaCacheMutationRekeys(t *testing.T) {
 	e, v, bar, c, qc := viaCacheFixture(t)
-	p := geom.Pt(500, 435)
+	farBar := geom.R(50000, 400, 51000, 470)
+	e.AddMetal(1, farBar, 3, KindPin, "pin-far")
+	near, far := []geom.Rect{bar}, []geom.Rect{farBar}
+	pNear, pFar := geom.Pt(500, 435), geom.Pt(50500, 460)
 
-	// A foreign bar 60nm above makes the drop dirty.
+	// verdict checks one cached verdict against the live check and reports
+	// whether it was a hit.
+	verdict := func(what string, p geom.Point, net int, rects []geom.Rect) (hit bool) {
+		t.Helper()
+		hits := e.Counters.CacheHits.Load()
+		misses := e.Counters.CacheMisses.Load()
+		if got, want := e.CheckViaVerdictCtx(v, p, net, rects, qc), len(e.CheckViaCtx(v, p, net, rects, qc)); got != want {
+			t.Fatalf("%s: cached verdict %d != live %d", what, got, want)
+		}
+		dh, dm := e.Counters.CacheHits.Load()-hits, e.Counters.CacheMisses.Load()-misses
+		if dh+dm != 1 {
+			t.Fatalf("%s: %d hits + %d misses, want one lookup", what, dh, dm)
+		}
+		return dh == 1
+	}
+	verdict("near", pNear, 1, near)
+	verdict("far", pFar, 3, far)
+	if c.Len() != 2 {
+		t.Fatalf("cache Len = %d, want 2 distinct signatures", c.Len())
+	}
+
+	// Add: a foreign bar 60 nm above the near drop makes it dirty.
 	blocker := e.AddMetal(1, geom.R(0, 530, 1000, 600), 2, KindPin, "blocker")
-	qc = e.NewQueryCtx() // re-size after mutation
-	if got := e.CheckViaVerdictCtx(v, p, 1, []geom.Rect{bar}, qc); got == 0 {
-		t.Fatal("drop next to foreign pin must be dirty")
+	if verdict("near after Add", pNear, 1, near) {
+		t.Fatal("near drop hit after an Add changed its environment")
 	}
-	if c.Len() == 0 {
-		t.Fatal("verdict was not cached")
+	if !verdict("far after Add", pFar, 3, far) {
+		t.Fatal("far entry did not hit after a distant Add")
 	}
 
+	// Remove, on a fresh cache so the blocker-free environment is unseen.
+	c = NewViaCache()
+	e.AttachViaCache(c)
+	verdict("near with blocker", pNear, 1, near)
 	e.Remove(blocker)
-	if c.Len() != 0 {
-		t.Fatalf("Remove left %d cached verdicts, want 0", c.Len())
+	if verdict("near after Remove", pNear, 1, near) {
+		t.Fatal("near drop hit after a Remove changed its environment")
 	}
-	if n := e.Counters.CacheInvalidates.Load(); n < 1 {
-		t.Fatalf("CacheInvalidates = %d, want >= 1", n)
-	}
-	if n := c.Invalidations(); n < 1 {
-		t.Fatalf("cache Invalidations = %d, want >= 1", n)
-	}
-
-	// Same placement, new world: clean now, and recomputed (a miss).
-	misses := e.Counters.CacheMisses.Load()
-	if got := e.CheckViaVerdictCtx(v, p, 1, []geom.Rect{bar}, qc); got != 0 {
-		t.Fatalf("post-remove verdict = %d, want 0", got)
-	}
-	if e.Counters.CacheMisses.Load() != misses+1 {
-		t.Fatal("post-invalidation lookup did not recompute")
+	if c.Len() != 2 {
+		t.Fatalf("cache Len = %d, want 2 (nothing is evicted)", c.Len())
 	}
 }
 
@@ -188,97 +205,80 @@ func TestViaCacheBypass(t *testing.T) {
 	}
 }
 
-// TestViaCacheScopedEviction pins the surgical invalidation contract: a
-// mutation evicts exactly the entries whose recorded query windows overlap
-// the mutated rect. An entry far away survives and keeps serving hits.
-func TestViaCacheScopedEviction(t *testing.T) {
+// TestViaCacheShardCap: a shard filled to its cap is reset by the next
+// miss, so it never holds more than viaShardCap entries, and the verdict it
+// then returns is still the live one.
+func TestViaCacheShardCap(t *testing.T) {
 	e, v, bar, c, qc := viaCacheFixture(t)
-	// A second, far-away bar on a different net: its signature differs from
-	// the near bar's (different net relation distances), giving a second
-	// cache entry with a region around x~50000.
-	farBar := geom.R(50000, 400, 51000, 470)
-	e.AddMetal(1, farBar, 3, KindPin, "pin-far")
-	qc = e.NewQueryCtx()
-
-	pNear, pFar := geom.Pt(500, 435), geom.Pt(50500, 460)
-	if got, want := e.CheckViaVerdictCtx(v, pNear, 1, []geom.Rect{bar}, qc), len(e.CheckVia(v, pNear, 1, []geom.Rect{bar})); got != want {
-		t.Fatalf("near verdict %d != live %d", got, want)
+	p := geom.Pt(500, 460) // dirty: min step
+	rects := []geom.Rect{bar}
+	sig := append([]byte(nil), e.viaSignature(v, p, 1, rects, qc)...)
+	sh := c.shard(sig)
+	// Fill the shard with placeholder entries whose verdict no real check
+	// returns, so an answer leaking from them would show.
+	for i := 0; sh.n < viaShardCap; i++ {
+		ent, _ := sh.entry(v, []byte(fmt.Sprintf("filler-%d", i)))
+		ent.verdict = -1
+		ent.wg.Done()
 	}
-	if got, want := e.CheckViaVerdictCtx(v, pFar, 3, []geom.Rect{farBar}, qc), len(e.CheckVia(v, pFar, 3, []geom.Rect{farBar})); got != want {
-		t.Fatalf("far verdict %d != live %d", got, want)
+	if got, want := e.CheckViaVerdictCtx(v, p, 1, rects, qc), len(e.CheckViaCtx(v, p, 1, rects, qc)); got != want || want == 0 {
+		t.Fatalf("verdict past the cap = %d, live %d (want a dirty drop)", got, want)
 	}
-	if c.Len() != 2 {
-		t.Fatalf("cache Len = %d, want 2 distinct signatures", c.Len())
+	if sh.n > viaShardCap {
+		t.Fatalf("shard holds %d entries, cap %d", sh.n, viaShardCap)
 	}
-
-	// Mutate next to the near drop only.
-	blocker := e.AddMetal(1, geom.R(0, 530, 1000, 600), 2, KindPin, "blocker")
 	if c.Len() != 1 {
-		t.Fatalf("scoped eviction left Len = %d, want 1 (near entry only)", c.Len())
+		t.Fatalf("cache Len = %d after the reset, want 1", c.Len())
 	}
-	if n := c.ScopedEvicted(); n != 1 {
-		t.Fatalf("ScopedEvicted = %d, want 1", n)
-	}
-	if n := c.WholesaleEvicted(); n != 0 {
-		t.Fatalf("WholesaleEvicted = %d, want 0", n)
-	}
-	if n := e.Counters.CacheEvictScoped.Load(); n != 1 {
-		t.Fatalf("drc.viacache.invalidate.scoped = %d, want 1", n)
-	}
-	if n := e.Counters.CacheEvictWholesale.Load(); n != 0 {
-		t.Fatalf("drc.viacache.invalidate.wholesale = %d, want 0", n)
-	}
-
-	// The surviving far entry still answers from cache.
-	qc = e.NewQueryCtx()
 	hits := e.Counters.CacheHits.Load()
-	if got, want := e.CheckViaVerdictCtx(v, pFar, 3, []geom.Rect{farBar}, qc), len(e.CheckVia(v, pFar, 3, []geom.Rect{farBar})); got != want {
-		t.Fatalf("far verdict after scoped eviction %d != live %d", got, want)
+	if got, want := e.CheckViaVerdictCtx(v, p, 1, rects, qc), len(e.CheckViaCtx(v, p, 1, rects, qc)); got != want {
+		t.Fatalf("repeat verdict %d != live %d", got, want)
 	}
 	if e.Counters.CacheHits.Load() != hits+1 {
-		t.Fatal("surviving entry did not serve a hit after scoped eviction")
+		t.Fatal("the entry filled after the reset did not hit")
 	}
-	// The evicted near entry recomputes against the new world.
-	misses := e.Counters.CacheMisses.Load()
-	if got, want := e.CheckViaVerdictCtx(v, pNear, 1, []geom.Rect{bar}, qc), len(e.CheckVia(v, pNear, 1, []geom.Rect{bar})); got != want {
-		t.Fatalf("near verdict after scoped eviction %d != live %d", got, want)
-	}
-	if e.Counters.CacheMisses.Load() != misses+1 {
-		t.Fatal("evicted entry did not recompute")
-	}
-	_ = blocker
 }
 
-// TestViaCacheWholesaleOverflow: more pending mutations than the bounded
-// rect list holds degrade to a wholesale flush, booked on the wholesale
-// counter rather than the scoped one.
-func TestViaCacheWholesaleOverflow(t *testing.T) {
-	e, v, bar, c, qc := viaCacheFixture(t)
+// TestViaCacheHitAllocFree pins drc.verdict.allocs = 0: a warm cached verdict
+// allocates nothing.
+func TestViaCacheHitAllocFree(t *testing.T) {
+	e, v, bar, _, qc := viaCacheFixture(t)
 	p := geom.Pt(500, 435)
-	if got := e.CheckViaVerdictCtx(v, p, 1, []geom.Rect{bar}, qc); got != 0 {
-		t.Fatalf("verdict = %d, want 0", got)
+	rects := []geom.Rect{bar}
+	e.CheckViaVerdictCtx(v, p, 1, rects, qc) // fill
+	hits := e.Counters.CacheHits.Load()
+	if n := testing.AllocsPerRun(100, func() { e.CheckViaVerdictCtx(v, p, 1, rects, qc) }); n != 0 {
+		t.Fatalf("warm cached verdict allocates %v times per call, want 0", n)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cache Len = %d, want 1", c.Len())
+	if e.Counters.CacheHits.Load() == hits {
+		t.Fatal("the measured calls were not cache hits")
 	}
+}
 
-	// Far more mutations than the pending-rect bound, all far from the entry.
-	var ids []int
-	for i := 0; i < 300; i++ {
-		x := int64(200000 + i*1000)
-		ids = append(ids, e.AddMetal(1, geom.R(x, 0, x+100, 70), NoNet, KindObs, ""))
+// TestMetalRectCountAllocFree: the count-only metal check returns the report
+// path's violation count, moves the same counters and allocates nothing, even
+// for a stub whose report would carry formatted notes.
+func TestMetalRectCountAllocFree(t *testing.T) {
+	e, _, _, _, qc := viaCacheFixture(t)
+	e.AddMetal(1, geom.R(0, 530, 1000, 600), 2, KindPin, "blocker")
+	stub := geom.R(500, 400, 640, 500) // shorts the net-1 bar, too close to the blocker
+	c0 := e.Counters.Snapshot()
+	report := e.CheckMetalRectCtx(1, stub, 3, qc)
+	if len(report) == 0 {
+		t.Fatal("fixture stub must violate")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("overflowed invalidation left Len = %d, want 0 (wholesale)", c.Len())
+	c1 := e.Counters.Snapshot()
+	if got := e.CheckMetalRectCountCtx(1, stub, 3, qc); got != len(report) {
+		t.Fatalf("count-only check = %d, report has %d", got, len(report))
 	}
-	if n := c.WholesaleEvicted(); n != 1 {
-		t.Fatalf("WholesaleEvicted = %d, want 1", n)
+	c2 := e.Counters.Snapshot()
+	for name := range c0 {
+		if dr, dc := c1[name]-c0[name], c2[name]-c1[name]; dr != dc {
+			t.Errorf("%s moved %d on the report path, %d on the count path", name, dr, dc)
+		}
 	}
-	if n := c.ScopedEvicted(); n != 0 {
-		t.Fatalf("ScopedEvicted = %d, want 0", n)
+	e.CheckMetalRectCountCtx(1, stub, 3, qc) // warm the arena
+	if n := testing.AllocsPerRun(100, func() { e.CheckMetalRectCountCtx(1, stub, 3, qc) }); n != 0 {
+		t.Fatalf("count-only metal check allocates %v times per call, want 0", n)
 	}
-	if n := e.Counters.CacheEvictWholesale.Load(); n != 1 {
-		t.Fatalf("drc.viacache.invalidate.wholesale = %d, want 1", n)
-	}
-	_ = ids
 }

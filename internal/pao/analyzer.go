@@ -103,7 +103,7 @@ func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
 }
 
 // PublishObs folds the analyzer's accumulated DRC counters (including the
-// via-verdict cache hit/miss/invalidate counts) and the pair-cache counters
+// via-verdict cache hit/miss counts) and the pair-cache counters
 // into the observer's registry. Call once per analyzer, after its last Run.
 func (a *Analyzer) PublishObs() {
 	if reg := a.Obs.Reg(); reg != nil {
@@ -127,12 +127,8 @@ func (a *Analyzer) LiveCounters() map[string]int64 {
 // CacheStats is a snapshot of the analyzer's memoization counters: the shared
 // via-drop verdict cache (drc layer) and the via-pair cache (Step 2/3).
 type CacheStats struct {
-	ViaHits, ViaMisses, ViaInvalidations int64
-	// ViaEvictScoped/ViaEvictWholesale split the entries evicted from the
-	// via-verdict cache by mutation handling: halo-overlap-scoped sweeps vs
-	// whole-cache flushes (see drc.ViaCache).
-	ViaEvictScoped, ViaEvictWholesale int64
-	PairHits, PairMisses              int64
+	ViaHits, ViaMisses   int64
+	PairHits, PairMisses int64
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no lookups.
@@ -152,11 +148,8 @@ func (s CacheStats) PairHitRate() float64 { return hitRate(s.PairHits, s.PairMis
 // CacheStats reports the analyzer's cache counters accumulated so far.
 func (a *Analyzer) CacheStats() CacheStats {
 	s := CacheStats{
-		ViaHits:           a.DRC.CacheHits.Load(),
-		ViaMisses:         a.DRC.CacheMisses.Load(),
-		ViaInvalidations:  a.DRC.CacheInvalidates.Load(),
-		ViaEvictScoped:    a.DRC.CacheEvictScoped.Load(),
-		ViaEvictWholesale: a.DRC.CacheEvictWholesale.Load(),
+		ViaHits:   a.DRC.CacheHits.Load(),
+		ViaMisses: a.DRC.CacheMisses.Load(),
 	}
 	if a.pairs != nil {
 		s.PairHits = a.pairs.hits.Load()
@@ -164,11 +157,6 @@ func (a *Analyzer) CacheStats() CacheStats {
 	}
 	return s
 }
-
-// SharedViaCache exposes the analyzer's shared via-verdict cache (nil with
-// Cfg.NoCache) for introspection: benchmarks read its entry count and
-// eviction counters directly.
-func (a *Analyzer) SharedViaCache() *drc.ViaCache { return a.viaCache }
 
 // NetOf returns the net index of an instance pin, allocating a pseudo net for
 // unconnected pins (stable across calls).
@@ -198,6 +186,7 @@ func (a *Analyzer) cellEngine(ui *db.UniqueInstance) (*drc.Engine, map[string]in
 		eng.FaultHook = func(site string) []drc.Violation { return hook(site, sig) }
 	}
 	pivot := ui.Pivot()
+	eng.Grow(numShapes(pivot.Master))
 	nets := make(map[string]int)
 	nextNet := 1
 	for _, pin := range pivot.Master.Pins {
@@ -217,8 +206,6 @@ func (a *Analyzer) cellEngine(ui *db.UniqueInstance) (*drc.Engine, map[string]in
 	// The engine is frozen from here on: fold the construction churn into the
 	// dense index before queries fan out.
 	eng.Compact()
-	// Attach after construction: Add invalidates an attached cache, and the
-	// shared memo must survive across the per-class engines.
 	eng.AttachViaCache(a.viaCache)
 	return eng, nets
 }
@@ -241,6 +228,11 @@ func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instan
 	if hook := a.DRCFaultHook; hook != nil {
 		eng.FaultHook = func(site string) []drc.Violation { return hook(site, "global") }
 	}
+	shapes := len(a.Design.IOPins)
+	for _, inst := range a.Design.Instances {
+		shapes += numShapes(inst.Master)
+	}
+	eng.Grow(shapes)
 	for _, inst := range a.Design.Instances {
 		for _, id := range a.addInstanceShapes(eng, inst) {
 			if record != nil {
@@ -254,6 +246,16 @@ func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instan
 	eng.Compact() // bulk construction done; Step-3 queries fan out from here
 	eng.AttachViaCache(cache)
 	return eng
+}
+
+// numShapes counts a master's pin and obstruction shapes: the engine objects
+// one placed instance adds.
+func numShapes(m *db.Master) int {
+	n := len(m.Obs)
+	for _, pin := range m.Pins {
+		n += len(pin.Shapes)
+	}
+	return n
 }
 
 // addInstanceShapes registers one instance's pin and obstruction shapes with
@@ -631,14 +633,14 @@ func pinRectsByLayer(inst *db.Instance, pin *db.MPin) map[int][]geom.Rect {
 	return out
 }
 
-// apRectsOnLayer returns the pin's shapes on the given layer in the pivot's
-// design coordinates.
-func pinRectsOnLayer(inst *db.Instance, pin *db.MPin, layer int) []geom.Rect {
-	var out []geom.Rect
-	for _, s := range inst.PinShapes(pin) {
+// appendPinRects appends the pin's shapes on the given layer, in the
+// instance's design coordinates, to dst.
+func appendPinRects(dst []geom.Rect, inst *db.Instance, pin *db.MPin, layer int) []geom.Rect {
+	tr := inst.Transform()
+	for _, s := range pin.Shapes {
 		if s.Layer == layer {
-			out = append(out, s.Rect)
+			dst = append(dst, tr.ApplyRect(s.Rect))
 		}
 	}
-	return out
+	return dst
 }

@@ -26,9 +26,8 @@ package pao
 //     engine-independent, so they never dirty a cluster).
 //   - engine scoping: the session maintains one tracked global engine across
 //     ECOs, removing and re-adding exactly the mutated instances' shapes.
-//     Each mutation is noted against the shared via-verdict cache, which
-//     evicts only the entries whose query windows overlap the mutated rects
-//     (see drc.ViaCache) — the warm verdicts elsewhere survive.
+//     The shared via-verdict cache needs no update: it is content-addressed,
+//     so a mutated environment encodes to a new key (see drc.ViaCache).
 //   - failed-pin scoping: a second engine holds the fixed shapes plus every
 //     net terminal's selected via, with each terminal's verdict on record.
 //     A commit moves only the mutated instances' shapes and the vias whose
@@ -314,14 +313,21 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 		s.fpObjs[inst.ID] = append(s.fpObjs[inst.ID], id)
 	})
 	s.terms = make([]ecoTerm, 0, numNetTerms(d))
+	objs := 0
 	for _, net := range d.Nets {
 		for _, t := range net.Terms {
 			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
-			i := int32(len(s.terms))
-			s.terms = append(s.terms, ecoTerm{termVia: tv, access: ok})
-			s.termsOf[t.Inst.ID] = append(s.termsOf[t.Inst.ID], i)
-			s.placeVia(i)
+			tm := ecoTerm{termVia: tv, access: ok}
+			if tm.hasVia() {
+				objs += viaObjs(tm.via)
+			}
+			s.termsOf[t.Inst.ID] = append(s.termsOf[t.Inst.ID], int32(len(s.terms)))
+			s.terms = append(s.terms, tm)
 		}
+	}
+	s.fp.Grow(objs)
+	for i := range s.terms {
+		s.placeVia(int32(i))
 	}
 	s.live = len(s.terms)
 	s.fp.Compact()

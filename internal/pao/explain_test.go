@@ -89,7 +89,7 @@ func diffVerdicts(t *testing.T, d *db.Design, ui *db.UniqueInstance, pin *db.MPi
 
 	checked := 0
 	for _, au := range rep.APs {
-		pinRects := pinRectsOnLayer(pivot, pin, au.Layer)
+		pinRects := appendPinRects(nil, pivot, pin, au.Layer)
 		for _, va := range au.Vias {
 			v := viaByName[va.Via]
 			if v == nil {

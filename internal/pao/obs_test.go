@@ -55,7 +55,7 @@ func TestObsWorkerEquivalence(t *testing.T) {
 		t.Fatal("no counters published")
 	}
 	// The acceptance-level counter families must be present.
-	for _, name := range []string{"drc.query.count", "drc.check.metal", "drc.via.attempted", "pao.step12.items"} {
+	for _, name := range []string{"drc.query.count", "drc.check.metal", "drc.via.attempted", "drc.viacache.hit", "drc.viacache.miss", "pao.step12.items"} {
 		if _, ok := seqCounts[name]; !ok {
 			t.Errorf("counter %q missing from publication", name)
 		}

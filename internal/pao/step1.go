@@ -34,7 +34,7 @@ func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, piv
 	if l == nil {
 		return
 	}
-	allPinRects := pinRectsOnLayer(pivot, pin, layer)
+	allPinRects := appendPinRects(nil, pivot, pin, layer)
 	rects := geom.MaxRects(allPinRects)
 	if len(rects) == 0 {
 		return
@@ -210,7 +210,7 @@ func (a *Analyzer) validateAP(eng *drc.Engine, qc *drc.QueryCtx, pt geom.Point, 
 		{DirSouth, geom.R(pt.X-hw, pt.Y-ext, pt.X+hw, pt.Y)},
 	}
 	for _, s := range stubs {
-		if len(eng.CheckMetalRectCtx(layer, s.r, net, qc)) == 0 {
+		if eng.CheckMetalRectCountCtx(layer, s.r, net, qc) == 0 {
 			ap.Dirs[s.d] = true
 		}
 	}

@@ -131,87 +131,65 @@ func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, cl db.Clus
 	return a.selectForCluster(res, eng, cl, qc)
 }
 
-// boundaryAPInfo is a boundary access point translated onto a member
+// chosenAP is a pattern's chosen access point translated onto a member
 // instance.
-type boundaryAPInfo struct {
+type chosenAP struct {
 	ap  *AccessPoint
 	pos geom.Point
 	net int
 	pin *db.MPin
 }
 
-// chosenAPs returns the pattern's chosen access points on the given member
-// instance, in pin order. boundaryOnly restricts it to the first and last
-// (they coincide for single-pin cells).
-func (a *Analyzer) chosenAPs(res *Result, inst *db.Instance, pat *AccessPattern, boundaryOnly bool) []boundaryAPInfo {
+// appendChosenAPs appends the pattern's chosen access points on the given
+// member instance, in pin order, to dst.
+func (a *Analyzer) appendChosenAPs(dst []chosenAP, res *Result, inst *db.Instance, pat *AccessPattern) []chosenAP {
 	ua := res.ByInstance[inst.ID]
 	if ua == nil || pat == nil {
-		return nil
+		return dst
 	}
-	var idxs []int
 	for i, c := range pat.Choice {
-		if c >= 0 {
-			idxs = append(idxs, i)
+		if c < 0 {
+			continue
 		}
-	}
-	if len(idxs) == 0 {
-		return nil
-	}
-	if boundaryOnly {
-		pick := []int{idxs[0]}
-		if last := idxs[len(idxs)-1]; last != idxs[0] {
-			pick = append(pick, last)
-		}
-		idxs = pick
-	}
-	out := make([]boundaryAPInfo, 0, len(idxs))
-	for _, i := range idxs {
-		ap := ua.Pins[i].APs[pat.Choice[i]]
-		out = append(out, boundaryAPInfo{
+		ap := ua.Pins[i].APs[c]
+		dst = append(dst, chosenAP{
 			ap:  ap,
 			pos: ua.TranslateTo(inst, ap.Pos),
 			net: a.NetOf(inst, ua.Pins[i].Pin),
 			pin: ua.Pins[i].Pin,
 		})
 	}
-	return out
-}
-
-// boundaryAPs returns the first and last chosen access points of a pattern on
-// the given member instance.
-func (a *Analyzer) boundaryAPs(res *Result, inst *db.Instance, pat *AccessPattern) []boundaryAPInfo {
-	return a.chosenAPs(res, inst, pat, true)
+	return dst
 }
 
 // vertexCost scores one (instance, pattern) choice against the fixed design
-// context: every chosen via is re-validated with the global engine, which
-// catches spacing and end-of-line conflicts with neighboring instances that
-// the isolated Step-1 context could not see. (The paper's boundary-only
+// context: every chosen via (aps) is re-validated with the global engine,
+// which catches spacing and end-of-line conflicts with neighboring instances
+// that the isolated Step-1 context could not see. (The paper's boundary-only
 // acceleration applies to the pattern-to-pattern via checks — edgeCost3 —
 // not to this fixed-environment term; inner pins near a cell edge conflict
 // with neighbors too.)
-func (a *Analyzer) vertexCost(res *Result, eng *drc.Engine, inst *db.Instance, pat *AccessPattern, ctx *drc.QueryCtx) int {
+func (a *Analyzer) vertexCost(eng *drc.Engine, inst *db.Instance, pat *AccessPattern, aps []chosenAP, ctx *drc.QueryCtx) int {
 	cost := pat.Cost
-	for _, b := range a.chosenAPs(res, inst, pat, false) {
+	var buf [8]geom.Rect
+	for _, b := range aps {
 		if b.ap.Primary() == nil {
 			continue
 		}
-		pinRects := pinRectsOnLayer(inst, b.pin, b.ap.Layer)
+		pinRects := appendPinRects(buf[:0], inst, b.pin, b.ap.Layer)
 		cost += a.Cfg.DRCCost * eng.CheckViaVerdictCtx(b.ap.Primary(), b.pos, b.net, pinRects, ctx)
 	}
 	return cost
 }
 
-// edgeCost3 scores the interaction between the right boundary via of left
-// (pattern lp) and the left boundary via of right (pattern rp).
-func (a *Analyzer) edgeCost3(res *Result, left *db.Instance, lp *AccessPattern, right *db.Instance, rp *AccessPattern) int {
-	lb := a.boundaryAPs(res, left, lp)
-	rb := a.boundaryAPs(res, right, rp)
-	if len(lb) == 0 || len(rb) == 0 {
+// edgeCost3 scores the interaction between the right boundary via of the left
+// instance (its last chosen AP, from left) and the left boundary via of the
+// right instance (its first, from right).
+func (a *Analyzer) edgeCost3(left, right []chosenAP) int {
+	if len(left) == 0 || len(right) == 0 {
 		return 0
 	}
-	l := lb[len(lb)-1] // rightmost boundary AP of the left instance
-	r := rb[0]         // leftmost boundary AP of the right instance
+	l, r := &left[len(left)-1], &right[0]
 	if !a.pairClean(l.ap.Primary(), l.pos, l.net, r.ap.Primary(), r.pos, r.net) {
 		return a.Cfg.DRCCost
 	}
@@ -233,23 +211,33 @@ func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster,
 	}
 	pats := func(inst *db.Instance) []*AccessPattern { return res.ByInstance[inst.ID].Patterns }
 
+	// chosen[gi][ni] holds insts[gi]'s chosen APs under its pattern ni,
+	// computed once and shared by the vertex term and every edge term. The
+	// sub-slices are capped, so a later append that moves buf leaves them
+	// intact.
+	chosen := make([][][]chosenAP, len(insts))
+	var buf []chosenAP
 	dp := make([][]dpVertex, len(insts))
 	for gi, inst := range insts {
 		ps := pats(inst)
+		chosen[gi] = make([][]chosenAP, len(ps))
 		dp[gi] = make([]dpVertex, len(ps))
 		for ni, p := range ps {
-			vc := a.vertexCost(res, eng, inst, p, ctx)
+			start := len(buf)
+			buf = a.appendChosenAPs(buf, res, inst, p)
+			aps := buf[start:len(buf):len(buf)]
+			chosen[gi][ni] = aps
+			vc := a.vertexCost(eng, inst, p, aps, ctx)
 			if gi == 0 {
 				dp[0][ni] = dpVertex{cost: vc, prev: -1}
 				continue
 			}
 			best, bestPrev := math.MaxInt, -1
-			prevInst := insts[gi-1]
-			for pi, pp := range pats(prevInst) {
+			for pi, prevAPs := range chosen[gi-1] {
 				if dp[gi-1][pi].cost == math.MaxInt {
 					continue
 				}
-				c := dp[gi-1][pi].cost + vc + a.edgeCost3(res, prevInst, pp, inst, p)
+				c := dp[gi-1][pi].cost + vc + a.edgeCost3(prevAPs, aps)
 				if c < best {
 					best, bestPrev = c, pi
 				}
@@ -337,7 +325,8 @@ func viaObjs(v *tech.ViaDef) int { return 2 + len(v.Cuts) }
 
 // fails re-validates the placed via in eng's full context.
 func (tv *termVia) fails(eng *drc.Engine, qc *drc.QueryCtx) bool {
-	pinRects := pinRectsOnLayer(tv.inst, tv.pin, tv.layer)
+	var buf [8]geom.Rect
+	pinRects := appendPinRects(buf[:0], tv.inst, tv.pin, tv.layer)
 	return eng.CheckViaVerdictCtx(tv.via, tv.pos, tv.net, pinRects, qc) > 0
 }
 
@@ -351,7 +340,7 @@ func numNetTerms(d *db.Design) int {
 }
 
 // countFailedPins is CountFailedPins under a context (cancellation is checked
-// periodically inside both the placement and validation loops; the stats then
+// periodically inside both the resolution and validation loops; the stats then
 // reflect the pins validated so far) with whole-phase panic quarantine.
 func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, h *Health) {
 	defer func() {
@@ -367,11 +356,12 @@ func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.En
 	all := make([]termVia, 0, numNetTerms(a.Design))
 	total := 0
 	failed := 0
-place:
+	objs := 0
+resolve:
 	for _, net := range a.Design.Nets {
 		for _, t := range net.Terms {
 			if total%256 == 0 && ctx.Err() != nil {
-				break place
+				break resolve
 			}
 			total++
 			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
@@ -382,9 +372,13 @@ place:
 			if tv.via == nil {
 				continue
 			}
-			tv.place(eng)
 			all = append(all, tv)
+			objs += viaObjs(tv.via)
 		}
+	}
+	eng.Grow(objs)
+	for i := range all {
+		all[i].place(eng)
 	}
 	// The validation pass is read-only over the frozen engine; fold the
 	// placement churn into the dense index, then fan out when the analyzer is
