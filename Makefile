@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet bench-json bench-check bench-cold bench-eco experiments \
+.PHONY: all build test vet experiments \
 	experiments-full examples clean difftest eco-difftest golden-update \
 	fuzz-smoke cover faultinject serve-smoke telemetry-smoke tenant-smoke \
 	dist-difftest dist-smoke
@@ -67,11 +67,16 @@ serve-smoke:
 # text-format checker — then audit a live decision via /v1/access/explain and
 # check the slow log's trace exemplars. The telemetry package tests cover the
 # exposition writer, histogram merge rules, logger, sampler and slow-log ring;
-# bench-check proves the nil-by-default hooks stay alloc-neutral.
+# the per-call allocation tests prove the nil-by-default hooks leave the
+# kernels Steps 1-3 run allocation-free: the warm via-verdict hit, region
+# query and count-only stub check (TestViaCacheHitAllocFree,
+# TestQueryMetalCtxAllocFree, TestMetalRectCountAllocFree), the via-pair
+# predicate (TestViaPairCleanDistance) and the polygon union
+# (TestUnionScratchNoAllocsWarm).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
 	$(GO) test -race ./internal/telemetry ./internal/serve
-	$(GO) run ./cmd/paobench -q -out /tmp/bench-current.json -compare BENCH_PR10.json
+	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance' ./internal/drc ./internal/pao ./internal/geom
 
 # Multi-tenant smoke campaign under the race detector: one paoserve process
 # serving three designs (one at boot, two registered over POST /v1/designs), a
@@ -125,29 +130,6 @@ cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/pao,./internal/drc,./internal/oracle \
 		./internal/pao ./internal/drc ./internal/oracle ./internal/difftest
 	$(GO) tool cover -func=coverage.out | tail -1
-
-# Measure the Step 1/2/3 hot paths with the memoization layers on and off and
-# write the machine-readable report checked in as the perf baseline.
-bench-json:
-	$(GO) run ./cmd/paobench -out BENCH_PR10.json
-
-# CI regression gate: re-measure and fail on >15% regression vs the
-# checked-in baseline (machine-independent metrics only; add -gate-ns on a
-# quiet dedicated host to also gate wall-clock time).
-bench-check:
-	$(GO) run ./cmd/paobench -q -out /tmp/bench-current.json -compare BENCH_PR10.json
-
-# Cold-path profile: only the uncached scenario variants — the pure query-
-# core and check-core cost with every memo layer off. Prints to stdout; not
-# gated (cold reports carry no cached metrics to compare).
-bench-cold:
-	$(GO) run ./cmd/paobench -cold
-
-# ECO re-analysis scoping report: dirty-class/cluster counts for a single
-# move, and the resident-session apply loop vs a fresh full run
-# (BENCH_PR7.json).
-bench-eco:
-	$(GO) run ./cmd/paobench -scale 0.01 -eco-out BENCH_PR7.json
 
 # Laptop-scale experiment sweep (~4 minutes).
 experiments:

@@ -20,7 +20,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/bench"
 	"repro/internal/exp"
 	"repro/internal/geom"
 	"repro/internal/pao"
@@ -282,40 +281,6 @@ func BenchmarkWorkers(b *testing.B) {
 			}
 			b.ReportMetric(float64(stats.FailedPins), "failedPins")
 		})
-	}
-}
-
-// BenchmarkMemoization runs the internal/bench scenarios (the same ones
-// `make bench-json` turns into BENCH_PR10.json): Step 1/2/3 with the
-// via-verdict and via-pair caches on and off. The cached variants report
-// steady-state hit rates as custom metrics.
-func BenchmarkMemoization(b *testing.B) {
-	for _, sc := range bench.Scenarios() {
-		sc := sc
-		for _, noCache := range []bool{false, true} {
-			noCache := noCache
-			variant := "cached"
-			if noCache {
-				variant = "uncached"
-			}
-			b.Run(sc.Name+"/"+variant, func(b *testing.B) {
-				w, err := sc.Prepare(*benchScale, noCache)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w.Run()
-				}
-				b.StopTimer()
-				if !noCache {
-					s := w.Stats()
-					b.ReportMetric(s.ViaHitRate()*100, "viaHit%")
-					b.ReportMetric(s.PairHitRate()*100, "pairHit%")
-				}
-			})
-		}
 	}
 }
 

@@ -88,10 +88,9 @@ func TestRunMetricsAndTrace(t *testing.T) {
 	if len(rep.Counters) == 0 {
 		t.Error("report has no counters; PublishObs not wired")
 	}
-	// The memoization layers must surface their traffic in -metrics: the
-	// via-verdict cache counters flow through drc.Counters.Snapshot and the
-	// pair-cache counters are published directly by PublishObs.
-	for _, name := range []string{"drc.viacache.hit", "drc.viacache.miss", "pao.paircache.hit", "pao.paircache.miss"} {
+	// The memoization layer must surface its traffic in -metrics: the
+	// via-verdict cache counters flow through drc.Counters.Snapshot.
+	for _, name := range []string{"drc.viacache.hit", "drc.viacache.miss"} {
 		if _, ok := rep.Counters[name]; !ok {
 			t.Errorf("report missing cache counter %q", name)
 		}

@@ -9,10 +9,10 @@ import (
 )
 
 // TestCachedUncachedEquivalence is the differential guard for the analyzer's
-// memoization layers (the shared via-drop verdict cache and the via-pair
-// cache): with caches on and off, a full run over each suite testcase must
-// produce byte-identical result snapshots. The caches are pure memoization —
-// any divergence here means a cache key is under-discriminating.
+// memoization layer (the shared via-drop verdict cache): with the cache on
+// and off, a full run over each suite testcase must produce byte-identical
+// result snapshots. The cache is pure memoization — any divergence here
+// means a cache key is under-discriminating.
 //
 // The snapshot is encoded with the same Config both times (Config is part of
 // the snapshot fingerprint, and NoCache intentionally does not change
@@ -38,8 +38,8 @@ func TestCachedUncachedEquivalence(t *testing.T) {
 			off.NoCache = true
 			uncached := pao.NewAnalyzer(d, off).Run()
 
-			if cs := ac.CacheStats(); cs.ViaHits+cs.ViaMisses == 0 || cs.PairHits+cs.PairMisses == 0 {
-				t.Fatalf("caches were not exercised (%+v); the comparison is vacuous", cs)
+			if cs := ac.CacheStats(); cs.ViaHits+cs.ViaMisses == 0 {
+				t.Fatalf("via cache was not exercised (%+v); the comparison is vacuous", cs)
 			}
 			if cached.Stats.Counts() != uncached.Stats.Counts() {
 				t.Fatalf("stats diverge:\ncached   %+v\nuncached %+v",

@@ -27,8 +27,10 @@ func goldenCases() []suite.Spec {
 
 // TestGolden pins the full-pipeline result summary of each testcase against
 // its checked-in snapshot. Any behavioural change — AP counts per coordinate
-// type, dirty APs, failed pins, pattern counts — fails here with a JSON diff;
-// intentional changes re-pin with -update.
+// type, dirty APs, failed pins, pattern counts, clusters — fails here with a
+// JSON diff, and so does any change in DRC work (every drc.* counter,
+// via-cache hits and misses included) or in the canonical move's ECO scope.
+// Intentional changes re-pin with -update.
 func TestGolden(t *testing.T) {
 	for _, spec := range goldenCases() {
 		spec := spec

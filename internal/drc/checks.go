@@ -49,7 +49,7 @@ func (e *Engine) checkMetalRectInto(layer int, r geom.Rect, net int, ctx *QueryC
 	}
 	e.Counters.MetalChecks.Add(1)
 	before := len(out)
-	win := r.Bloat(l.Spacing.MaxSpacing())
+	win := r.Bloat(l.SpacingReach())
 	for _, id := range e.QueryMetalCtx(layer, win, ctx) {
 		oNet := int(e.snet[id])
 		if sameNet(net, oNet) {
@@ -65,57 +65,74 @@ func (e *Engine) checkMetalRectInto(layer int, r geom.Rect, net int, ctx *QueryC
 	return out
 }
 
-// checkMetalPairInto applies short and spacing rules to one pair of
-// different-net shapes on layer l. With notes=false the tags are ignored and
-// the Note field stays empty (the dedup key is unaffected).
-func checkMetalPairInto(l *tech.RoutingLayer, a geom.Rect, aNet int, aTag string, b geom.Rect, bNet int, bTag string, notes bool, out []Violation) []Violation {
+// metalPairRule decides the short, corner and spacing rules for one pair of
+// different-net shapes on layer l: the rule that fires ("" when none does),
+// with the spacing required and the parallel run length it was judged at.
+func metalPairRule(l *tech.RoutingLayer, a, b geom.Rect) (rule string, req, prl int64) {
 	if a.Overlaps(b) {
-		ov, _ := a.Intersect(b)
-		v := Violation{Rule: "Short", Layer: l.Name, Where: ov}
-		if notes {
-			v.Note = fmt.Sprintf("%s (net %d) overlaps %s (net %d)", aTag, aNet, bTag, bNet)
-		}
-		return append(out, v)
+		return "Short", 0, 0
 	}
 	w := a.MinDim()
 	if bw := b.MinDim(); bw > w {
 		w = bw
 	}
-	prl := a.PRL(b)
+	prl = a.PRL(b)
 	diagonal := prl < 0
 	if prl < 0 {
 		prl = 0
 	}
-	req := l.MinSpacing(w, prl)
+	req = l.MinSpacing(w, prl)
 	// Diagonal neighbors with a wide participant fall under corner spacing.
 	if diagonal && l.Corner.Enabled() && w >= l.Corner.EligibleWidth && l.Corner.Spacing > req {
 		if a.DistSquared(b) < l.Corner.Spacing*l.Corner.Spacing {
-			v := Violation{Rule: "CornerSpacing", Layer: l.Name, Where: a.UnionBBox(b)}
-			if notes {
-				v.Note = fmt.Sprintf("%s (net %d) corner within %d of %s (net %d)", aTag, aNet, l.Corner.Spacing, bTag, bNet)
-			}
-			return append(out, v)
+			return "CornerSpacing", l.Corner.Spacing, prl
 		}
-		return out
+		return "", req, prl
 	}
 	if req > 0 && a.DistSquared(b) < req*req {
-		v := Violation{Rule: "Spacing", Layer: l.Name, Where: a.UnionBBox(b)}
+		return "Spacing", req, prl
+	}
+	return "", req, prl
+}
+
+// checkMetalPairInto applies short and spacing rules to one pair of
+// different-net shapes on layer l. With notes=false the tags are ignored and
+// the Note field stays empty (the dedup key is unaffected).
+func checkMetalPairInto(l *tech.RoutingLayer, a geom.Rect, aNet int, aTag string, b geom.Rect, bNet int, bTag string, notes bool, out []Violation) []Violation {
+	rule, req, prl := metalPairRule(l, a, b)
+	var v Violation
+	switch rule {
+	case "":
+		return out
+	case "Short":
+		ov, _ := a.Intersect(b)
+		v = Violation{Rule: rule, Layer: l.Name, Where: ov}
+		if notes {
+			v.Note = fmt.Sprintf("%s (net %d) overlaps %s (net %d)", aTag, aNet, bTag, bNet)
+		}
+	case "CornerSpacing":
+		v = Violation{Rule: rule, Layer: l.Name, Where: a.UnionBBox(b)}
+		if notes {
+			v.Note = fmt.Sprintf("%s (net %d) corner within %d of %s (net %d)", aTag, aNet, req, bTag, bNet)
+		}
+	default:
+		v = Violation{Rule: rule, Layer: l.Name, Where: a.UnionBBox(b)}
 		if notes {
 			v.Note = fmt.Sprintf("%s (net %d) within %d of %s (net %d), prl %d", aTag, aNet, req, bTag, bNet, prl)
 		}
-		return append(out, v)
 	}
-	return out
+	return append(out, v)
 }
 
-// CheckMetalPairRects applies the short and spacing rules to one standalone
-// pair of shapes on layer l (used for via-to-via compatibility checks that
-// run without an engine context). Same-net pairs are exempt.
-func CheckMetalPairRects(l *tech.RoutingLayer, a geom.Rect, aNet int, b geom.Rect, bNet int) []Violation {
+// MetalPairClean reports whether one standalone pair of shapes on layer l
+// passes the short, spacing and corner rules (the via-to-via compatibility
+// check, which runs without an engine). Same-net pairs are exempt.
+func MetalPairClean(l *tech.RoutingLayer, a geom.Rect, aNet int, b geom.Rect, bNet int) bool {
 	if sameNet(aNet, bNet) {
-		return nil
+		return true
 	}
-	return checkMetalPairInto(l, a, aNet, "a", b, bNet, "b", true, nil)
+	rule, _, _ := metalPairRule(l, a, b)
+	return rule == ""
 }
 
 // eolWindows returns the end-of-line clearance windows of a wire-like shape
@@ -141,47 +158,28 @@ func eolWindows(l *tech.RoutingLayer, r geom.Rect) (wins [2]geom.Rect, n int) {
 	return wins, 0
 }
 
-// CheckEOLPairRects applies the end-of-line rule between one standalone pair
-// of different-net shapes on layer l, in both directions (a's windows against
-// b and b's windows against a).
-func CheckEOLPairRects(l *tech.RoutingLayer, a geom.Rect, aNet int, b geom.Rect, bNet int) []Violation {
-	if sameNet(aNet, bNet) {
-		return nil
-	}
-	var out []Violation
-	wins, n := eolWindows(l, a)
-	for _, win := range wins[:n] {
-		if win.Overlaps(b) {
-			out = append(out, Violation{Rule: "EOL", Layer: l.Name, Where: win,
-				Note: fmt.Sprintf("end-of-line window blocked (nets %d/%d)", aNet, bNet)})
-		}
-	}
-	wins, n = eolWindows(l, b)
-	for _, win := range wins[:n] {
-		if win.Overlaps(a) {
-			out = append(out, Violation{Rule: "EOL", Layer: l.Name, Where: win,
-				Note: fmt.Sprintf("end-of-line window blocked (nets %d/%d)", bNet, aNet)})
-		}
-	}
-	return out
+// EOLPairClean reports whether neither shape of one standalone pair on layer
+// l blocks an end-of-line window of the other. Same-net pairs are exempt.
+func EOLPairClean(l *tech.RoutingLayer, a geom.Rect, aNet int, b geom.Rect, bNet int) bool {
+	return sameNet(aNet, bNet) || (!eolBlocked(l, a, b) && !eolBlocked(l, b, a))
 }
 
-// CheckCutPairRects applies the cut spacing rule to one standalone pair of
-// cuts on cut layer c. Coincident cuts are the same via and exempt; net
-// membership is irrelevant for cut spacing.
-func CheckCutPairRects(c *tech.CutLayer, a, b geom.Rect) []Violation {
-	if a == b {
-		return nil
+// eolBlocked reports whether o overlaps an end-of-line window of r.
+func eolBlocked(l *tech.RoutingLayer, r, o geom.Rect) bool {
+	wins, n := eolWindows(l, r)
+	for _, win := range wins[:n] {
+		if win.Overlaps(o) {
+			return true
+		}
 	}
-	if a.Overlaps(b) {
-		ov, _ := a.Intersect(b)
-		return []Violation{{Rule: "Short", Layer: c.Name, Where: ov, Note: "cuts overlap"}}
-	}
-	if d := a.DistSquared(b); d < c.Spacing*c.Spacing {
-		return []Violation{{Rule: "CutSpacing", Layer: c.Name, Where: a.UnionBBox(b),
-			Note: fmt.Sprintf("cuts within %d", c.Spacing)}}
-	}
-	return nil
+	return false
+}
+
+// CutPairClean reports whether one standalone pair of cuts on cut layer c
+// neither overlaps nor violates cut spacing. Coincident cuts are the same via
+// and exempt; net membership is irrelevant for cut spacing.
+func CutPairClean(c *tech.CutLayer, a, b geom.Rect) bool {
+	return a == b || (!a.Overlaps(b) && a.DistSquared(b) >= c.Spacing*c.Spacing)
 }
 
 // CheckCutRect validates a hypothetical via cut on cut layer cutBelow: cut
@@ -570,7 +568,7 @@ func (e *Engine) CheckAll() []Violation {
 		switch {
 		case o.MetalLayer > 0:
 			l := e.Tech.Metal(o.MetalLayer)
-			win := o.Rect.Bloat(l.Spacing.MaxSpacing())
+			win := o.Rect.Bloat(l.SpacingReach())
 			for _, jd := range e.QueryMetal(o.MetalLayer, win) {
 				if jd <= id {
 					continue
@@ -619,7 +617,7 @@ func (e *Engine) checkObjAgainst(id int, qc *QueryCtx, out []Violation) []Violat
 	switch {
 	case o.MetalLayer > 0:
 		l := e.Tech.Metal(o.MetalLayer)
-		win := o.Rect.Bloat(l.Spacing.MaxSpacing())
+		win := o.Rect.Bloat(l.SpacingReach())
 		for _, jd := range e.QueryMetalCtx(o.MetalLayer, win, qc) {
 			if jd <= id {
 				continue

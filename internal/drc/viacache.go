@@ -131,15 +131,17 @@ type sigEntry struct {
 }
 
 // SigHalo is the exported form of sigHalo: the halo distance that covers
-// every query window a via check opens on the layer. Incremental flows use it
-// to bound how far an engine mutation can change a via verdict.
+// every query window a via check opens on the layer, and so the farthest any
+// metal rule can fire. Incremental flows use it to bound how far an engine
+// mutation can change a via verdict; the via-pair check skips a layer whose
+// two shapes are at least this far apart.
 func SigHalo(l *tech.RoutingLayer) int64 { return sigHalo(l) }
 
 // sigHalo returns the halo distance that covers every query window CheckVia
-// opens on the layer: the spacing-table maximum plus the end-of-line window
+// opens on the layer: the metal rule reach plus the end-of-line window
 // extents.
 func sigHalo(l *tech.RoutingLayer) int64 {
-	h := l.Spacing.MaxSpacing()
+	h := l.SpacingReach()
 	if l.EOL.Enabled() {
 		if l.EOL.EOLSpace > h {
 			h = l.EOL.EOLSpace

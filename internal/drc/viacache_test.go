@@ -255,6 +255,21 @@ func TestViaCacheHitAllocFree(t *testing.T) {
 	}
 }
 
+// TestQueryMetalCtxAllocFree: a region query on a warm QueryCtx allocates
+// nothing. Every Step 1-3 check runs on it; perfbench reports the same
+// figure as drc.query.allocs.
+func TestQueryMetalCtxAllocFree(t *testing.T) {
+	e, _, bar, _, qc := viaCacheFixture(t)
+	e.AddMetal(1, geom.R(0, 530, 1000, 600), 2, KindPin, "blocker")
+	win := bar.Bloat(200)
+	if n := len(e.QueryMetalCtx(1, win, qc)); n != 2 {
+		t.Fatalf("query found %d objects, want 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.QueryMetalCtx(1, win, qc) }); n != 0 {
+		t.Fatalf("warm region query allocates %v times per call, want 0", n)
+	}
+}
+
 // TestMetalRectCountAllocFree: the count-only metal check returns the report
 // path's violation count, moves the same counters and allocates nothing, even
 // for a stub whose report would carry formatted notes.

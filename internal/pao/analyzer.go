@@ -65,9 +65,6 @@ type Analyzer struct {
 	// engine the analyzer creates (content-keyed, so per-cell contexts and
 	// the global engine can share it). Nil when Config.NoCache is set.
 	viaCache *drc.ViaCache
-	// pairs memoizes ViaPairClean for Step-2 pattern validation and Step-3
-	// edge costs. Nil when Config.NoCache is set.
-	pairs *pairCache
 
 	// netOf maps (instance ID, pin name) to a net index (>= 1). Pins not on
 	// any net receive fresh pseudo-net indexes so that they still conflict
@@ -91,7 +88,6 @@ func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
 	a := &Analyzer{Design: d, Cfg: cfg.normalized(), DRC: &drc.Counters{}, netOf: make(map[termKey]int)}
 	if !a.Cfg.NoCache {
 		a.viaCache = drc.NewViaCache()
-		a.pairs = newPairCache(d.Tech)
 	}
 	for idx, net := range d.Nets {
 		for _, t := range net.Terms {
@@ -103,8 +99,8 @@ func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
 }
 
 // PublishObs folds the analyzer's accumulated DRC counters (including the
-// via-verdict cache hit/miss counts) and the pair-cache counters
-// into the observer's registry. Call once per analyzer, after its last Run.
+// via-verdict cache hit/miss counts) into the observer's registry. Call once
+// per analyzer, after its last Run.
 func (a *Analyzer) PublishObs() {
 	if reg := a.Obs.Reg(); reg != nil {
 		reg.AddAll(a.LiveCounters())
@@ -116,46 +112,20 @@ func (a *Analyzer) PublishObs() {
 // a mid-run -metrics-listen scrape folds into its exposition — PublishObs
 // moves the same totals into the registry permanently once the run is done.
 func (a *Analyzer) LiveCounters() map[string]int64 {
-	m := a.DRC.Snapshot()
-	if a.pairs != nil {
-		m["pao.paircache.hit"] = a.pairs.hits.Load()
-		m["pao.paircache.miss"] = a.pairs.misses.Load()
-	}
-	return m
+	return a.DRC.Snapshot()
 }
 
-// CacheStats is a snapshot of the analyzer's memoization counters: the shared
-// via-drop verdict cache (drc layer) and the via-pair cache (Step 2/3).
+// CacheStats is a snapshot of the via-drop verdict cache counters.
 type CacheStats struct {
-	ViaHits, ViaMisses   int64
-	PairHits, PairMisses int64
+	ViaHits, ViaMisses int64
 }
-
-// HitRate returns hits/(hits+misses), or 0 with no lookups.
-func hitRate(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
-}
-
-// ViaHitRate is the via-verdict cache hit rate.
-func (s CacheStats) ViaHitRate() float64 { return hitRate(s.ViaHits, s.ViaMisses) }
-
-// PairHitRate is the via-pair cache hit rate.
-func (s CacheStats) PairHitRate() float64 { return hitRate(s.PairHits, s.PairMisses) }
 
 // CacheStats reports the analyzer's cache counters accumulated so far.
 func (a *Analyzer) CacheStats() CacheStats {
-	s := CacheStats{
+	return CacheStats{
 		ViaHits:   a.DRC.CacheHits.Load(),
 		ViaMisses: a.DRC.CacheMisses.Load(),
 	}
-	if a.pairs != nil {
-		s.PairHits = a.pairs.hits.Load()
-		s.PairMisses = a.pairs.misses.Load()
-	}
-	return s
 }
 
 // NetOf returns the net index of an instance pin, allocating a pseudo net for

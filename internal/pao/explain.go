@@ -72,17 +72,15 @@ type DecisionRecorder interface {
 
 // CacheAudit is the cache provenance of an explain re-derivation.
 type CacheAudit struct {
-	ViaHits    int64 `json:"via_hits"`
-	ViaMisses  int64 `json:"via_misses"`
-	PairHits   int64 `json:"pair_hits"`
-	PairMisses int64 `json:"pair_misses"`
+	ViaHits   int64 `json:"via_hits"`
+	ViaMisses int64 `json:"via_misses"`
 }
 
 // ExplainReport is the full decision audit for one pin of one class.
 type ExplainReport struct {
 	Class string `json:"class"`
 	Pin   string `json:"pin"`
-	// Cached reports whether the re-derivation ran with the verdict caches
+	// Cached reports whether the re-derivation ran with the verdict cache
 	// enabled (the serving configuration); per-via FromCache flags then mark
 	// which verdicts were memo hits.
 	Cached bool `json:"cached"`
@@ -186,9 +184,6 @@ func Explain(d *db.Design, cfg Config, inst *db.Instance, pinName string) (*Expl
 	rep.APs = rec.aps
 	rep.Patterns = rec.patterns
 	cs := a.CacheStats()
-	rep.Cache = CacheAudit{
-		ViaHits: cs.ViaHits, ViaMisses: cs.ViaMisses,
-		PairHits: cs.PairHits, PairMisses: cs.PairMisses,
-	}
+	rep.Cache = CacheAudit{ViaHits: cs.ViaHits, ViaMisses: cs.ViaMisses}
 	return rep, nil
 }

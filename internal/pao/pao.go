@@ -206,9 +206,8 @@ type Config struct {
 	// of quarantining the class and continuing; RunContext then returns the
 	// fault as its error. The default is graceful degradation.
 	FailFast bool
-	// NoCache disables the analyzer's memoization layers (the shared
-	// via-drop verdict cache and the via-pair cache); every DRC question is
-	// then answered by a live check. The zero value keeps caching on. The
+	// NoCache disables the analyzer's memoization layer, the shared via-drop
+	// verdict cache; every DRC question is then answered by a live check. The zero value keeps caching on. The
 	// flag exists for differential testing and benchmarking — results are
 	// identical either way.
 	NoCache bool

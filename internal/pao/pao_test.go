@@ -411,18 +411,26 @@ func TestViaPairCleanSymmetry(t *testing.T) {
 }
 
 // Property: far-apart vias are always compatible; coincident different-net
-// vias never are.
+// vias never are. Neither verdict allocates: Steps 2 and 3 call the
+// predicate for every candidate pair.
 func TestViaPairCleanDistance(t *testing.T) {
 	tt := tech.N45()
 	for _, v1 := range tt.Vias {
 		for _, v2 := range tt.Vias {
 			p := geom.Pt(5000, 5000)
-			if !ViaPairClean(tt, v1, p, 1, v2, p.Add(geom.Pt(10000, 10000)), 2) {
+			far := p.Add(geom.Pt(10000, 10000))
+			if !ViaPairClean(tt, v1, p, 1, v2, far, 2) {
 				t.Fatalf("distant %s/%s must be clean", v1.Name, v2.Name)
+			}
+			if n := testing.AllocsPerRun(10, func() { ViaPairClean(tt, v1, p, 1, v2, far, 2) }); n != 0 {
+				t.Fatalf("clean %s/%s pair allocates %v times per call, want 0", v1.Name, v2.Name, n)
 			}
 			if v1.CutBelow == v2.CutBelow {
 				if ViaPairClean(tt, v1, p, 1, v2, p, 2) {
 					t.Fatalf("coincident %s/%s (different nets) must conflict", v1.Name, v2.Name)
+				}
+				if n := testing.AllocsPerRun(10, func() { ViaPairClean(tt, v1, p, 1, v2, p, 2) }); n != 0 {
+					t.Fatalf("dirty %s/%s pair allocates %v times per call, want 0", v1.Name, v2.Name, n)
 				}
 			}
 		}

@@ -33,35 +33,36 @@ func (a *Analyzer) orderPins(ua *UniqueAccess) {
 // their metal enclosures respect spacing on every shared layer and their cuts
 // respect cut spacing. This is the isDRCClean predicate of Algorithm 3 (only
 // up-vias are checked, per the acceleration notes in Sections III-B/III-C).
+// It allocates nothing.
 func ViaPairClean(t *tech.Technology, v1 *tech.ViaDef, p1 geom.Point, n1 int, v2 *tech.ViaDef, p2 geom.Point, n2 int) bool {
 	if v1 == nil || v2 == nil {
 		return true
 	}
-	type lr struct {
-		layer int
-		r     geom.Rect
-	}
-	m1 := []lr{{v1.CutBelow, v1.BotRect(p1)}, {v1.CutBelow + 1, v1.TopRect(p1)}}
-	m2 := []lr{{v2.CutBelow, v2.BotRect(p2)}, {v2.CutBelow + 1, v2.TopRect(p2)}}
-	for _, s1 := range m1 {
-		for _, s2 := range m2 {
-			if s1.layer != s2.layer {
+	m1 := [2]geom.Rect{v1.BotRect(p1), v1.TopRect(p1)}
+	m2 := [2]geom.Rect{v2.BotRect(p2), v2.TopRect(p2)}
+	for i, r1 := range m1 {
+		for j, r2 := range m2 {
+			layer := v1.CutBelow + i
+			if layer != v2.CutBelow+j {
 				continue
 			}
-			l := t.Metal(s1.layer)
-			if len(drc.CheckMetalPairRects(l, s1.r, n1, s2.r, n2)) > 0 {
-				return false
+			l := t.Metal(layer)
+			// At the layer's rule reach along either axis no short, spacing,
+			// corner or end-of-line check can fire.
+			if sep := max(r1.SepX(r2), r1.SepY(r2)); sep > 0 && sep >= drc.SigHalo(l) {
+				continue
 			}
-			if len(drc.CheckEOLPairRects(l, s1.r, n1, s2.r, n2)) > 0 {
+			if !drc.MetalPairClean(l, r1, n1, r2, n2) || !drc.EOLPairClean(l, r1, n1, r2, n2) {
 				return false
 			}
 		}
 	}
 	if v1.CutBelow == v2.CutBelow {
 		c := t.Cut(v1.CutBelow)
-		for _, r1 := range v1.CutRects(p1) {
-			for _, r2 := range v2.CutRects(p2) {
-				if len(drc.CheckCutPairRects(c, r1, r2)) > 0 {
+		for _, c1 := range v1.Cuts {
+			r1 := c1.Shift(p1)
+			for _, c2 := range v2.Cuts {
+				if !drc.CutPairClean(c, r1, c2.Shift(p2)) {
 					return false
 				}
 			}
@@ -70,11 +71,10 @@ func ViaPairClean(t *tech.Technology, v1 *tech.ViaDef, p1 geom.Point, n1 int, v2
 	return true
 }
 
-// apPairClean applies ViaPairClean (through the analyzer's pair memo) to the
-// primary vias of two access points. Access points without a via (planar-only)
-// never conflict here.
+// apPairClean applies ViaPairClean to the primary vias of two access points.
+// Access points without a via (planar-only) never conflict here.
 func (a *Analyzer) apPairClean(ap1, ap2 *AccessPoint, net1, net2 int) bool {
-	return a.pairClean(ap1.Primary(), ap1.Pos, net1, ap2.Primary(), ap2.Pos, net2)
+	return ViaPairClean(a.Design.Tech, ap1.Primary(), ap1.Pos, net1, ap2.Primary(), ap2.Pos, net2)
 }
 
 // dpVertex is one cell of the Algorithm 2 DP array.
@@ -141,16 +141,6 @@ func patternAudit(it int, choice []int, cost int, reason string, index int) Patt
 		Reason:    reason,
 		Index:     index,
 	}
-}
-
-// RegenPatterns discards and regenerates a class's Step-2 access patterns
-// (pattern DP plus whole-pattern DRC validation) against the analyzer's
-// current caches. It exists for benchmarking: Step 2 can be re-run warm or
-// cold without repeating Step-1 access point generation.
-func (a *Analyzer) RegenPatterns(ua *UniqueAccess) {
-	ua.Patterns = nil
-	ua.DroppedPatterns = 0
-	a.genPatterns(ua)
 }
 
 // activeGroups returns the ordered-pin indexes that have at least one access

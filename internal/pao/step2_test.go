@@ -1,10 +1,6 @@
 package pao
 
-import (
-	"testing"
-
-	"repro/internal/geom"
-)
+import "testing"
 
 // TestPatternKeyCollisionFree pins the fix for the truncating byte(c+1)
 // encoding: choice indices that differ by 256, and index 255 versus the -1
@@ -29,66 +25,15 @@ func TestPatternKeyCollisionFree(t *testing.T) {
 	}
 }
 
-// TestPairCacheAgreesWithViaPairClean drives the memoized pair predicate over
-// a grid of offsets and net relations and requires exact agreement with the
-// direct check, with repeats answered from the cache.
-func TestPairCacheAgreesWithViaPairClean(t *testing.T) {
-	d := newDesign45("paircache")
-	a := NewAnalyzer(d, DefaultConfig())
-	if a.pairs == nil {
-		t.Fatal("default config must enable the pair cache")
-	}
-	v := d.Tech.ViaByName("VIA1_H")
-	if v == nil {
-		t.Fatal("VIA1_H missing")
-	}
-	p1 := geom.Pt(1000, 1000)
-	lookups := 0
-	for _, dx := range []int64{0, 70, 140, 280, 560, 1120} {
-		for _, dy := range []int64{0, 140, 420} {
-			for _, nets := range [][2]int{{1, 2}, {3, 3}} {
-				p2 := geom.Pt(p1.X+dx, p1.Y+dy)
-				want := ViaPairClean(d.Tech, v, p1, nets[0], v, p2, nets[1])
-				for rep := 0; rep < 2; rep++ {
-					if got := a.pairClean(v, p1, nets[0], v, p2, nets[1]); got != want {
-						t.Fatalf("pairClean(dx=%d dy=%d nets=%v) = %v, want %v", dx, dy, nets, got, want)
-					}
-					lookups++
-				}
-			}
-		}
-	}
-	hits, misses := a.pairs.hits.Load(), a.pairs.misses.Load()
-	if hits+misses != int64(lookups) {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, lookups)
-	}
-	if misses != int64(a.pairs.Len()) {
-		t.Fatalf("misses = %d but cache holds %d entries (fills must be exactly once)", misses, a.pairs.Len())
-	}
-	if hits == 0 {
-		t.Fatal("repeated lookups produced no hits")
-	}
-	// Translation invariance: shifting both vias must hit existing entries.
-	before := a.pairs.Len()
-	shift := geom.Pt(7000, 2800)
-	if got, want := a.pairClean(v, p1.Add(shift), 1, v, geom.Pt(p1.X+140, p1.Y).Add(shift), 2),
-		ViaPairClean(d.Tech, v, p1, 1, v, geom.Pt(p1.X+140, p1.Y), 2); got != want {
-		t.Fatalf("translated pairClean = %v, want %v", got, want)
-	}
-	if a.pairs.Len() != before {
-		t.Fatal("translated lookup added a cache entry; the key must be offset-relative")
-	}
-}
-
-// TestNoCacheDisablesMemoization: Config.NoCache must leave both memo layers
-// unbuilt so every check is live.
+// TestNoCacheDisablesMemoization: Config.NoCache must leave the via-verdict
+// cache unbuilt so every check is live.
 func TestNoCacheDisablesMemoization(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoCache = true
 	d := newDesign45("nocache")
 	a := NewAnalyzer(d, cfg)
-	if a.pairs != nil || a.viaCache != nil {
-		t.Fatal("NoCache must disable both caches")
+	if a.viaCache != nil {
+		t.Fatal("NoCache must disable the via cache")
 	}
 	if s := a.CacheStats(); s != (CacheStats{}) {
 		t.Fatalf("CacheStats with NoCache = %+v, want zero", s)

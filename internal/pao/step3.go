@@ -190,7 +190,7 @@ func (a *Analyzer) edgeCost3(left, right []chosenAP) int {
 		return 0
 	}
 	l, r := &left[len(left)-1], &right[0]
-	if !a.pairClean(l.ap.Primary(), l.pos, l.net, r.ap.Primary(), r.pos, r.net) {
+	if !ViaPairClean(a.Design.Tech, l.ap.Primary(), l.pos, l.net, r.ap.Primary(), r.pos, r.net) {
 		return a.Cfg.DRCCost
 	}
 	return 0

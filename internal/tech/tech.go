@@ -69,8 +69,8 @@ func (t *SpacingTable) Lookup(width, prl int64) int64 {
 	return t.Spacing[row][col]
 }
 
-// MaxSpacing returns the largest spacing in the table, used to size DRC query
-// windows.
+// MaxSpacing returns the largest spacing in the table. DRC query windows are
+// sized from RoutingLayer.SpacingReach, which also covers corner spacing.
 func (t *SpacingTable) MaxSpacing() int64 {
 	if t == nil {
 		return 0
@@ -143,6 +143,17 @@ type RoutingLayer struct {
 // given the wider shape's width and their parallel run length.
 func (l *RoutingLayer) MinSpacing(width, prl int64) int64 {
 	return l.Spacing.Lookup(width, prl)
+}
+
+// SpacingReach is the farthest a metal-to-metal rule can fire on this layer:
+// the spacing-table maximum, or the corner spacing when the corner rule is
+// enabled and larger. DRC query windows are sized from it.
+func (l *RoutingLayer) SpacingReach() int64 {
+	r := l.Spacing.MaxSpacing()
+	if l.Corner.Enabled() && l.Corner.Spacing > r {
+		r = l.Corner.Spacing
+	}
+	return r
 }
 
 // CutLayer describes the via cut layer between metal Num and Num+1.

@@ -63,7 +63,7 @@ func TestFlagsLiveExtraCounters(t *testing.T) {
 	o.Reg().Counter("drc.via.attempted").Add(5)
 	live := int64(0)
 	tel.SetExtra(func() map[string]int64 {
-		return map[string]int64{"drc.via.attempted": live, "pao.paircache.hit": 2 * live}
+		return map[string]int64{"drc.via.attempted": live, "drc.viacache.hit": 2 * live}
 	})
 	series := func() map[string]float64 {
 		t.Helper()
@@ -79,7 +79,7 @@ func TestFlagsLiveExtraCounters(t *testing.T) {
 	if v := got[`drc_via_attempted_total{design="c17"}`]; v != 12 {
 		t.Fatalf("registry+extra = %v, want 12", v)
 	}
-	if v := got[`pao_paircache_hit_total{design="c17"}`]; v != 14 {
+	if v := got[`drc_viacache_hit_total{design="c17"}`]; v != 14 {
 		t.Fatalf("extra-only counter = %v, want 14", v)
 	}
 
