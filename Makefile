@@ -65,9 +65,13 @@ serve-smoke:
 # trace-sample=1, run concurrent queries (correlation IDs echoed) while
 # scraping /metrics — every scrape must parse under the strict Prometheus
 # text-format checker — then audit a live decision via /v1/access/explain and
-# check the slow log's trace exemplars. The telemetry package tests cover the
-# exposition writer, histogram merge rules, logger, sampler and slow-log ring;
-# the per-call allocation tests prove the nil-by-default hooks leave the
+# check the slow log's trace exemplars. The obs package tests cover the one
+# registry (labeled families, type and arity conflicts, histogram merge
+# rules), the exposition writer and its naming rule, and the -metrics-listen
+# endpoint; the telemetry package tests cover the strict checker, logger,
+# sampler and slow-log ring. The per-call allocation tests prove the two
+# registry lookups a served request makes allocate nothing
+# (TestRegistryLookupsAllocFree), and that the nil-by-default hooks leave the
 # kernels Steps 1-3 run allocation-free: the warm via-verdict hit, region
 # query and count-only stub check (TestViaCacheHitAllocFree,
 # TestQueryMetalCtxAllocFree, TestMetalRectCountAllocFree), the via-pair
@@ -75,8 +79,8 @@ serve-smoke:
 # (TestUnionScratchNoAllocsWarm).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
-	$(GO) test -race ./internal/telemetry ./internal/serve
-	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance' ./internal/drc ./internal/pao ./internal/geom
+	$(GO) test -race ./internal/obs ./internal/telemetry ./internal/serve
+	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance' ./internal/obs ./internal/drc ./internal/pao ./internal/geom
 
 # Multi-tenant smoke campaign under the race detector: one paoserve process
 # serving three designs (one at boot, two registered over POST /v1/designs), a

@@ -15,14 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/def"
 	"repro/internal/lef"
 	"repro/internal/obs"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -32,7 +30,6 @@ type options struct {
 	maxPrint         int
 	run              *cliutil.RunFlags
 	obs              *obs.Flags
-	tel              *telemetry.Flags
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
@@ -41,8 +38,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.defPath, "def", "", "DEF file")
 	fs.IntVar(&o.maxPrint, "max", 50, "maximum violations to print")
 	o.run = cliutil.RegisterRunFlags(fs)
-	o.obs = obs.RegisterFlags(fs)
-	o.tel = telemetry.RegisterFlags(fs)
+	o.obs = obs.RegisterBatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -80,13 +76,15 @@ func exitCode(nviol int, err error) int {
 
 // run returns the violation count so the caller decides the exit status after
 // the observability report has been flushed.
-func run(opts *options) (int, error) {
+func run(opts *options) (nviol int, err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
-	o, finish, err := opts.obs.Start("paodrc")
+	ob, err := opts.obs.Start("paodrc")
 	if err != nil {
 		return 0, err
 	}
+	defer ob.End(&err)
+	o := ob.Obs
 
 	spParse := o.Root().Start("parse")
 	lf, err := os.Open(opts.lefPath)
@@ -108,13 +106,9 @@ func run(opts *options) (int, error) {
 		return 0, err
 	}
 	spParse.End()
-
-	t0 := time.Now()
-	o, tel, err := opts.tel.Activate("paodrc", o, telemetry.Label{Name: "design", Value: d.Name})
-	if err != nil {
+	if err := ob.Listen(obs.Label{Name: "design", Value: d.Name}); err != nil {
 		return 0, err
 	}
-	defer tel.Close()
 
 	if problems := d.Validate(opts.maxPrint); len(problems) > 0 {
 		fmt.Printf("%s: %d structural problems\n", d.Name, len(problems))
@@ -122,19 +116,16 @@ func run(opts *options) (int, error) {
 			fmt.Println(" ", p)
 		}
 		if opts.run.FailFastSet() {
-			finish()
 			return len(problems), fmt.Errorf("aborting on %d structural problems (-fail-fast)", len(problems))
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		finish()
 		return 0, err
 	}
 	spBuild := o.Root().Start("buildengine")
 	eng := pao.NewAnalyzer(d, pao.DefaultConfig()).GlobalEngine()
 	spBuild.End()
 	if err := ctx.Err(); err != nil {
-		finish()
 		return 0, err
 	}
 	spCheck := o.Root().Start("checkall")
@@ -151,6 +142,5 @@ func run(opts *options) (int, error) {
 		}
 		fmt.Println(" ", v)
 	}
-	tel.RecordRun("drc", d.Name, telemetry.CorrIDFrom(ctx), t0, time.Since(t0), o.Root())
-	return len(vs), finish()
+	return len(vs), nil
 }

@@ -21,13 +21,11 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/exp"
 	"repro/internal/obs"
 	"repro/internal/suite"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -38,7 +36,6 @@ type options struct {
 	cases   string
 	run     *cliutil.RunFlags
 	obs     *obs.Flags
-	tel     *telemetry.Flags
 	out     io.Writer // table destination; nil means os.Stdout
 }
 
@@ -48,8 +45,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&o.scale, "scale", 0.05, "testcase scale factor (1.0 = full Table I sizes)")
 	fs.StringVar(&o.cases, "cases", "", "comma-separated testcase subset (default: all)")
 	o.run = cliutil.RegisterRunFlags(fs)
-	o.obs = obs.RegisterFlags(fs)
-	o.tel = telemetry.RegisterFlags(fs)
+	o.obs = obs.RegisterBatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -83,7 +79,7 @@ func selectedSpecs(cases string) ([]suite.Spec, error) {
 	return out, nil
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
 	expName, scale := opts.expName, opts.scale
@@ -95,30 +91,24 @@ func run(opts *options) error {
 	if err != nil {
 		return err
 	}
-	o, finish, err := opts.obs.Start("paoexp")
+	ob, err := opts.obs.Start("paoexp")
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	o, tel, err := opts.tel.Activate("paoexp", o, telemetry.Label{Name: "exp", Value: expName})
-	if err != nil {
+	// Each experiment block below renders whatever rows it finished —
+	// including the partial row the Run*Obs entry points return alongside a
+	// ctx error — before returning, and the report flushes after it, so a
+	// SIGTERM or -timeout mid-run still emits the partial tables.
+	defer ob.End(&err)
+	if err := ob.Listen(obs.Label{Name: "exp", Value: expName}); err != nil {
 		return err
 	}
-	defer tel.Close()
-	// abort flushes the observability report before surfacing a cancellation
-	// or experiment failure. Each experiment block below renders whatever rows
-	// it finished — including the partial row the Run*Obs entry points return
-	// alongside a ctx error — before calling this, so a SIGTERM or -timeout
-	// mid-run still emits the partial tables instead of discarding them.
-	abort := func(err error) error {
-		finish()
-		return err
-	}
+	o := ob.Obs
 	all := expName == "all"
 	if all || expName == "table1" {
 		rows, err := exp.RunTable1(scale)
 		if err != nil {
-			return abort(err)
+			return err
 		}
 		exp.RenderTable1(out, rows)
 		fmt.Fprintln(out)
@@ -139,7 +129,7 @@ func run(opts *options) error {
 		exp.RenderExp1(out, rows)
 		fmt.Fprintln(out)
 		if expErr != nil {
-			return abort(expErr)
+			return expErr
 		}
 	}
 	if all || expName == "2" {
@@ -158,7 +148,7 @@ func run(opts *options) error {
 		exp.RenderExp2(out, rows)
 		fmt.Fprintln(out)
 		if expErr != nil {
-			return abort(expErr)
+			return expErr
 		}
 	}
 	if all || expName == "3" {
@@ -166,7 +156,7 @@ func run(opts *options) error {
 		exp.RenderExp3(out, rows)
 		fmt.Fprintln(out)
 		if err != nil {
-			return abort(err)
+			return err
 		}
 	}
 	if all || expName == "14nm" {
@@ -176,7 +166,7 @@ func run(opts *options) error {
 				exp.RenderAES14(out, r)
 				fmt.Fprintln(out)
 			}
-			return abort(err)
+			return err
 		}
 		exp.RenderAES14(out, r)
 		fmt.Fprintln(out)
@@ -185,7 +175,7 @@ func run(opts *options) error {
 		rows, err := exp.RunAblationsObs(ctx, o, suite.Testcases[0], scale)
 		exp.RenderAblations(out, "pao_test1", rows)
 		if err != nil {
-			return abort(err)
+			return err
 		}
 	}
 	if !all {
@@ -195,8 +185,7 @@ func run(opts *options) error {
 			return fmt.Errorf("unknown experiment %q", expName)
 		}
 	}
-	tel.RecordRun("exp", expName, telemetry.CorrIDFrom(ctx), t0, time.Since(t0), o.Root())
-	return finish()
+	return nil
 }
 
 // minF caps the routing experiment's scale: the track-graph router is a

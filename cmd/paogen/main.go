@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/def"
@@ -24,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/render"
 	"repro/internal/suite"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -35,7 +33,6 @@ type options struct {
 	out   string
 	run   *cliutil.RunFlags
 	obs   *obs.Flags
-	tel   *telemetry.Flags
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
@@ -44,8 +41,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.Float64Var(&o.scale, "scale", 1.0, "scale factor")
 	fs.StringVar(&o.out, "out", ".", "output directory")
 	o.run = cliutil.RegisterRunFlags(fs)
-	o.obs = obs.RegisterFlags(fs)
-	o.tel = telemetry.RegisterFlags(fs)
+	o.obs = obs.RegisterBatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -64,23 +60,22 @@ func main() {
 	}
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
 	spec, err := suite.ByName(opts.name)
 	if err != nil {
 		return err
 	}
-	o, finish, err := opts.obs.Start("paogen")
+	ob, err := opts.obs.Start("paogen")
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	o, tel, err := opts.tel.Activate("paogen", o, telemetry.Label{Name: "design", Value: spec.Name})
-	if err != nil {
+	defer ob.End(&err)
+	if err := ob.Listen(obs.Label{Name: "design", Value: spec.Name}); err != nil {
 		return err
 	}
-	defer tel.Close()
+	o := ob.Obs
 	spGen := o.Root().Start("generate")
 	d, err := suite.Generate(spec.Scale(opts.scale))
 	if err != nil {
@@ -112,7 +107,6 @@ func run(opts *options) error {
 	}
 	spWrite.End()
 	if err := ctx.Err(); err != nil {
-		finish()
 		fmt.Printf("wrote %s and %s; cancelled before global routing\n", lefPath, defPath)
 		return err
 	}
@@ -144,13 +138,9 @@ func run(opts *options) error {
 		return err
 	}
 	spHeat.End()
-	tel.RecordRun("gen", d.Name, telemetry.CorrIDFrom(ctx), t0, time.Since(t0), o.Root())
 	over, maxOver := gr.CongestionReport()
 	fmt.Printf("wrote %s (%d masters), %s (%d instances, %d nets), %s and %s (overflow edges: %d, max %d)\n",
 		lefPath, len(d.Masters), defPath, len(d.Instances), len(d.Nets), guidePath, heatPath, over, maxOver)
-	if err := finish(); err != nil {
-		return err
-	}
 	if opts.run.FailFastSet() && over > 0 {
 		return fmt.Errorf("global routing left %d overflow edges (-fail-fast)", over)
 	}

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/def"
@@ -28,7 +27,6 @@ import (
 	"repro/internal/render"
 	"repro/internal/report"
 	"repro/internal/router"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -39,7 +37,6 @@ type options struct {
 	outPath, svgPath  string
 	run               *cliutil.RunFlags
 	obs               *obs.Flags
-	tel               *telemetry.Flags
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
@@ -51,8 +48,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.outPath, "out", "", "write the routed DEF here")
 	fs.StringVar(&o.svgPath, "svg", "", "write a violation-window SVG here")
 	o.run = cliutil.RegisterRunFlags(fs)
-	o.obs = obs.RegisterFlags(fs)
-	o.tel = telemetry.RegisterFlags(fs)
+	o.obs = obs.RegisterBatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -74,13 +70,15 @@ func main() {
 	}
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
-	o, finish, err := opts.obs.Start("paoroute")
+	ob, err := opts.obs.Start("paoroute")
 	if err != nil {
 		return err
 	}
+	defer ob.End(&err)
+	o := ob.Obs
 	spParse := o.Root().Start("parse")
 	lf, err := os.Open(opts.lefPath)
 	if err != nil {
@@ -101,13 +99,9 @@ func run(opts *options) error {
 		return err
 	}
 	spParse.End()
-
-	t0 := time.Now()
-	o, tel, err := opts.tel.Activate("paoroute", o, telemetry.Label{Name: "design", Value: d.Name})
-	if err != nil {
+	if err := ob.Listen(obs.Label{Name: "design", Value: d.Name}); err != nil {
 		return err
 	}
-	defer tel.Close()
 
 	pcfg := pao.DefaultConfig()
 	pcfg.FailFast = opts.run.FailFastSet()
@@ -137,7 +131,6 @@ func run(opts *options) error {
 			fmt.Println("access analysis", access.Health)
 		}
 		if err != nil {
-			finish()
 			return fmt.Errorf("access analysis: %w", err)
 		}
 		cfg.Access = access
@@ -147,7 +140,6 @@ func run(opts *options) error {
 		return fmt.Errorf("unknown access mode %q", opts.access)
 	}
 	if err := ctx.Err(); err != nil {
-		finish()
 		return err
 	}
 	r, err := router.New(d, cfg)
@@ -158,7 +150,6 @@ func run(opts *options) error {
 	res := r.Route()
 	spRoute.End()
 	if err := ctx.Err(); err != nil {
-		finish()
 		return err
 	}
 	spCheck := o.Root().Start("check")
@@ -199,6 +190,5 @@ func run(opts *options) error {
 		}
 		fmt.Println("SVG written to", opts.svgPath)
 	}
-	tel.RecordRun("route", d.Name+" ("+opts.access+")", telemetry.CorrIDFrom(ctx), t0, time.Since(t0), o.Root())
-	return finish()
+	return nil
 }

@@ -25,7 +25,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/def"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pao"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 )
 
 // splitAddrs parses the -workers-addr list, tolerating spaces and trailing
@@ -59,7 +57,6 @@ type options struct {
 	workersAddr          string
 	run                  *cliutil.RunFlags
 	obs                  *obs.Flags
-	tel                  *telemetry.Flags
 	out                  io.Writer // report destination; nil means os.Stdout
 }
 
@@ -75,8 +72,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.BoolVar(&o.distributed, "distributed", false, "shard the analysis across paoworker processes")
 	fs.StringVar(&o.workersAddr, "workers-addr", "", "comma-separated paoworker addresses for -distributed")
 	o.run = cliutil.RegisterRunFlags(fs)
-	o.obs = obs.RegisterFlags(fs)
-	o.tel = telemetry.RegisterFlags(fs)
+	o.obs = obs.RegisterBatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -104,17 +100,22 @@ func main() {
 	}
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
 	out := opts.out
 	if out == nil {
 		out = os.Stdout
 	}
-	o, finish, err := opts.obs.Start("paorun")
+	ob, err := opts.obs.Start("paorun")
 	if err != nil {
 		return err
 	}
+	// The report flushes on every return, after the partial summary below
+	// when a cancellation or fail-fast abort ends the run: the
+	// graceful-degradation contract.
+	defer ob.End(&err)
+	o := ob.Obs
 
 	spParse := o.Root().Start("parse")
 	lf, err := os.Open(opts.lefPath)
@@ -136,13 +137,9 @@ func run(opts *options) error {
 		return err
 	}
 	spParse.End()
-
-	t0 := time.Now()
-	o, tel, err := opts.tel.Activate("paorun", o, telemetry.Label{Name: "design", Value: d.Name})
-	if err != nil {
+	if err := ob.Listen(obs.Label{Name: "design", Value: d.Name}); err != nil {
 		return err
 	}
-	defer tel.Close()
 
 	cfg := pao.DefaultConfig()
 	cfg.K = opts.k
@@ -168,10 +165,10 @@ func run(opts *options) error {
 	} else {
 		a := pao.NewAnalyzer(d, cfg)
 		a.Obs = o
-		tel.SetExtra(a.LiveCounters) // mid-run -metrics-listen scrapes see progress
+		ob.SetExtra(a.LiveCounters) // mid-run -metrics-listen scrapes see progress
 		res, runErr = a.RunContext(ctx)
 		a.PublishObs()
-		tel.SetExtra(nil) // totals now live in the registry; don't double-count
+		ob.SetExtra(nil) // totals now live in the registry; don't double-count
 	}
 
 	t := report.New(fmt.Sprintf("Pin access summary for %s", d.Name),
@@ -213,13 +210,6 @@ func run(opts *options) error {
 					term.Inst.Name, term.Pin.Name, ap.Layer, ap.Pos.X, ap.Pos.Y, ap.TypeX, ap.TypeY, via)
 			}
 		}
-	}
-	tel.RecordRun("run", d.Name, telemetry.CorrIDFrom(ctx), t0, time.Since(t0), o.Root())
-	// Flush the observability report before surfacing a cancellation or
-	// fail-fast abort: the partial summary above is the graceful-degradation
-	// contract.
-	if err := finish(); err != nil {
-		return err
 	}
 	return runErr
 }

@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"io"
+	"io/fs"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -191,6 +193,30 @@ func TestRunBadPath(t *testing.T) {
 	opts := &options{lefPath: "/nonexistent.lef", defPath: "/nonexistent.def", obs: &obs.Flags{}}
 	if err := run(opts); err == nil {
 		t.Fatal("missing input files must be an error")
+	}
+}
+
+// TestRunFailureFlushesProfileAndReport: a run that fails after Start — here
+// on a missing DEF — still stops its CPU profile and writes its -metrics
+// report, because the observability finish is deferred.
+func TestRunFailureFlushesProfileAndReport(t *testing.T) {
+	lefPath, _ := clitest.WriteLEFDEF(t, clitest.SmallSpec(), nil)
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pb")
+	var metrics bytes.Buffer
+	err := run(&options{
+		lefPath: lefPath, defPath: filepath.Join(dir, "missing.def"),
+		obs: &obs.Flags{Metrics: "json", CPUProfile: cpu, Out: &metrics},
+	})
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("err = %v, want the missing DEF's open error", err)
+	}
+	if st, serr := os.Stat(cpu); serr != nil || st.Size() == 0 {
+		t.Fatalf("CPU profile not flushed: %v (%v)", st, serr)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(metrics.Bytes(), &rep); err != nil {
+		t.Fatalf("metrics report not flushed on failure: %v\n%s", err, metrics.Bytes())
 	}
 }
 

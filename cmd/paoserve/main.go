@@ -214,7 +214,7 @@ func loadDesign(opts *options) (*db.Design, error) {
 	return def.Parse(df, lib.Tech, lib.Masters)
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
 	logw := opts.log
@@ -226,10 +226,11 @@ func run(opts *options) error {
 		return err
 	}
 	logger := telemetry.NewLogger(logw, "paoserve", lvl)
-	o, finish, err := opts.obs.Start("paoserve")
+	ob, err := opts.obs.Start("paoserve")
 	if err != nil {
 		return err
 	}
+	defer ob.End(&err)
 
 	paoCfg := pao.DefaultConfig()
 	paoCfg.K = opts.k
@@ -259,8 +260,8 @@ func run(opts *options) error {
 		DrainTimeout:     opts.drainTimeout,
 	})
 	mgr.Logger = logger
-	if o != nil {
-		mgr.Obs = o
+	if ob.Obs != nil {
+		mgr.Obs = ob.Obs
 	}
 	mgr.PaoFaultHook = opts.paoFaultHook
 
@@ -271,13 +272,11 @@ func run(opts *options) error {
 	if opts.hasInitialDesign() {
 		d, err := loadDesign(opts)
 		if err != nil {
-			finish()
 			return err
 		}
 		srv, err := mgr.RegisterDesign(ctx, d.Name, d, paoCfg,
 			&serve.RegisterOptions{SnapshotPath: opts.snapshotPath})
 		if err != nil {
-			finish()
 			return err
 		}
 		serving = append(serving,
@@ -289,7 +288,6 @@ func run(opts *options) error {
 		)
 	}
 	if err := mgr.Start(); err != nil {
-		finish()
 		return err
 	}
 	serving = append(serving, telemetry.F("addr", mgr.Addr()))
@@ -302,12 +300,8 @@ func run(opts *options) error {
 	// run on a fresh context: the triggering signal already cancelled ctx.
 	<-ctx.Done()
 	logger.Info("shutdown requested, draining")
-	sdErr := mgr.Shutdown(context.Background())
-	if err := finish(); err != nil && sdErr == nil {
-		sdErr = err
-	}
-	if sdErr != nil {
-		return sdErr
+	if err := mgr.Shutdown(context.Background()); err != nil {
+		return err
 	}
 	logger.Info("clean shutdown")
 	return nil

@@ -48,6 +48,9 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags(newFlagSet(), []string{"-snapshot", "s.snap"}); err == nil {
 		t.Fatal("-snapshot without an initial design must be an error")
 	}
+	if _, err := parseFlags(newFlagSet(), []string{"-trace-sample", "1.5"}); err == nil {
+		t.Fatal("out-of-range -trace-sample must be an error")
+	}
 	o, err := parseFlags(newFlagSet(), []string{"-case", "pao_test1"})
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/db"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/pao"
 	"repro/internal/render"
 	"repro/internal/tech"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -35,7 +33,6 @@ type options struct {
 	lefPath, cell, out, orientName string
 	run                            *cliutil.RunFlags
 	obs                            *obs.Flags
-	tel                            *telemetry.Flags
 }
 
 func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
@@ -45,8 +42,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.StringVar(&o.out, "out", "", "output SVG path")
 	fs.StringVar(&o.orientName, "orient", "N", "placement orientation (N, S, FN, FS, ...)")
 	o.run = cliutil.RegisterRunFlags(fs)
-	o.obs = obs.RegisterFlags(fs)
-	o.tel = telemetry.RegisterFlags(fs)
+	o.obs = obs.RegisterBatchFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -68,7 +64,7 @@ func main() {
 	}
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
 	lf, err := os.Open(opts.lefPath)
@@ -121,16 +117,15 @@ func run(opts *options) error {
 	}
 	d.Nets = []*db.Net{net}
 
-	o, finish, err := opts.obs.Start("paoview")
+	ob, err := opts.obs.Start("paoview")
 	if err != nil {
 		return err
 	}
-	t0 := time.Now()
-	o, tel, err := opts.tel.Activate("paoview", o, telemetry.Label{Name: "cell", Value: opts.cell})
-	if err != nil {
+	defer ob.End(&err)
+	if err := ob.Listen(obs.Label{Name: "cell", Value: opts.cell}); err != nil {
 		return err
 	}
-	defer tel.Close()
+	o := ob.Obs
 	cfg := pao.DefaultConfig()
 	cfg.FailFast = opts.run.FailFastSet()
 	a := pao.NewAnalyzer(d, cfg)
@@ -138,7 +133,6 @@ func run(opts *options) error {
 	res, runErr := a.RunContext(ctx)
 	a.PublishObs()
 	if runErr != nil {
-		finish()
 		return runErr
 	}
 	fmt.Printf("%s (%s): %d signal pins, %d access points, %d failed\n",
@@ -171,6 +165,5 @@ func run(opts *options) error {
 	if err := c.WriteSVG(f, fmt.Sprintf("%s (%s) pin access", opts.cell, orient)); err != nil {
 		return err
 	}
-	tel.RecordRun("view", opts.cell, telemetry.CorrIDFrom(ctx), t0, time.Since(t0), o.Root())
-	return finish()
+	return nil
 }

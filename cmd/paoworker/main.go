@@ -135,7 +135,7 @@ func loadDesign(opts *options) (*db.Design, error) {
 	return def.Parse(df, lib.Tech, lib.Masters)
 }
 
-func run(opts *options) error {
+func run(opts *options) (err error) {
 	ctx, stop := opts.run.Context()
 	defer stop()
 	logw := opts.log
@@ -147,10 +147,11 @@ func run(opts *options) error {
 		return err
 	}
 	logger := telemetry.NewLogger(logw, "paoworker", lvl)
-	o, finish, err := opts.obs.Start("paoworker")
+	ob, err := opts.obs.Start("paoworker")
 	if err != nil {
 		return err
 	}
+	defer ob.End(&err)
 
 	d, err := loadDesign(opts)
 	if err != nil {
@@ -161,7 +162,7 @@ func run(opts *options) error {
 	cfg.BCA = !opts.noBCA
 
 	w := dist.NewWorker(d, cfg)
-	w.Obs = o
+	w.Obs = ob.Obs
 
 	ln, err := net.Listen("tcp", opts.listen)
 	if err != nil {
@@ -184,21 +185,16 @@ func run(opts *options) error {
 	// context: the triggering signal already cancelled ctx. In-flight shards
 	// that outlive the drain window are the coordinator's problem — it
 	// relocates them, exactly as if this worker had died.
-	var exitErr error
 	select {
 	case err := <-serveErr:
-		exitErr = err // listener failed; not a clean shutdown
+		return err // listener failed; not a clean shutdown
 	case <-ctx.Done():
 		logger.Info("shutdown requested, draining")
 		sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		exitErr = srv.Shutdown(sdCtx)
-	}
-	if err := finish(); err != nil && exitErr == nil {
-		exitErr = err
-	}
-	if exitErr != nil {
-		return exitErr
+		if err := srv.Shutdown(sdCtx); err != nil {
+			return err
+		}
 	}
 	logger.Info("clean shutdown")
 	return nil

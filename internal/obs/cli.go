@@ -1,13 +1,19 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
+	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync/atomic"
+	"time"
 )
 
 // Observer bundles a metric registry and a span trace for one run. A nil
@@ -83,19 +89,22 @@ func (o *Observer) WriteText(w io.Writer) {
 	o.Root().WriteText(w)
 }
 
-// Flags is the shared observability CLI surface of the command-line tools.
+// Flags is the observability command line the tools share.
 type Flags struct {
 	Metrics    string
 	TracePath  string
 	CPUProfile string
 	MemProfile string
+	// Listen is the -metrics-listen address ("" = no listener). Only the
+	// batch tools bind it (RegisterBatchFlags).
+	Listen string
 
 	// Out receives the -metrics report; defaults to os.Stdout.
 	Out io.Writer
 }
 
-// RegisterFlags registers the observability flags on fs and returns the
-// struct they populate.
+// RegisterFlags registers -metrics, -trace, -cpuprofile and -memprofile on
+// fs and returns the struct they populate.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Metrics, "metrics", "off", "emit run metrics and span tree: off, text or json")
@@ -105,79 +114,172 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-func (f *Flags) enabled() bool {
-	return f.Metrics == "text" || f.Metrics == "json" || f.TracePath != ""
+// RegisterBatchFlags is RegisterFlags plus -metrics-listen, for the batch
+// tools: a long run can be scraped while it executes.
+func RegisterBatchFlags(fs *flag.FlagSet) *Flags {
+	f := RegisterFlags(fs)
+	fs.StringVar(&f.Listen, "metrics-listen", "",
+		"serve Prometheus /metrics on this address while the run executes (e.g. 127.0.0.1:9100)")
+	return f
 }
 
-// Start validates the flags, begins CPU profiling if requested, and returns
-// the observer to instrument with — nil when neither metrics nor a trace
-// were requested, which turns all hooks into no-ops — plus a finish func
-// that ends the root span, emits the requested outputs and stops profiling.
-func (f *Flags) Start(name string) (*Observer, func() error, error) {
+func (f *Flags) enabled() bool {
+	return f.Metrics == "text" || f.Metrics == "json" || f.TracePath != "" || f.Listen != ""
+}
+
+// Run is one tool run's observability handle. Start opens it, Listen starts
+// the -metrics-listen listener once the run's labels are known, and End,
+// deferred right after Start, closes it on every return path.
+type Run struct {
+	// Obs is the observer to instrument with: nil when no metrics, trace or
+	// listener were requested, which turns every hook into a no-op.
+	Obs *Observer
+
+	f       *Flags
+	cpuFile *os.File
+	srv     *http.Server
+	addr    string
+	extra   atomic.Pointer[func() map[string]int64]
+}
+
+// Start validates the flags, begins CPU profiling if requested and returns
+// the run's handle.
+func (f *Flags) Start(name string) (*Run, error) {
 	switch f.Metrics {
 	case "", "off", "text", "json":
 	default:
-		return nil, nil, fmt.Errorf("obs: unknown -metrics mode %q (want off, text or json)", f.Metrics)
+		return nil, fmt.Errorf("obs: unknown -metrics mode %q (want off, text or json)", f.Metrics)
 	}
-	var cpuFile *os.File
+	r := &Run{f: f}
 	if f.CPUProfile != "" {
 		var err error
-		if cpuFile, err = os.Create(f.CPUProfile); err != nil {
-			return nil, nil, err
+		if r.cpuFile, err = os.Create(f.CPUProfile); err != nil {
+			return nil, err
 		}
-		if err := pprof.StartCPUProfile(cpuFile); err != nil {
-			cpuFile.Close()
-			return nil, nil, err
+		if err := pprof.StartCPUProfile(r.cpuFile); err != nil {
+			r.cpuFile.Close()
+			return nil, err
 		}
 	}
-	var o *Observer
 	if f.enabled() {
-		o = NewObserver(name)
+		r.Obs = NewObserver(name)
 	}
-	finish := func() error {
-		var firstErr error
-		keep := func(err error) {
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if o != nil {
-			o.Root().End()
-			out := f.Out
-			if out == nil {
-				out = os.Stdout
-			}
-			switch f.Metrics {
-			case "text":
-				o.WriteText(out)
-			case "json":
-				keep(o.WriteJSON(out))
-			}
-			if f.TracePath != "" {
-				tf, err := os.Create(f.TracePath)
-				if err == nil {
-					keep(o.Root().WriteJSON(tf))
-					keep(tf.Close())
-				} else {
-					keep(err)
-				}
-			}
-		}
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			keep(cpuFile.Close())
-		}
-		if f.MemProfile != "" {
-			mf, err := os.Create(f.MemProfile)
-			if err == nil {
-				runtime.GC()
-				keep(pprof.WriteHeapProfile(mf))
-				keep(mf.Close())
-			} else {
-				keep(err)
-			}
-		}
-		return firstErr
+	return r, nil
+}
+
+// Listen starts the -metrics-listen listener, when one was requested. It
+// serves GET /metrics: the run's registry, plus the live counters (SetExtra),
+// with labels on every series. Call it once the labels are known, for
+// example after the design is parsed.
+func (r *Run) Listen(labels ...Label) error {
+	if r == nil || r.f.Listen == "" {
+		return nil
 	}
-	return o, finish, nil
+	ln, err := net.Listen("tcp", r.f.Listen)
+	if err != nil {
+		return fmt.Errorf("obs: -metrics-listen %s: %w", r.f.Listen, err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		fams := r.Obs.Reg().Gather(labels...)
+		if extra := r.extra.Load(); extra != nil {
+			fams = addCounters(fams, (*extra)(), labels)
+		}
+		w.Header().Set("Content-Type", ContentType)
+		_ = WriteProm(w, fams)
+	})
+	r.srv, r.addr = &http.Server{Handler: mux}, ln.Addr().String()
+	go func() { _ = r.srv.Serve(ln) }()
+	return nil
+}
+
+// Addr returns the listener's address ("" when there is none).
+func (r *Run) Addr() string {
+	if r == nil {
+		return ""
+	}
+	return r.addr
+}
+
+// SetExtra installs a live counter source that every /metrics scrape adds on
+// top of the registry. A tool whose counters reach the registry only at the
+// end of a run (Analyzer.PublishObs) sets it to Analyzer.LiveCounters, so
+// mid-run scrapes see progress, and clears it (nil) right after PublishObs so
+// the totals are not counted twice.
+func (r *Run) SetExtra(f func() map[string]int64) {
+	if r == nil {
+		return
+	}
+	if f == nil {
+		r.extra.Store(nil)
+		return
+	}
+	r.extra.Store(&f)
+}
+
+// addCounters adds counts to the flat counters of fams, appending a family
+// for each name the registry lacks.
+func addCounters(fams []FamilySnapshot, counts map[string]int64, labels []Label) []FamilySnapshot {
+	rest := NewRegistry()
+	rest.AddAll(counts)
+	for i, f := range fams {
+		if v, ok := counts[f.Name]; ok && f.Type == TypeCounter && len(f.Labels) == len(labels) {
+			fams[i].Series[0].Value += float64(v)
+			delete(rest.families, f.Name)
+		}
+	}
+	return append(fams, rest.Gather(labels...)...)
+}
+
+// End ends the root span, writes the -metrics report and the -trace file,
+// stops the CPU profile, writes the heap profile and closes the listener.
+// Deferred right after Start, it runs on every return path; its error is
+// joined into *errp.
+func (r *Run) End(errp *error) {
+	if err := r.end(); err != nil {
+		*errp = errors.Join(*errp, err)
+	}
+}
+
+func (r *Run) end() error {
+	var errs []error
+	if o := r.Obs; o != nil {
+		o.Root().End()
+		out := r.f.Out
+		if out == nil {
+			out = os.Stdout
+		}
+		switch r.f.Metrics {
+		case "text":
+			o.WriteText(out)
+		case "json":
+			errs = append(errs, o.WriteJSON(out))
+		}
+		if r.f.TracePath != "" {
+			errs = append(errs, writeFile(r.f.TracePath, o.Root().WriteJSON))
+		}
+	}
+	if r.cpuFile != nil {
+		pprof.StopCPUProfile()
+		errs = append(errs, r.cpuFile.Close())
+	}
+	if r.f.MemProfile != "" {
+		runtime.GC()
+		errs = append(errs, writeFile(r.f.MemProfile, pprof.WriteHeapProfile))
+	}
+	if r.srv != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		errs = append(errs, r.srv.Shutdown(ctx))
+	}
+	return errors.Join(errs...)
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	return errors.Join(write(f), f.Close())
 }

@@ -1,7 +1,9 @@
-// Package obs is the repository's dependency-free observability layer:
-// named registries of race-safe counters, gauges and duration histograms,
-// hierarchical spans that assemble a run into a timing tree (span.go), and
-// CLI/profiling wiring shared by the command-line tools (cli.go).
+// Package obs is the repository's dependency-free observability layer: one
+// registry of race-safe counters, gauges and duration histograms, flat or
+// labeled, rendered to Prometheus text by one writer under one naming rule
+// (prom.go); hierarchical spans that assemble a run into a timing tree
+// (span.go); and the CLI flags, profiles and run lifecycle shared by the
+// command-line tools (cli.go).
 //
 // Every method tolerates a nil receiver, so instrumented code needs no
 // enabled-checks: a nil Observer (or nil Registry/Span/Counter) turns every
@@ -14,6 +16,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -278,23 +281,142 @@ func (h *Histogram) Snapshot() HistStat {
 	return s
 }
 
-// Registry is a named, race-safe collection of counters, gauges and
-// histograms. Lookups get-or-create, so instrumentation sites never need
-// registration boilerplate.
+// MetricType tags a metric family for exposition.
+type MetricType string
+
+const (
+	TypeCounter   MetricType = "counter"
+	TypeGauge     MetricType = "gauge"
+	TypeHistogram MetricType = "histogram"
+)
+
+// labelEnd terminates each label value in a series key. 0xff never appears in
+// valid UTF-8, so the key is unambiguous.
+const labelEnd = '\xff'
+
+// family is one named metric family: a type, a help string, a fixed label
+// schema, and a series per distinct label-value tuple. A zero-label family is
+// a flat metric: its one series is created with the family, and it has no
+// series map.
+type family struct {
+	name   string
+	help   string
+	typ    MetricType
+	labels []string
+	flat   *series // the series of a zero-label family, nil otherwise
+
+	mu     sync.RWMutex
+	series map[string]*series // labeled families only
+}
+
+type series struct {
+	values []string
+	ctr    *Counter
+	gauge  *Gauge
+	hist   *Histogram
+}
+
+func newSeries(typ MetricType, values []string) *series {
+	s := &series{values: values}
+	switch typ {
+	case TypeCounter:
+		s.ctr = &Counter{}
+	case TypeGauge:
+		s.gauge = &Gauge{}
+	case TypeHistogram:
+		s.hist = &Histogram{}
+	}
+	return s
+}
+
+// get returns the series for the given label values, creating it on first
+// use. The lookup of an existing series does not allocate. Arity mismatches
+// are programming errors and panic.
+func (f *family) get(values []string) *series {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("obs: metric %q expects %d label values, got %d",
+			f.name, len(f.labels), len(values)))
+	}
+	if f.flat != nil {
+		return f.flat
+	}
+	var buf [128]byte
+	key := buf[:0]
+	for _, v := range values {
+		key = append(key, v...)
+		key = append(key, labelEnd)
+	}
+	f.mu.RLock()
+	s := f.series[string(key)]
+	f.mu.RUnlock()
+	if s != nil {
+		return s
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if s = f.series[string(key)]; s == nil {
+		s = newSeries(f.typ, append([]string(nil), values...))
+		f.series[string(key)] = s
+	}
+	return s
+}
+
+// sorted returns the family's series in label-value order.
+func (f *family) sorted() []*series {
+	if f.flat != nil {
+		return []*series{f.flat}
+	}
+	f.mu.RLock()
+	keys := make([]string, 0, len(f.series))
+	for k := range f.series {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]*series, len(keys))
+	for i, k := range keys {
+		out[i] = f.series[k]
+	}
+	f.mu.RUnlock()
+	return out
+}
+
+// Registry is a race-safe collection of metric families under dotted names.
+// The flat lookups (Counter, Gauge, Histogram) get-or-create a zero-label
+// family, so instrumentation sites need no registration boilerplate; the Vec
+// constructors register labeled families. A name has one type and one label
+// schema: registering it again differently panics.
 type Registry struct {
 	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	families map[string]*family
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+	return &Registry{families: make(map[string]*family)}
+}
+
+func (r *Registry) family(name, help string, typ MetricType, labels []string) *family {
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil {
+		r.mu.Lock()
+		if f = r.families[name]; f == nil {
+			f = &family{name: name, help: help, typ: typ, labels: append([]string(nil), labels...)}
+			if len(labels) == 0 {
+				f.flat = newSeries(typ, nil)
+			} else {
+				f.series = make(map[string]*series)
+			}
+			r.families[name] = f
+		}
+		r.mu.Unlock()
 	}
+	if f.typ != typ || !slices.Equal(f.labels, labels) {
+		panic(fmt.Sprintf("obs: metric %q registered as %s%v, was %s%v",
+			name, typ, labels, f.typ, f.labels))
+	}
+	return f
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -302,19 +424,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counters[name]; c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.family(name, "", TypeCounter, nil).flat.ctr
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -322,19 +432,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.family(name, "", TypeGauge, nil).flat.gauge
 }
 
 // Histogram returns the named histogram, creating it on first use.
@@ -342,19 +440,66 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
+	return r.family(name, "", TypeHistogram, nil).flat.hist
+}
+
+// CounterVec is a counter family; With resolves one labeled series.
+type CounterVec struct{ f *family }
+
+// GaugeVec is a gauge family; With resolves one labeled series.
+type GaugeVec struct{ f *family }
+
+// HistogramVec is a histogram family; With resolves one labeled series.
+type HistogramVec struct{ f *family }
+
+// CounterVec registers (or fetches) a counter family with the given labels.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+	return &CounterVec{r.family(name, help, TypeCounter, labels)}
+}
+
+// GaugeVec registers (or fetches) a gauge family with the given labels.
+func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	if r == nil {
+		return nil
 	}
-	return h
+	return &GaugeVec{r.family(name, help, TypeGauge, labels)}
+}
+
+// HistogramVec registers (or fetches) a histogram family with the given
+// labels.
+func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
+	return &HistogramVec{r.family(name, help, TypeHistogram, labels)}
+}
+
+// With resolves the series for the given label values (nil-safe: a nil vec
+// returns a nil counter, which no-ops).
+func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
+	return v.f.get(values).ctr
+}
+
+// With resolves the series for the given label values.
+func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
+	return v.f.get(values).gauge
+}
+
+// With resolves the series for the given label values.
+func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
+	return v.f.get(values).hist
 }
 
 // AddAll folds a map of external counts (for example a DRC engine snapshot)
@@ -368,7 +513,70 @@ func (r *Registry) AddAll(counts map[string]int64) {
 	}
 }
 
-// Metrics is a point-in-time export of a registry.
+// sorted returns the registered families in name order.
+func (r *Registry) sorted() []*family {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.RUnlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
+	return fams
+}
+
+// SeriesSnapshot is one gathered series.
+type SeriesSnapshot struct {
+	LabelValues []string
+	Value       float64  // counter or gauge value
+	Hist        HistStat // histogram state
+}
+
+// FamilySnapshot is one gathered family, series sorted by label values. Name
+// is the dotted registry name; WriteProm renders the Prometheus name.
+type FamilySnapshot struct {
+	Name   string
+	Help   string
+	Type   MetricType
+	Labels []string
+	Series []SeriesSnapshot
+}
+
+// Gather snapshots every family, sorted by name, for exposition. The
+// constant labels lead every series' labels, for example the design a
+// server's registry belongs to.
+func (r *Registry) Gather(constLabels ...Label) []FamilySnapshot {
+	var names, values []string
+	for _, l := range constLabels {
+		names = append(names, l.Name)
+		values = append(values, l.Value)
+	}
+	var out []FamilySnapshot
+	for _, f := range r.sorted() {
+		fs := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ,
+			Labels: append(names[:len(names):len(names)], f.labels...)}
+		for _, s := range f.sorted() {
+			ss := SeriesSnapshot{LabelValues: append(values[:len(values):len(values)], s.values...)}
+			switch f.typ {
+			case TypeCounter:
+				ss.Value = float64(s.ctr.Load())
+			case TypeGauge:
+				ss.Value = s.gauge.Load()
+			case TypeHistogram:
+				ss.Hist = s.hist.Snapshot()
+			}
+			fs.Series = append(fs.Series, ss)
+		}
+		out = append(out, fs)
+	}
+	return out
+}
+
+// Metrics is a point-in-time export of a registry. A labeled series is keyed
+// name{k="v"}.
 type Metrics struct {
 	Counters   map[string]int64    `json:"counters"`
 	Gauges     map[string]float64  `json:"gauges,omitempty"`
@@ -378,25 +586,24 @@ type Metrics struct {
 // Snapshot exports every metric in the registry.
 func (r *Registry) Snapshot() Metrics {
 	m := Metrics{Counters: map[string]int64{}}
-	if r == nil {
-		return m
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name, c := range r.counters {
-		m.Counters[name] = c.Load()
-	}
-	for name, g := range r.gauges {
-		if m.Gauges == nil {
-			m.Gauges = map[string]float64{}
+	for _, f := range r.sorted() {
+		for _, s := range f.sorted() {
+			key := f.name + labelString(f.labels, s.values, "", "")
+			switch f.typ {
+			case TypeCounter:
+				m.Counters[key] = s.ctr.Load()
+			case TypeGauge:
+				if m.Gauges == nil {
+					m.Gauges = map[string]float64{}
+				}
+				m.Gauges[key] = s.gauge.Load()
+			case TypeHistogram:
+				if m.Histograms == nil {
+					m.Histograms = map[string]HistStat{}
+				}
+				m.Histograms[key] = s.hist.Snapshot()
+			}
 		}
-		m.Gauges[name] = g.Load()
-	}
-	for name, h := range r.hists {
-		if m.Histograms == nil {
-			m.Histograms = map[string]HistStat{}
-		}
-		m.Histograms[name] = h.Snapshot()
 	}
 	return m
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"strings"
 	"sync"
@@ -322,7 +323,7 @@ func TestSpanRestart(t *testing.T) {
 }
 
 // TestFlagsStartJSON: the CLI surface end to end — flags parsed, observer
-// instrumented, finish() emits a JSON report containing the metrics and trace.
+// instrumented, End emits a JSON report containing the metrics and trace.
 func TestFlagsStartJSON(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := RegisterFlags(fs)
@@ -331,16 +332,18 @@ func TestFlagsStartJSON(t *testing.T) {
 	}
 	var out bytes.Buffer
 	f.Out = &out
-	o, finish, err := f.Start("tool")
+	run, err := f.Start("tool")
 	if err != nil {
 		t.Fatal(err)
 	}
+	o := run.Obs
 	if o == nil {
 		t.Fatal("json mode must return an observer")
 	}
 	o.Reg().Counter("drc.check.metal").Add(7)
 	o.Root().Start("work").End()
-	if err := finish(); err != nil {
+	run.End(&err)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
@@ -359,25 +362,28 @@ func TestFlagsStartJSON(t *testing.T) {
 	}
 }
 
-// TestFlagsDisabled: metrics off returns a nil observer (all hooks no-op)
-// and finish() writes nothing.
+// TestFlagsDisabled: with no flags set the run has a nil observer (all hooks
+// no-op), and End writes nothing and keeps the caller's error.
 func TestFlagsDisabled(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	f := RegisterFlags(fs)
+	f := RegisterBatchFlags(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
 	f.Out = &out
-	o, finish, err := f.Start("tool")
+	run, err := f.Start("tool")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o != nil {
+	if run.Obs != nil {
 		t.Fatal("disabled mode must return a nil observer")
 	}
-	if err := finish(); err != nil {
-		t.Fatal(err)
+	runErr := errors.New("run failed")
+	err = runErr
+	run.End(&err)
+	if err != runErr {
+		t.Fatalf("End changed the run error to %v", err)
 	}
 	if out.Len() != 0 {
 		t.Fatalf("disabled mode wrote output: %q", out.String())
@@ -386,7 +392,165 @@ func TestFlagsDisabled(t *testing.T) {
 
 func TestFlagsBadMode(t *testing.T) {
 	f := &Flags{Metrics: "yaml"}
-	if _, _, err := f.Start("tool"); err == nil {
+	if _, err := f.Start("tool"); err == nil {
 		t.Fatal("bad -metrics mode must error")
+	}
+}
+
+func TestRegistryVecs(t *testing.T) {
+	r := NewRegistry()
+	qv := r.CounterVec("pao.queries", "queries served", "design", "status")
+	qv.With("c17", "ok").Add(3)
+	qv.With("c17", "degraded").Inc()
+	qv.With("c17", "ok").Inc() // same series again
+	if got := qv.With("c17", "ok").Load(); got != 4 {
+		t.Fatalf("counter series = %d, want 4", got)
+	}
+
+	gv := r.GaugeVec("pao.access_points", "APs per layer", "design", "layer")
+	gv.With("c17", "2").Set(12)
+	hv := r.HistogramVec("pao.query", "query latency", "design")
+	hv.With("c17").Observe(3 * time.Microsecond)
+	hv.With("c17").Observe(1500 * time.Microsecond)
+
+	fams := r.Gather()
+	if len(fams) != 3 {
+		t.Fatalf("gathered %d families, want 3", len(fams))
+	}
+	// Sorted by name: access_points, queries, query.
+	if fams[0].Name != "pao.access_points" || fams[1].Name != "pao.queries" || fams[2].Name != "pao.query" {
+		t.Fatalf("family order wrong: %s %s %s", fams[0].Name, fams[1].Name, fams[2].Name)
+	}
+	if len(fams[1].Series) != 2 {
+		t.Fatalf("counter family has %d series, want 2", len(fams[1].Series))
+	}
+	if fams[2].Series[0].Hist.Count != 2 {
+		t.Fatalf("histogram series count = %d, want 2", fams[2].Series[0].Hist.Count)
+	}
+
+	// A zero-label family is the flat metric of the same name; constant
+	// labels lead every gathered series; Snapshot keys labeled series
+	// name{k="v"}.
+	r.CounterVec("serve.requests", "requests").With().Add(2)
+	r.Counter("serve.requests").Inc()
+	for _, f := range r.Gather(Label{Name: "host", Value: "h1"}) {
+		if f.Labels[0] != "host" || f.Series[0].LabelValues[0] != "h1" {
+			t.Fatalf("constant label missing on %s: %v %v", f.Name, f.Labels, f.Series[0].LabelValues)
+		}
+	}
+	m := r.Snapshot()
+	if m.Counters["serve.requests"] != 3 || m.Counters[`pao.queries{design="c17",status="ok"}`] != 4 {
+		t.Fatalf("snapshot counters = %v", m.Counters)
+	}
+	if m.Gauges[`pao.access_points{design="c17",layer="2"}`] != 12 {
+		t.Fatalf("snapshot gauges = %v", m.Gauges)
+	}
+}
+
+func TestRegistryVecNilSafety(t *testing.T) {
+	var r *Registry
+	cv := r.CounterVec("x", "", "l")
+	gv := r.GaugeVec("x", "", "l")
+	hv := r.HistogramVec("x", "", "l")
+	if cv != nil || gv != nil || hv != nil {
+		t.Fatal("nil registry returned a vec")
+	}
+	cv.With("a").Inc()
+	gv.With("a").Set(1)
+	hv.With("a").Observe(time.Second)
+	if r.Gather() != nil {
+		t.Fatal("nil registry gathered families")
+	}
+}
+
+func TestRegistryVecArityPanics(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("c", "", "a", "b")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("arity mismatch must panic")
+		}
+	}()
+	v.With("only-one")
+}
+
+// TestRegistryTypeConflictPanics: a name has one type and one label schema,
+// whether registered flat or labeled.
+func TestRegistryTypeConflictPanics(t *testing.T) {
+	for name, conflict := range map[string]func(r *Registry){
+		"vec type":    func(r *Registry) { r.CounterVec("m", "", "a"); r.GaugeVec("m", "", "a") },
+		"vec labels":  func(r *Registry) { r.CounterVec("m", "", "a"); r.CounterVec("m", "", "b") },
+		"flat type":   func(r *Registry) { r.Counter("m"); r.Gauge("m") },
+		"flat vs vec": func(r *Registry) { r.CounterVec("m", "", "a"); r.Counter("m") },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s conflict must panic", name)
+				}
+			}()
+			conflict(NewRegistry())
+		}()
+	}
+}
+
+func TestRegistryConcurrentSeries(t *testing.T) {
+	r := NewRegistry()
+	v := r.CounterVec("hits", "", "shard")
+	var wg sync.WaitGroup
+	const workers, per = 8, 500
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			shard := string(rune('a' + w%4))
+			for i := 0; i < per; i++ {
+				v.With(shard).Inc()
+			}
+		}(w)
+	}
+	wg.Wait()
+	var total int64
+	for _, s := range r.Gather()[0].Series {
+		total += int64(s.Value)
+	}
+	if total != workers*per {
+		t.Fatalf("total = %d, want %d", total, workers*per)
+	}
+}
+
+// TestRegistryLookupsAllocFree: the lookups a served request makes — a flat
+// metric by name and a labeled series that already exists — allocate
+// nothing. The two-label With guards the key build: a joined-string key
+// allocates there even though a one-value join does not.
+func TestRegistryLookupsAllocFree(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("serve.shed.rate").Inc()
+	status := r.CounterVec("pao.queries", "", "status")
+	status.With("ok").Inc()
+	pair := r.CounterVec("pao.pairs", "", "design", "status")
+	pair.With("c17", "ok").Inc()
+	for name, lookup := range map[string]func(){
+		"flat":      func() { r.Counter("serve.shed.rate").Inc() },
+		"one-label": func() { status.With("ok").Inc() },
+		"two-label": func() { pair.With("c17", "ok").Inc() },
+	} {
+		if n := testing.AllocsPerRun(100, lookup); n != 0 {
+			t.Errorf("%s lookup allocates %v times per call", name, n)
+		}
+	}
+}
+
+func TestSanitizeName(t *testing.T) {
+	for in, want := range map[string]string{
+		"drc.check.metal": "drc_check_metal",
+		"serve latency":   "serve_latency",
+		"9lives":          "_9lives",
+		"ok_name:x":       "ok_name:x",
+		"":                "_",
+	} {
+		if got := sanitizeName(in); got != want {
+			t.Errorf("sanitizeName(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

@@ -1,10 +1,14 @@
-package telemetry
+package obs
 
-// Prometheus text exposition (format version 0.0.4). We render it by hand —
-// no client_golang dependency — which is easy because the format is small:
-// one # HELP and # TYPE line per family, then one sample line per series,
-// with label values backslash-escaped. Histograms expose the fixed log2
-// buckets as cumulative le= series in seconds plus _sum and _count.
+// Prometheus text exposition (format version 0.0.4), rendered by hand: one
+// # HELP and # TYPE line per family, then one sample line per series, with
+// label values backslash-escaped. Histograms expose the fixed log2 buckets as
+// cumulative le= series in seconds plus _sum and _count.
+//
+// One naming rule maps a dotted registry name onto its Prometheus name: dots
+// (and any other character outside the name charset) become underscores,
+// counters gain _total and histograms gain _seconds. So pao.queries renders
+// as pao_queries_total and pao.query as pao_query_seconds.
 
 import (
 	"fmt"
@@ -12,22 +16,31 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // ContentType is the Content-Type header value for /metrics responses.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// Label is one constant name/value pair attached to every series of an
-// exposition (for example design="c17").
+// Label is one constant name/value pair attached to every series of a
+// Gather (for example design="c17").
 type Label struct {
 	Name  string
 	Value string
 }
 
-// sanitizeName maps an internal dotted metric name ("drc.check.metal") onto
-// the Prometheus name charset [a-zA-Z_:][a-zA-Z0-9_:]*.
+// promName applies the naming rule to a dotted registry name.
+func promName(name string, typ MetricType) string {
+	switch typ {
+	case TypeCounter:
+		return sanitizeName(name) + "_total"
+	case TypeHistogram:
+		return sanitizeName(name) + "_seconds"
+	}
+	return sanitizeName(name)
+}
+
+// sanitizeName maps a dotted name ("drc.check.metal") onto the Prometheus
+// name charset [a-zA-Z_:][a-zA-Z0-9_:]*.
 func sanitizeName(s string) string {
 	if s == "" {
 		return "_"
@@ -108,16 +121,17 @@ func labelString(names, values []string, extraName, extraValue string) string {
 	return b.String()
 }
 
-// WriteProm renders the families as a Prometheus text exposition. Families
-// with the same name are merged (first help/type wins) and duplicate series
-// within a family are dropped, so the output never contains a duplicate
-// sample — the invariant scrapers enforce.
+// WriteProm renders the families as a Prometheus text exposition under the
+// naming rule. Families that render to the same name are merged (first
+// help and type win) and duplicate series within a family are dropped, so
+// the output never contains a duplicate sample — the invariant scrapers
+// enforce.
 func WriteProm(w io.Writer, fams []FamilySnapshot) error {
 	merged := make(map[string]*FamilySnapshot)
 	var order []string
 	for i := range fams {
 		f := &fams[i]
-		name := sanitizeName(f.Name)
+		name := promName(f.Name, f.Type)
 		if m, ok := merged[name]; ok {
 			if m.Type == f.Type {
 				m.Series = append(m.Series, f.Series...)
@@ -125,6 +139,9 @@ func WriteProm(w io.Writer, fams []FamilySnapshot) error {
 			continue
 		}
 		cp := *f
+		if cp.Help == "" {
+			cp.Help = string(f.Type) + " " + f.Name
+		}
 		cp.Name = name
 		cp.Series = append([]SeriesSnapshot(nil), f.Series...)
 		merged[name] = &cp
@@ -133,8 +150,7 @@ func WriteProm(w io.Writer, fams []FamilySnapshot) error {
 	sort.Strings(order)
 
 	for _, name := range order {
-		f := merged[name]
-		if err := writeFamily(w, f); err != nil {
+		if err := writeFamily(w, merged[name]); err != nil {
 			return err
 		}
 	}
@@ -143,29 +159,24 @@ func WriteProm(w io.Writer, fams []FamilySnapshot) error {
 
 func writeFamily(w io.Writer, f *FamilySnapshot) error {
 	name := f.Name
-	help := f.Help
-	if help == "" {
-		help = name
-	}
 	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-		name, escapeHelp(help), name, f.Type); err != nil {
+		name, escapeHelp(f.Help), name, f.Type); err != nil {
 		return err
 	}
 	seen := make(map[string]bool, len(f.Series))
 	for _, s := range f.Series {
-		key := strings.Join(s.LabelValues, labelSep)
-		if seen[key] {
+		labels := labelString(f.Labels, s.LabelValues, "", "")
+		if seen[labels] {
 			continue
 		}
-		seen[key] = true
+		seen[labels] = true
 		switch f.Type {
 		case TypeHistogram:
 			if err := writeHistogram(w, name, f.Labels, s); err != nil {
 				return err
 			}
 		default:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n",
-				name, labelString(f.Labels, s.LabelValues, "", ""), formatValue(s.Value)); err != nil {
+			if _, err := fmt.Fprintf(w, "%s%s %s\n", name, labels, formatValue(s.Value)); err != nil {
 				return err
 			}
 		}
@@ -176,7 +187,7 @@ func writeFamily(w io.Writer, f *FamilySnapshot) error {
 // writeHistogram renders one series' fixed log2 buckets as cumulative le=
 // samples in seconds, then _sum and _count. The exported buckets carry each
 // bucket's upper bound in microseconds; boundaries are shared across all
-// histograms (obs.BucketBound) so scrapers can aggregate across processes.
+// histograms (BucketBound) so scrapers can aggregate across processes.
 func writeHistogram(w io.Writer, name string, labels []string, s SeriesSnapshot) error {
 	var cum int64
 	for _, b := range s.Hist.Buckets {
@@ -197,53 +208,4 @@ func writeHistogram(w io.Writer, name string, labels []string, s SeriesSnapshot)
 	}
 	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, plain, s.Hist.Count)
 	return err
-}
-
-// ObsFamilies converts a flat obs.Registry snapshot into labeled families:
-// counters become <name>_total counters, gauges stay gauges, histograms
-// become <name>_seconds histograms. constLabels are attached to every series
-// so multiple processes' expositions stay distinguishable after aggregation.
-func ObsFamilies(m obs.Metrics, constLabels ...Label) []FamilySnapshot {
-	names := make([]string, 0, len(constLabels))
-	values := make([]string, 0, len(constLabels))
-	for _, l := range constLabels {
-		names = append(names, l.Name)
-		values = append(values, l.Value)
-	}
-
-	var out []FamilySnapshot
-	for _, name := range sortedNames(m.Counters) {
-		out = append(out, FamilySnapshot{
-			Name: sanitizeName(name) + "_total",
-			Help: "counter " + name,
-			Type: TypeCounter, Labels: names,
-			Series: []SeriesSnapshot{{LabelValues: values, Value: float64(m.Counters[name])}},
-		})
-	}
-	for _, name := range sortedNames(m.Gauges) {
-		out = append(out, FamilySnapshot{
-			Name: sanitizeName(name),
-			Help: "gauge " + name,
-			Type: TypeGauge, Labels: names,
-			Series: []SeriesSnapshot{{LabelValues: values, Value: m.Gauges[name]}},
-		})
-	}
-	for _, name := range sortedNames(m.Histograms) {
-		out = append(out, FamilySnapshot{
-			Name: sanitizeName(name) + "_seconds",
-			Help: "histogram " + name + " (seconds)",
-			Type: TypeHistogram, Labels: names,
-			Series: []SeriesSnapshot{{LabelValues: values, Hist: m.Histograms[name]}},
-		})
-	}
-	return out
-}
-
-func sortedNames[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -548,10 +548,10 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		finish()
 		return res, err
 	}
-	spEng := spRun.Start("pao.globalengine")
+	spEng := spRun.Start("drc.engine")
 	eng := a.GlobalEngine()
 	spEng.End()
-	spSel := spRun.Start("pao.step3.select")
+	spSel := spRun.Start("pao.step3")
 	tSel := time.Now()
 	a.selectPatterns(ctx, res, eng, h)
 	selDur = time.Since(tSel)

@@ -84,7 +84,7 @@ func TestObsSpanTree(t *testing.T) {
 	if run == nil {
 		t.Fatalf("no pao.run span under root: %+v", e.Children)
 	}
-	want := map[string]bool{"pao.step12": false, "pao.step3.select": false, "pao.failedpins": false}
+	want := map[string]bool{"pao.step12": false, "drc.engine": false, "pao.step3": false, "pao.failedpins": false}
 	var step12 *obs.SpanExport
 	for _, c := range run.Children {
 		if _, ok := want[c.Name]; ok {

@@ -74,10 +74,10 @@ func TestTenantBucketsIsolate(t *testing.T) {
 		}
 	}
 	// Shed accounting is per tenant.
-	if got := s.tShed.With(testID, "greedy").Load(); got != 1 {
+	if got := s.tShed.With("greedy").Load(); got != 1 {
 		t.Fatalf("greedy shed counter = %d, want 1", got)
 	}
-	if got := s.tShed.With(testID, "steady").Load(); got != 0 {
+	if got := s.tShed.With("steady").Load(); got != 0 {
 		t.Fatalf("steady shed counter = %d, want 0", got)
 	}
 	// A malformed tenant ID is a 400, not a metric-label injection.
@@ -226,7 +226,7 @@ func TestFloodCannotStarveSteadyTenant(t *testing.T) {
 		t.Fatalf("steady tenant's last completion at index %d of %d; flood starved it (fair share ~20)",
 			lastSteady, len(completions))
 	}
-	if got := s.tAdmit.With(testID, "steady").Load(); got != steady {
+	if got := s.tAdmit.With("steady").Load(); got != steady {
 		t.Fatalf("steady admitted = %d, want %d", got, steady)
 	}
 }

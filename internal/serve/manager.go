@@ -879,19 +879,17 @@ func (m *Manager) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleMetrics merges the manager families with every design's labeled
-// families and design-stamped flat metrics into one Prometheus exposition.
+// handleMetrics merges the manager's families with every design's,
+// stamped with the design label, into one Prometheus exposition.
 func (m *Manager) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.publishGauges()
-	fams := telemetry.ObsFamilies(m.reg().Snapshot())
+	fams := m.reg().Gather()
 	for _, e := range m.list() {
 		e.srv.publishGauges()
-		fams = append(fams, e.srv.prom.Gather()...)
-		fams = append(fams, telemetry.ObsFamilies(e.srv.reg().Snapshot(),
-			telemetry.Label{Name: "design", Value: e.id})...)
+		fams = append(fams, e.srv.reg().Gather(obs.Label{Name: "design", Value: e.id})...)
 	}
-	w.Header().Set("Content-Type", telemetry.ContentType)
-	_ = telemetry.WriteProm(w, fams)
+	w.Header().Set("Content-Type", obs.ContentType)
+	_ = obs.WriteProm(w, fams)
 }
 
 func (m *Manager) handleMetricz(w http.ResponseWriter, r *http.Request) {

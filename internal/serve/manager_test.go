@@ -280,10 +280,10 @@ func TestBulkheadIsolation(t *testing.T) {
 	}
 
 	// B's tenant counters saw zero shed; A's saw the storm.
-	if got := m.ServerFor("calm").tShed.With("calm", "default").Load(); got != 0 {
+	if got := m.ServerFor("calm").tShed.With("default").Load(); got != 0 {
 		t.Fatalf("calm shed = %d, want 0", got)
 	}
-	if got := srvA.tShed.With("storm", "default").Load(); got == 0 {
+	if got := srvA.tShed.With("default").Load(); got == 0 {
 		t.Fatal("storm shed counter = 0, want > 0")
 	}
 	// Release the plugged query; it must complete normally.

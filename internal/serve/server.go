@@ -119,8 +119,9 @@ type Server struct {
 	// snapPath is the snapshot file ("" disables persistence).
 	snapPath string
 
-	// Obs receives the server's metrics; defaults to a private observer.
-	// Set before Init.
+	// Obs is the server's private observer: a registry, which also holds the
+	// labeled families below, and no trace. Nothing reads a server's span
+	// tree, so its analyzers build none.
 	Obs *obs.Observer
 	// Logger receives structured operational log lines (JSON, one per line);
 	// nil (the default) discards them. Set before Init.
@@ -161,17 +162,16 @@ type Server struct {
 	lastSnapshotNS atomic.Int64
 	snapMu         chan struct{} // 1-slot semaphore: context-aware mutex
 
-	// Labeled Prometheus families (exposed at /metrics alongside the flat
-	// obs registry) and the per-query trace/slow-log machinery.
-	prom       *telemetry.Registry
+	// Labeled families of the server's registry (the design label is the
+	// Manager's constant label) and the per-query trace/slow-log machinery.
 	slow       *telemetry.SlowLog
 	sampler    *telemetry.Sampler
-	qTotal     *telemetry.CounterVec   // pao_queries_total{design,status}
-	qSeconds   *telemetry.HistogramVec // pao_query_seconds{design}
-	stepSecs   *telemetry.HistogramVec // pao_step_seconds{design,step}
-	apGauge    *telemetry.GaugeVec     // pao_access_points{design,layer}
-	tAdmit     *telemetry.CounterVec   // serve_tenant_admitted_total{design,tenant}
-	tShed      *telemetry.CounterVec   // serve_tenant_shed_total{design,tenant}
+	qTotal     *obs.CounterVec   // pao.queries{status}
+	qSeconds   *obs.Histogram    // pao.query
+	stepSecs   *obs.HistogramVec // pao.step{step}
+	apGauge    *obs.GaugeVec     // pao.access_points{layer}
+	tAdmit     *obs.CounterVec   // serve.tenant_admitted{tenant}
+	tShed      *obs.CounterVec   // serve.tenant_shed{tenant}
 	designHash string
 
 	bgCtx    context.Context
@@ -193,7 +193,7 @@ func newServer(id string, d *db.Design, paoCfg pao.Config, cfg Config, snapPath 
 		design:   d,
 		paoCfg:   paoCfg,
 		snapPath: snapPath,
-		Obs:      obs.NewObserver("paoserve"),
+		Obs:      &obs.Observer{Name: "paoserve", Registry: obs.NewRegistry()},
 		now:      time.Now,
 		snapMu:   make(chan struct{}, 1),
 	}
@@ -202,21 +202,21 @@ func newServer(id string, d *db.Design, paoCfg pao.Config, cfg Config, snapPath 
 	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, func() time.Time { return s.now() })
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
 
-	s.prom = telemetry.NewRegistry()
 	s.slow = telemetry.NewSlowLog(cfg.SlowLogSize, cfg.SlowThreshold)
 	s.sampler = telemetry.NewSampler(cfg.TraceSample)
-	s.qTotal = s.prom.Counter("pao_queries_total",
-		"Access queries answered by the oracle, by outcome.", "design", "status")
-	s.qSeconds = s.prom.Histogram("pao_query_seconds",
-		"End-to-end latency of admitted access queries.", "design")
-	s.stepSecs = s.prom.Histogram("pao_step_seconds",
-		"Pipeline step durations of each analysis run served.", "design", "step")
-	s.apGauge = s.prom.Gauge("pao_access_points",
-		"Access points in the current serving result, by metal layer.", "design", "layer")
-	s.tAdmit = s.prom.Counter("serve_tenant_admitted_total",
-		"Queries admitted past rate limiting and the fair queue, by tenant.", "design", "tenant")
-	s.tShed = s.prom.Counter("serve_tenant_shed_total",
-		"Queries shed by rate limiting or queue overflow, by tenant.", "design", "tenant")
+	reg := s.Obs.Registry
+	s.qTotal = reg.CounterVec("pao.queries",
+		"Access queries answered by the oracle, by outcome.", "status")
+	s.qSeconds = reg.HistogramVec("pao.query",
+		"End-to-end latency of admitted access queries.").With()
+	s.stepSecs = reg.HistogramVec("pao.step",
+		"Pipeline step durations of each analysis run served.", "step")
+	s.apGauge = reg.GaugeVec("pao.access_points",
+		"Access points in the current serving result, by metal layer.", "layer")
+	s.tAdmit = reg.CounterVec("serve.tenant_admitted",
+		"Queries admitted past rate limiting and the fair queue, by tenant.", "tenant")
+	s.tShed = reg.CounterVec("serve.tenant_shed",
+		"Queries shed by rate limiting or queue overflow, by tenant.", "tenant")
 	s.designHash = pao.DesignHash(d)
 	return s
 }
@@ -272,7 +272,6 @@ func (s *Server) swap(res *pao.Result, source string) {
 // results ran no pipeline steps (their Stats.Steps are zero), so an "eco"
 // swap observes no step durations.
 func (s *Server) publishResultMetrics(res *pao.Result, source string) {
-	d := s.id
 	if source != "eco" {
 		st := res.Stats.Steps
 		for _, step := range []struct {
@@ -286,7 +285,7 @@ func (s *Server) publishResultMetrics(res *pao.Result, source string) {
 			{"failed_pins", st.FailedPins},
 			{"total", st.Total},
 		} {
-			s.stepSecs.With(d, step.name).Observe(step.dur)
+			s.stepSecs.With(step.name).Observe(step.dur)
 		}
 	}
 	byLayer := make(map[int]int)
@@ -299,7 +298,7 @@ func (s *Server) publishResultMetrics(res *pao.Result, source string) {
 		}
 	}
 	for layer, n := range byLayer {
-		s.apGauge.With(d, "M"+strconv.Itoa(layer)).Set(float64(n))
+		s.apGauge.With("M" + strconv.Itoa(layer)).Set(float64(n))
 	}
 }
 
@@ -585,7 +584,6 @@ func (s *Server) admitted(op string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Request, int, error), h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		reg := s.reg()
-		reg.Counter("serve.requests").Inc()
 		t0 := s.now()
 		corr := r.Header.Get("X-Correlation-Id")
 		if corr == "" {
@@ -594,7 +592,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		w.Header().Set("X-Correlation-Id", corr)
 		tenant, terr := tenantOf(r)
 		if terr != nil {
-			s.qTotal.With(s.id, "client_error").Inc()
+			s.qTotal.With("client_error").Inc()
 			http.Error(w, terr.Error(), http.StatusBadRequest)
 			return
 		}
@@ -602,7 +600,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		if costFn != nil {
 			r2, n, err := costFn(r)
 			if err != nil {
-				s.qTotal.With(s.id, "client_error").Inc()
+				s.qTotal.With("client_error").Inc()
 				code := http.StatusBadRequest
 				var ae *admitError
 				if errors.As(err, &ae) {
@@ -615,8 +613,8 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		}
 		if ok, retry := s.tenantBucket(tenant).takeN(cost); !ok {
 			reg.Counter("serve.shed.rate").Inc()
-			s.qTotal.With(s.id, "shed").Inc()
-			s.tShed.With(s.id, tenant).Inc()
+			s.qTotal.With("shed").Inc()
+			s.tShed.With(tenant).Inc()
 			w.Header().Set("Retry-After", retryAfterSecs(retry))
 			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 			return
@@ -635,14 +633,14 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 			} else {
 				reg.Counter("serve.shed.queue").Inc()
 			}
-			s.qTotal.With(s.id, "shed").Inc()
-			s.tShed.With(s.id, tenant).Inc()
+			s.qTotal.With("shed").Inc()
+			s.tShed.With(tenant).Inc()
 			w.Header().Set("Retry-After", "1")
 			http.Error(w, "server overloaded, request shed", http.StatusServiceUnavailable)
 			return
 		}
 		defer release()
-		s.tAdmit.With(s.id, tenant).Inc()
+		s.tAdmit.With(tenant).Inc()
 		var root *obs.Span
 		if s.sampler.Sample() {
 			root = obs.NewTrace("serve." + op).Root
@@ -651,7 +649,6 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			d := s.now().Sub(t0)
-			reg.Histogram("serve.latency").Observe(d)
 			if rec := recover(); rec != nil {
 				reg.Counter("serve.panics").Inc()
 				s.brk.failure()
@@ -660,8 +657,8 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 					telemetry.F("breaker", s.brk.current()), telemetry.F("panic", fmt.Sprint(rec)))
 				http.Error(sw, "internal error (recovered)", http.StatusInternalServerError)
 			}
-			s.qTotal.With(s.id, statusLabel(sw.code)).Inc()
-			s.qSeconds.With(s.id).Observe(d)
+			s.qTotal.With(statusLabel(sw.code)).Inc()
+			s.qSeconds.Observe(d)
 			entry := telemetry.Entry{
 				CorrID: corr, Op: op, Detail: r.URL.RawQuery, Status: sw.code,
 				Start: t0, DurMS: float64(d) / 1e6,

@@ -552,20 +552,20 @@ func TestServeHealthzAndMetricz(t *testing.T) {
 		t.Fatalf("bad healthz: %+v", hz)
 	}
 
-	// Query latency is the design-labeled serve_latency_seconds histogram.
+	// Query latency is the design-labeled pao_query_seconds histogram.
 	_, _, body = get(t, h, "/metrics")
 	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}
-	lat := fmt.Sprintf("serve_latency_seconds_count{design=%q}", testID)
+	lat := fmt.Sprintf("pao_query_seconds_count{design=%q}", testID)
 	if got := scrape.Series[lat]; got < 3 {
 		t.Fatalf("%s = %v, want >= 3", lat, got)
 	}
 
 	code, _, body = get(t, h, "/metricz")
-	if code != http.StatusOK || !strings.Contains(string(body), "serve.requests") {
-		t.Fatalf("metricz = %d, missing serve.requests:\n%s", code, body)
+	if code != http.StatusOK || !strings.Contains(string(body), `pao.queries{status=\"ok\"}`) {
+		t.Fatalf("metricz = %d, missing pao.queries:\n%s", code, body)
 	}
 
 	code, _, body = get(t, h, "/v1/stats")

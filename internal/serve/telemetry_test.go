@@ -7,6 +7,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -115,8 +117,8 @@ func TestServeMetricsPromFormat(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if ct := hdr.Get("Content-Type"); ct != telemetry.ContentType {
-		t.Fatalf("Content-Type = %q, want %q", ct, telemetry.ContentType)
+	if ct := hdr.Get("Content-Type"); ct != obs.ContentType {
+		t.Fatalf("Content-Type = %q, want %q", ct, obs.ContentType)
 	}
 	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
 	if err != nil {
@@ -151,11 +153,16 @@ func TestServeMetricsPromFormat(t *testing.T) {
 	if apSeries == 0 {
 		t.Fatal("no pao_access_points series in exposition")
 	}
-	// Obs registry metrics must appear design-labeled with the rename rules
-	// (counter serve.requests → serve_requests_total).
-	reqs := fmt.Sprintf("serve_requests_total{design=%q}", testID)
-	if got := scrape.Series[reqs]; got < n+1 {
-		t.Fatalf("%s = %v, want >= %d; %d series total", reqs, got, n+1, len(scrape.Series))
+	// Every request lands in exactly one status series, so their sum counts
+	// the requests: n queries plus the 400.
+	var reqs float64
+	for id, v := range scrape.Series {
+		if strings.HasPrefix(id, fmt.Sprintf("pao_queries_total{design=%q,", testID)) {
+			reqs += v
+		}
+	}
+	if reqs != n+1 {
+		t.Fatalf("sum of pao_queries_total = %v, want %d; %d series total", reqs, n+1, len(scrape.Series))
 	}
 }
 
@@ -313,5 +320,45 @@ func TestServeVersionEndpoint(t *testing.T) {
 	}
 	if dv.Source != "recompute" {
 		t.Fatalf("source = %q, want recompute", dv.Source)
+	}
+}
+
+// TestServeObserverBuildsNoTrace: a server's observer has no trace, so its
+// re-analyses and ECO sessions grow no span tree that nothing reads, while
+// their analyzers' counters still reach /metrics.
+func TestServeObserverBuildsNoTrace(t *testing.T) {
+	d := serveDesign(t)
+	m := newTestManager(t, ManagerConfig{})
+	s := oneDesign(t, m, d, nil)
+	h := m.Handler()
+	queries := func() float64 {
+		t.Helper()
+		_, _, body := get(t, h, "/metrics")
+		scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("exposition does not parse: %v", err)
+		}
+		return scrape.Series[fmt.Sprintf("drc_query_count_total{design=%q}", testID)]
+	}
+	prev := queries()
+	if prev == 0 {
+		t.Fatal("first analysis published no drc.query.count")
+	}
+	for i := 0; i < 3; i++ {
+		s.reanalyze(context.Background())
+		got := queries()
+		if got <= prev {
+			t.Fatalf("re-analysis %d: drc_query_count_total = %v, was %v", i, got, prev)
+		}
+		prev = got
+	}
+	mover := d.Instances[0]
+	move := fmt.Sprintf(`{"ops":[{"op":"move","inst":%q,"x":%d,"y":%d}]}`,
+		mover.Name, mover.Pos.X+70, mover.Pos.Y)
+	if code, body := postECO(t, h, move); code != http.StatusOK {
+		t.Fatalf("eco = %d: %s", code, body)
+	}
+	if s.Obs.Trace != nil || s.Obs.Root() != nil {
+		t.Fatalf("server observer holds a span tree: %+v", s.Obs.Root().Export())
 	}
 }

@@ -1,250 +1,19 @@
-// Package telemetry is the production observability layer built on top of
-// internal/obs: a labeled metric registry with Prometheus text exposition
-// (prom.go), correlation IDs and deterministic trace sampling propagated via
-// context (trace.go), a structured JSON-lines logger (logger.go), a bounded
-// slow-query log with trace exemplars (slowlog.go), build-info reporting
-// (buildinfo.go), and the -metrics-listen / -trace-sample CLI surface shared
-// by every tool (flags.go).
+// Package telemetry is the serving layer's observability on top of
+// internal/obs: correlation IDs and deterministic trace sampling propagated
+// via context (trace.go), a structured JSON-lines logger (logger.go), a
+// bounded slow-query log with trace exemplars (slowlog.go), build-info
+// reporting (buildinfo.go), and CheckProm, the strict Prometheus text-format
+// checker the exposition tests parse with (promcheck.go). Metrics and their
+// exposition live in obs.
 //
 // The package depends only on the standard library and internal/obs, so any
 // layer (drc, pao, serve, cliutil, cmd) may import it without cycles. Like
-// obs, every method tolerates a nil receiver: a nil Registry, Vec, Logger,
-// Sampler or SlowLog turns the corresponding hook into a cheap no-op, which
-// is what keeps disabled telemetry off the hot path.
+// obs, every method tolerates a nil receiver: a nil Logger, Sampler or
+// SlowLog turns the corresponding hook into a cheap no-op, which is what
+// keeps disabled telemetry off the hot path.
 package telemetry
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-	"time"
-
-	"repro/internal/obs"
-)
-
-// MetricType tags a family for exposition.
-type MetricType string
-
-const (
-	TypeCounter   MetricType = "counter"
-	TypeGauge     MetricType = "gauge"
-	TypeHistogram MetricType = "histogram"
-)
-
-// labelSep joins label values into a series key. 0xff never appears in valid
-// UTF-8 label values, so the join is unambiguous.
-const labelSep = "\xff"
-
-// family is one named metric family: a type, a help string, a fixed label
-// schema, and a series per distinct label-value tuple.
-type family struct {
-	name   string
-	help   string
-	typ    MetricType
-	labels []string
-
-	mu     sync.RWMutex
-	series map[string]*series
-}
-
-type series struct {
-	values []string
-	ctr    *obs.Counter
-	gauge  *obs.Gauge
-	hist   *obs.Histogram
-}
-
-// get returns the series for the given label values, creating it on first
-// use. Arity mismatches are programming errors and panic loudly.
-func (f *family) get(values []string) *series {
-	if len(values) != len(f.labels) {
-		panic(fmt.Sprintf("telemetry: family %q expects %d label values, got %d",
-			f.name, len(f.labels), len(values)))
-	}
-	key := strings.Join(values, labelSep)
-	f.mu.RLock()
-	s := f.series[key]
-	f.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if s = f.series[key]; s == nil {
-		s = &series{values: append([]string(nil), values...)}
-		switch f.typ {
-		case TypeCounter:
-			s.ctr = &obs.Counter{}
-		case TypeGauge:
-			s.gauge = &obs.Gauge{}
-		case TypeHistogram:
-			s.hist = &obs.Histogram{}
-		}
-		f.series[key] = s
-	}
-	return s
-}
-
-// Registry is a race-safe collection of labeled metric families. It
-// complements obs.Registry (flat, unlabeled, get-or-create by name): code
-// that needs per-design / per-step / per-layer series registers a Vec here,
-// and the Prometheus endpoint gathers both into one exposition.
-type Registry struct {
-	mu       sync.RWMutex
-	families map[string]*family
-}
-
-// NewRegistry creates an empty labeled registry.
-func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
-}
-
-func (r *Registry) family(name, help string, typ MetricType, labels []string) *family {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil {
-		r.mu.Lock()
-		if f = r.families[name]; f == nil {
-			f = &family{
-				name: name, help: help, typ: typ,
-				labels: append([]string(nil), labels...),
-				series: make(map[string]*series),
-			}
-			r.families[name] = f
-		}
-		r.mu.Unlock()
-	}
-	if f.typ != typ || len(f.labels) != len(labels) {
-		panic(fmt.Sprintf("telemetry: family %q re-registered as %s%v, was %s%v",
-			name, typ, labels, f.typ, f.labels))
-	}
-	for i := range labels {
-		if f.labels[i] != labels[i] {
-			panic(fmt.Sprintf("telemetry: family %q re-registered with labels %v, was %v",
-				name, labels, f.labels))
-		}
-	}
-	return f
-}
-
-// CounterVec is a counter family handle; With resolves one labeled series.
-type CounterVec struct{ f *family }
-
-// GaugeVec is a gauge family handle; With resolves one labeled series.
-type GaugeVec struct{ f *family }
-
-// HistogramVec is a histogram family handle; With resolves one labeled
-// series. The underlying obs.Histogram has fixed log2 bucket boundaries, so
-// series from different processes merge exactly.
-type HistogramVec struct{ f *family }
-
-// Counter registers (or fetches) a counter family.
-func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	return &CounterVec{f: r.family(name, help, TypeCounter, labels)}
-}
-
-// Gauge registers (or fetches) a gauge family.
-func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.family(name, help, TypeGauge, labels)}
-}
-
-// Histogram registers (or fetches) a histogram family.
-func (r *Registry) Histogram(name, help string, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	return &HistogramVec{f: r.family(name, help, TypeHistogram, labels)}
-}
-
-// With resolves the series for the given label values (nil-safe: a nil vec
-// returns a nil handle, which no-ops).
-func (v *CounterVec) With(values ...string) *obs.Counter {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(values).ctr
-}
-
-// With resolves the series for the given label values.
-func (v *GaugeVec) With(values ...string) *obs.Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(values).gauge
-}
-
-// With resolves the series for the given label values.
-func (v *HistogramVec) With(values ...string) *obs.Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.f.get(values).hist
-}
-
-// SeriesSnapshot is one gathered series.
-type SeriesSnapshot struct {
-	LabelValues []string
-	Value       float64      // counter / gauge value
-	Hist        obs.HistStat // histogram state
-}
-
-// FamilySnapshot is one gathered family, series sorted by label tuple.
-type FamilySnapshot struct {
-	Name   string
-	Help   string
-	Type   MetricType
-	Labels []string
-	Series []SeriesSnapshot
-}
-
-// Gather snapshots every family, sorted by name, for exposition.
-func (r *Registry) Gather() []FamilySnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.RUnlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	out := make([]FamilySnapshot, 0, len(fams))
-	for _, f := range fams {
-		snap := FamilySnapshot{Name: f.name, Help: f.help, Type: f.typ, Labels: f.labels}
-		f.mu.RLock()
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
-			ss := SeriesSnapshot{LabelValues: s.values}
-			switch f.typ {
-			case TypeCounter:
-				ss.Value = float64(s.ctr.Load())
-			case TypeGauge:
-				ss.Value = s.gauge.Load()
-			case TypeHistogram:
-				ss.Hist = s.hist.Snapshot()
-			}
-			snap.Series = append(snap.Series, ss)
-		}
-		f.mu.RUnlock()
-		out = append(out, snap)
-	}
-	return out
-}
+import "time"
 
 // nowFunc is swapped in tests.
 var nowFunc = time.Now

@@ -8,101 +8,6 @@ import (
 	"time"
 )
 
-func TestRegistryVecs(t *testing.T) {
-	r := NewRegistry()
-	qv := r.Counter("pao_queries_total", "queries served", "design", "status")
-	qv.With("c17", "ok").Add(3)
-	qv.With("c17", "degraded").Inc()
-	qv.With("c17", "ok").Inc() // same series again
-	if got := qv.With("c17", "ok").Load(); got != 4 {
-		t.Fatalf("counter series = %d, want 4", got)
-	}
-
-	gv := r.Gauge("pao_access_points", "APs per layer", "design", "layer")
-	gv.With("c17", "2").Set(12)
-	hv := r.Histogram("pao_query_seconds", "query latency", "design")
-	hv.With("c17").Observe(3 * time.Microsecond)
-	hv.With("c17").Observe(1500 * time.Microsecond)
-
-	fams := r.Gather()
-	if len(fams) != 3 {
-		t.Fatalf("gathered %d families, want 3", len(fams))
-	}
-	// Sorted by name: access_points, queries_total, query_seconds.
-	if fams[0].Name != "pao_access_points" || fams[1].Name != "pao_queries_total" || fams[2].Name != "pao_query_seconds" {
-		t.Fatalf("family order wrong: %s %s %s", fams[0].Name, fams[1].Name, fams[2].Name)
-	}
-	if len(fams[1].Series) != 2 {
-		t.Fatalf("counter family has %d series, want 2", len(fams[1].Series))
-	}
-	if fams[2].Series[0].Hist.Count != 2 {
-		t.Fatalf("histogram series count = %d, want 2", fams[2].Series[0].Hist.Count)
-	}
-}
-
-func TestRegistryVecNilSafety(t *testing.T) {
-	var r *Registry
-	cv := r.Counter("x", "", "l")
-	gv := r.Gauge("x", "", "l")
-	hv := r.Histogram("x", "", "l")
-	if cv != nil || gv != nil || hv != nil {
-		t.Fatal("nil registry returned a vec")
-	}
-	cv.With("a").Inc()
-	gv.With("a").Set(1)
-	hv.With("a").Observe(time.Second)
-	if r.Gather() != nil {
-		t.Fatal("nil registry gathered families")
-	}
-}
-
-func TestRegistryVecArityPanics(t *testing.T) {
-	r := NewRegistry()
-	v := r.Counter("c", "", "a", "b")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("arity mismatch must panic")
-		}
-	}()
-	v.With("only-one")
-}
-
-func TestRegistryTypeConflictPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("m", "", "a")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("type conflict must panic")
-		}
-	}()
-	r.Gauge("m", "", "a")
-}
-
-func TestRegistryConcurrentSeries(t *testing.T) {
-	r := NewRegistry()
-	v := r.Counter("hits", "", "shard")
-	var wg sync.WaitGroup
-	const workers, per = 8, 500
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			shard := string(rune('a' + w%4))
-			for i := 0; i < per; i++ {
-				v.With(shard).Inc()
-			}
-		}(w)
-	}
-	wg.Wait()
-	var total int64
-	for _, s := range r.Gather()[0].Series {
-		total += int64(s.Value)
-	}
-	if total != workers*per {
-		t.Fatalf("total = %d, want %d", total, workers*per)
-	}
-}
-
 func TestSamplerDeterministic(t *testing.T) {
 	s := NewSampler(0.25)
 	hits := 0
