@@ -56,10 +56,11 @@ faultinject:
 # deliver a real SIGTERM (drain + final snapshot, exit 0), then warm-restart
 # from the snapshot without recomputing and require byte-identical answers.
 # The serve package tests cover shedding (429/503 + Retry-After), the
-# breaker/readyz lifecycle, and corrupt-snapshot fallback.
+# breaker/readyz lifecycle, and corrupt-snapshot fallback; the cliutil tests
+# cover the signal-aware contexts, retries and the design loader.
 serve-smoke:
 	$(GO) test -race -v -run 'TestServeSmoke' ./cmd/paoserve
-	$(GO) test -race ./internal/serve
+	$(GO) test -race ./internal/serve ./internal/cliutil
 
 # Telemetry smoke campaign under the race detector: boot paoserve with
 # trace-sample=1, run concurrent queries (correlation IDs echoed) while
@@ -129,11 +130,18 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRegisterRequest -fuzztime=10s ./internal/serve
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -fuzzminimizetime=200x ./internal/pao
 
-# Coverage over the core analysis/check packages (the CI floor gates on this).
+# Coverage over the core analysis/check packages, failing below a 70% floor.
+# Leaves coverage.out and the per-function table coverage.txt behind.
 cover:
 	$(GO) test -coverprofile=coverage.out -coverpkg=./internal/pao,./internal/drc,./internal/oracle \
 		./internal/pao ./internal/drc ./internal/oracle ./internal/difftest
-	$(GO) tool cover -func=coverage.out | tail -1
+	$(GO) tool cover -func=coverage.out > coverage.txt
+	@total=$$(awk '/^total:/ {sub(/%/, "", $$3); print int($$3)}' coverage.txt); \
+	echo "total coverage: $${total}%"; \
+	if [ -z "$$total" ] || [ "$$total" -lt 70 ]; then \
+		echo "coverage $${total}% is below the 70% floor for pao/drc/oracle" >&2; \
+		exit 1; \
+	fi
 
 # Laptop-scale experiment sweep (~4 minutes).
 experiments:
@@ -158,3 +166,4 @@ examples:
 
 clean:
 	$(GO) clean ./...
+	rm -f coverage.out coverage.txt

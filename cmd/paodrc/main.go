@@ -17,8 +17,6 @@ import (
 	"os"
 
 	"repro/internal/cliutil"
-	"repro/internal/def"
-	"repro/internal/lef"
 	"repro/internal/obs"
 	"repro/internal/pao"
 )
@@ -87,21 +85,7 @@ func run(opts *options) (nviol int, err error) {
 	o := ob.Obs
 
 	spParse := o.Root().Start("parse")
-	lf, err := os.Open(opts.lefPath)
-	if err != nil {
-		return 0, err
-	}
-	defer lf.Close()
-	lib, err := lef.Parse(lf)
-	if err != nil {
-		return 0, err
-	}
-	df, err := os.Open(opts.defPath)
-	if err != nil {
-		return 0, err
-	}
-	defer df.Close()
-	d, err := def.Parse(df, lib.Tech, lib.Masters)
+	d, err := cliutil.LoadDesign(cliutil.DesignSource{LEF: opts.lefPath, DEF: opts.defPath})
 	if err != nil {
 		return 0, err
 	}

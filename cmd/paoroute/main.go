@@ -21,7 +21,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/def"
 	"repro/internal/guide"
-	"repro/internal/lef"
 	"repro/internal/obs"
 	"repro/internal/pao"
 	"repro/internal/render"
@@ -80,21 +79,7 @@ func run(opts *options) (err error) {
 	defer ob.End(&err)
 	o := ob.Obs
 	spParse := o.Root().Start("parse")
-	lf, err := os.Open(opts.lefPath)
-	if err != nil {
-		return err
-	}
-	defer lf.Close()
-	lib, err := lef.Parse(lf)
-	if err != nil {
-		return err
-	}
-	df, err := os.Open(opts.defPath)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	d, err := def.Parse(df, lib.Tech, lib.Masters)
+	d, err := cliutil.LoadDesign(cliutil.DesignSource{LEF: opts.lefPath, DEF: opts.defPath})
 	if err != nil {
 		return err
 	}
@@ -113,7 +98,7 @@ func run(opts *options) (err error) {
 		if err != nil {
 			return err
 		}
-		guides, err := guide.Parse(gf, lib.Tech)
+		guides, err := guide.Parse(gf, d.Tech)
 		gf.Close()
 		if err != nil {
 			return err

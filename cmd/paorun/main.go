@@ -27,9 +27,7 @@ import (
 	"strings"
 
 	"repro/internal/cliutil"
-	"repro/internal/def"
 	"repro/internal/dist"
-	"repro/internal/lef"
 	"repro/internal/obs"
 	"repro/internal/pao"
 	"repro/internal/report"
@@ -118,21 +116,7 @@ func run(opts *options) (err error) {
 	o := ob.Obs
 
 	spParse := o.Root().Start("parse")
-	lf, err := os.Open(opts.lefPath)
-	if err != nil {
-		return err
-	}
-	defer lf.Close()
-	lib, err := lef.Parse(lf)
-	if err != nil {
-		return err
-	}
-	df, err := os.Open(opts.defPath)
-	if err != nil {
-		return err
-	}
-	defer df.Close()
-	d, err := def.Parse(df, lib.Tech, lib.Masters)
+	d, err := cliutil.LoadDesign(cliutil.DesignSource{LEF: opts.lefPath, DEF: opts.defPath})
 	if err != nil {
 		return err
 	}

@@ -59,12 +59,9 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/db"
-	"repro/internal/def"
-	"repro/internal/lef"
 	"repro/internal/obs"
 	"repro/internal/pao"
 	"repro/internal/serve"
-	"repro/internal/suite"
 	"repro/internal/telemetry"
 )
 
@@ -185,33 +182,13 @@ func (o *options) hasInitialDesign() bool {
 	return o.caseName != "" || o.lefPath != ""
 }
 
+// loadDesign loads the design the flags name: -case (with -scale and -seed)
+// or the -lef/-def pair.
 func loadDesign(opts *options) (*db.Design, error) {
-	if opts.caseName != "" {
-		spec, err := suite.ByName(opts.caseName)
-		if err != nil {
-			return nil, err
-		}
-		spec = spec.Scale(opts.scale)
-		if opts.seed != 0 {
-			spec = spec.WithSeed(opts.seed)
-		}
-		return suite.Generate(spec)
-	}
-	lf, err := os.Open(opts.lefPath)
-	if err != nil {
-		return nil, err
-	}
-	defer lf.Close()
-	lib, err := lef.Parse(lf)
-	if err != nil {
-		return nil, err
-	}
-	df, err := os.Open(opts.defPath)
-	if err != nil {
-		return nil, err
-	}
-	defer df.Close()
-	return def.Parse(df, lib.Tech, lib.Masters)
+	return cliutil.LoadDesign(cliutil.DesignSource{
+		Case: opts.caseName, Scale: opts.scale, Seed: opts.seed,
+		LEF: opts.lefPath, DEF: opts.defPath,
+	})
 }
 
 func run(opts *options) (err error) {

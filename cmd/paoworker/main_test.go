@@ -13,9 +13,7 @@ import (
 	"repro/internal/clitest"
 	"repro/internal/cliutil"
 	"repro/internal/db"
-	"repro/internal/def"
 	"repro/internal/dist"
-	"repro/internal/lef"
 	"repro/internal/obs"
 	"repro/internal/pao"
 )
@@ -68,21 +66,7 @@ func TestLoadDesignBadInputs(t *testing.T) {
 // coordinator hashes the same design the worker serves.
 func parseLEFDEF(t *testing.T, lefPath, defPath string) *db.Design {
 	t.Helper()
-	lf, err := os.Open(lefPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lf.Close()
-	lib, err := lef.Parse(lf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	df, err := os.Open(defPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer df.Close()
-	d, err := def.Parse(df, lib.Tech, lib.Masters)
+	d, err := loadDesign(&options{lefPath: lefPath, defPath: defPath})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
-// Package cliutil holds the lifecycle plumbing shared by the cmd tools:
-// the -timeout and -fail-fast flags and SIGINT/SIGTERM-aware contexts, so
-// every tool degrades the same way — flush whatever partial report exists,
-// exit non-zero — when a run is cancelled.
+// Package cliutil holds the plumbing shared by the cmd tools: the design
+// loader, and the -timeout and -fail-fast flags with SIGINT/SIGTERM-aware
+// contexts, so every tool degrades the same way — flush whatever partial
+// report exists, exit non-zero — when a run is cancelled.
 package cliutil
 
 import (

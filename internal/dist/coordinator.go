@@ -617,31 +617,11 @@ func (c *Coordinator) localShard(ctx context.Context, sh *shard) (any, error) {
 	}
 	// Decode the shard's own payload rather than holding a reference to the
 	// merged result: local fallback then follows exactly the worker code path.
-	var sr selectRequest
 	payload, err := openFrame(sh.body)
 	if err != nil {
 		return nil, err
 	}
-	if err := json.Unmarshal(payload, &sr); err != nil {
-		return nil, err
-	}
-	classes, err := pao.DecodeSnapshot(bytes.NewReader(sr.Classes), c.Design, c.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	picks, health, err := a.SelectClusters(ctx, classes, c.localEng, sh.keys)
-	if err != nil {
-		return nil, err
-	}
-	resp := &selectResponse{
-		Degraded: health.DegradedClasses(),
-		Errors:   toWireErrors(health.Errors()),
-	}
-	for id, idx := range picks {
-		resp.Selected = append(resp.Selected, [2]int{id, idx})
-	}
-	sort.Slice(resp.Selected, func(a, b int) bool { return resp.Selected[a][0] < resp.Selected[b][0] })
-	return resp, nil
+	return selectShard(ctx, a, c.localEng, payload)
 }
 
 // observeLatency records a completed shard's wall time for the p99-derived

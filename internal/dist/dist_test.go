@@ -3,6 +3,9 @@ package dist
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -294,5 +297,70 @@ func TestCoordinatorNoWorkersRunsLocally(t *testing.T) {
 	}
 	if got := snapshotBytes(t, d, cfg, res); !bytes.Equal(got, want) {
 		t.Fatal("zero-worker coordinator must match the single-process run")
+	}
+}
+
+// TestWorkerSelectStatus: the worker answers a select payload that does not
+// decode with 400 and a selection error with 500, and a valid shard with
+// exactly the response the coordinator's local fallback computes.
+func TestWorkerSelectStatus(t *testing.T) {
+	cfg := pao.DefaultConfig()
+	_, srv := startWorker(t, cfg)
+	d := distDesign(t)
+	classes := snapshotBytes(t, d, cfg, pao.NewAnalyzer(d, cfg).Run())
+	key := pao.ClusterKey(d.Clusters()[0])
+	request := func(keys []string, classes []byte) []byte {
+		b, err := json.Marshal(selectRequest{Keys: keys, Classes: classes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	post := func(payload []byte) (int, []byte) {
+		resp, err := http.Post(srv.URL+pathSelect, "application/octet-stream", bytes.NewReader(sealFrame(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+		want    int
+	}{
+		{"bad json", []byte("{"), http.StatusBadRequest},
+		{"bad snapshot", request([]string{key}, []byte("not a snapshot")), http.StatusBadRequest},
+		{"unknown cluster", request([]string{"cluster:nope"}, classes), http.StatusInternalServerError},
+	} {
+		if code, _ := post(tc.payload); code != tc.want {
+			t.Errorf("%s: status %d, want %d", tc.name, code, tc.want)
+		}
+	}
+
+	body := request([]string{key}, classes)
+	code, raw := post(body)
+	if code != http.StatusOK {
+		t.Fatalf("valid shard: status %d: %s", code, raw)
+	}
+	got, err := openFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := fastCoordinator(d, cfg, nil)
+	local, err := c.localShard(context.Background(), &shard{phase: "select", keys: []string{key}, body: sealFrame(body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("worker answered %s, local fallback computed %s", got, want)
 	}
 }

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -165,33 +167,17 @@ func (w *Worker) handleSelect(rw http.ResponseWriter, req *http.Request) {
 	if !ok {
 		return
 	}
-	var sr selectRequest
-	if err := json.Unmarshal(payload, &sr); err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	// The shipped classes ride the snapshot format, so checksum, design hash
-	// and config fingerprint are validated before any selection runs.
-	classes, err := pao.DecodeSnapshot(bytes.NewReader(sr.Classes), w.Design, w.Cfg)
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	picks, health, err := w.lazyAnalyzer().SelectClusters(req.Context(), classes, w.lazyEngine(), sr.Keys)
+	resp, err := selectShard(req.Context(), w.lazyAnalyzer(), w.lazyEngine(), payload)
 	if err != nil {
-		http.Error(rw, err.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError
+		if errors.As(err, new(badShard)) {
+			code = http.StatusBadRequest
+		}
+		http.Error(rw, err.Error(), code)
 		return
 	}
-	resp := selectResponse{
-		Degraded: health.DegradedClasses(),
-		Errors:   toWireErrors(health.Errors()),
-	}
-	for id, idx := range picks {
-		resp.Selected = append(resp.Selected, [2]int{id, idx})
-	}
-	sort.Slice(resp.Selected, func(a, b int) bool { return resp.Selected[a][0] < resp.Selected[b][0] })
 	body, err := json.Marshal(resp)
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusInternalServerError)
@@ -199,4 +185,37 @@ func (w *Worker) handleSelect(rw http.ResponseWriter, req *http.Request) {
 	}
 	w.Obs.Reg().Counter("dist.worker.shards.select").Add(1)
 	writeFramed(rw, body)
+}
+
+// badShard is a select payload that does not decode: the client's fault.
+type badShard struct{ error }
+
+// selectShard computes one Step-3 shard from its unframed request payload with
+// the analyzer a and its fixed-design engine — the work a worker's /v1/select
+// and the coordinator's local fallback share. The shipped classes ride the
+// snapshot format, so checksum, design hash and config fingerprint are
+// validated before any selection runs; a payload that does not decode is a
+// badShard. The picks come back sorted by instance ID.
+func selectShard(ctx context.Context, a *pao.Analyzer, eng *drc.Engine, payload []byte) (*selectResponse, error) {
+	var sr selectRequest
+	if err := json.Unmarshal(payload, &sr); err != nil {
+		return nil, badShard{err}
+	}
+	classes, err := pao.DecodeSnapshot(bytes.NewReader(sr.Classes), a.Design, a.Cfg)
+	if err != nil {
+		return nil, badShard{err}
+	}
+	picks, health, err := a.SelectClusters(ctx, classes, eng, sr.Keys)
+	if err != nil {
+		return nil, err
+	}
+	resp := &selectResponse{
+		Degraded: health.DegradedClasses(),
+		Errors:   toWireErrors(health.Errors()),
+	}
+	for id, idx := range picks {
+		resp.Selected = append(resp.Selected, [2]int{id, idx})
+	}
+	sort.Slice(resp.Selected, func(a, b int) bool { return resp.Selected[a][0] < resp.Selected[b][0] })
+	return resp, nil
 }

@@ -186,12 +186,7 @@ func CutPairClean(c *tech.CutLayer, a, b geom.Rect) bool {
 // spacing applies regardless of net (two same-net vias still need clearance);
 // an identical coincident cut is treated as the same via and skipped.
 func (e *Engine) CheckCutRect(cutBelow int, r geom.Rect, net int) []Violation {
-	return e.CheckCutRectCtx(cutBelow, r, net, nil)
-}
-
-// CheckCutRectCtx is CheckCutRect with caller-owned query state.
-func (e *Engine) CheckCutRectCtx(cutBelow int, r geom.Rect, net int, ctx *QueryCtx) []Violation {
-	return e.checkCutRectInto(cutBelow, r, net, ctx, true, nil)
+	return e.checkCutRectInto(cutBelow, r, net, nil, true, nil)
 }
 
 func (e *Engine) checkCutRectInto(cutBelow int, r geom.Rect, net int, ctx *QueryCtx, notes bool, out []Violation) []Violation {
@@ -370,12 +365,7 @@ func CheckMinEnclosedAreaUnion(l *tech.RoutingLayer, rects []geom.Rect) []Violat
 // window extending EOLSpace beyond the edge and widened by EOLWithin must be
 // free of different-net shapes.
 func (e *Engine) CheckEOLRect(layer int, r geom.Rect, net int) []Violation {
-	return e.CheckEOLRectCtx(layer, r, net, nil)
-}
-
-// CheckEOLRectCtx is CheckEOLRect with caller-owned query state.
-func (e *Engine) CheckEOLRectCtx(layer int, r geom.Rect, net int, ctx *QueryCtx) []Violation {
-	return e.checkEOLRectInto(layer, r, net, ctx, true, nil)
+	return e.checkEOLRectInto(layer, r, net, nil, true, nil)
 }
 
 func (e *Engine) checkEOLRectInto(layer int, r geom.Rect, net int, ctx *QueryCtx, notes bool, out []Violation) []Violation {
@@ -559,57 +549,17 @@ func connectedInto(seed geom.Rect, rects []geom.Rect, out []geom.Rect, used []bo
 func (e *Engine) CheckAll() []Violation {
 	e.Compact() // exclusive caller by the stamp contract; fold churn first
 	var out []Violation
-	pairs := int64(0)
 	for id := range e.objs {
-		if !e.alive[id] {
-			continue
-		}
-		o := &e.objs[id]
-		switch {
-		case o.MetalLayer > 0:
-			l := e.Tech.Metal(o.MetalLayer)
-			win := o.Rect.Bloat(l.SpacingReach())
-			for _, jd := range e.QueryMetal(o.MetalLayer, win) {
-				if jd <= id {
-					continue
-				}
-				pairs++
-				q := &e.objs[jd]
-				if sameNet(o.Net, q.Net) {
-					continue
-				}
-				out = checkMetalPairInto(l, o.Rect, o.Net, o.describe(), q.Rect, q.Net, q.describe(), true, out)
-			}
-		case o.CutBelow > 0:
-			c := e.Tech.Cut(o.CutBelow)
-			win := o.Rect.Bloat(c.Spacing)
-			for _, jd := range e.QueryCut(o.CutBelow, win) {
-				if jd <= id {
-					continue
-				}
-				pairs++
-				q := &e.objs[jd]
-				if o.Rect.Overlaps(q.Rect) {
-					ov, _ := o.Rect.Intersect(q.Rect)
-					out = append(out, Violation{Rule: "Short", Layer: c.Name, Where: ov,
-						Note: fmt.Sprintf("%s overlaps %s", o.describe(), q.describe())})
-					continue
-				}
-				if d := o.Rect.DistSquared(q.Rect); d < c.Spacing*c.Spacing {
-					out = append(out, Violation{Rule: "CutSpacing", Layer: c.Name, Where: o.Rect.UnionBBox(q.Rect),
-						Note: fmt.Sprintf("%s within %d of %s", o.describe(), c.Spacing, q.describe())})
-				}
-			}
+		if e.alive[id] {
+			out = e.checkObjAgainst(id, nil, out)
 		}
 	}
-	e.Counters.PairChecks.Add(pairs)
-	e.Counters.Violations.Add(int64(len(out)))
 	return Dedup(out)
 }
 
 // checkObjAgainst runs the pairwise checks of one object against the engine
-// using the caller-owned query state; only pairs (id < jd) are reported so
-// the full sweep sees each pair once.
+// using the caller-owned query state (nil: the engine-owned stamps); only
+// pairs (id < jd) are reported so the full sweep sees each pair once.
 func (e *Engine) checkObjAgainst(id int, qc *QueryCtx, out []Violation) []Violation {
 	o := &e.objs[id]
 	before := len(out)
@@ -659,11 +609,7 @@ func (e *Engine) checkObjAgainst(id int, qc *QueryCtx, out []Violation) []Violat
 // own QueryCtx), for post-route full-design checks on large results. The
 // violation set matches CheckAll; ordering is normalized by sorting on Key.
 func (e *Engine) CheckAllParallel(workers int) []Violation {
-	if workers < 2 {
-		out := e.CheckAll()
-		sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
-		return out
-	}
+	workers = max(workers, 1)
 	e.Compact() // before the fan-out: workers must not race a rebuild
 	n := len(e.objs)
 	results := make([][]Violation, workers)

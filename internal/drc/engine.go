@@ -260,9 +260,6 @@ func (e *Engine) AttachViaCache(c *ViaCache) {
 	e.cache = c
 }
 
-// ViaCacheAttached reports whether a via-verdict cache is installed.
-func (e *Engine) ViaCacheAttached() bool { return e.cache != nil }
-
 // Add registers a shape and returns its ID. IDs are handed out consecutively
 // in insertion order and never reused (Remove only marks an ID dead).
 func (e *Engine) Add(o Obj) int {

@@ -20,9 +20,9 @@ const (
 	// SiteAnalyzeUnique fires before each class's Step-1/2 analysis, inside
 	// the per-class recovery: a panic here quarantines the class.
 	SiteAnalyzeUnique = "pao.analyzeUnique"
-	// SiteWorkerItem fires before each item in the pooled Step-1/2 path,
+	// SiteWorkerItem fires before each item in the Step-1/2 worker pool,
 	// outside the per-class recovery: a panic here kills the worker
-	// goroutine and exercises the respawn path. Not reached when Workers <= 1.
+	// goroutine and exercises the respawn path, at any worker count.
 	SiteWorkerItem = "pao.worker.item"
 	// SiteSelectCluster fires before each cluster's Step-3 DP.
 	SiteSelectCluster = "pao.selectForCluster"
@@ -382,6 +382,9 @@ func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.Uni
 		if !ok {
 			return true
 		}
+		if a.abort(h) {
+			continue // fail-fast: start no class after a fault; the feeder stops next
+		}
 		cur = i
 		if hook := a.FaultHook; hook != nil {
 			hook(SiteWorkerItem, uis[i].Signature())
@@ -397,43 +400,26 @@ func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.Uni
 	}
 }
 
-// runStep12 executes the per-unique-instance analysis under ctx: sequential
-// when the effective worker count is 1, otherwise a channel-fed pool whose
-// workers are respawned if a panic escapes the per-class recovery.
-func (a *Analyzer) runStep12(ctx context.Context, uis []*db.UniqueInstance, uas []*UniqueAccess,
-	sp12 *obs.Span, busyTotal *atomic.Int64, h *Health) {
-
-	reg := a.Obs.Reg()
-	w := a.Cfg.workers()
-	if w == 1 {
-		var busy time.Duration
-		for i := range uis {
-			if ctx.Err() != nil || a.abort(h) {
-				break
-			}
-			if reg != nil {
-				tb := time.Now()
-				a.safeAnalyzeUnique(ctx, uis[i], sp12, uas, i, h)
-				busy += time.Since(tb)
-			} else {
-				a.safeAnalyzeUnique(ctx, uis[i], sp12, uas, i, h)
-			}
-		}
-		if reg != nil {
-			busyTotal.Add(busy.Nanoseconds())
-			reg.Histogram("pao.step12.worker.busy").Observe(busy)
-		}
-		return
-	}
+// analyzeClasses is the Step-1/2 class driver RunContext and AnalyzeClasses
+// share: it analyzes uis on a channel-fed pool of the configured worker count,
+// whose workers are respawned if a panic escapes the per-class recovery, then
+// folds every analyzed class into res in uis order. A class that failed or was
+// never reached (cancellation) has no access data; its pins count as failed
+// downstream. sp12, when non-nil, parents the per-class spans. It returns the
+// workers' summed busy time, which is only measured with telemetry on.
+func (a *Analyzer) analyzeClasses(ctx context.Context, res *Result, uis []*db.UniqueInstance, sp12 *obs.Span) time.Duration {
+	h := res.Health
+	uas := make([]*UniqueAccess, len(uis))
+	var busy atomic.Int64
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for g := 0; g < w; g++ {
+	for g := 0; g < a.Cfg.workers(); g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			// Respawn loop: a worker killed by an escaped panic is replaced
 			// immediately, so the pool never silently shrinks.
-			for !a.workerRun(ctx, next, uis, uas, sp12, busyTotal, h) {
+			for !a.workerRun(ctx, next, uis, uas, sp12, &busy, h) {
 				h.noteRespawn()
 			}
 		}()
@@ -451,6 +437,12 @@ feed:
 	}
 	close(next)
 	wg.Wait()
+	for i, ui := range uis {
+		if uas[i] != nil {
+			foldClass(res, ui, uas[i])
+		}
+	}
+	return time.Duration(busy.Load())
 }
 
 // abort reports whether the fail-fast policy wants the run stopped now.
@@ -481,9 +473,10 @@ func (a *Analyzer) Run() *Result {
 	return res
 }
 
-// RunContext executes the full three-step flow under ctx. When Cfg.Workers > 1
-// the per-unique-instance analysis (Steps 1 and 2) fans out across goroutines;
-// classes are independent, so the result is identical to the sequential run.
+// RunContext executes the full three-step flow under ctx. Steps 1 and 2 fan
+// out per unique instance, Step 3 per row cluster and the failed-pin check per
+// terminal, each across Cfg.Workers goroutines; the work items are independent,
+// so the result is identical at every worker count.
 //
 // Failure semantics: a panic inside one class's analysis or one cluster's
 // selection is recovered and quarantined into Result.Health — the run
@@ -498,29 +491,15 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	reg := a.Obs.Reg()
 	spRun := a.Obs.Root().Start("pao.run")
 	ctx, corr := telemetry.EnsureCorrID(ctx)
-	res := &Result{
-		CorrID:     corr,
-		ByInstance: make(map[int]*UniqueAccess),
-		Selected:   make(map[int]int),
-		Health:     newHealth(),
-	}
+	res := newResult()
+	res.CorrID = corr
 	h := res.Health
 	uis := a.Design.UniqueInstances()
-	uas := make([]*UniqueAccess, len(uis))
 	sp12 := spRun.Start("pao.step12")
 	t12 := time.Now()
-	var busyTotal atomic.Int64
-	a.runStep12(ctx, uis, uas, sp12, &busyTotal, h)
+	busy := a.analyzeClasses(ctx, res, uis, sp12)
 	step12Wall := time.Since(t12)
 	sp12.End()
-	for i, ui := range uis {
-		if uas[i] == nil {
-			// Failed or never analyzed (cancellation): the class has no
-			// access data; its pins count as failed downstream.
-			continue
-		}
-		foldClass(res, ui, uas[i])
-	}
 
 	var selDur, failDur time.Duration
 	finish := func() {
@@ -538,7 +517,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 			reg.Gauge("pao.workers").Set(float64(w))
 			if wall := step12Wall.Nanoseconds(); wall > 0 {
 				reg.Gauge("pao.workers.utilization").Set(
-					float64(busyTotal.Load()) / (float64(wall) * float64(w)))
+					float64(busy) / (float64(wall) * float64(w)))
 			}
 			reg.Counter("pao.step12.items").Add(int64(len(uis)))
 			h.publish(reg)

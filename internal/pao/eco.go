@@ -45,6 +45,7 @@ package pao
 // failed-pin recount of an ECO scale with the edit, not with the design.
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -259,27 +260,15 @@ type ECOSession struct {
 	txn  *ECOTxn
 
 	// Failed-pin accounting: fp holds the fixed shapes plus the selected via
-	// of every net terminal.
-	fp      *drc.Engine
-	fpQC    *drc.QueryCtx
-	fpObjs  map[int][]int   // instance ID -> its fixed-shape object IDs in fp
-	terms   []ecoTerm       // every net terminal the session started with
+	// of every net terminal, and the embedded ledger covers every terminal
+	// the session started with (live drops those of deleted instances).
+	fp     *drc.Engine
+	fpQC   *drc.QueryCtx
+	fpObjs map[int][]int // instance ID -> its fixed-shape object IDs in fp
+	pinLedger
 	termsOf map[int][]int32 // instance ID -> its indexes into terms
 	owner   []int32         // fp object ID -> 1 + terms index of its via; 0 for fixed shapes
-	live    int             // terminals of instances not deleted (TotalPins)
-	failing int             // live terminals that fail (FailedPins)
 }
-
-// ecoTerm is one net terminal's state in the failed-pin engine.
-type ecoTerm struct {
-	termVia
-	access bool // has a selected access point; false counts as failed
-	obj0   int  // first fp object of the placed via (access with a via)
-	failed bool
-}
-
-// hasVia reports whether the terminal places a via in the failed-pin engine.
-func (tm *ecoTerm) hasVia() bool { return tm.access && tm.via != nil }
 
 // NewECOSession builds a session over an analyzed result. The analyzer must
 // be the one that produced res (or an equivalent over the same design); the
@@ -312,40 +301,22 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	s.fp = a.globalEngine(nil, func(inst *db.Instance, id int) {
 		s.fpObjs[inst.ID] = append(s.fpObjs[inst.ID], id)
 	})
-	s.terms = make([]ecoTerm, 0, numNetTerms(d))
-	objs := 0
-	for _, net := range d.Nets {
-		for _, t := range net.Terms {
-			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
-			tm := ecoTerm{termVia: tv, access: ok}
-			if tm.hasVia() {
-				objs += viaObjs(tm.via)
-			}
-			s.termsOf[t.Inst.ID] = append(s.termsOf[t.Inst.ID], int32(len(s.terms)))
-			s.terms = append(s.terms, tm)
-		}
-	}
-	s.fp.Grow(objs)
-	for i := range s.terms {
-		s.placeVia(int32(i))
-	}
-	s.live = len(s.terms)
-	s.fp.Compact()
+	s.pinLedger = a.buildLedger(context.TODO(), res, s.fp)
 	s.fpQC = s.fp.NewQueryCtx()
 	for i := range s.terms {
-		s.recheck(int32(i))
+		id := s.terms[i].inst.ID
+		s.termsOf[id] = append(s.termsOf[id], int32(i))
+		s.own(int32(i))
 	}
 	return s
 }
 
-// placeVia drops terminal i's via (if any) into the failed-pin engine and
-// records the via's objects as owned by it.
-func (s *ECOSession) placeVia(i int32) {
+// own records terminal i's placed via objects (if any) as owned by it.
+func (s *ECOSession) own(i int32) {
 	tm := &s.terms[i]
 	if !tm.hasVia() {
 		return
 	}
-	tm.obj0 = tm.place(s.fp)
 	end := tm.obj0 + viaObjs(tm.via)
 	if n := len(s.owner); n < end {
 		s.owner = append(s.owner, make([]int32, end-n)...)
@@ -355,19 +326,10 @@ func (s *ECOSession) placeVia(i int32) {
 	}
 }
 
-// recheck re-validates terminal i against the failed-pin engine and keeps
-// the failing count in step.
+// recheck re-validates terminal i against the failed-pin engine.
 func (s *ECOSession) recheck(i int32) {
 	tm := &s.terms[i]
-	f := !tm.access || (tm.via != nil && tm.fails(s.fp, s.fpQC))
-	if f != tm.failed {
-		tm.failed = f
-		if f {
-			s.failing++
-		} else {
-			s.failing--
-		}
-	}
+	s.mark(tm, !tm.access || (tm.via != nil && tm.fails(s.fp, s.fpQC)))
 }
 
 // Result returns the session's current result (the merged result after the
@@ -585,6 +547,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	// the instances whose pattern list may have changed under them: every
 	// member of a re-analyzed or new class, and every instance that joined
 	// a carried class (its old pick indexes its previous class's patterns).
+	merged := make([]*UniqueAccess, 0, len(old.Unique))
 	uaBySig := make(map[string]*UniqueAccess, len(old.Unique))
 	repick := make(map[int]*db.Instance)
 	for _, ua := range old.Unique {
@@ -592,7 +555,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		uaBySig[sig] = ua
 		ch := t.changes[sig]
 		if ch == nil {
-			res.Unique = append(res.Unique, ua)
+			merged = append(merged, ua)
 			continue
 		}
 		memberSet := make(map[int]*db.Instance, len(ua.UI.Insts)+len(ch.added))
@@ -616,7 +579,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			// Copy-on-write so readers of the old Result see the old members.
 			cp := *ua
 			cp.UI = ui
-			res.Unique = append(res.Unique, &cp)
+			merged = append(merged, &cp)
 			for id, m := range ch.added {
 				repick[id] = m
 			}
@@ -625,7 +588,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			// the new pivot. Translating the stored APs instead would not be
 			// byte-identical (PinAccess.SortKey is a float over absolute
 			// pivot coordinates).
-			res.Unique = append(res.Unique, a.AnalyzeUnique(ui))
+			merged = append(merged, a.AnalyzeUnique(ui))
 			rep.ReanalyzedClasses++
 			for _, m := range members {
 				repick[m.ID] = m
@@ -646,7 +609,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		members := sortedMembers(t.changes[sig].added)
 		pivot := members[0]
 		ui := &db.UniqueInstance{Master: pivot.Master, Orient: pivot.Orient, Offsets: d.OffsetsOf(pivot), Insts: members}
-		res.Unique = append(res.Unique, a.AnalyzeUnique(ui))
+		merged = append(merged, a.AnalyzeUnique(ui))
 		rep.ReanalyzedClasses++
 		rep.NewClasses++
 		for _, m := range members {
@@ -654,9 +617,10 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		}
 	}
 
-	// Restore the fresh-partition class order (master, orient, offsets).
-	sort.Slice(res.Unique, func(i, j int) bool {
-		x, y := res.Unique[i].UI, res.Unique[j].UI
+	// Restore the fresh-partition class order (master, orient, offsets), then
+	// fold the classes in that order.
+	sort.Slice(merged, func(i, j int) bool {
+		x, y := merged[i].UI, merged[j].UI
 		if x.Master.Name != y.Master.Name {
 			return x.Master.Name < y.Master.Name
 		}
@@ -665,25 +629,10 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		}
 		return offsOrderKey(x.Offsets) < offsOrderKey(y.Offsets)
 	})
-	rep.TotalClasses = len(res.Unique)
-
-	// Rebuild the aggregates exactly as RunContext does.
-	for _, ua := range res.Unique {
-		for _, inst := range ua.UI.Insts {
-			res.ByInstance[inst.ID] = ua
-		}
-		res.Stats.NumUnique++
-		res.Stats.TotalAPs += ua.TotalAPs()
-		res.Stats.PatternsBuilt += len(ua.Patterns)
-		res.Stats.PatternsDropped += ua.DroppedPatterns
-		for _, pa := range ua.Pins {
-			for _, ap := range pa.APs {
-				if ap.OffTrack() {
-					res.Stats.OffTrackAPs++
-				}
-			}
-		}
+	for _, ua := range merged {
+		foldClass(res, ua.UI, ua)
 	}
+	rep.TotalClasses = len(res.Unique)
 
 	// Selection: carry the old picks, reset defaults for every instance to
 	// re-pick (a macro belongs to no cluster, so the default is its pick),
@@ -781,7 +730,7 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 		note(id)
 		s.fp.Remove(id)
 	}
-	removeVia := func(tm *ecoTerm) {
+	removeVia := func(tm *pinTerm) {
 		if tm.hasVia() {
 			for id := tm.obj0; id < tm.obj0+viaObjs(tm.via); id++ {
 				remove(id)
@@ -799,10 +748,7 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 		for _, i := range s.termsOf[id] {
 			tm := &s.terms[i]
 			removeVia(tm)
-			if tm.failed {
-				tm.failed = false
-				s.failing--
-			}
+			s.mark(tm, false)
 			s.live--
 		}
 		delete(s.termsOf, id)
@@ -832,8 +778,9 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 			}
 			removeVia(tm)
 			tm.termVia, tm.access = tv, ok
-			s.placeVia(i)
 			if tm.hasVia() {
+				tm.obj0 = tm.place(s.fp)
+				s.own(i)
 				for oid := tm.obj0; oid < tm.obj0+viaObjs(tm.via); oid++ {
 					note(oid)
 				}

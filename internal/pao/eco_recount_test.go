@@ -33,11 +33,11 @@ func freshFailing(t *testing.T, d *db.Design) (map[termName]int, *Result) {
 	a := NewAnalyzer(d, DefaultConfig())
 	res := a.Run()
 	eng := a.globalEngine(nil, nil)
-	var all []ecoTerm
+	var all []pinTerm
 	for _, net := range d.Nets {
 		for _, nt := range net.Terms {
 			tv, ok := a.resolveTerm(res, nt.Inst, nt.Pin)
-			tm := ecoTerm{termVia: tv, access: ok}
+			tm := pinTerm{termVia: tv, access: ok}
 			if tm.hasVia() {
 				tm.place(eng)
 			}
@@ -99,24 +99,69 @@ func recountScript(d *db.Design, rng *rand.Rand, n, round int) []ECOOp {
 }
 
 // TestECORecountMatchesFullCheck drives a seeded chain of commits through one
-// session and, after each, compares the session's set of failing terminals
-// with a from-scratch check of the mutated design. Sets, not counts: two
-// wrong verdicts that cancel would hide in the count.
+// session and compares the session's set of failing terminals with a
+// from-scratch check of the design, once before the first commit (the
+// session's own ledger build) and after every commit. Sets, not counts: two
+// wrong verdicts that cancel would hide in the count. The reference always
+// runs one worker with the cache on; the Workers=2 and NoCache sessions check
+// the parallel ledger build and the uncached analysis against it.
 func TestECORecountMatchesFullCheck(t *testing.T) {
-	specs := []suite.Spec{
-		suite.Testcases[0].Scale(0.01).WithSeed(7),
-		suite.Testcases[3].Scale(0.004).WithSeed(7),
-		suite.AES14.Scale(0.01).WithSeed(7),
+	workers2 := DefaultConfig()
+	workers2.Workers = 2
+	noCache := DefaultConfig()
+	noCache.NoCache = true
+	inputs := []struct {
+		spec   suite.Spec
+		suffix string
+		cfg    Config
+	}{
+		{suite.Testcases[0].Scale(0.01).WithSeed(7), "", DefaultConfig()},
+		{suite.Testcases[3].Scale(0.004).WithSeed(7), "", DefaultConfig()},
+		{suite.AES14.Scale(0.01).WithSeed(7), "", DefaultConfig()},
+		{suite.AES14.Scale(0.01).WithSeed(7), "_workers2", workers2},
+		{suite.Testcases[0].Scale(0.01).WithSeed(7), "_nocache", noCache},
 	}
 	const rounds, opsPerRound = 6, 4
-	for si, spec := range specs {
-		t.Run(spec.Name, func(t *testing.T) {
-			d, err := suite.Generate(spec)
+	for si, in := range inputs {
+		t.Run(in.spec.Name+in.suffix, func(t *testing.T) {
+			d, err := suite.Generate(in.spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			a := NewAnalyzer(d, DefaultConfig())
+			// Perturb the placement before the analysis, so the session's
+			// own ledger build already has failing terminals to get right.
+			pre := rand.New(rand.NewSource(int64(1000 + si)))
+			if err := ApplyOpsToDesign(d, recountScript(d, pre, 3*opsPerRound, -1)); err != nil {
+				t.Fatal(err)
+			}
+			a := NewAnalyzer(d, in.cfg)
 			sess := NewECOSession(a, a.Run())
+			if sess.Result().Stats.FailedPins == 0 {
+				t.Fatal("no pin fails before the first commit; the initial check would prove nothing")
+			}
+			check := func(when string, res *Result) {
+				t.Helper()
+				want, fresh := freshFailing(t, d)
+				got := sessionFailing(sess)
+				for k, n := range want {
+					if got[k] != n {
+						t.Errorf("%s: %s/%s fails %d times fresh, %d in the session", when, k.inst, k.pin, n, got[k])
+					}
+				}
+				for k, n := range got {
+					if want[k] == 0 {
+						t.Errorf("%s: %s/%s fails %d times in the session, never fresh", when, k.inst, k.pin, n)
+					}
+				}
+				if res.Stats.FailedPins != fresh.Stats.FailedPins || res.Stats.TotalPins != fresh.Stats.TotalPins {
+					t.Errorf("%s: session %d/%d failed/total pins, fresh %d/%d", when,
+						res.Stats.FailedPins, res.Stats.TotalPins, fresh.Stats.FailedPins, fresh.Stats.TotalPins)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+			}
+			check("before the first commit", sess.Result())
 			rng := rand.New(rand.NewSource(int64(2000 + si)))
 			prev, moved := sess.Result().Stats.FailedPins, false
 			for round := 0; round < rounds; round++ {
@@ -126,25 +171,7 @@ func TestECORecountMatchesFullCheck(t *testing.T) {
 				}
 				t.Logf("round %d: %d of %d pins fail, %d rechecked", round,
 					res.Stats.FailedPins, res.Stats.TotalPins, rep.RecheckedPins)
-				want, fresh := freshFailing(t, d)
-				got := sessionFailing(sess)
-				for k, n := range want {
-					if got[k] != n {
-						t.Errorf("round %d: %s/%s fails %d times fresh, %d in the session", round, k.inst, k.pin, n, got[k])
-					}
-				}
-				for k, n := range got {
-					if want[k] == 0 {
-						t.Errorf("round %d: %s/%s fails %d times in the session, never fresh", round, k.inst, k.pin, n)
-					}
-				}
-				if res.Stats.FailedPins != fresh.Stats.FailedPins || res.Stats.TotalPins != fresh.Stats.TotalPins {
-					t.Errorf("round %d: eco %d/%d failed/total pins, fresh %d/%d", round,
-						res.Stats.FailedPins, res.Stats.TotalPins, fresh.Stats.FailedPins, fresh.Stats.TotalPins)
-				}
-				if t.Failed() {
-					t.FailNow()
-				}
+				check(fmt.Sprintf("round %d", round), res)
 				moved = moved || res.Stats.FailedPins != prev
 				prev = res.Stats.FailedPins
 			}

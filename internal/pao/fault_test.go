@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/drc"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/pao"
@@ -176,40 +178,78 @@ func TestFaultDeadlineReturnsPartial(t *testing.T) {
 // TestFaultWorkerRespawn: a panic that escapes the per-class recovery (the
 // pao.worker.item site sits outside it) kills the worker goroutine; the pool
 // must respawn a replacement, finish every other class, and record the
-// in-flight class as failed.
+// in-flight class as failed. One worker runs the same pool, so the respawn
+// path is reachable there too.
 func TestFaultWorkerRespawn(t *testing.T) {
-	d := faultDesign(t)
-	cfg := pao.DefaultConfig()
-	cfg.Workers = 2
-	clean := pao.NewAnalyzer(d, cfg).Run()
-	var targets []string
-	for _, ua := range clean.Unique[:2] {
-		targets = append(targets, ua.UI.Signature())
-	}
-	sort.Strings(targets)
+	for _, workers := range []int{2, 1} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			d := faultDesign(t)
+			cfg := pao.DefaultConfig()
+			cfg.Workers = workers
+			clean := pao.NewAnalyzer(d, cfg).Run()
+			var targets []string
+			for _, ua := range clean.Unique[:2] {
+				targets = append(targets, ua.UI.Signature())
+			}
+			sort.Strings(targets)
 
-	in := faultinject.New()
-	for _, sig := range targets {
-		in.Add(&faultinject.Fault{
-			Site: pao.SiteWorkerItem, Detail: sig,
-			Kind: faultinject.Panic, Note: "kill worker at " + sig,
+			in := faultinject.New()
+			for _, sig := range targets {
+				in.Add(&faultinject.Fault{
+					Site: pao.SiteWorkerItem, Detail: sig,
+					Kind: faultinject.Panic, Note: "kill worker at " + sig,
+				})
+			}
+			a := pao.NewAnalyzer(faultDesign(t), cfg)
+			a.FaultHook = in.SiteHook()
+			res, err := a.RunContext(context.Background())
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if got := res.Health.Respawns(); got != len(targets) {
+				t.Errorf("%d respawns, want %d", got, len(targets))
+			}
+			if failed := res.Health.FailedClasses(); !equalStrings(failed, targets) {
+				t.Errorf("failed classes %v, want %v", failed, targets)
+			}
+			// The pool did not shrink: every untargeted class was still analyzed.
+			if res.Stats.NumUnique != len(clean.Unique)-len(targets) {
+				t.Errorf("NumUnique %d, want %d", res.Stats.NumUnique, len(clean.Unique)-len(targets))
+			}
 		})
 	}
-	a := pao.NewAnalyzer(faultDesign(t), cfg)
-	a.FaultHook = in.SiteHook()
-	res, err := a.RunContext(context.Background())
-	if err != nil {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if got := res.Health.Respawns(); got != len(targets) {
-		t.Errorf("%d respawns, want %d", got, len(targets))
-	}
-	if failed := res.Health.FailedClasses(); !equalStrings(failed, targets) {
-		t.Errorf("failed classes %v, want %v", failed, targets)
-	}
-	// The pool did not shrink: every untargeted class was still analyzed.
-	if res.Stats.NumUnique != len(clean.Unique)-len(targets) {
-		t.Errorf("NumUnique %d, want %d", res.Stats.NumUnique, len(clean.Unique)-len(targets))
+}
+
+// TestFaultFailedPinsQuarantine: a panic inside the failed-pin check (a DRC
+// fault on the global engine once SiteFailedPins has fired) lands in Health
+// as one failedpins error at every worker count; the check's goroutines must
+// not take the process down.
+func TestFaultFailedPinsQuarantine(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := pao.DefaultConfig()
+			cfg.Workers = workers
+			a := pao.NewAnalyzer(faultDesign(t), cfg)
+			var checking atomic.Bool
+			a.FaultHook = func(site, _ string) {
+				if site == pao.SiteFailedPins {
+					checking.Store(true)
+				}
+			}
+			a.DRCFaultHook = func(_, detail string) []drc.Violation {
+				if checking.Load() && detail == "global" {
+					panic("injected failed-pin check fault")
+				}
+				return nil
+			}
+			res, err := a.RunContext(context.Background())
+			if err != nil {
+				t.Fatalf("unexpected error: %v", err)
+			}
+			if errs := res.Health.Errors(); len(errs) != 1 || errs[0].Step != pao.StepFailedPins {
+				t.Fatalf("health errors %v, want one %s error", errs, pao.StepFailedPins)
+			}
+		})
 	}
 }
 
@@ -226,10 +266,20 @@ func TestFaultFailFast(t *testing.T) {
 	cfg := pao.DefaultConfig()
 	cfg.FailFast = true
 	a := pao.NewAnalyzer(faultDesign(t), cfg)
-	a.FaultHook = in.SiteHook()
+	hook := in.SiteHook()
+	analyzed := 0 // one worker: the hook runs on one goroutine
+	a.FaultHook = func(site, detail string) {
+		if site == pao.SiteAnalyzeUnique {
+			analyzed++
+		}
+		hook(site, detail)
+	}
 	res, err := a.RunContext(context.Background())
 	if err == nil {
 		t.Fatal("fail-fast run must return an error")
+	}
+	if analyzed != 1 {
+		t.Errorf("one worker started %d classes; fail-fast must stop after the first, which faulted", analyzed)
 	}
 	var perr *pao.PipelineError
 	if !errors.As(err, &perr) {

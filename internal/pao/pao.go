@@ -196,10 +196,10 @@ type Config struct {
 	// Costs.
 	PenaltyCost int // boundary AP reuse penalty (Algorithm 3)
 	DRCCost     int // conflicting access point pair cost (Algorithm 3)
-	// Workers sets the number of goroutines for the per-unique-instance
-	// analysis (Steps 1-2 are embarrassingly parallel across classes — the
-	// multi-threading the paper lists as future work). 0 or 1 runs
-	// single-threaded, matching the paper's reported setup. Results are
+	// Workers sets the number of goroutines of each fan-out: Steps 1-2 per
+	// unique-instance class, Step 3 per row cluster and the failed-pin check
+	// per terminal (the multi-threading the paper lists as future work). 0 or
+	// 1 runs one, matching the paper's single-threaded setup. Results are
 	// identical regardless of worker count.
 	Workers int
 	// FailFast aborts the run at the first recovered pipeline fault instead

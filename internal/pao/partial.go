@@ -20,16 +20,24 @@ package pao
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/db"
 	"repro/internal/drc"
 )
 
+// newResult returns an empty Result: no classes, no selections, clean health.
+func newResult() *Result {
+	return &Result{
+		ByInstance: make(map[int]*UniqueAccess),
+		Selected:   make(map[int]int),
+		Health:     newHealth(),
+	}
+}
+
 // foldClass accumulates one analyzed class into the result: the Unique list,
 // the per-member instance index, and the class-derived stats. It is the single
-// assembly point shared by RunContext, AnalyzeClasses and MergeResults, so a
-// merged result cannot drift from the single-process accounting.
+// assembly point shared by RunContext, AnalyzeClasses, MergeResults and ECO
+// commits, so a merged result cannot drift from the single-process accounting.
 func foldClass(res *Result, ui *db.UniqueInstance, ua *UniqueAccess) {
 	res.Unique = append(res.Unique, ua)
 	for _, inst := range ui.Insts {
@@ -72,19 +80,8 @@ func (a *Analyzer) AnalyzeClasses(ctx context.Context, sigs []string) (*Result, 
 			return nil, fmt.Errorf("pao: AnalyzeClasses: class %s not in design", s)
 		}
 	}
-	res := &Result{
-		ByInstance: make(map[int]*UniqueAccess),
-		Selected:   make(map[int]int),
-		Health:     newHealth(),
-	}
-	uas := make([]*UniqueAccess, len(uis))
-	var busy atomic.Int64
-	a.runStep12(ctx, uis, uas, nil, &busy, res.Health)
-	for i, ui := range uis {
-		if uas[i] != nil {
-			foldClass(res, ui, uas[i])
-		}
-	}
+	res := newResult()
+	a.analyzeClasses(ctx, res, uis, nil)
 	if err := ctx.Err(); err != nil {
 		res.Health.markCancelled()
 		return res, err
@@ -104,11 +101,7 @@ func SliceResult(res *Result, sigs []string) *Result {
 	for _, s := range sigs {
 		want[s] = true
 	}
-	out := &Result{
-		ByInstance: make(map[int]*UniqueAccess),
-		Selected:   make(map[int]int),
-		Health:     newHealth(),
-	}
+	out := newResult()
 	for _, ua := range res.Unique {
 		if !want[ua.UI.Signature()] {
 			continue
@@ -158,11 +151,7 @@ func MergeResults(d *db.Design, parts ...*Result) *Result {
 			}
 		}
 	}
-	res := &Result{
-		ByInstance: make(map[int]*UniqueAccess),
-		Selected:   make(map[int]int),
-		Health:     newHealth(),
-	}
+	res := newResult()
 	for _, ui := range d.UniqueInstances() {
 		if ua := bySig[ui.Signature()]; ua != nil {
 			foldClass(res, ui, ua)
@@ -214,9 +203,9 @@ func SeedDefaultSelections(d *db.Design, res *Result) {
 }
 
 // SelectClusters runs the Step-3 DP for exactly the clusters named by keys
-// against the merged result res and the fixed-design engine, returning the
-// pattern picks (instance ID -> pattern index) and a Health holding any
-// degradation the DP suffered (quarantine semantics match SelectPatterns: a
+// against the merged result res and the fixed-design engine, through the
+// cluster loop SelectPatterns uses, returning the pattern picks (instance ID
+// -> pattern index) and a Health holding any degradation the DP suffered (a
 // panicking cluster degrades its member classes and keeps the default
 // pattern). Unknown keys are protocol errors, as in AnalyzeClasses.
 func (a *Analyzer) SelectClusters(ctx context.Context, res *Result, eng *drc.Engine, keys []string) (map[int]int, *Health, error) {
@@ -238,15 +227,10 @@ func (a *Analyzer) SelectClusters(ctx context.Context, res *Result, eng *drc.Eng
 	}
 	h := newHealth()
 	picks := make(map[int]int)
-	qc := eng.NewQueryCtx()
-	for _, cl := range run {
-		if err := ctx.Err(); err != nil {
-			h.markCancelled()
-			return picks, h, err
-		}
-		for inst, ni := range a.safeSelectForCluster(res, eng, cl, qc, h) {
-			picks[inst] = ni
-		}
+	a.selectClusters(ctx, res, eng, run, h, picks)
+	if err := ctx.Err(); err != nil {
+		h.markCancelled()
+		return picks, h, err
 	}
 	return picks, h, nil
 }

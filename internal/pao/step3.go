@@ -40,58 +40,71 @@ func (a *Analyzer) SelectPatterns(res *Result, eng *drc.Engine) {
 // next cluster boundary (instances then keep the default pattern 0) and a
 // panicking cluster DP degrades its member classes instead of crashing.
 func (a *Analyzer) selectPatterns(ctx context.Context, res *Result, eng *drc.Engine, h *Health) {
-	for _, inst := range a.Design.Instances {
-		if ua := res.ByInstance[inst.ID]; ua != nil && len(ua.Patterns) > 0 {
-			res.Selected[inst.ID] = 0
+	SeedDefaultSelections(a.Design, res)
+	a.selectClusters(ctx, res, eng, a.Design.Clusters(), h, res.Selected)
+}
+
+// selectClusters is the one Step-3 cluster loop: it runs the DP of every
+// cluster with panic quarantine into h, fanned over the configured workers
+// (clusters are disjoint and eng is only read), and writes the picks
+// (instance ID -> pattern index) into picks once every worker is done.
+// Cancellation and the fail-fast policy stop it at the next cluster boundary.
+func (a *Analyzer) selectClusters(ctx context.Context, res *Result, eng *drc.Engine, clusters []db.Cluster, h *Health, picks map[int]int) {
+	local := make([]map[int]int, a.Cfg.workers())
+	for w := range local {
+		local[w] = make(map[int]int)
+	}
+	a.fanOut(eng, len(clusters), "pao.step3.worker.busy", func(w, i int, qc *drc.QueryCtx) bool {
+		if ctx.Err() != nil || a.abort(h) {
+			return false
+		}
+		for inst, ni := range a.safeSelectForCluster(res, eng, clusters[i], qc, h) {
+			local[w][inst] = ni
+		}
+		return true
+	})
+	for _, m := range local {
+		for inst, ni := range m {
+			picks[inst] = ni
 		}
 	}
-	clusters := a.Design.Clusters()
+}
+
+// fanOut runs item over 0..n-1 on the configured worker count: worker w takes
+// items w, w+workers, ... in order with its own query context on eng, and
+// stops at the first item that returns false. With telemetry on, each
+// worker's busy time is observed into the histogram hist. A panic that
+// escapes an item is re-raised here once every worker has stopped, so the
+// caller's quarantine covers the fan-out.
+func (a *Analyzer) fanOut(eng *drc.Engine, n int, hist string, item func(w, i int, qc *drc.QueryCtx) bool) {
 	workers := a.Cfg.workers()
-	if workers == 1 || len(clusters) < 2*workers {
-		qc := eng.NewQueryCtx()
-		for _, cl := range clusters {
-			if ctx.Err() != nil || a.abort(h) {
-				return
-			}
-			for inst, ni := range a.safeSelectForCluster(res, eng, cl, qc, h) {
-				res.Selected[inst] = ni
-			}
-		}
-		return
-	}
-	// Clusters are disjoint, and the engine is only read — fan out and merge
-	// the per-cluster selections afterwards.
 	reg := a.Obs.Reg()
-	picks := make([]map[int]int, workers)
+	panics := make([]any, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer func() { panics[w] = recover() }()
 			var t0 time.Time
 			if reg != nil {
 				t0 = time.Now()
 			}
 			qc := eng.NewQueryCtx()
-			local := make(map[int]int)
-			for i := w; i < len(clusters); i += workers {
-				if ctx.Err() != nil || a.abort(h) {
+			for i := w; i < n; i += workers {
+				if !item(w, i, qc) {
 					break
 				}
-				for inst, ni := range a.safeSelectForCluster(res, eng, clusters[i], qc, h) {
-					local[inst] = ni
-				}
 			}
-			picks[w] = local
 			if reg != nil {
-				reg.Histogram("pao.step3.worker.busy").Observe(time.Since(t0))
+				reg.Histogram(hist).Observe(time.Since(t0))
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, m := range picks {
-		for inst, ni := range m {
-			res.Selected[inst] = ni
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
 		}
 	}
 }
@@ -330,6 +343,91 @@ func (tv *termVia) fails(eng *drc.Engine, qc *drc.QueryCtx) bool {
 	return eng.CheckViaVerdictCtx(tv.via, tv.pos, tv.net, pinRects, qc) > 0
 }
 
+// pinTerm is one net terminal's state in a pinLedger.
+type pinTerm struct {
+	termVia
+	obj0   int  // first engine object of the placed via (hasVia only)
+	access bool // has a selected access point; false counts as failed
+	failed bool
+}
+
+// hasVia reports whether the terminal places a via in the ledger's engine.
+func (tm *pinTerm) hasVia() bool { return tm.access && tm.via != nil }
+
+// pinLedger is failed-pin accounting over one engine that holds the fixed
+// shapes plus every selected via: each net terminal in net order with its
+// verdict, the terminals still in the design (TotalPins) and those of them
+// that fail (FailedPins). countFailedPins builds one per batch run; an
+// ECOSession keeps one current across commits.
+type pinLedger struct {
+	terms   []pinTerm
+	live    int
+	failing int
+}
+
+// mark records a terminal's verdict and keeps the failing count in step.
+func (l *pinLedger) mark(tm *pinTerm, failed bool) {
+	if failed != tm.failed {
+		tm.failed = failed
+		if failed {
+			l.failing++
+		} else {
+			l.failing--
+		}
+	}
+}
+
+// buildLedger resolves every net terminal's selected access point in net
+// order, places the selected vias into eng (which already holds the fixed
+// shapes), compacts it and checks every via terminal, fanned over the
+// configured workers. Cancellation is checked periodically in the resolve
+// pass and per terminal in the check; the counts then cover the terminals
+// resolved and checked so far.
+func (a *Analyzer) buildLedger(ctx context.Context, res *Result, eng *drc.Engine) pinLedger {
+	l := pinLedger{terms: make([]pinTerm, 0, numNetTerms(a.Design))}
+	objs := 0
+resolve:
+	for _, net := range a.Design.Nets {
+		for _, t := range net.Terms {
+			if len(l.terms)%256 == 0 && ctx.Err() != nil {
+				break resolve
+			}
+			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
+			tm := pinTerm{termVia: tv, access: ok}
+			if tm.hasVia() {
+				objs += viaObjs(tm.via)
+			}
+			l.mark(&tm, !ok)
+			l.terms = append(l.terms, tm)
+		}
+	}
+	l.live = len(l.terms)
+	eng.Grow(objs)
+	for i := range l.terms {
+		if tm := &l.terms[i]; tm.hasVia() {
+			tm.obj0 = tm.place(eng)
+		}
+	}
+	// The check is read-only over the frozen engine: fold the placement churn
+	// into the dense index, then fan out.
+	eng.Compact()
+	counts := make([]int, a.Cfg.workers())
+	a.fanOut(eng, len(l.terms), "pao.failedpins.worker.busy", func(w, i int, qc *drc.QueryCtx) bool {
+		if ctx.Err() != nil {
+			return false
+		}
+		if tm := &l.terms[i]; tm.hasVia() && tm.fails(eng, qc) {
+			tm.failed = true
+			counts[w]++
+		}
+		return true
+	})
+	for _, c := range counts {
+		l.failing += c
+	}
+	return l
+}
+
 // numNetTerms counts the instance terminals on the design's nets.
 func numNetTerms(d *db.Design) int {
 	n := 0
@@ -339,9 +437,9 @@ func numNetTerms(d *db.Design) int {
 	return n
 }
 
-// countFailedPins is CountFailedPins under a context (cancellation is checked
-// periodically inside both the resolution and validation loops; the stats then
-// reflect the pins validated so far) with whole-phase panic quarantine.
+// countFailedPins is CountFailedPins under a context (the stats then reflect
+// the terminals checked before cancellation) with whole-phase panic
+// quarantine.
 func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, h *Health) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -353,79 +451,7 @@ func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.En
 	if hook := a.FaultHook; hook != nil {
 		hook(SiteFailedPins, "")
 	}
-	all := make([]termVia, 0, numNetTerms(a.Design))
-	total := 0
-	failed := 0
-	objs := 0
-resolve:
-	for _, net := range a.Design.Nets {
-		for _, t := range net.Terms {
-			if total%256 == 0 && ctx.Err() != nil {
-				break resolve
-			}
-			total++
-			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
-			if !ok {
-				failed++
-				continue
-			}
-			if tv.via == nil {
-				continue
-			}
-			all = append(all, tv)
-			objs += viaObjs(tv.via)
-		}
-	}
-	eng.Grow(objs)
-	for i := range all {
-		all[i].place(eng)
-	}
-	// The validation pass is read-only over the frozen engine; fold the
-	// placement churn into the dense index, then fan out when the analyzer is
-	// configured for multi-threading.
-	eng.Compact()
-	workers := a.Cfg.workers()
-	if workers == 1 {
-		qc := eng.NewQueryCtx()
-		for i := range all {
-			if i%64 == 0 && ctx.Err() != nil {
-				break
-			}
-			if all[i].fails(eng, qc) {
-				failed++
-			}
-		}
-	} else {
-		reg := a.Obs.Reg()
-		counts := make([]int, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var t0 time.Time
-				if reg != nil {
-					t0 = time.Now()
-				}
-				qc := eng.NewQueryCtx()
-				for i := w; i < len(all); i += workers {
-					if ctx.Err() != nil {
-						break
-					}
-					if all[i].fails(eng, qc) {
-						counts[w]++
-					}
-				}
-				if reg != nil {
-					reg.Histogram("pao.failedpins.worker.busy").Observe(time.Since(t0))
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, c := range counts {
-			failed += c
-		}
-	}
-	res.Stats.TotalPins = total
-	res.Stats.FailedPins = failed
+	l := a.buildLedger(ctx, res, eng)
+	res.Stats.TotalPins = l.live
+	res.Stats.FailedPins = l.failing
 }

@@ -29,10 +29,13 @@ var pinnedExposition = []string{
 	"drc_viacache_miss_total counter design",
 	"drc_violations_total counter design",
 	"pao_access_points gauge design,layer",
+	"pao_failedpins_worker_busy_seconds histogram design",
 	"pao_queries_total counter design,status",
 	"pao_query_seconds histogram design",
 	"pao_step12_items_total counter design",
 	"pao_step12_worker_busy_seconds histogram design",
+	"pao_step12_worker_wait_seconds histogram design",
+	"pao_step3_worker_busy_seconds histogram design",
 	"pao_step_seconds histogram design,step",
 	"pao_workers gauge design",
 	"pao_workers_utilization gauge design",

@@ -156,37 +156,51 @@ func TestBatchCostCannotMonopolize(t *testing.T) {
 // TestFloodCannotStarveSteadyTenant is the fair-share acceptance test at the
 // HTTP layer: with one execution slot, a 30-request flood from one tenant and
 // 10 steady queries from another all queued, the steady tenant's requests
-// must finish interleaved (within the first ~25 completions), not after the
-// entire flood as FIFO would have it.
+// must be granted interleaved (within the first ~25 grants), not after the
+// entire flood as FIFO would have it. Each tenant queries its own instance,
+// and the SiteQuery hook, which runs while the single slot is held, records
+// the grants in order; completion order would also measure how the scheduler
+// resumes goroutines after their slot is released.
 func TestFloodCannotStarveSteadyTenant(t *testing.T) {
 	d := serveDesign(t)
 	m := newTestManager(t, ManagerConfig{Design: Config{MaxInFlight: 1, QueueDepth: -1}})
+	tenantOf := map[string]string{
+		d.Instances[0].Name: "plug",
+		d.Instances[1].Name: "flood",
+		d.Instances[2].Name: "steady",
+	}
+	instOf := make(map[string]string, len(tenantOf))
+	for inst, tenant := range tenantOf {
+		instOf[tenant] = inst
+	}
 	block := make(chan struct{})
-	var once sync.Once
+	var mu sync.Mutex
+	var grants []string
 	m.FaultHook = func(site, detail string) {
-		if site == SiteQuery {
-			once.Do(func() { <-block }) // first query holds the slot
+		if site != SiteQuery {
+			return
+		}
+		tenant := tenantOf[detail]
+		mu.Lock()
+		grants = append(grants, tenant)
+		mu.Unlock()
+		if tenant == "plug" {
+			<-block // the plug holds the slot until every query is queued
 		}
 	}
 	s := oneDesign(t, m, d, nil)
 	h := m.Handler()
-	inst := d.Instances[0].Name
 
-	var mu sync.Mutex
-	var completions []string
 	var wg sync.WaitGroup
 	fire := func(tenant string) {
 		defer wg.Done()
-		req := httptest.NewRequest(http.MethodGet, "/v1/access?inst="+inst, nil)
+		req := httptest.NewRequest(http.MethodGet, "/v1/access?inst="+instOf[tenant], nil)
 		req.Header.Set("X-Tenant-Id", tenant)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Errorf("%s query = %d, want 200", tenant, rec.Code)
 		}
-		mu.Lock()
-		completions = append(completions, tenant)
-		mu.Unlock()
 	}
 
 	// Plug the single slot, then queue the flood before the steady tenant so
@@ -214,17 +228,20 @@ func TestFloodCannotStarveSteadyTenant(t *testing.T) {
 	close(block)
 	wg.Wait()
 
+	if len(grants) != 1+flood+steady || grants[0] != "plug" {
+		t.Fatalf("grants %v: want the plug first, then all %d queued queries", grants, flood+steady)
+	}
 	lastSteady := -1
-	for i, tenant := range completions {
+	for i, tenant := range grants {
 		if tenant == "steady" {
 			lastSteady = i
 		}
 	}
-	// Fair share puts the 10th steady grant around completion 20; allow
-	// generous scheduling slack but reject FIFO starvation (index 40).
+	// Fair share puts the 10th steady grant around index 20; allow generous
+	// slack but reject FIFO starvation (index 40).
 	if lastSteady < 0 || lastSteady > 32 {
-		t.Fatalf("steady tenant's last completion at index %d of %d; flood starved it (fair share ~20)",
-			lastSteady, len(completions))
+		t.Fatalf("steady tenant's last grant at index %d of %d; flood starved it (fair share ~20)",
+			lastSteady, len(grants))
 	}
 	if got := s.tAdmit.With("steady").Load(); got != steady {
 		t.Fatalf("steady admitted = %d, want %d", got, steady)
