@@ -68,9 +68,10 @@ serve-smoke:
 # text-format checker — then audit a live decision via /v1/access/explain and
 # check the slow log's trace exemplars. The obs package tests cover the one
 # registry (labeled families, type and arity conflicts, histogram merge
-# rules), the exposition writer and its naming rule, and the -metrics-listen
-# endpoint; the telemetry package tests cover the strict checker, logger,
-# sampler and slow-log ring. The per-call allocation tests prove the two
+# rules), the exposition writer and its naming rule, the strict checker, and
+# the -metrics-listen endpoint with its publish handoff; the cliutil tests
+# cover the logger's line shape and levels, and the serve tests the sampler,
+# correlation IDs and slow-log ring. The per-call allocation tests prove the two
 # registry lookups a served request makes allocate nothing
 # (TestRegistryLookupsAllocFree), and that the nil-by-default hooks leave the
 # kernels Steps 1-3 run allocation-free: the warm via-verdict hit, region
@@ -80,7 +81,7 @@ serve-smoke:
 # (TestUnionScratchNoAllocsWarm).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
-	$(GO) test -race ./internal/obs ./internal/telemetry ./internal/serve
+	$(GO) test -race ./internal/obs ./internal/cliutil ./internal/serve
 	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance' ./internal/obs ./internal/drc ./internal/pao ./internal/geom
 
 # Multi-tenant smoke campaign under the race detector: one paoserve process

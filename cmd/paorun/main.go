@@ -151,8 +151,7 @@ func run(opts *options) (err error) {
 		a.Obs = o
 		ob.SetExtra(a.LiveCounters) // mid-run -metrics-listen scrapes see progress
 		res, runErr = a.RunContext(ctx)
-		a.PublishObs()
-		ob.SetExtra(nil) // totals now live in the registry; don't double-count
+		ob.Publish(a.PublishObs)
 	}
 
 	t := report.New(fmt.Sprintf("Pin access summary for %s", d.Name),

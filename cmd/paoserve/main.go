@@ -62,7 +62,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pao"
 	"repro/internal/serve"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -136,7 +135,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	fs.DurationVar(&o.slowThreshold, "slow-threshold", 100*time.Millisecond, "latency at which a query enters the slow log")
 	fs.StringVar(&o.logLevel, "log-level", "info", "structured log level: debug, info, warn, error")
 	fs.IntVar(&o.k, "k", 3, "target access points per pin")
-	fs.IntVar(&o.workers, "workers", 0, "analysis worker goroutines (0: NumCPU via pao default)")
+	fs.IntVar(&o.workers, "workers", 0, "analysis worker goroutines (0: one)")
 	o.run = cliutil.RegisterRunFlags(fs)
 	o.obs = obs.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -158,9 +157,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	}
 	if o.traceSample < 0 || o.traceSample > 1 {
 		return nil, fmt.Errorf("-trace-sample %v out of range [0,1]", o.traceSample)
-	}
-	if _, err := telemetry.ParseLevel(o.logLevel); err != nil {
-		return nil, err
 	}
 	return o, nil
 }
@@ -198,11 +194,10 @@ func run(opts *options) (err error) {
 	if logw == nil {
 		logw = os.Stderr
 	}
-	lvl, err := telemetry.ParseLevel(opts.logLevel)
+	logger, err := cliutil.NewLogger(logw, "paoserve", opts.logLevel)
 	if err != nil {
 		return err
 	}
-	logger := telemetry.NewLogger(logw, "paoserve", lvl)
 	ob, err := opts.obs.Start("paoserve")
 	if err != nil {
 		return err
@@ -245,7 +240,7 @@ func run(opts *options) (err error) {
 	// The initial design (when flagged) registers under its own name, keeping
 	// the single-design deployment shape — and its PR-4 snapshots — working
 	// unchanged. A signal here aborts startup (exit 3): nothing to drain yet.
-	serving := telemetry.Build().Fields()
+	serving := cliutil.Build().Fields()
 	if opts.hasInitialDesign() {
 		d, err := loadDesign(opts)
 		if err != nil {
@@ -257,17 +252,17 @@ func run(opts *options) (err error) {
 			return err
 		}
 		serving = append(serving,
-			telemetry.F("design", d.Name),
-			telemetry.F("design_hash", pao.DesignHash(d)),
-			telemetry.F("config", pao.ConfigFingerprint(paoCfg)),
-			telemetry.F("source", srv.Source()),
-			telemetry.F("trace_sample", opts.traceSample),
+			"design", d.Name,
+			"design_hash", pao.DesignHash(d),
+			"config", pao.ConfigFingerprint(paoCfg),
+			"source", srv.Source(),
+			"trace_sample", opts.traceSample,
 		)
 	}
 	if err := mgr.Start(); err != nil {
 		return err
 	}
-	serving = append(serving, telemetry.F("addr", mgr.Addr()))
+	serving = append(serving, "addr", mgr.Addr())
 	logger.Info("serving", serving...)
 	if opts.onReady != nil {
 		opts.onReady(mgr)

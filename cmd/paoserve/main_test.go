@@ -22,7 +22,6 @@ import (
 	"repro/internal/pao"
 	"repro/internal/serve"
 	"repro/internal/suite"
-	"repro/internal/telemetry"
 )
 
 func newFlagSet() *flag.FlagSet {
@@ -336,7 +335,7 @@ func TestTelemetrySmoke(t *testing.T) {
 					errc <- err
 					return
 				}
-				_, cerr := telemetry.CheckProm(resp.Body)
+				_, cerr := obs.CheckProm(resp.Body)
 				resp.Body.Close()
 				if cerr != nil {
 					errc <- fmt.Errorf("scrape %d: %v", i, cerr)
@@ -356,7 +355,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scrape, err := telemetry.CheckProm(resp.Body)
+	scrape, err := obs.CheckProm(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +389,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slow telemetry.LogSnapshot
+	var slow serve.SlowLogResponse
 	if err := json.NewDecoder(resp.Body).Decode(&slow); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +409,7 @@ func TestTelemetrySmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ver struct {
-		Build   telemetry.BuildInfo `json:"build"`
+		Build   cliutil.BuildInfo `json:"build"`
 		Designs map[string]struct {
 			DesignHash string `json:"design_hash"`
 		} `json:"designs"`

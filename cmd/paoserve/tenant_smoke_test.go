@@ -28,7 +28,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/suite"
-	"repro/internal/telemetry"
 )
 
 // postJSON fires a JSON POST and returns status + body.
@@ -83,14 +82,14 @@ func queryDesign(t *testing.T, base, design, tenant, inst string) serve.QueryRes
 	return qr
 }
 
-func scrapeProm(t *testing.T, base string) *telemetry.PromScrape {
+func scrapeProm(t *testing.T, base string) *obs.PromScrape {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	scrape, err := telemetry.CheckProm(resp.Body)
+	scrape, err := obs.CheckProm(resp.Body)
 	if err != nil {
 		t.Fatalf("strict prometheus check failed: %v", err)
 	}

@@ -37,7 +37,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/obs"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 // options holds the parsed command line; parseFlags keeps it testable with
@@ -85,9 +84,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (*options, error) {
 	if haveCase == haveFiles {
 		return nil, fmt.Errorf("exactly one of -case or -lef/-def is required")
 	}
-	if _, err := telemetry.ParseLevel(o.logLevel); err != nil {
-		return nil, err
-	}
 	return o, nil
 }
 
@@ -119,11 +115,10 @@ func run(opts *options) (err error) {
 	if logw == nil {
 		logw = os.Stderr
 	}
-	lvl, err := telemetry.ParseLevel(opts.logLevel)
+	logger, err := cliutil.NewLogger(logw, "paoworker", opts.logLevel)
 	if err != nil {
 		return err
 	}
-	logger := telemetry.NewLogger(logw, "paoworker", lvl)
 	ob, err := opts.obs.Start("paoworker")
 	if err != nil {
 		return err
@@ -148,11 +143,11 @@ func run(opts *options) (err error) {
 	srv := &http.Server{Handler: w.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	logger.Info("serving shards", append(telemetry.Build().Fields(),
-		telemetry.F("design", d.Name),
-		telemetry.F("design_hash", pao.DesignHash(d)),
-		telemetry.F("config", pao.ConfigFingerprint(cfg)),
-		telemetry.F("addr", ln.Addr().String()),
+	logger.Info("serving shards", append(cliutil.Build().Fields(),
+		"design", d.Name,
+		"design_hash", pao.DesignHash(d),
+		"config", pao.ConfigFingerprint(cfg),
+		"addr", ln.Addr().String(),
 	)...)
 	if opts.onReady != nil {
 		opts.onReady(ln.Addr().String())

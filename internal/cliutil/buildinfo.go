@@ -1,4 +1,4 @@
-package telemetry
+package cliutil
 
 import (
 	"runtime"
@@ -39,17 +39,17 @@ func Build() BuildInfo {
 	return bi
 }
 
-// Fields renders the build info as logger fields for a startup line.
-func (b BuildInfo) Fields() []Field {
-	fs := []Field{F("go_version", b.GoVersion)}
+// Fields renders the build info as slog key-value pairs for a startup line.
+func (b BuildInfo) Fields() []any {
+	fs := []any{"go_version", b.GoVersion}
 	if b.Module != "" {
-		fs = append(fs, F("module", b.Module))
+		fs = append(fs, "module", b.Module)
 	}
 	if b.Version != "" {
-		fs = append(fs, F("version", b.Version))
+		fs = append(fs, "version", b.Version)
 	}
 	if b.VCSRevision != "" {
-		fs = append(fs, F("vcs_revision", b.VCSRevision))
+		fs = append(fs, "vcs_revision", b.VCSRevision)
 	}
 	return fs
 }

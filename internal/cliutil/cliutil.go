@@ -1,7 +1,8 @@
 // Package cliutil holds the plumbing shared by the cmd tools: the design
-// loader, and the -timeout and -fail-fast flags with SIGINT/SIGTERM-aware
+// loader, the -timeout and -fail-fast flags with SIGINT/SIGTERM-aware
 // contexts, so every tool degrades the same way — flush whatever partial
-// report exists, exit non-zero — when a run is cancelled.
+// report exists, exit non-zero — when a run is cancelled, and the serving
+// tools' operational logger and build info.
 package cliutil
 
 import (
@@ -13,8 +14,6 @@ import (
 	"os/signal"
 	"syscall"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // RunFlags carries the robustness options common to every tool.
@@ -42,13 +41,11 @@ func (f *RunFlags) FailFastSet() bool {
 }
 
 // Context returns a context cancelled by SIGINT, SIGTERM, or the -timeout
-// deadline when one is set, carrying a fresh correlation ID so every log
-// line, span export, and slow-log entry of the run shares one identifier.
-// Call the returned stop function before exiting to restore default signal
-// behaviour (a second SIGINT then kills the process immediately).
+// deadline when one is set. Call the returned stop function before exiting
+// to restore default signal behaviour (a second SIGINT then kills the
+// process immediately).
 func (f *RunFlags) Context() (context.Context, context.CancelFunc) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	ctx, _ = telemetry.EnsureCorrID(ctx)
 	if f == nil || f.Timeout <= 0 {
 		return ctx, stop
 	}

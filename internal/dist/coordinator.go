@@ -20,14 +20,18 @@ import (
 	"repro/internal/pao"
 )
 
-// Defaults for the zero-value tuning knobs.
+// Defaults for the zero-value tuning knobs, then fixed policy.
 const (
-	defaultShardClasses    = 8
-	defaultShardClusters   = 16
-	defaultRequestTimeout  = 60 * time.Second
-	defaultHedgeAfter      = 2 * time.Second
-	defaultHeartbeatEvery  = 500 * time.Millisecond
-	defaultHeartbeatMisses = 3
+	defaultShardClasses   = 8
+	defaultShardClusters  = 16
+	defaultRequestTimeout = 60 * time.Second
+	defaultHedgeAfter     = 2 * time.Second
+	defaultHeartbeatEvery = 500 * time.Millisecond
+	// heartbeatMisses consecutive failed probes mark a worker down; dispatch
+	// skips it until a probe succeeds again.
+	heartbeatMisses = 3
+	// dispatchesPerWorker bounds concurrent shard dispatches per worker.
+	dispatchesPerWorker = 2
 	// hedgeP99Factor scales the observed p99 shard latency into the hedge
 	// delay once hedgeMinSamples latencies are recorded; before that the
 	// static HedgeAfter floor applies alone.
@@ -122,17 +126,8 @@ type Coordinator struct {
 	// after max(HedgeAfter, 1.5 x observed p99 shard latency) is concurrently
 	// dispatched to the next candidate, and the first success wins.
 	HedgeAfter time.Duration
-	// MaxRelocations bounds how many additional candidate workers a shard may
-	// be re-dispatched to after its home worker fails (0 means every other
-	// worker may be tried). The coordinator itself is the final fallback.
-	MaxRelocations int
-	// HeartbeatEvery / HeartbeatMisses tune worker-health probing: a worker
-	// missing HeartbeatMisses consecutive probes is marked down and skipped
-	// by dispatch until a probe succeeds again.
-	HeartbeatEvery  time.Duration
-	HeartbeatMisses int
-	// Parallelism bounds concurrent shard dispatches; 0 means 2 per worker.
-	Parallelism int
+	// HeartbeatEvery is the worker-health probe interval.
+	HeartbeatEvery time.Duration
 
 	client *http.Client
 	states []*workerState
@@ -182,18 +177,6 @@ func (c *Coordinator) init() {
 	}
 	if c.HeartbeatEvery <= 0 {
 		c.HeartbeatEvery = defaultHeartbeatEvery
-	}
-	if c.HeartbeatMisses <= 0 {
-		c.HeartbeatMisses = defaultHeartbeatMisses
-	}
-	if c.MaxRelocations <= 0 {
-		c.MaxRelocations = len(c.Workers)
-	}
-	if c.Parallelism <= 0 {
-		c.Parallelism = 2 * len(c.Workers)
-		if c.Parallelism < 1 {
-			c.Parallelism = 1
-		}
 	}
 	if c.Retry.Attempts == 0 {
 		c.Retry = cliutil.RetryPolicy{
@@ -312,7 +295,7 @@ type shard struct {
 	sigs  []string // analyze: class signatures
 	keys  []string // select: cluster keys
 	body  []byte   // pre-sealed request frame
-	cands []int    // candidate workers, home first
+	cands []int    // every worker, home first: a shard may relocate to any other
 }
 
 // analyzeShards partitions the class signatures: consistent-hash each onto
@@ -340,7 +323,7 @@ func (c *Coordinator) analyzeShards() []*shard {
 				id:    fmt.Sprintf("analyze:%d", len(shards)),
 				sigs:  chunk,
 				body:  sealFrame(body),
-				cands: c.ring.candidates(chunk[0], 1+c.MaxRelocations),
+				cands: c.ring.candidates(chunk[0], len(c.Workers)),
 			})
 		}
 	}
@@ -396,7 +379,7 @@ func (c *Coordinator) selectShards(merged *pao.Result) []*shard {
 				id:    fmt.Sprintf("select:%d", len(shards)),
 				keys:  chunk,
 				body:  sealFrame(body),
-				cands: c.ring.candidates(chunk[0], 1+c.MaxRelocations),
+				cands: c.ring.candidates(chunk[0], len(c.Workers)),
 			})
 		}
 	}
@@ -406,7 +389,7 @@ func (c *Coordinator) selectShards(merged *pao.Result) []*shard {
 // eachShard runs fn over the shards with bounded parallelism, stopping new
 // dispatches once ctx is cancelled.
 func (c *Coordinator) eachShard(ctx context.Context, shards []*shard, fn func(i int, sh *shard)) {
-	sem := make(chan struct{}, c.Parallelism)
+	sem := make(chan struct{}, dispatchesPerWorker*len(c.Workers))
 	var wg sync.WaitGroup
 	for i, sh := range shards {
 		if ctx.Err() != nil {
@@ -681,7 +664,7 @@ func (c *Coordinator) probe(ctx context.Context, i int) {
 		return
 	}
 	st.misses++
-	if st.misses >= c.HeartbeatMisses {
+	if st.misses >= heartbeatMisses {
 		st.up = false
 	}
 }

@@ -12,7 +12,7 @@
 //     cliutil.Retry jittered backoff;
 //   - a slow shard is hedged to the next candidate worker after a
 //     p99-derived delay, and a dead worker's shards are re-dispatched to
-//     survivors (bounded by MaxRelocations);
+//     every surviving worker in turn;
 //   - every payload crossing the wire is checksum-framed; a corrupt response
 //     is rejected and retried, never merged;
 //   - a background heartbeat tracks per-worker health feeding the Fleet()

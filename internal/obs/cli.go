@@ -12,7 +12,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -139,7 +139,11 @@ type Run struct {
 	cpuFile *os.File
 	srv     *http.Server
 	addr    string
-	extra   atomic.Pointer[func() map[string]int64]
+
+	// mu orders each /metrics scrape against SetExtra and Publish, so a
+	// scrape sees the live source or the published totals, never both.
+	mu    sync.Mutex
+	extra func() map[string]int64
 }
 
 // Start validates the flags, begins CPU profiling if requested and returns
@@ -181,10 +185,12 @@ func (r *Run) Listen(labels ...Label) error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		r.mu.Lock()
 		fams := r.Obs.Reg().Gather(labels...)
-		if extra := r.extra.Load(); extra != nil {
-			fams = addCounters(fams, (*extra)(), labels)
+		if r.extra != nil {
+			fams = addCounters(fams, r.extra(), labels)
 		}
+		r.mu.Unlock()
 		w.Header().Set("Content-Type", ContentType)
 		_ = WriteProm(w, fams)
 	})
@@ -202,19 +208,32 @@ func (r *Run) Addr() string {
 }
 
 // SetExtra installs a live counter source that every /metrics scrape adds on
-// top of the registry. A tool whose counters reach the registry only at the
-// end of a run (Analyzer.PublishObs) sets it to Analyzer.LiveCounters, so
-// mid-run scrapes see progress, and clears it (nil) right after PublishObs so
-// the totals are not counted twice.
+// top of the registry; nil removes it. A tool whose counters reach the
+// registry only at the end of a run (Analyzer.PublishObs) sets it to
+// Analyzer.LiveCounters, so mid-run scrapes see progress, and ends the run
+// with Publish.
 func (r *Run) SetExtra(f func() map[string]int64) {
 	if r == nil {
 		return
 	}
-	if f == nil {
-		r.extra.Store(nil)
+	r.mu.Lock()
+	r.extra = f
+	r.mu.Unlock()
+}
+
+// Publish runs publish, the step that moves the live counters into the
+// registry, and removes the SetExtra source in the same critical section as
+// every /metrics scrape, so no scrape counts a total twice. publish must not
+// call back into r.
+func (r *Run) Publish(publish func()) {
+	if r == nil {
+		publish()
 		return
 	}
-	r.extra.Store(&f)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	publish()
+	r.extra = nil
 }
 
 // addCounters adds counts to the flat counters of fams, appending a family

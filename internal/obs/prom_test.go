@@ -1,7 +1,7 @@
 package obs_test
 
 // Exposition tests, checked by the strict text-format parser
-// (telemetry.CheckProm): the writer's output and the -metrics-listen
+// (CheckProm): the writer's output and the -metrics-listen
 // endpoint must both be scrapeable.
 
 import (
@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 // buildExposition renders a representative mixed exposition: labeled and
@@ -47,7 +46,7 @@ func buildExposition(t *testing.T) string {
 // buckets matching _count — and follow the naming rule.
 func TestPromExpositionParses(t *testing.T) {
 	out := buildExposition(t)
-	scrape, err := telemetry.CheckProm(strings.NewReader(out))
+	scrape, err := obs.CheckProm(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, out)
 	}
@@ -101,7 +100,7 @@ func TestPromDuplicateMergedFamilies(t *testing.T) {
 	if strings.Count(out, "# TYPE x_total") != 1 {
 		t.Fatalf("family emitted twice:\n%s", out)
 	}
-	scrape, err := telemetry.CheckProm(strings.NewReader(out))
+	scrape, err := obs.CheckProm(strings.NewReader(out))
 	if err != nil {
 		t.Fatalf("merged exposition invalid: %v\n%s", err, out)
 	}
@@ -134,7 +133,7 @@ func TestFlagsListenServes(t *testing.T) {
 	run.Obs.Reg().Histogram("pao.step1").Observe(2 * time.Millisecond)
 
 	body := httpGet(t, "http://"+run.Addr()+"/metrics")
-	scrape, err := telemetry.CheckProm(strings.NewReader(body))
+	scrape, err := obs.CheckProm(strings.NewReader(body))
 	if err != nil {
 		t.Fatalf("scrape invalid: %v\n%s", err, body)
 	}
@@ -167,7 +166,7 @@ func TestFlagsLiveExtraCounters(t *testing.T) {
 	})
 	series := func() map[string]float64 {
 		t.Helper()
-		s, err := telemetry.CheckProm(strings.NewReader(httpGet(t, "http://"+run.Addr()+"/metrics")))
+		s, err := obs.CheckProm(strings.NewReader(httpGet(t, "http://"+run.Addr()+"/metrics")))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,6 +188,54 @@ func TestFlagsLiveExtraCounters(t *testing.T) {
 	run.SetExtra(nil)
 	if v := series()[`drc_via_attempted_total{design="c17"}`]; v != 12 {
 		t.Fatalf("after clear = %v, want 12", v)
+	}
+}
+
+// TestFlagsPublishHandoff: a scrape issued while Publish moves the live
+// counters into the registry waits for the handoff and reads each counter
+// once, never the published total plus the live source.
+func TestFlagsPublishHandoff(t *testing.T) {
+	run, err := (&obs.Flags{Listen: "127.0.0.1:0"}).Start("tool")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer endRun(t, run)
+	if err := run.Listen(obs.Label{Name: "design", Value: "c17"}); err != nil {
+		t.Fatal(err)
+	}
+	const live = 7
+	run.SetExtra(func() map[string]int64 { return map[string]int64{"drc.via.attempted": live} })
+
+	scraped := make(chan string, 1)
+	scrape := func() {
+		resp, err := http.Get("http://" + run.Addr() + "/metrics")
+		if err != nil {
+			scraped <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		scraped <- string(b)
+	}
+	var body string
+	run.Publish(func() {
+		run.Obs.Reg().Counter("drc.via.attempted").Add(live)
+		go scrape()
+		// A scrape that completes inside the handoff sees both sources.
+		select {
+		case body = <-scraped:
+		case <-time.After(100 * time.Millisecond):
+		}
+	})
+	if body == "" {
+		body = <-scraped
+	}
+	s, err := obs.CheckProm(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, body)
+	}
+	if v := s.Series[`drc_via_attempted_total{design="c17"}`]; v != live {
+		t.Fatalf("scrape during the handoff = %v, want %d", v, live)
 	}
 }
 

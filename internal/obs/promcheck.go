@@ -1,4 +1,4 @@
-package telemetry
+package obs
 
 // CheckProm is a strict parser for the Prometheus text exposition format,
 // used by tests and the telemetry smoke target to prove /metrics output is

@@ -11,7 +11,6 @@ import (
 	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 // Fault-hook site names. The hooks exist for the deterministic fault
@@ -54,12 +53,10 @@ type Analyzer struct {
 	// deterministic across worker schedules.
 	DRCFaultHook func(site, detail string) []drc.Violation
 
-	// Rec, when set before a run, receives a decision record at every Step-1
-	// candidate validation, Step-2 pattern iteration and Step-3 selection
-	// (explain.go). Nil by default; every call site gates on it, so the hot
-	// path pays nothing when disabled. With Workers > 1 the recorder must be
-	// goroutine-safe.
-	Rec DecisionRecorder
+	// rec, set only by Explain, receives a decision record at every Step-1
+	// candidate validation and Step-2 pattern iteration. Nil otherwise; every
+	// call site gates on it, so the hot path pays nothing.
+	rec *explainRecorder
 
 	// viaCache is the shared via-drop verdict memo attached to every DRC
 	// engine the analyzer creates (content-keyed, so per-cell contexts and
@@ -360,7 +357,7 @@ func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.Uni
 				uas[cur] = nil
 				h.recordClass(perr.Signature, StatusFailed, perr)
 			} else {
-				h.record(perr)
+				h.Record(perr)
 			}
 		}
 	}()
@@ -454,7 +451,7 @@ func (a *Analyzer) abort(h *Health) bool {
 // error RunContext returns, latching cancellation into the health report.
 func (a *Analyzer) runErr(ctx context.Context, h *Health) error {
 	if err := ctx.Err(); err != nil {
-		h.markCancelled()
+		h.MarkCancelled()
 		return err
 	}
 	if a.Cfg.FailFast {
@@ -490,9 +487,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	a.step2NS.Store(0)
 	reg := a.Obs.Reg()
 	spRun := a.Obs.Root().Start("pao.run")
-	ctx, corr := telemetry.EnsureCorrID(ctx)
 	res := newResult()
-	res.CorrID = corr
 	h := res.Health
 	uis := a.Design.UniqueInstances()
 	sp12 := spRun.Start("pao.step12")

@@ -537,7 +537,6 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	}
 
 	res := &Result{
-		CorrID:     old.CorrID,
 		ByInstance: make(map[int]*UniqueAccess, len(old.ByInstance)),
 		Selected:   make(map[int]int, len(old.Selected)),
 		Health:     old.Health,

@@ -3,9 +3,9 @@ package pao
 // Decision records: the audit trail behind one pin's access answer. The
 // oracle's value is that routers can trust its verdicts without re-deriving
 // them, which means operators must be able to see *why* a candidate access
-// point was kept or rejected. Steps 1-3 call the nil-by-default Rec hook at
-// each decision; Explain re-derives one class with a recorder attached and
-// assembles the report served at /v1/access/explain.
+// point was kept or rejected. Steps 1 and 2 call the analyzer's nil-by-default
+// recorder at each decision; Explain re-derives one class with a recorder
+// attached and assembles the report served at /v1/access/explain.
 
 import (
 	"fmt"
@@ -56,20 +56,6 @@ type PatternAudit struct {
 	Index     int    `json:"index"`            // pattern index when accepted, -1 otherwise
 }
 
-// DecisionRecorder receives Step-1/2/3 decision records. Implementations must
-// be cheap and, when attached to an analyzer running with Workers > 1,
-// goroutine-safe; the hook is nil by default and every call site gates on it,
-// so a disabled recorder costs nothing on the hot path.
-type DecisionRecorder interface {
-	// RecordAP reports one candidate access point decision for a pin.
-	RecordAP(pin string, ap APAudit)
-	// RecordPattern reports one Step-2 pattern DP iteration.
-	RecordPattern(p PatternAudit)
-	// RecordSelection reports the Step-3 choice for one instance: the selected
-	// pattern index and the cluster DP's best total cost.
-	RecordSelection(instID, pattern, clusterCost int)
-}
-
 // CacheAudit is the cache provenance of an explain re-derivation.
 type CacheAudit struct {
 	ViaHits   int64 `json:"via_hits"`
@@ -102,24 +88,25 @@ type ExplainReport struct {
 }
 
 // explainRecorder keeps the audit for one pin (AP records of other pins in
-// the class are dropped; pattern and selection records are class-wide).
+// the class are dropped; pattern records are class-wide). Explain runs its
+// analyzer single-threaded, so the recorder needs no lock.
 type explainRecorder struct {
 	pin      string
 	aps      []APAudit
 	patterns []PatternAudit
 }
 
+// RecordAP records one candidate access point decision for a pin.
 func (r *explainRecorder) RecordAP(pin string, ap APAudit) {
 	if pin == r.pin {
 		r.aps = append(r.aps, ap)
 	}
 }
 
+// RecordPattern records one Step-2 pattern DP iteration.
 func (r *explainRecorder) RecordPattern(p PatternAudit) {
 	r.patterns = append(r.patterns, p)
 }
-
-func (r *explainRecorder) RecordSelection(instID, pattern, clusterCost int) {}
 
 // Explain re-derives one instance's class analysis (Steps 1 and 2) with a
 // decision recorder attached and returns the audit for the named pin. The
@@ -161,7 +148,7 @@ func Explain(d *db.Design, cfg Config, inst *db.Instance, pinName string) (*Expl
 	cfg.Workers = 1
 	a := NewAnalyzer(d, cfg)
 	rec := &explainRecorder{pin: pinName}
-	a.Rec = rec
+	a.rec = rec
 	rep := &ExplainReport{Class: ui.Signature(), Pin: pinName, Cached: !a.Cfg.NoCache}
 	func() {
 		defer func() {

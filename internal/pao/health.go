@@ -89,9 +89,11 @@ func (h *Health) recordClass(sig string, st ClassStatus, err *PipelineError) {
 	h.errors = append(h.errors, err)
 }
 
-// degradeClass marks a class degraded without logging another error (used
-// when one cluster fault downgrades several member classes).
-func (h *Health) degradeClass(sig string) {
+// Degrade marks a class degraded without logging another error: one cluster
+// fault downgrades several member classes, and the distributed coordinator
+// folds a worker's reported degradations into the merged result's health.
+// A failed class is never downgraded.
+func (h *Health) Degrade(sig string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if StatusDegraded > h.classes[sig] {
@@ -99,14 +101,18 @@ func (h *Health) degradeClass(sig string) {
 	}
 }
 
-// record logs a recovered error that is not scoped to a single class.
-func (h *Health) record(err *PipelineError) {
+// Record logs a recovered error that is not scoped to a single class, from
+// the pipeline or from the distributed coordinator replaying a worker's
+// reported errors.
+func (h *Health) Record(err *PipelineError) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.errors = append(h.errors, err)
 }
 
-func (h *Health) markCancelled() {
+// MarkCancelled latches the cancelled flag: the pipeline's context ended the
+// run, or the distributed coordinator's did.
+func (h *Health) MarkCancelled() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.cancelled = true
@@ -123,19 +129,6 @@ func (h *Health) errCount() int {
 	defer h.mu.Unlock()
 	return len(h.errors)
 }
-
-// Degrade marks a class degraded from outside the pipeline — the distributed
-// coordinator uses it to fold a worker's reported degradations into the
-// merged result's health. Same never-downgrade semantics as the internal path.
-func (h *Health) Degrade(sig string) { h.degradeClass(sig) }
-
-// Record logs a recovered pipeline error from outside the pipeline (the
-// distributed coordinator replaying a worker's reported errors).
-func (h *Health) Record(e *PipelineError) { h.record(e) }
-
-// MarkCancelled latches the cancelled flag from outside the pipeline (the
-// distributed coordinator, when its own context ends a run mid-flight).
-func (h *Health) MarkCancelled() { h.markCancelled() }
 
 // Status returns the class's health; classes never touched by a fault are ok.
 func (h *Health) Status(sig string) ClassStatus {

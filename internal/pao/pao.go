@@ -310,11 +310,6 @@ func (s Stats) Counts() Stats {
 // Result is the full analysis output.
 type Result struct {
 	Unique []*UniqueAccess
-	// CorrID is the correlation ID of the RunContext analysis that produced
-	// this result (telemetry.CorrIDFrom; minted when the caller's context has
-	// none). Excluded from serialization: snapshots restore with the ID of
-	// the run that loads them.
-	CorrID string `json:"-"`
 	// ByInstance maps instance ID to its unique access class.
 	ByInstance map[int]*UniqueAccess
 	// Selected maps instance ID to the chosen pattern index (Step 3).

@@ -83,7 +83,7 @@ func (a *Analyzer) AnalyzeClasses(ctx context.Context, sigs []string) (*Result, 
 	res := newResult()
 	a.analyzeClasses(ctx, res, uis, nil)
 	if err := ctx.Err(); err != nil {
-		res.Health.markCancelled()
+		res.Health.MarkCancelled()
 		return res, err
 	}
 	return res, nil
@@ -229,7 +229,7 @@ func (a *Analyzer) SelectClusters(ctx context.Context, res *Result, eng *drc.Eng
 	picks := make(map[int]int)
 	a.selectClusters(ctx, res, eng, run, h, picks)
 	if err := ctx.Err(); err != nil {
-		h.markCancelled()
+		h.MarkCancelled()
 		return picks, h, err
 	}
 	return picks, h, nil

@@ -156,13 +156,13 @@ func (a *Analyzer) axisCandidates(tracks []db.TrackPattern, lo, hi int64, vias [
 // DRC-clean. Standard cells require via access when Cfg.RequireVia is set
 // (footnote 1); macro pins accept planar-only access points.
 //
-// When a.Rec is attached (explain path) every decision — including rejects —
-// is recorded with per-via verdict provenance; with Rec nil the function is
+// When a.rec is attached (explain path) every decision — including rejects —
+// is recorded with per-via verdict provenance; with rec nil the function is
 // byte-for-byte the plain validation loop.
 func (a *Analyzer) validateAP(eng *drc.Engine, qc *drc.QueryCtx, pt geom.Point, layer, net int, pinName string,
 	pinRects []geom.Rect, vias []*tech.ViaDef, class db.MasterClass, t0, t1 CoordType, dir tech.Dir) *AccessPoint {
 
-	rec := a.Rec
+	rec := a.rec
 	if !geom.CoversPt(pinRects, pt) {
 		if rec != nil {
 			rec.RecordAP(pinName, apAudit(pt, layer, t0, t1, dir, RejectOffPin, nil, nil))

@@ -95,7 +95,7 @@ func (a *Analyzer) genPatterns(ua *UniqueAccess) {
 	}
 	used := make(map[*AccessPoint]bool)
 	seenPatterns := make(map[string]bool)
-	rec := a.Rec
+	rec := a.rec
 	for it := 0; it < a.Cfg.MaxPatterns; it++ {
 		choice := a.dpOnce(ua, groups, used)
 		key := patternKey(choice)

@@ -127,13 +127,13 @@ func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, cl db.Clus
 	defer func() {
 		if r := recover(); r != nil {
 			picks = nil
-			h.record(&PipelineError{
+			h.Record(&PipelineError{
 				Step: StepSelect, Signature: clusterDetail(cl),
 				Recovered: r, Stack: string(debug.Stack()),
 			})
 			for _, inst := range cl.Insts {
 				if ua := res.ByInstance[inst.ID]; ua != nil {
-					h.degradeClass(ua.UI.Signature())
+					h.Degrade(ua.UI.Signature())
 				}
 			}
 		}
@@ -268,13 +268,6 @@ func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster,
 	for gi := len(insts) - 1; gi >= 0 && bestNi >= 0; gi-- {
 		out[insts[gi].ID] = bestNi
 		bestNi = dp[gi][bestNi].prev
-	}
-	if rec := a.Rec; rec != nil {
-		for _, inst := range insts {
-			if ni, ok := out[inst.ID]; ok {
-				rec.RecordSelection(inst.ID, ni, bestCost)
-			}
-		}
 	}
 	return out
 }
@@ -443,7 +436,7 @@ func numNetTerms(d *db.Design) int {
 func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, h *Health) {
 	defer func() {
 		if r := recover(); r != nil {
-			h.record(&PipelineError{
+			h.Record(&PipelineError{
 				Step: StepFailedPins, Recovered: r, Stack: string(debug.Stack()),
 			})
 		}

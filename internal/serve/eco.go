@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 // ECOOpRequest is one placement edit on the wire.
@@ -178,11 +177,11 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	reg := s.reg()
 	reg.Counter("serve.eco.applied").Inc()
 	reg.Counter("serve.eco.ops").Add(int64(rep.Ops))
-	s.Logger.InfoCtx(r.Context(), "eco applied",
-		telemetry.F("ops", rep.Ops),
-		telemetry.F("reanalyzed_classes", rep.ReanalyzedClasses),
-		telemetry.F("total_classes", rep.TotalClasses),
-		telemetry.F("dirty_clusters", rep.DirtyClusters),
-		telemetry.F("total_clusters", rep.TotalClusters))
+	s.Logger.Info("eco applied", "corr", w.Header().Get("X-Correlation-Id"),
+		"ops", rep.Ops,
+		"reanalyzed_classes", rep.ReanalyzedClasses,
+		"total_classes", rep.TotalClasses,
+		"dirty_clusters", rep.DirtyClusters,
+		"total_clusters", rep.TotalClusters)
 	writeJSON(w, http.StatusOK, ECOResponse{Status: "applied", Report: rep, DesignHash: hash})
 }

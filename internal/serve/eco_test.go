@@ -15,8 +15,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 func postECO(t *testing.T, h http.Handler, body string) (int, []byte) {
@@ -104,7 +104,7 @@ func TestServeECOSkipsStepHistogram(t *testing.T) {
 	count := func() float64 {
 		t.Helper()
 		_, _, body := get(t, h, "/metrics")
-		scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+		scrape, err := obs.CheckProm(bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("exposition does not parse: %v", err)
 		}

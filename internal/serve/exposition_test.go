@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/telemetry"
+	"repro/internal/obs"
 )
 
 // pinnedExposition is the /metrics family set (name, type, label names)
@@ -88,7 +88,7 @@ var labelNameRe = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)="(?:[^"\\]|\\.)*"
 
 // familySet reduces a parsed scrape to sorted "family type labels" lines;
 // a histogram's le label is part of its type, not of its schema.
-func familySet(scrape *telemetry.PromScrape) []string {
+func familySet(scrape *obs.PromScrape) []string {
 	labels := map[string]string{}
 	for id := range scrape.Series {
 		name, rest, _ := strings.Cut(id, "{")
@@ -122,7 +122,7 @@ func familySet(scrape *telemetry.PromScrape) []string {
 // after a fixed script equal the pinned list.
 func TestServeExpositionPinned(t *testing.T) {
 	body := exposeScript(t)
-	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+	scrape, err := obs.CheckProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}

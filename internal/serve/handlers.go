@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/db"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 // PinAnswer is one pin's access point in a query response.
@@ -49,7 +48,7 @@ type QueryResponse struct {
 // handleSlowlog dumps the bounded slow-query ring, newest first, with trace
 // exemplars for sampled queries.
 func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slow.Snapshot())
+	writeJSON(w, http.StatusOK, s.slow.snapshot())
 }
 
 // ExplainResponse answers /v1/access/explain?inst=NAME&pin=NAME: the decision
@@ -92,7 +91,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown instance "+name, http.StatusNotFound)
 		return
 	}
-	sp := telemetry.SpanFrom(r.Context()).Start("explain.rederive")
+	sp := spanFrom(r.Context()).Start("explain.rederive")
 	rep, err := pao.Explain(s.design, s.paoCfg, inst, pin)
 	sp.End()
 	if err != nil {
@@ -182,7 +181,7 @@ func (s *Server) handleAccess(w http.ResponseWriter, r *http.Request) {
 	if h := s.FaultHook; h != nil {
 		h(SiteQuery, name)
 	}
-	sp := telemetry.SpanFrom(r.Context()).Start("access.answer")
+	sp := spanFrom(r.Context()).Start("access.answer")
 	resp := s.answer(st, inst)
 	sp.End()
 	s.designMu.RUnlock()

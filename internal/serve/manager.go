@@ -37,6 +37,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -46,11 +49,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/db"
 	"repro/internal/drc"
 	"repro/internal/obs"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 // Manager-level fault-hook sites (test-only, nil hooks in production).
@@ -152,8 +155,9 @@ type Manager struct {
 	// Obs receives the manager-level metrics (evictions, warm restarts,
 	// resident gauge); per-design metrics live on each design's Server.
 	Obs *obs.Observer
-	// Logger receives structured operational log lines; nil discards.
-	Logger *telemetry.Logger
+	// Logger receives structured operational log lines. NewManager sets one
+	// that is disabled at every level; replace it before registering designs.
+	Logger *slog.Logger
 
 	// FaultHook fires at SiteEvict/SiteWarm and is installed on every
 	// registered design's Server (SiteQuery etc.). Test-only; set before use.
@@ -199,6 +203,7 @@ func NewManager(paoCfg pao.Config, cfg ManagerConfig) *Manager {
 		cfg:     cfg,
 		paoCfg:  paoCfg,
 		Obs:     obs.NewObserver("paoserve"),
+		Logger:  slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)})),
 		now:     time.Now,
 		entries: make(map[string]*entry),
 	}
@@ -254,7 +259,7 @@ func (m *Manager) RegisterDesign(ctx context.Context, id string, d *db.Design, p
 		snap = m.snapPath(id)
 	}
 	srv := newServer(id, d, paoCfg, scfg, snap)
-	srv.Logger = m.Logger.With(telemetry.F("design", id))
+	srv.Logger = m.Logger.With("design", id)
 	srv.FaultHook = m.FaultHook
 	srv.PaoFaultHook = m.PaoFaultHook
 	srv.DRCFaultHook = m.DRCFaultHook
@@ -292,8 +297,7 @@ func (m *Manager) RegisterDesign(ctx context.Context, id string, d *db.Design, p
 		res, err := pao.DecodeSnapshot(bytes.NewReader(opts.Snapshot), d, paoCfg)
 		if err != nil {
 			m.reg().Counter("serve.register.snapshot_rejected").Inc()
-			m.Logger.Warn("uploaded snapshot rejected, analyzing instead",
-				telemetry.F("design", id), telemetry.F("err", err))
+			m.Logger.Warn("uploaded snapshot rejected, analyzing instead", "design", id, "err", err)
 		} else {
 			srv.swap(res, "snapshot")
 			// Persist immediately so eviction and crash recovery see it.
@@ -310,8 +314,7 @@ func (m *Manager) RegisterDesign(ctx context.Context, id string, d *db.Design, p
 	ok = true
 	m.reg().Counter("serve.designs.registered").Inc()
 	m.Logger.Info("design registered",
-		telemetry.F("design", id), telemetry.F("instances", len(d.Instances)),
-		telemetry.F("source", srv.Source()))
+		"design", id, "instances", len(d.Instances), "source", srv.Source())
 	m.enforceBudget(ctx)
 	return srv, nil
 }
@@ -410,8 +413,7 @@ func (m *Manager) enforceBudget(ctx context.Context) {
 			return // everything resident is mid-warm; nothing safe to evict
 		}
 		if err := m.evictEntry(ctx, victim); err != nil {
-			m.Logger.Error("budget eviction failed",
-				telemetry.F("design", victim.id), telemetry.F("err", err))
+			m.Logger.Error("budget eviction failed", "design", victim.id, "err", err)
 			return
 		}
 	}
@@ -443,8 +445,7 @@ func (m *Manager) evictEntry(ctx context.Context, e *entry) error {
 	e.state.Store(int32(DesignEvicted))
 	m.reg().Counter("serve.evictions").Inc()
 	m.publishGauges()
-	m.Logger.Info("design evicted",
-		telemetry.F("design", e.id), telemetry.F("snapshot", e.srv.snapPath))
+	m.Logger.Info("design evicted", "design", e.id, "snapshot", e.srv.snapPath)
 	return nil
 }
 
@@ -476,7 +477,7 @@ func (m *Manager) DeleteDesign(id string) error {
 	}
 	m.reg().Counter("serve.designs.deleted").Inc()
 	m.publishGauges()
-	m.Logger.Info("design deleted", telemetry.F("design", id))
+	m.Logger.Info("design deleted", "design", id)
 	return nil
 }
 
@@ -511,13 +512,11 @@ func (m *Manager) warm(e *entry, done chan struct{}) {
 		if err != nil {
 			e.state.Store(int32(DesignFailed))
 			m.reg().Counter("serve.warm.failed").Inc()
-			m.Logger.Error("warm restart failed",
-				telemetry.F("design", e.id), telemetry.F("err", err))
+			m.Logger.Error("warm restart failed", "design", e.id, "err", err)
 		} else {
 			e.state.Store(int32(DesignReady))
 			m.reg().Counter("serve.warm_restarts").Inc()
-			m.Logger.Info("warm restart",
-				telemetry.F("design", e.id), telemetry.F("source", e.srv.Source()))
+			m.Logger.Info("warm restart", "design", e.id, "source", e.srv.Source())
 		}
 		e.warmMu.Lock()
 		e.warmDone = nil
@@ -912,9 +911,9 @@ func (m *Manager) handleVersion(w http.ResponseWriter, r *http.Request) {
 		Source            string `json:"source,omitempty"`
 	}
 	resp := struct {
-		Build   telemetry.BuildInfo      `json:"build"`
+		Build   cliutil.BuildInfo        `json:"build"`
 		Designs map[string]designVersion `json:"designs"`
-	}{telemetry.Build(), map[string]designVersion{}}
+	}{cliutil.Build(), map[string]designVersion{}}
 	for _, e := range m.list() {
 		resp.Designs[e.id] = designVersion{
 			DesignHash:        e.srv.DesignHash(),
@@ -935,7 +934,7 @@ func (m *Manager) Start() error {
 	m.http = &http.Server{Handler: m.Handler()}
 	go func() {
 		if err := m.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			m.Logger.Error("serve error", telemetry.F("err", err))
+			m.Logger.Error("serve error", "err", err)
 		}
 	}()
 	if m.cfg.SnapshotInterval > 0 {

@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"repro/internal/db"
+	"repro/internal/obs"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 func newTestManager(t *testing.T, cfg ManagerConfig) *Manager {
@@ -359,7 +359,7 @@ func TestManagerMetricsLabeled(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("metrics = %d", code)
 	}
-	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+	scrape, err := obs.CheckProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/lef"
 	"repro/internal/pao"
 	"repro/internal/suite"
-	"repro/internal/telemetry"
 )
 
 // Size caps for inline registration payloads. These bound what one
@@ -250,8 +249,7 @@ func (m *Manager) handleRegister(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
 	case err != nil:
-		m.Logger.Error("registration failed",
-			telemetry.F("design", req.ID), telemetry.F("err", err))
+		m.Logger.Error("registration failed", "design", req.ID, "err", err)
 		http.Error(w, "analysis failed: "+err.Error(), http.StatusInternalServerError)
 		return
 	}

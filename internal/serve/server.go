@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -43,7 +44,6 @@ import (
 	"repro/internal/drc"
 	"repro/internal/obs"
 	"repro/internal/pao"
-	"repro/internal/telemetry"
 )
 
 // Fault-hook site names (test-only, nil hooks in production — the same
@@ -123,9 +123,9 @@ type Server struct {
 	// labeled families below, and no trace. Nothing reads a server's span
 	// tree, so its analyzers build none.
 	Obs *obs.Observer
-	// Logger receives structured operational log lines (JSON, one per line);
-	// nil (the default) discards them. Set before Init.
-	Logger *telemetry.Logger
+	// Logger receives structured operational log lines; the Manager sets it,
+	// with the design ID attached, before Init.
+	Logger *slog.Logger
 
 	// FaultHook, when set before Init, fires at the Site* points above.
 	// Test-only; nil in production.
@@ -164,8 +164,8 @@ type Server struct {
 
 	// Labeled families of the server's registry (the design label is the
 	// Manager's constant label) and the per-query trace/slow-log machinery.
-	slow       *telemetry.SlowLog
-	sampler    *telemetry.Sampler
+	slow       *slowLog
+	sampler    *sampler
 	qTotal     *obs.CounterVec   // pao.queries{status}
 	qSeconds   *obs.Histogram    // pao.query
 	stepSecs   *obs.HistogramVec // pao.step{step}
@@ -202,8 +202,8 @@ func newServer(id string, d *db.Design, paoCfg pao.Config, cfg Config, snapPath 
 	s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, func() time.Time { return s.now() })
 	s.bgCtx, s.bgCancel = context.WithCancel(context.Background())
 
-	s.slow = telemetry.NewSlowLog(cfg.SlowLogSize, cfg.SlowThreshold)
-	s.sampler = telemetry.NewSampler(cfg.TraceSample)
+	s.slow = newSlowLog(cfg.SlowLogSize, cfg.SlowThreshold)
+	s.sampler = newSampler(cfg.TraceSample)
 	reg := s.Obs.Registry
 	s.qTotal = reg.CounterVec("pao.queries",
 		"Access queries answered by the oracle, by outcome.", "status")
@@ -367,15 +367,13 @@ func (s *Server) Init(ctx context.Context) error {
 			s.lastSnapshotNS.Store(s.now().UnixNano())
 			s.swap(res, "snapshot")
 			reg.Counter("serve.restart.warm").Inc()
-			s.Logger.Info("warm restart from snapshot",
-				telemetry.F("classes", len(res.Unique)), telemetry.F("path", path))
+			s.Logger.Info("warm restart from snapshot", "classes", len(res.Unique), "path", path)
 			return nil
 		case errors.Is(err, fs.ErrNotExist):
-			s.Logger.Info("no snapshot, computing", telemetry.F("path", path))
+			s.Logger.Info("no snapshot, computing", "path", path)
 		default:
 			reg.Counter("serve.snapshot.corrupt").Inc()
-			s.Logger.Warn("snapshot rejected, falling back to recompute",
-				telemetry.F("path", path), telemetry.F("err", err))
+			s.Logger.Warn("snapshot rejected, falling back to recompute", "path", path, "err", err)
 		}
 	}
 	res, err := s.compute(ctx)
@@ -385,7 +383,7 @@ func (s *Server) Init(ctx context.Context) error {
 	s.swap(res, "recompute")
 	reg.Counter("serve.restart.recompute").Inc()
 	s.Logger.Info("cold start analysis complete",
-		telemetry.F("classes", len(res.Unique)), telemetry.F("health", res.Health))
+		"classes", len(res.Unique), "health", res.Health.String())
 	return nil
 }
 
@@ -424,8 +422,7 @@ func (s *Server) WriteSnapshot(ctx context.Context) error {
 	})
 	if err != nil {
 		reg.Counter("serve.snapshot.write_errors").Inc()
-		s.Logger.Error("snapshot write failed",
-			telemetry.F("path", s.snapPath), telemetry.F("err", err))
+		s.Logger.Error("snapshot write failed", "path", s.snapPath, "err", err)
 		return err
 	}
 	s.lastSnapshotNS.Store(s.now().UnixNano())
@@ -480,7 +477,7 @@ func (s *Server) reanalyze(ctx context.Context) {
 			s.brk.failure()
 			s.publishGauges()
 			s.Logger.Error("re-analysis panic",
-				telemetry.F("breaker", s.brk.current()), telemetry.F("panic", fmt.Sprint(rec)))
+				"breaker", s.brk.current().String(), "panic", fmt.Sprint(rec))
 		}
 	}()
 	if h := s.FaultHook; h != nil {
@@ -495,15 +492,14 @@ func (s *Server) reanalyze(ctx context.Context) {
 	case err != nil:
 		reg.Counter("serve.reanalyze.failed").Inc()
 		s.brk.failure()
-		s.Logger.Warn("re-analysis aborted", telemetry.F("err", err))
+		s.Logger.Warn("re-analysis aborted", "err", err)
 	case len(res.Health.Errors()) > 0:
 		reg.Counter("serve.reanalyze.failed").Inc()
 		s.brk.failure()
 		if old := s.curState.Load(); old == nil {
 			s.swap(res, "recompute") // degraded beats nothing
 		} else {
-			s.Logger.Warn("re-analysis degraded, keeping stale result",
-				telemetry.F("health", res.Health))
+			s.Logger.Warn("re-analysis degraded, keeping stale result", "health", res.Health.String())
 		}
 	default:
 		reg.Counter("serve.reanalyze.ok").Inc()
@@ -587,7 +583,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		t0 := s.now()
 		corr := r.Header.Get("X-Correlation-Id")
 		if corr == "" {
-			corr = telemetry.NewCorrID()
+			corr = newCorrID()
 		}
 		w.Header().Set("X-Correlation-Id", corr)
 		tenant, terr := tenantOf(r)
@@ -619,7 +615,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 			http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
 			return
 		}
-		ctx := telemetry.WithCorrID(r.Context(), corr)
+		ctx := r.Context()
 		if s.cfg.RequestTimeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
@@ -642,9 +638,9 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 		defer release()
 		s.tAdmit.With(tenant).Inc()
 		var root *obs.Span
-		if s.sampler.Sample() {
+		if s.sampler.sample() {
 			root = obs.NewTrace("serve." + op).Root
-			ctx = telemetry.WithSpan(ctx, root)
+			ctx = withSpan(ctx, root)
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
@@ -653,13 +649,13 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 				reg.Counter("serve.panics").Inc()
 				s.brk.failure()
 				s.publishGauges()
-				s.Logger.ErrorCtx(ctx, "query panic recovered",
-					telemetry.F("breaker", s.brk.current()), telemetry.F("panic", fmt.Sprint(rec)))
+				s.Logger.Error("query panic recovered", "corr", corr,
+					"breaker", s.brk.current().String(), "panic", fmt.Sprint(rec))
 				http.Error(sw, "internal error (recovered)", http.StatusInternalServerError)
 			}
 			s.qTotal.With(statusLabel(sw.code)).Inc()
 			s.qSeconds.Observe(d)
-			entry := telemetry.Entry{
+			entry := SlowLogEntry{
 				CorrID: corr, Op: op, Detail: r.URL.RawQuery, Status: sw.code,
 				Start: t0, DurMS: float64(d) / 1e6,
 			}
@@ -667,7 +663,7 @@ func (s *Server) admittedCost(op string, costFn func(r *http.Request) (*http.Req
 				root.End()
 				entry.Trace = root.Export()
 			}
-			s.slow.Observe(entry, d)
+			s.slow.observe(entry, d)
 		}()
 		h(sw, r.WithContext(ctx))
 	}

@@ -23,9 +23,9 @@ import (
 	"repro/internal/db"
 	"repro/internal/faultinject"
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/pao"
 	"repro/internal/suite"
-	"repro/internal/telemetry"
 )
 
 func serveDesign(t *testing.T) *db.Design {
@@ -554,7 +554,7 @@ func TestServeHealthzAndMetricz(t *testing.T) {
 
 	// Query latency is the design-labeled pao_query_seconds histogram.
 	_, _, body = get(t, h, "/metrics")
-	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+	scrape, err := obs.CheckProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v", err)
 	}

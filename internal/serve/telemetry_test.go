@@ -17,8 +17,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 func TestServeExplainEndpoint(t *testing.T) {
@@ -120,7 +120,7 @@ func TestServeMetricsPromFormat(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); ct != obs.ContentType {
 		t.Fatalf("Content-Type = %q, want %q", ct, obs.ContentType)
 	}
-	scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+	scrape, err := obs.CheckProm(bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, body)
 	}
@@ -211,7 +211,7 @@ func TestServeScrapeWhileServing(t *testing.T) {
 					errc <- fmt.Errorf("/metrics = %d", rec.Code)
 					return
 				}
-				if _, err := telemetry.CheckProm(rec.Body); err != nil {
+				if _, err := obs.CheckProm(rec.Body); err != nil {
 					errc <- fmt.Errorf("scrape %d: %v", i, err)
 					return
 				}
@@ -230,7 +230,7 @@ func TestServeScrapeWhileServing(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/slowlog = %d", code)
 	}
-	var log telemetry.LogSnapshot
+	var log SlowLogResponse
 	if err := json.Unmarshal(body, &log); err != nil {
 		t.Fatalf("bad slowlog JSON: %v\n%s", err, body)
 	}
@@ -270,7 +270,7 @@ func TestServeCorrelationIDEcho(t *testing.T) {
 
 	// The caller's ID must be the one the slow log records.
 	_, _, body := get(t, h, "/debug/slowlog")
-	var log telemetry.LogSnapshot
+	var log SlowLogResponse
 	if err := json.Unmarshal(body, &log); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestServeVersionEndpoint(t *testing.T) {
 		t.Fatalf("/version = %d", code)
 	}
 	var v struct {
-		Build   telemetry.BuildInfo `json:"build"`
+		Build   cliutil.BuildInfo `json:"build"`
 		Designs map[string]struct {
 			DesignHash        string `json:"design_hash"`
 			ConfigFingerprint string `json:"config_fingerprint"`
@@ -334,7 +334,7 @@ func TestServeObserverBuildsNoTrace(t *testing.T) {
 	queries := func() float64 {
 		t.Helper()
 		_, _, body := get(t, h, "/metrics")
-		scrape, err := telemetry.CheckProm(bytes.NewReader(body))
+		scrape, err := obs.CheckProm(bytes.NewReader(body))
 		if err != nil {
 			t.Fatalf("exposition does not parse: %v", err)
 		}
