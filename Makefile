@@ -27,13 +27,16 @@ difftest:
 
 # Differential ECO harness: seeded ECO scripts (moves/swaps/inserts/deletes)
 # applied to a resident session must produce byte-identical snapshots to a
-# fresh analysis of the mutated design, cache-on and cache-off, plus the
+# fresh analysis of the mutated design, cache-on and cache-off, with the same
+# class membership and instance bindings (TestECOFuzzDifferential), plus the
 # metamorphic invariants (site-move == fresh, apply-then-revert == original,
 # disjoint-op order independence), pivot independence of every class's
 # answers (fresh and after an ECO script), the incremental failed-pin recount
-# against a full check, the /v1/eco server path under the race detector, and
-# the via-cache unit tests (mutation re-keys a drop, shard cap, alloc-free
-# hits).
+# against a full check, the row-local cluster scoping against the full
+# d.Clusters() scan and the session's kept design hash against a one-shot
+# DesignHash (TestECOClusterScopeMatchesFullScan), the /v1/eco server path
+# and its answered design hash under the race detector, and the via-cache
+# unit tests (mutation re-keys a drop, shard cap, alloc-free hits).
 eco-difftest:
 	$(GO) test -v -run 'TestECO|TestPivotIndependence' ./internal/difftest
 	$(GO) test -race -run 'TestServeECO' ./internal/serve

@@ -430,49 +430,70 @@ type Cluster struct {
 	Insts []*Instance // sorted by x
 }
 
-// Clusters groups CORE instances into row clusters. Instances are bucketed by
-// the y coordinate and orientation of their row, sorted by x, and split
-// wherever a gap (empty site space) appears between neighbors.
-func (d *Design) Clusters() []Cluster {
-	type rowKey struct {
-		y      int64
-		orient geom.Orient
+// RowKey identifies a clustering row: the y coordinate and orientation that
+// its CORE instances share.
+type RowKey struct {
+	Y      int64
+	Orient geom.Orient
+}
+
+// RowOf returns the clustering row of an instance; ok is false for a
+// non-CORE instance, which belongs to no cluster.
+func RowOf(inst *Instance) (k RowKey, ok bool) {
+	return RowKey{inst.Pos.Y, inst.Orient}, inst.Master.Class == ClassCore
+}
+
+// Less orders rows by y, then orientation: the order Clusters emits them in.
+func (k RowKey) Less(o RowKey) bool {
+	if k.Y != o.Y {
+		return k.Y < o.Y
 	}
-	buckets := make(map[rowKey][]*Instance)
-	var keys []rowKey
+	return k.Orient < o.Orient
+}
+
+// Clusters groups CORE instances into row clusters. Instances are bucketed by
+// their row (RowOf) in design order, and the rows, taken in RowKey order, are
+// split by AppendRowClusters.
+func (d *Design) Clusters() []Cluster {
+	buckets := make(map[RowKey][]*Instance)
+	var keys []RowKey
 	for _, inst := range d.Instances {
-		if inst.Master.Class != ClassCore {
+		k, ok := RowOf(inst)
+		if !ok {
 			continue
 		}
-		k := rowKey{inst.Pos.Y, inst.Orient}
 		if _, seen := buckets[k]; !seen {
 			keys = append(keys, k)
 		}
 		buckets[k] = append(buckets[k], inst)
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].y != keys[b].y {
-			return keys[a].y < keys[b].y
-		}
-		return keys[a].orient < keys[b].orient
-	})
+	sort.Slice(keys, func(a, b int) bool { return keys[a].Less(keys[b]) })
 	var out []Cluster
 	for _, k := range keys {
-		insts := buckets[k]
-		sort.Slice(insts, func(a, b int) bool { return insts[a].Pos.X < insts[b].Pos.X })
-		cur := Cluster{}
-		var prevEnd int64
-		for _, inst := range insts {
-			if len(cur.Insts) > 0 && inst.Pos.X > prevEnd {
-				out = append(out, cur)
-				cur = Cluster{}
-			}
-			cur.Insts = append(cur.Insts, inst)
-			prevEnd = inst.BBox().XH
+		out = AppendRowClusters(out, buckets[k])
+	}
+	return out
+}
+
+// AppendRowClusters sorts one row's instances by x in place and appends the
+// clusters they form to out, splitting wherever a gap (empty site space)
+// appears between neighbors. Each cluster's Insts is a capped sub-slice of
+// insts. sort.Slice is deterministic but not stable, so the members of a row
+// passed in design order tie-break exactly as in Clusters; incremental flows
+// re-split a single row this way.
+func AppendRowClusters(out []Cluster, insts []*Instance) []Cluster {
+	sort.Slice(insts, func(a, b int) bool { return insts[a].Pos.X < insts[b].Pos.X })
+	start := 0
+	var prevEnd int64
+	for i, inst := range insts {
+		if i > start && inst.Pos.X > prevEnd {
+			out = append(out, Cluster{Insts: insts[start:i:i]})
+			start = i
 		}
-		if len(cur.Insts) > 0 {
-			out = append(out, cur)
-		}
+		prevEnd = inst.BBox().XH
+	}
+	if start < len(insts) {
+		out = append(out, Cluster{Insts: insts[start:len(insts):len(insts)]})
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/db"
@@ -37,17 +38,20 @@ func snapshotBytes(t *testing.T, d *db.Design, cfg pao.Config, res *pao.Result) 
 // genECOScript produces a deterministic pseudo-random ECO script against the
 // design's current state: moves near other instances' rows (so clusters
 // split, merge and extend), swaps, inserts of existing masters at fresh
-// names, and a bounded number of deletes. The generator only reads d.
+// names, and a bounded number of deletes. The generator only reads d, so
+// positions and masters come from instances d already has, never from one
+// this script inserts.
 func genECOScript(d *db.Design, rng *rand.Rand, n, round int) []pao.ECOOp {
 	var alive []string
 	for _, inst := range d.Instances {
 		alive = append(alive, inst.Name)
 	}
 	pick := func() string { return alive[rng.Intn(len(alive))] }
+	anchor := func() *db.Instance { return d.Instances[rng.Intn(len(d.Instances))] }
 	jitter := []int64{-560, -140, -70, 0, 70, 140, 560}
 	target := func() geom.Point {
-		anchor := d.InstByName(pick()).Pos
-		return geom.Pt(anchor.X+jitter[rng.Intn(len(jitter))], anchor.Y)
+		at := anchor().Pos
+		return geom.Pt(at.X+jitter[rng.Intn(len(jitter))], at.Y)
 	}
 	var ops []pao.ECOOp
 	deletes := 0
@@ -63,7 +67,7 @@ func genECOScript(d *db.Design, rng *rand.Rand, n, round int) []pao.ECOOp {
 			ops = append(ops, pao.ECOOp{Kind: pao.ECOSwap, Inst: a, Other: b})
 		case k < 8: // insert
 			name := fmt.Sprintf("eco_r%d_%d", round, len(ops))
-			master := d.InstByName(pick()).Master.Name
+			master := anchor().Master.Name
 			ops = append(ops, pao.ECOOp{Kind: pao.ECOInsert, Inst: name, Master: master, To: target(), Orient: geom.OrientN})
 			alive = append(alive, name)
 		default: // delete
@@ -84,89 +88,145 @@ func genECOScript(d *db.Design, rng *rand.Rand, n, round int) []pao.ECOOp {
 	return ops
 }
 
-// TestECOFuzzDifferential is the ECO equivalence gate: for each testcase,
-// chained pseudo-random ECO scripts applied through one resident session must
-// produce a result byte-identical to a fresh full analysis of the mutated
-// twin — with the via cache on and with it off. Some round must change
-// FailedPins, so the incremental failed-pin recount is covered.
+// sameMembership fails unless the ECO result binds every instance exactly as
+// the fresh one does. The snapshot encodes neither ByInstance nor any class's
+// members, so a stale entry left by patching the previous result would pass
+// the byte comparison: each instance must map to the class of the same
+// signature, each class must list the same member IDs, every member must map
+// to the class object that lists it, and nothing else may be bound.
+func sameMembership(t *testing.T, label string, d *db.Design, eco, fresh *pao.Result) {
+	t.Helper()
+	if len(eco.ByInstance) != len(fresh.ByInstance) {
+		t.Fatalf("%s: %d bound instances, fresh %d", label, len(eco.ByInstance), len(fresh.ByInstance))
+	}
+	for _, inst := range d.Instances {
+		e, f := eco.ByInstance[inst.ID], fresh.ByInstance[inst.ID]
+		if (e == nil) != (f == nil) || (e != nil && e.UI.Signature() != f.UI.Signature()) {
+			t.Fatalf("%s: %s bound to %v, fresh %v", label, inst.Name, sigOf(e), sigOf(f))
+		}
+	}
+	if len(eco.Unique) != len(fresh.Unique) {
+		t.Fatalf("%s: %d classes, fresh %d", label, len(eco.Unique), len(fresh.Unique))
+	}
+	for i, ua := range eco.Unique {
+		ids := func(ua *pao.UniqueAccess) []int {
+			var out []int
+			for _, m := range ua.UI.Insts {
+				out = append(out, m.ID)
+			}
+			return out
+		}
+		if got, want := ids(ua), ids(fresh.Unique[i]); !slices.Equal(got, want) {
+			t.Fatalf("%s: class %s members %v, fresh %v", label, ua.UI.Signature(), got, want)
+		}
+		for _, m := range ua.UI.Insts {
+			if eco.ByInstance[m.ID] != ua {
+				t.Fatalf("%s: %s is listed by class %s but bound to another object", label, m.Name, ua.UI.Signature())
+			}
+		}
+	}
+}
+
+func sigOf(ua *pao.UniqueAccess) string {
+	if ua == nil {
+		return "<none>"
+	}
+	return ua.UI.Signature()
+}
+
+// TestECOFuzzDifferential is the ECO equivalence gate: for each testcase and
+// seed, chained pseudo-random ECO scripts applied through one resident
+// session must produce a result byte-identical to a fresh full analysis of
+// the mutated twin, with the same class membership and instance bindings —
+// with the via cache on and with it off. Some round of each testcase must
+// change FailedPins, so the incremental failed-pin recount is covered.
 func TestECOFuzzDifferential(t *testing.T) {
 	specs := []suite.Spec{
 		suite.Testcases[0].Scale(0.01).WithSeed(7),
 		suite.Testcases[3].Scale(0.004).WithSeed(7),
 		suite.AES14.Scale(0.01).WithSeed(7),
 	}
-	const rounds, opsPerRound = 2, 6
+	const seeds, rounds, opsPerRound = 4, 3, 6
 	for si, spec := range specs {
 		spec := spec
-		seed := int64(1000 + si)
 		t.Run(spec.Name, func(t *testing.T) {
-			d, err := suite.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			twin, err := suite.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dOff, err := suite.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := pao.DefaultConfig()
-			off := cfg
-			off.NoCache = true
-
-			ac := pao.NewAnalyzer(d, cfg)
-			sess := pao.NewECOSession(ac, ac.Run())
-			acOff := pao.NewAnalyzer(dOff, off)
-			sessOff := pao.NewECOSession(acOff, acOff.Run())
-
-			rng := rand.New(rand.NewSource(seed))
-			// The failed-pin recount is only exercised when some round moves
-			// FailedPins; a chain that never does proves nothing about it.
-			prevFailed, failedMoved := sess.Result().Stats.FailedPins, false
-			for round := 0; round < rounds; round++ {
-				ops := genECOScript(d, rng, opsPerRound, round)
-				res, _, err := sess.Apply(ops)
-				if err != nil {
-					t.Fatalf("round %d: eco apply: %v", round, err)
-				}
-				failedMoved = failedMoved || res.Stats.FailedPins != prevFailed
-				prevFailed = res.Stats.FailedPins
-				resOff, _, err := sessOff.Apply(ops)
-				if err != nil {
-					t.Fatalf("round %d: cache-off eco apply: %v", round, err)
-				}
-				if err := pao.ApplyOpsToDesign(twin, ops); err != nil {
-					t.Fatalf("round %d: twin apply: %v", round, err)
-				}
-				if h1, h2 := pao.DesignHash(d), pao.DesignHash(twin); h1 != h2 {
-					t.Fatalf("round %d: twin diverged from ECO'd design: %s vs %s", round, h1, h2)
-				}
-				fresh := pao.NewAnalyzer(twin, cfg).Run()
-
-				be := snapshotBytes(t, d, cfg, res)
-				bf := snapshotBytes(t, twin, cfg, fresh)
-				if !bytes.Equal(be, bf) {
-					t.Fatalf("round %d: ECO snapshot (%d bytes) != fresh snapshot (%d bytes)",
-						round, len(be), len(bf))
-				}
-				// Cache-off ECO must agree too: encode with the cache-on
-				// config so the fingerprints line up.
-				bo := snapshotBytes(t, dOff, cfg, resOff)
-				if !bytes.Equal(be, bo) {
-					t.Fatalf("round %d: cache-on ECO snapshot (%d bytes) != cache-off (%d bytes)",
-						round, len(be), len(bo))
-				}
-			}
-			if cs := ac.CacheStats(); cs.ViaHits+cs.ViaMisses == 0 {
-				t.Fatalf("via cache was not exercised (%+v); the cache-on/off comparison is vacuous", cs)
+			failedMoved := false
+			for k := 0; k < seeds; k++ {
+				seed := int64(1000 + si + 10*k)
+				failedMoved = ecoFuzzChain(t, spec, seed, rounds, opsPerRound) || failedMoved
 			}
 			if !failedMoved {
-				t.Fatalf("no round changed FailedPins (%d); the failed-pin recount went unexercised", prevFailed)
+				t.Fatal("no round changed FailedPins; the failed-pin recount went unexercised")
 			}
 		})
 	}
+}
+
+// ecoFuzzChain runs one seeded chain of ECO rounds for TestECOFuzzDifferential
+// and reports whether some round changed FailedPins.
+func ecoFuzzChain(t *testing.T, spec suite.Spec, seed int64, rounds, opsPerRound int) bool {
+	t.Helper()
+	gen := func() *db.Design {
+		d, err := suite.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d, twin, dOff := gen(), gen(), gen()
+	cfg := pao.DefaultConfig()
+	off := cfg
+	off.NoCache = true
+
+	ac := pao.NewAnalyzer(d, cfg)
+	sess := pao.NewECOSession(ac, ac.Run())
+	acOff := pao.NewAnalyzer(dOff, off)
+	sessOff := pao.NewECOSession(acOff, acOff.Run())
+
+	rng := rand.New(rand.NewSource(seed))
+	prevFailed, failedMoved := sess.Result().Stats.FailedPins, false
+	for round := 0; round < rounds; round++ {
+		label := fmt.Sprintf("seed %d round %d", seed, round)
+		ops := genECOScript(d, rng, opsPerRound, round)
+		res, _, err := sess.Apply(ops)
+		if err != nil {
+			t.Fatalf("%s: eco apply: %v", label, err)
+		}
+		failedMoved = failedMoved || res.Stats.FailedPins != prevFailed
+		prevFailed = res.Stats.FailedPins
+		resOff, _, err := sessOff.Apply(ops)
+		if err != nil {
+			t.Fatalf("%s: cache-off eco apply: %v", label, err)
+		}
+		if err := pao.ApplyOpsToDesign(twin, ops); err != nil {
+			t.Fatalf("%s: twin apply: %v", label, err)
+		}
+		if h1, h2 := pao.DesignHash(d), pao.DesignHash(twin); h1 != h2 {
+			t.Fatalf("%s: twin diverged from ECO'd design: %s vs %s", label, h1, h2)
+		}
+		if h := sess.DesignHash(); h != pao.DesignHash(d) {
+			t.Fatalf("%s: session DesignHash %s, want %s", label, h, pao.DesignHash(d))
+		}
+		fresh := pao.NewAnalyzer(twin, cfg).Run()
+
+		be := snapshotBytes(t, d, cfg, res)
+		bf := snapshotBytes(t, twin, cfg, fresh)
+		if !bytes.Equal(be, bf) {
+			t.Fatalf("%s: ECO snapshot (%d bytes) != fresh snapshot (%d bytes)", label, len(be), len(bf))
+		}
+		// Cache-off ECO must agree too: encode with the cache-on config so
+		// the fingerprints line up.
+		bo := snapshotBytes(t, dOff, cfg, resOff)
+		if !bytes.Equal(be, bo) {
+			t.Fatalf("%s: cache-on ECO snapshot (%d bytes) != cache-off (%d bytes)", label, len(be), len(bo))
+		}
+		sameMembership(t, label+" cache on", d, res, fresh)
+		sameMembership(t, label+" cache off", dOff, resOff, fresh)
+	}
+	if cs := ac.CacheStats(); cs.ViaHits+cs.ViaMisses == 0 {
+		t.Fatalf("seed %d: via cache was not exercised (%+v); the cache-on/off comparison is vacuous", seed, cs)
+	}
+	return failedMoved
 }
 
 // TestECOSiteMoveMatchesFresh: an ECO move by an integral placement-site

@@ -207,8 +207,20 @@ func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instan
 			}
 		}
 	}
+	ioNet := make(map[*db.IOPin]int, len(a.Design.IOPins))
+	for idx, net := range a.Design.Nets {
+		for _, io := range net.IOPins {
+			if _, seen := ioNet[io]; !seen {
+				ioNet[io] = idx + 1
+			}
+		}
+	}
 	for _, io := range a.Design.IOPins {
-		eng.AddMetal(io.Shape.Layer, io.Shape.Rect, a.ioNet(io), drc.KindIOPin, io.Name)
+		net, ok := ioNet[io]
+		if !ok {
+			net = drc.NoNet
+		}
+		eng.AddMetal(io.Shape.Layer, io.Shape.Rect, net, drc.KindIOPin, io.Name)
 	}
 	eng.Compact() // bulk construction done; Step-3 queries fan out from here
 	eng.AttachViaCache(cache)
@@ -242,17 +254,6 @@ func (a *Analyzer) addInstanceShapes(eng *drc.Engine, inst *db.Instance) []int {
 		ids = append(ids, eng.AddMetal(s.Layer, s.Rect, drc.NoNet, drc.KindObs, ""))
 	}
 	return ids
-}
-
-func (a *Analyzer) ioNet(io *db.IOPin) int {
-	for idx, net := range a.Design.Nets {
-		for _, p := range net.IOPins {
-			if p == io {
-				return idx + 1
-			}
-		}
-	}
-	return drc.NoNet
 }
 
 // AnalyzeUnique runs Steps 1 and 2 for one unique instance.

@@ -24,6 +24,14 @@ package pao
 //     which an engine mutation can change a vertex-cost via verdict
 //     (drc.SigHalo plus the largest via extent; Step-3 edge costs are
 //     engine-independent, so they never dirty a cluster).
+//   - row and class scoping: the session keeps every row's CORE members and
+//     clusters (rowIndex) and re-splits only the rows an op left or entered,
+//     with the helper Design.Clusters uses; only those clusters, the ones
+//     holding an affected or re-picked instance, and the ones near a dirty
+//     rect are tested for dirtiness. The new Result is a patched copy of the
+//     old one: cloned instance maps with only the changed classes' members
+//     rewritten, the class list spliced, and the stats moved by each changed
+//     class (foldClassStats).
 //   - engine scoping: the session maintains one tracked global engine across
 //     ECOs, removing and re-adding exactly the mutated instances' shapes.
 //     The shared via-verdict cache needs no update: it is content-addressed,
@@ -41,14 +49,23 @@ package pao
 //
 // The paper motivates all of this with placement optimization, "where
 // frequent changes in placement require a tremendous amount of inter-cell pin
-// access analysis" (Section IV-B): the re-analysis, re-selection and
-// failed-pin recount of an ECO scale with the edit, not with the design.
+// access analysis" (Section IV-B): the re-analysis, re-selection, failed-pin
+// recount and design-hash rendering of an ECO scale with the edit, not with
+// the design. Three design-sized passes are left, each a flat copy or scan:
+// cloning the two instance maps, SHA-256 over the kept hash bytes, and, on a
+// delete, db.Design.RemoveInstance's walk over every net.
 
 import (
+	"bytes"
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
-	"strconv"
+	"strings"
 
 	"repro/internal/db"
 	"repro/internal/drc"
@@ -231,33 +248,27 @@ func instExtent(inst *db.Instance) geom.Rect {
 	return r
 }
 
-// appendClusterKey appends a cluster's identity, its member IDs, to b (IDs
-// are never reused, so equal keys mean identical membership).
-func appendClusterKey(b []byte, cl db.Cluster) []byte {
-	for _, inst := range cl.Insts {
-		b = append(strconv.AppendInt(b, int64(inst.ID), 10), ',')
-	}
-	return b
-}
-
 // ECOSession holds the mutable state incremental re-analysis needs across ECO
-// batches: the current Result, a tracked global engine kept in sync with the
-// design, the engine object IDs and shape extent of each instance, the
-// cluster keys of the current placement, and the failed-pin engine with
-// every net terminal's verdict. A session is single-writer: Begin/Commit (or
-// Apply) must not run concurrently, and the design must not be mutated behind
-// its back. Readers of the previous Result are never disturbed — Commit
-// merges copy-on-write into a fresh Result.
+// batches: the current Result and its signature -> class index, a tracked
+// global engine kept in sync with the design, the engine object IDs and
+// shape extent of each instance, the row index of the current placement, the
+// design-hash parts, and the failed-pin engine with every net terminal's
+// verdict. A session is single-writer: Begin/Commit (or Apply) and
+// DesignHash must not run concurrently, and the design must not be mutated
+// behind its back. Readers of the previous Result are never disturbed —
+// Commit patches a copy into a fresh Result.
 type ECOSession struct {
-	a    *Analyzer
-	res  *Result
-	eng  *drc.Engine
-	qc   *drc.QueryCtx
-	objs map[int][]int     // instance ID -> its live engine object IDs
-	ext  map[int]geom.Rect // instance ID -> instExtent at its current placement
-	keys map[string]bool   // appendClusterKey of every current cluster
-	halo int64
-	txn  *ECOTxn
+	a     *Analyzer
+	res   *Result
+	bySig map[string]*UniqueAccess // class signature -> class of res
+	eng   *drc.Engine
+	qc    *drc.QueryCtx
+	objs  map[int][]int     // instance ID -> its live engine object IDs
+	ext   map[int]geom.Rect // instance ID -> instExtent at its current placement
+	rows  rowIndex
+	hash  hashParts // built by the first DesignHash call
+	halo  int64
+	txn   *ECOTxn
 
 	// Failed-pin accounting: fp holds the fixed shapes plus the selected via
 	// of every net terminal, and the embedded ledger covers every terminal
@@ -277,11 +288,14 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	d := a.Design
 	s := &ECOSession{
 		a: a, res: res, halo: a.ecoHalo(),
+		bySig:   make(map[string]*UniqueAccess, len(res.Unique)),
 		objs:    make(map[int][]int, len(d.Instances)),
 		ext:     make(map[int]geom.Rect, len(d.Instances)),
-		keys:    make(map[string]bool),
 		fpObjs:  make(map[int][]int, len(d.Instances)),
 		termsOf: make(map[int][]int32),
+	}
+	for _, ua := range res.Unique {
+		s.bySig[ua.UI.Signature()] = ua
 	}
 	s.eng = a.globalEngine(a.viaCache, func(inst *db.Instance, id int) {
 		s.objs[inst.ID] = append(s.objs[inst.ID], id)
@@ -290,11 +304,7 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	for _, inst := range d.Instances {
 		s.ext[inst.ID] = instExtent(inst)
 	}
-	var kb []byte
-	for _, cl := range d.Clusters() {
-		kb = appendClusterKey(kb[:0], cl)
-		s.keys[string(kb)] = true
-	}
+	s.rows = newRowIndex(d, s.ext)
 
 	// The failed-pin engine needs no via cache: after this one full pass, a
 	// commit re-validates only the terminals an edit can reach.
@@ -336,6 +346,23 @@ func (s *ECOSession) recheck(i int32) {
 // last committed ECO).
 func (s *ECOSession) Result() *Result { return s.res }
 
+// DesignHash returns DesignHash of the session's design; call it outside a
+// transaction. The first call renders the design into hashParts. After that,
+// a commit that only moves instances re-renders their lines, one with an
+// insert or a delete has the next call render the design again, and each
+// call is one pass of SHA-256 over the kept bytes.
+func (s *ECOSession) DesignHash() string {
+	h := &s.hash
+	if h.head == nil {
+		h.build(s.a.Design)
+	}
+	sum := sha256.New()
+	sum.Write(h.head)
+	sum.Write(h.inst)
+	sum.Write(h.tail)
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
 // Apply runs a whole ECO batch: Begin + Commit.
 func (s *ECOSession) Apply(ops []ECOOp) (*Result, *ECOReport, error) {
 	t, err := s.Begin(ops)
@@ -358,20 +385,27 @@ type sigChange struct {
 // the session's Result still describes the pre-ECO analysis; DirtyInstances
 // reports which instances it can no longer answer for.
 type ECOTxn struct {
-	s        *ECOSession
-	ops      int
-	affected map[int]*db.Instance // moved/swapped/inserted, still present
-	deleted  map[int]bool
-	dirty    map[int]bool // stale class binding until Commit
-	changes  map[string]*sigChange
-	curSig   map[int]string // class sig of instances touched so far this txn
-	rects    []geom.Rect    // op extents bloated by the ECO halo
+	s          *ECOSession
+	ops        int
+	affected   map[int]*db.Instance // moved/swapped/inserted, still present
+	deleted    map[int]bool
+	structural bool         // an insert or a delete: the instance list or the nets changed
+	dirty      map[int]bool // stale class binding until Commit
+	changes    map[string]*sigChange
+	curSig     map[int]string     // class sig of instances touched so far this txn
+	rects      []geom.Rect        // op extents bloated by the ECO halo
+	rows       map[db.RowKey]bool // rows an op left or entered
+
+	// Set by Commit: the instances to re-pick and the clusters re-selected.
+	repick     map[int]*db.Instance
+	reselected []db.Cluster
 }
 
-// Begin validates an ECO script, applies it to the design database and the
-// tracked engine, and records the dirty plan. The script is all-or-nothing:
-// a validation error mutates nothing. After a successful Begin the session's
-// design reflects the ECO but its Result does not — call Commit.
+// Begin validates an ECO script, applies it to the design database, the
+// tracked engine and the row index, and records the dirty plan. The script
+// is all-or-nothing: a validation error mutates nothing. After a successful
+// Begin the session's design reflects the ECO but its Result does not — call
+// Commit.
 func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 	if s.txn != nil {
 		return nil, fmt.Errorf("eco: a transaction is already in flight")
@@ -388,6 +422,7 @@ func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 		dirty:    make(map[int]bool),
 		changes:  make(map[string]*sigChange),
 		curSig:   make(map[int]string),
+		rows:     make(map[db.RowKey]bool),
 	}
 	for i := range ops {
 		op := &ops[i]
@@ -411,6 +446,7 @@ func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 				panic(err)
 			}
 			t.attach(d.InstByName(op.Inst))
+			t.structural = true
 		case ECODelete:
 			inst := d.InstByName(op.Inst)
 			t.detach(inst)
@@ -418,6 +454,7 @@ func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 			delete(t.affected, inst.ID)
 			t.deleted[inst.ID] = true
 			t.dirty[inst.ID] = true
+			t.structural = true
 		}
 	}
 	s.txn = t
@@ -456,10 +493,13 @@ func (t *ECOTxn) currentSig(inst *db.Instance) string {
 }
 
 // detach records the instance leaving its current placement: extent into the
-// dirty region, membership out of its class, shapes out of the tracked
-// engine.
+// dirty region, membership out of its class and its row, shapes out of the
+// tracked engine.
 func (t *ECOTxn) detach(inst *db.Instance) {
 	t.rects = append(t.rects, t.s.ext[inst.ID].Bloat(t.s.halo))
+	if k, ok := t.s.rows.leave(inst); ok {
+		t.rows[k] = true
+	}
 	delete(t.s.ext, inst.ID)
 	ch := t.change(t.currentSig(inst))
 	delete(ch.added, inst.ID)
@@ -477,6 +517,9 @@ func (t *ECOTxn) attach(inst *db.Instance) {
 	ext := instExtent(inst)
 	t.s.ext[inst.ID] = ext
 	t.rects = append(t.rects, ext.Bloat(t.s.halo))
+	if k, ok := t.s.rows.enter(inst, ext); ok {
+		t.rows[k] = true
+	}
 	sig := t.s.a.Design.InstanceSignature(inst)
 	t.change(sig).added[inst.ID] = inst
 	t.curSig[inst.ID] = sig
@@ -502,10 +545,6 @@ type ECOReport struct {
 	RecheckedPins     int `json:"rechecked_pins"`
 }
 
-// offsOrderKey renders class offsets in the comparison format
-// Design.UniqueInstances sorts by.
-func offsOrderKey(offs []int64) string { return string(db.AppendOffsetsKey(nil, offs)) }
-
 func sortedMembers(set map[int]*db.Instance) []*db.Instance {
 	out := make([]*db.Instance, 0, len(set))
 	for _, inst := range set {
@@ -518,16 +557,47 @@ func sortedMembers(set map[int]*db.Instance) []*db.Instance {
 	return out
 }
 
-// Commit re-analyzes the dirty classes, merges copy-on-write into a fresh
-// Result, re-selects the dirty clusters on the tracked engine, and brings the
+// mergeMembers returns a class's members after its change: the old members
+// that did not leave, merged in ascending ID (design) order with the ones
+// that joined. An old member can join only after it left (detach precedes
+// attach), so the two never share an instance.
+func mergeMembers(old []*db.Instance, ch *sigChange) []*db.Instance {
+	add := sortedMembers(ch.added)
+	out := make([]*db.Instance, 0, len(old)+len(add))
+	j := 0
+	for _, m := range old {
+		if ch.removed[m.ID] {
+			continue
+		}
+		for ; j < len(add) && add[j].ID < m.ID; j++ {
+			out = append(out, add[j])
+		}
+		out = append(out, m)
+	}
+	return append(out, add[j:]...)
+}
+
+// classCmp orders classes as Design.UniqueInstances does: by master name,
+// orientation, then offsets compared as their AppendOffsetsKey strings.
+func classCmp(x, y *UniqueAccess) int {
+	if c := strings.Compare(x.UI.Master.Name, y.UI.Master.Name); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.UI.Orient, y.UI.Orient); c != 0 {
+		return c
+	}
+	var bx, by [128]byte
+	return bytes.Compare(db.AppendOffsetsKey(bx[:0], x.UI.Offsets), db.AppendOffsetsKey(by[:0], y.UI.Offsets))
+}
+
+// Commit re-analyzes the dirty classes, patches a copy of the Result,
+// re-selects the dirty clusters on the tracked engine, and brings the
 // failed-pin accounting up to date (recount). The previous Result is left
-// fully intact for concurrent readers. The merged Result is byte-identical
+// fully intact for concurrent readers. The patched Result is byte-identical
 // (snapshot encoding, timings zeroed) to a fresh full analysis of the
-// mutated design.
+// mutated design, and so are its class memberships and instance bindings.
 func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	s := t.s
-	a := s.a
-	d := a.Design
 	old := s.res
 	rep := &ECOReport{
 		Ops:               t.ops,
@@ -536,120 +606,35 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 		DirtyRects:        len(t.rects),
 	}
 
+	// Patch copies of the old maps: only the deleted instances and the
+	// members of changed classes differ. The stats start from the old
+	// class-derived counts and move by each changed class.
 	res := &Result{
-		ByInstance: make(map[int]*UniqueAccess, len(old.ByInstance)),
-		Selected:   make(map[int]int, len(old.Selected)),
+		ByInstance: maps.Clone(old.ByInstance),
+		Selected:   maps.Clone(old.Selected),
+		Stats:      old.Stats.Counts(),
 		Health:     old.Health,
 	}
-
-	// Merge pass 1: carry or rebuild the existing classes. repick collects
-	// the instances whose pattern list may have changed under them: every
-	// member of a re-analyzed or new class, and every instance that joined
-	// a carried class (its old pick indexes its previous class's patterns).
-	merged := make([]*UniqueAccess, 0, len(old.Unique))
-	uaBySig := make(map[string]*UniqueAccess, len(old.Unique))
-	repick := make(map[int]*db.Instance)
-	for _, ua := range old.Unique {
-		sig := ua.UI.Signature()
-		uaBySig[sig] = ua
-		ch := t.changes[sig]
-		if ch == nil {
-			merged = append(merged, ua)
-			continue
-		}
-		memberSet := make(map[int]*db.Instance, len(ua.UI.Insts)+len(ch.added))
-		for _, m := range ua.UI.Insts {
-			if !ch.removed[m.ID] {
-				memberSet[m.ID] = m
-			}
-		}
-		for id, m := range ch.added {
-			memberSet[id] = m
-		}
-		if len(memberSet) == 0 {
-			rep.RemovedClasses++
-			continue
-		}
-		members := sortedMembers(memberSet)
-		ui := &db.UniqueInstance{Master: ua.UI.Master, Orient: ua.UI.Orient, Offsets: ua.UI.Offsets, Insts: members}
-		if members[0] == ua.UI.Insts[0] && members[0].Pos == ua.PivotPos {
-			// Pivot identity and position unchanged: the analysis (and its
-			// serialized bytes — membership is not serialized) is still exact.
-			// Copy-on-write so readers of the old Result see the old members.
-			cp := *ua
-			cp.UI = ui
-			merged = append(merged, &cp)
-			for id, m := range ch.added {
-				repick[id] = m
-			}
-		} else {
-			// The pivot moved or a lower-ID member took over: re-analyze at
-			// the new pivot. Translating the stored APs instead would not be
-			// byte-identical (PinAccess.SortKey is a float over absolute
-			// pivot coordinates).
-			merged = append(merged, a.AnalyzeUnique(ui))
-			rep.ReanalyzedClasses++
-			for _, m := range members {
-				repick[m.ID] = m
-			}
-		}
+	res.Stats.DirtyAPs = 0 // a separate recount (CountDirtyAPs) no commit runs
+	for id := range t.deleted {
+		delete(res.ByInstance, id)
+		delete(res.Selected, id)
 	}
-
-	// Merge pass 2: classes for signatures the design never had. Sorted for
-	// a deterministic analysis order.
-	var newSigs []string
-	for sig, ch := range t.changes {
-		if uaBySig[sig] == nil && len(ch.added) > 0 {
-			newSigs = append(newSigs, sig)
-		}
-	}
-	sort.Strings(newSigs)
-	for _, sig := range newSigs {
-		members := sortedMembers(t.changes[sig].added)
-		pivot := members[0]
-		ui := &db.UniqueInstance{Master: pivot.Master, Orient: pivot.Orient, Offsets: d.OffsetsOf(pivot), Insts: members}
-		merged = append(merged, a.AnalyzeUnique(ui))
-		rep.ReanalyzedClasses++
-		rep.NewClasses++
-		for _, m := range members {
-			repick[m.ID] = m
-		}
-	}
-
-	// Restore the fresh-partition class order (master, orient, offsets), then
-	// fold the classes in that order.
-	sort.Slice(merged, func(i, j int) bool {
-		x, y := merged[i].UI, merged[j].UI
-		if x.Master.Name != y.Master.Name {
-			return x.Master.Name < y.Master.Name
-		}
-		if x.Orient != y.Orient {
-			return x.Orient < y.Orient
-		}
-		return offsOrderKey(x.Offsets) < offsOrderKey(y.Offsets)
-	})
-	for _, ua := range merged {
-		foldClass(res, ua.UI, ua)
-	}
+	t.repick = make(map[int]*db.Instance)
+	res.Unique = t.patchClasses(res, rep)
 	rep.TotalClasses = len(res.Unique)
 
-	// Selection: carry the old picks, reset defaults for every instance to
-	// re-pick (a macro belongs to no cluster, so the default is its pick),
-	// then re-run the DP over the dirty clusters. Clean clusters provably
-	// keep picks equal to a fresh run's.
-	for id, ni := range old.Selected {
-		if !t.deleted[id] {
-			res.Selected[id] = ni
-		}
-	}
-	// touched collects every instance whose selected access may differ from
-	// the pre-ECO result: the re-placed ones, the ones to re-pick and the
-	// members of re-selected clusters.
-	touched := make(map[int]*db.Instance, len(t.affected)+len(repick))
+	// Selection: reset the default for every instance to re-pick (a macro
+	// belongs to no cluster, so the default is its pick), then re-run the DP
+	// over the dirty clusters. Clean clusters provably keep picks equal to a
+	// fresh run's. touched collects every instance whose selected access may
+	// differ from the pre-ECO result: the re-placed ones, the ones to re-pick
+	// and the members of re-selected clusters.
+	touched := make(map[int]*db.Instance, len(t.affected)+len(t.repick))
 	for id, inst := range t.affected {
 		touched[id] = inst
 	}
-	for id, inst := range repick {
+	for id, inst := range t.repick {
 		touched[id] = inst
 		if ua := res.ByInstance[id]; ua != nil && len(ua.Patterns) > 0 {
 			res.Selected[id] = 0
@@ -657,44 +642,196 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 			delete(res.Selected, id)
 		}
 	}
-	clusters := d.Clusters()
-	rep.TotalClusters = len(clusters)
-	keys := make(map[string]bool, len(clusters))
-	var kb []byte
-	for _, cl := range clusters {
-		kb = appendClusterKey(kb[:0], cl)
-		k := string(kb)
-		keys[k] = true
-		// A membership no pre-ECO cluster had is a split or merge, which
-		// re-couples the DP chain.
-		if s.keys[k] && !t.clusterDirty(cl, repick) {
-			continue
-		}
-		rep.DirtyClusters++
-		for id, ni := range a.selectForCluster(res, s.eng, cl, s.qc) {
+	t.reselected = t.dirtyClusters()
+	rep.TotalClusters = s.rows.total
+	rep.DirtyClusters = len(t.reselected)
+	for _, cl := range t.reselected {
+		for id, ni := range s.a.selectForCluster(res, s.eng, cl, s.qc) {
 			res.Selected[id] = ni
 		}
 		for _, inst := range cl.Insts {
 			touched[inst.ID] = inst
 		}
 	}
-	s.keys = keys
 
 	rep.RecheckedPins = t.recount(res, touched)
 	res.Stats.TotalPins = s.live
 	res.Stats.FailedPins = s.failing
+	if t.structural {
+		s.hash.head = nil // the next DesignHash renders the design again
+	} else if s.hash.head != nil {
+		for _, inst := range t.affected {
+			s.hash.rewrite(inst)
+		}
+	}
 	s.res = res
 	s.txn = nil
 	return res, rep
+}
+
+// patchClasses rebuilds every changed class, in signature order, into res
+// (instance bindings and stats) and the session's class index, and returns
+// the old class list with each changed class in its slot, removed ones
+// dropped and new ones inserted at their partition positions. It collects
+// in t.repick the instances whose pattern list may have changed under them:
+// every member of a re-analyzed or new class, and every instance that joined
+// a carried class (its old pick indexes its previous class's patterns).
+func (t *ECOTxn) patchClasses(res *Result, rep *ECOReport) []*UniqueAccess {
+	s := t.s
+	a := s.a
+	sigs := make([]string, 0, len(t.changes))
+	for sig := range t.changes {
+		sigs = append(sigs, sig)
+	}
+	sort.Strings(sigs)
+	uniq := slices.Clone(s.res.Unique)
+	var added []*UniqueAccess
+	for _, sig := range sigs {
+		ch := t.changes[sig]
+		ua := s.bySig[sig]
+		var members []*db.Instance
+		if ua != nil {
+			members = mergeMembers(ua.UI.Insts, ch)
+		} else {
+			members = sortedMembers(ch.added)
+		}
+		if len(members) == 0 {
+			if ua != nil { // every member left: the class drops out
+				rep.RemovedClasses++
+				foldClassStats(&res.Stats, ua, -1)
+				delete(s.bySig, sig)
+				uniq[classSlot(s.res.Unique, ua)] = nil
+			}
+			continue
+		}
+		ui := &db.UniqueInstance{Insts: members}
+		if ua != nil {
+			ui.Master, ui.Orient, ui.Offsets = ua.UI.Master, ua.UI.Orient, ua.UI.Offsets
+		} else {
+			p := members[0]
+			ui.Master, ui.Orient, ui.Offsets = p.Master, p.Orient, a.Design.OffsetsOf(p)
+		}
+		var nu *UniqueAccess
+		if ua != nil && members[0] == ua.UI.Insts[0] && members[0].Pos == ua.PivotPos {
+			// Pivot identity and position unchanged: the analysis (and its
+			// serialized bytes — membership is not serialized) is still
+			// exact. Copy-on-write so readers of the old Result see the old
+			// members.
+			cp := *ua
+			cp.UI = ui
+			nu = &cp
+			for id, m := range ch.added {
+				t.repick[id] = m
+			}
+		} else {
+			// A new class, or the pivot moved or a lower-ID member took
+			// over: analyze at the new pivot. Translating the stored APs
+			// instead would not be byte-identical (PinAccess.SortKey is a
+			// float over absolute pivot coordinates).
+			nu = a.AnalyzeUnique(ui)
+			rep.ReanalyzedClasses++
+			foldClassStats(&res.Stats, nu, 1)
+			for _, m := range members {
+				t.repick[m.ID] = m
+			}
+			if ua == nil {
+				rep.NewClasses++
+				added = append(added, nu)
+			} else {
+				foldClassStats(&res.Stats, ua, -1)
+			}
+		}
+		if ua != nil {
+			uniq[classSlot(s.res.Unique, ua)] = nu
+		}
+		s.bySig[sig] = nu
+		for _, m := range members {
+			res.ByInstance[m.ID] = nu
+		}
+	}
+	uniq = slices.DeleteFunc(uniq, func(ua *UniqueAccess) bool { return ua == nil })
+	for _, nu := range added {
+		i, _ := slices.BinarySearchFunc(uniq, nu, classCmp)
+		uniq = slices.Insert(uniq, i, nu)
+	}
+	return uniq
+}
+
+// classSlot returns the index of ua in uniq, a class list in partition order.
+func classSlot(uniq []*UniqueAccess, ua *UniqueAccess) int {
+	i, ok := slices.BinarySearchFunc(uniq, ua, classCmp)
+	if !ok || uniq[i] != ua {
+		panic("pao: ECO session result is not in partition order")
+	}
+	return i
+}
+
+// dirtyClusters re-splits the rows an op left or entered and returns, in
+// first-member ID order, the clusters whose Step-3 DP must re-run. A cluster
+// is dirty when no pre-ECO cluster had its members (a split or merge
+// re-couples the DP chain) or when clusterDirty holds. Only three kinds of
+// cluster can be: the re-split ones, those holding an affected or re-picked
+// instance, and those near a dirty rect; every other cluster kept its
+// members and is clean.
+func (t *ECOTxn) dirtyClusters() []db.Cluster {
+	x := &t.s.rows
+	// known needs the pre-ECO clusters, so every row is split before any
+	// is installed.
+	rows := make([]*ecoRow, 0, len(t.rows))
+	for k := range t.rows {
+		rows = append(rows, x.rows[k])
+	}
+	splits := make([][]db.Cluster, len(rows))
+	unknown := make(map[int]bool)
+	for i, row := range rows {
+		splits[i] = x.split(row)
+		for _, cl := range splits[i] {
+			if !x.known(cl) {
+				unknown[cl.Insts[0].ID] = true
+			}
+		}
+	}
+	for i, row := range rows {
+		x.install(row, splits[i], t.s.ext)
+	}
+	for id := range t.deleted {
+		delete(x.clusterOf, id)
+	}
+
+	cand := make(map[int]db.Cluster) // first member ID -> cluster
+	add := func(cl db.Cluster) { cand[cl.Insts[0].ID] = cl }
+	for _, cls := range splits {
+		for _, cl := range cls {
+			add(cl)
+		}
+	}
+	for _, set := range []map[int]*db.Instance{t.affected, t.repick} {
+		for id := range set {
+			if insts := x.clusterOf[id]; insts != nil {
+				add(db.Cluster{Insts: insts})
+			}
+		}
+	}
+	for _, r := range t.rects {
+		x.near(r, add)
+	}
+	var dirty []db.Cluster
+	for id, cl := range cand {
+		if unknown[id] || t.clusterDirty(cl) {
+			dirty = append(dirty, cl)
+		}
+	}
+	sort.Slice(dirty, func(i, j int) bool { return dirty[i].Insts[0].ID < dirty[j].Insts[0].ID })
+	return dirty
 }
 
 // clusterDirty decides whether a cluster whose membership predates the ECO
 // must re-run its Step-3 DP. The DP couples every member through the chain
 // of edge terms, so any change inside the cluster (or near enough to change
 // a vertex cost) dirties the whole cluster — but nothing outside it.
-func (t *ECOTxn) clusterDirty(cl db.Cluster, repick map[int]*db.Instance) bool {
+func (t *ECOTxn) clusterDirty(cl db.Cluster) bool {
 	for _, inst := range cl.Insts {
-		if t.affected[inst.ID] != nil || repick[inst.ID] != nil {
+		if t.affected[inst.ID] != nil || t.repick[inst.ID] != nil {
 			return true
 		}
 	}
@@ -807,4 +944,164 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 		s.recheck(i)
 	}
 	return len(recheck)
+}
+
+// ecoRow is one clustering row of the session: its CORE members in ascending
+// ID (design) order, the clusters they form, and each cluster's extent (the
+// union of its members' instExtent).
+type ecoRow struct {
+	members  []*db.Instance
+	clusters []db.Cluster
+	ext      []geom.Rect
+}
+
+// rowIndex is the session's row-local form of d.Clusters(): every row's
+// members and clusters, the row keys in RowKey order, the cluster of every
+// CORE instance, and how far any instance's extent has reached below and
+// above its row's y. A commit re-splits only the rows an op left or entered,
+// with the helper Clusters uses, and finds the clusters near a dirty rect
+// from the rows in its y window.
+type rowIndex struct {
+	rows      map[db.RowKey]*ecoRow
+	keys      []db.RowKey
+	clusterOf map[int][]*db.Instance // instance ID -> Insts of its cluster
+	total     int                    // clusters over all rows
+	below     int64                  // max inst.Pos.Y - ext.YL
+	above     int64                  // max ext.YH - inst.Pos.Y
+}
+
+// newRowIndex indexes the design's current placement.
+func newRowIndex(d *db.Design, ext map[int]geom.Rect) rowIndex {
+	x := rowIndex{
+		rows:      make(map[db.RowKey]*ecoRow),
+		clusterOf: make(map[int][]*db.Instance, len(d.Instances)),
+	}
+	for _, inst := range d.Instances {
+		x.enter(inst, ext[inst.ID])
+	}
+	for _, row := range x.rows {
+		x.install(row, x.split(row), ext)
+	}
+	return x
+}
+
+// byID orders instances by ID.
+func byID(m *db.Instance, id int) int { return cmp.Compare(m.ID, id) }
+
+// leave takes a CORE instance out of its row's members; it reports the row
+// and false for any other instance.
+func (x *rowIndex) leave(inst *db.Instance) (db.RowKey, bool) {
+	k, ok := db.RowOf(inst)
+	if !ok {
+		return k, false
+	}
+	row := x.rows[k]
+	if i, found := slices.BinarySearchFunc(row.members, inst.ID, byID); found {
+		row.members = slices.Delete(row.members, i, i+1)
+	}
+	return k, true
+}
+
+// enter adds a CORE instance, whose extent is ext, to its row's members; it
+// reports the row and false for any other instance.
+func (x *rowIndex) enter(inst *db.Instance, ext geom.Rect) (db.RowKey, bool) {
+	k, ok := db.RowOf(inst)
+	if !ok {
+		return k, false
+	}
+	row := x.rows[k]
+	if row == nil {
+		row = &ecoRow{}
+		x.rows[k] = row
+		i := sort.Search(len(x.keys), func(i int) bool { return !x.keys[i].Less(k) })
+		x.keys = slices.Insert(x.keys, i, k)
+	}
+	i, _ := slices.BinarySearchFunc(row.members, inst.ID, byID)
+	row.members = slices.Insert(row.members, i, inst)
+	x.below = max(x.below, inst.Pos.Y-ext.YL)
+	x.above = max(x.above, ext.YH-inst.Pos.Y)
+	return k, true
+}
+
+// split partitions a row's current members into clusters exactly as
+// d.Clusters() does: the same helper over the members in design order.
+func (x *rowIndex) split(row *ecoRow) []db.Cluster {
+	return db.AppendRowClusters(nil, slices.Clone(row.members))
+}
+
+// known reports whether some cluster before the pending install had exactly
+// cl's members in cl's order. Only the cluster that held cl's first member
+// can, since an instance is in one cluster at a time.
+func (x *rowIndex) known(cl db.Cluster) bool {
+	return slices.Equal(x.clusterOf[cl.Insts[0].ID], cl.Insts)
+}
+
+// install replaces a row's clusters.
+func (x *rowIndex) install(row *ecoRow, cls []db.Cluster, ext map[int]geom.Rect) {
+	x.total += len(cls) - len(row.clusters)
+	row.clusters = cls
+	row.ext = row.ext[:0]
+	for _, cl := range cls {
+		e := ext[cl.Insts[0].ID]
+		for _, m := range cl.Insts {
+			e = e.UnionBBox(ext[m.ID])
+			x.clusterOf[m.ID] = cl.Insts
+		}
+		row.ext = append(row.ext, e)
+	}
+}
+
+// near calls fn for every cluster whose extent touches r: a member extent
+// can touch r only then, and only in the rows whose y lies within the
+// below/above reach of r.
+func (x *rowIndex) near(r geom.Rect, fn func(db.Cluster)) {
+	i := sort.Search(len(x.keys), func(i int) bool { return x.keys[i].Y >= r.YL-x.above })
+	for ; i < len(x.keys) && x.keys[i].Y <= r.YH+x.below; i++ {
+		row := x.rows[x.keys[i]]
+		for j, e := range row.ext {
+			if e.Touches(r) {
+				fn(row.clusters[j])
+			}
+		}
+	}
+}
+
+// hashParts is DesignHash's byte stream in its three parts: the head, one line
+// per instance in design order (line k is inst[off[k]:off[k+1]]) and the
+// tail. Rendered with DesignHash's own line writers, the parts always hash to
+// DesignHash(d); a commit that only moves instances re-renders only their
+// lines. A nil head means not rendered.
+type hashParts struct {
+	head, inst, tail []byte
+	off              []int
+	line             map[int]int // instance ID -> its line index
+}
+
+// build renders all three parts from the design.
+func (h *hashParts) build(d *db.Design) {
+	h.head = h.head[:0]
+	b := hashHead(nil, d, func(l []byte) { h.head = append(h.head, l...) })
+	h.inst, h.off = h.inst[:0], append(h.off[:0], 0)
+	h.line = make(map[int]int, len(d.Instances))
+	for k, inst := range d.Instances {
+		h.inst = appendInstLine(h.inst, inst)
+		h.off = append(h.off, len(h.inst))
+		h.line[inst.ID] = k
+	}
+	h.tail = h.tail[:0]
+	hashTail(b, d, func(l []byte) { h.tail = append(h.tail, l...) })
+}
+
+// rewrite re-renders the line of an instance that moved.
+func (h *hashParts) rewrite(inst *db.Instance) {
+	k := h.line[inst.ID]
+	var buf [128]byte
+	l := appendInstLine(buf[:0], inst)
+	lo, hi := h.off[k], h.off[k+1]
+	h.inst = slices.Replace(h.inst, lo, hi, l...)
+	if delta := len(l) - (hi - lo); delta != 0 {
+		for j := k + 1; j < len(h.off); j++ {
+			h.off[j] += delta
+		}
+	}
 }

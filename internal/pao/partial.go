@@ -36,24 +36,33 @@ func newResult() *Result {
 
 // foldClass accumulates one analyzed class into the result: the Unique list,
 // the per-member instance index, and the class-derived stats. It is the single
-// assembly point shared by RunContext, AnalyzeClasses, MergeResults and ECO
-// commits, so a merged result cannot drift from the single-process accounting.
+// assembly point shared by RunContext, AnalyzeClasses and MergeResults, so a
+// merged result cannot drift from the single-process accounting; an ECO
+// commit patches a result through its stats half, foldClassStats.
 func foldClass(res *Result, ui *db.UniqueInstance, ua *UniqueAccess) {
 	res.Unique = append(res.Unique, ua)
 	for _, inst := range ui.Insts {
 		res.ByInstance[inst.ID] = ua
 	}
-	res.Stats.NumUnique++
-	res.Stats.TotalAPs += ua.TotalAPs()
-	res.Stats.PatternsBuilt += len(ua.Patterns)
-	res.Stats.PatternsDropped += ua.DroppedPatterns
+	foldClassStats(&res.Stats, ua, 1)
+}
+
+// foldClassStats adds one class's contribution to the class-derived stats
+// (sign 1) or takes it out (sign -1).
+func foldClassStats(st *Stats, ua *UniqueAccess, sign int) {
+	off := 0
 	for _, pa := range ua.Pins {
 		for _, ap := range pa.APs {
 			if ap.OffTrack() {
-				res.Stats.OffTrackAPs++
+				off++
 			}
 		}
 	}
+	st.NumUnique += sign
+	st.TotalAPs += sign * ua.TotalAPs()
+	st.PatternsBuilt += sign * len(ua.Patterns)
+	st.PatternsDropped += sign * ua.DroppedPatterns
+	st.OffTrackAPs += sign * off
 }
 
 // AnalyzeClasses runs Steps 1 and 2 for exactly the classes named by sigs and

@@ -26,14 +26,15 @@ package pao
 // re-encode is byte-identical — the golden property the warm-restart diff
 // tests pin. Pointers into the design (pins, vias, unique instances) are
 // written by name or signature and resolved against the live design on
-// decode, once each; the design hash and config fingerprint are checked
-// before the payload is inflated. Decoding is bounded: the declared payload
-// length is capped and must match the inflated length exactly, and every
-// count is checked against the bytes left, or a bound from the live design,
-// before anything is allocated. Every index is checked too (via, pin, access
-// point choice, Selected instance and pattern), so an accepted snapshot
-// cannot make a query index out of range. Other versions, including v1
-// (gzip'd JSON), are ErrSnapshotMismatch: the caller recomputes.
+// decode, once each, and classes must come in partition order; the design
+// hash and config fingerprint are checked before the payload is inflated.
+// Decoding is bounded: the declared payload length is capped and must match
+// the inflated length exactly, and every count is checked against the bytes
+// left, or a bound from the live design, before anything is allocated. Every
+// index is checked too (via, pin, access point choice, Selected instance and
+// pattern), so an accepted snapshot cannot make a query index out of range.
+// Other versions, including v1 (gzip'd JSON), are ErrSnapshotMismatch: the
+// caller recomputes.
 
 import (
 	"bytes"
@@ -87,14 +88,32 @@ func SnapshotPermanent(err error) bool {
 // track patterns, cell masters (class, size, pin names, uses and shapes, and
 // obstructions), instance placements and netlist. Two designs with equal
 // hashes yield interchangeable Results (for equal configs).
+//
+// The hashed byte stream has three parts: the head (hashHead), one line per
+// instance (appendInstLine) and the tail (hashTail). DesignHash streams the
+// lines through one reused line buffer, so a call allocates no copy of the
+// stream; an ECOSession keeps the parts and re-renders only the lines an edit
+// changes (ECOSession.DesignHash).
 func DesignHash(d *db.Design) string {
 	h := sha256.New()
-	// One reused line buffer, written with strconv: the serve ECO handler
-	// hashes after every commit, so this stays cheap.
-	var b []byte
+	emit := func(line []byte) { h.Write(line) }
+	b := hashHead(nil, d, emit)
+	for _, inst := range d.Instances {
+		b = appendInstLine(b[:0], inst)
+		h.Write(b)
+	}
+	hashTail(b[:0], d, emit)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// hashHead renders the head of the design-hash stream, everything before the
+// instances, in the empty line buffer b and hands each line (newline
+// included) to emit, which must not retain it. It returns the buffer, empty,
+// for reuse.
+func hashHead(b []byte, d *db.Design, emit func(line []byte)) []byte {
 	flush := func() {
 		b = append(b, '\n')
-		h.Write(b)
+		emit(b)
 		b = b[:0]
 	}
 	b = append(append(append(b, "design "...), d.Name...), " tech "...)
@@ -131,11 +150,25 @@ func DesignHash(d *db.Design) string {
 		}
 		flush()
 	}
-	for _, inst := range d.Instances {
-		b = append(append(append(b, "inst "...), inst.Name...), ' ')
-		b = append(b, inst.Master.Name...)
-		b = appendInts(b, inst.Pos.X, inst.Pos.Y, int64(inst.Orient))
-		flush()
+	return b
+}
+
+// appendInstLine appends one instance's line of the design-hash stream,
+// newline included.
+func appendInstLine(b []byte, inst *db.Instance) []byte {
+	b = append(append(append(b, "inst "...), inst.Name...), ' ')
+	b = append(b, inst.Master.Name...)
+	b = appendInts(b, inst.Pos.X, inst.Pos.Y, int64(inst.Orient))
+	return append(b, '\n')
+}
+
+// hashTail renders the tail of the design-hash stream, the nets and then the
+// IO pins, as hashHead does the head.
+func hashTail(b []byte, d *db.Design, emit func(line []byte)) []byte {
+	flush := func() {
+		b = append(b, '\n')
+		emit(b)
+		b = b[:0]
 	}
 	for _, net := range d.Nets {
 		b = append(append(b, "net "...), net.Name...)
@@ -153,7 +186,7 @@ func DesignHash(d *db.Design) string {
 		b = appendInts(b, int64(io.Dir), int64(io.Shape.Layer), r.XL, r.YL, r.XH, r.YH)
 		flush()
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return b
 }
 
 // appendInts appends " v" for each value, as fmt's " %d" would.
@@ -436,7 +469,7 @@ func decodePayload(payload []byte, d *db.Design) (*Result, error) {
 	for i, ui := range uis {
 		classOf[ui.Signature()] = i
 	}
-	taken := make([]bool, len(uis))
+	prev := -1 // partition index of the class before
 	uas := make([]UniqueAccess, r.count(len(uis), minClassSize, "class"))
 	res.Unique = make([]*UniqueAccess, len(uas))
 	members := 0
@@ -452,11 +485,13 @@ func decodePayload(payload []byte, d *db.Design) (*Result, error) {
 			r.fail(ErrSnapshotMismatch, "class %s not in design", sig)
 			break
 		}
-		if taken[k] {
-			r.fail(ErrSnapshotCorrupt, "class %s listed twice", sig)
+		if k <= prev {
+			// The encoder writes classes in partition order, which an ECO
+			// session's splice of the class list relies on.
+			r.fail(ErrSnapshotCorrupt, "class %s out of partition order", sig)
 			break
 		}
-		taken[k] = true
+		prev = k
 		members += len(uis[k].Insts)
 		res.Unique[i] = &uas[i]
 		r.class(&uas[i], uis[k])

@@ -127,6 +127,10 @@ var snapshotCorruptions = []struct {
 	{"trailing_byte", "bytes after the payload", func(tb testing.TB, res *Result) []byte {
 		return append(appendPayload(nil, res), 0)
 	}},
+	{"classes_out_of_order", "out of partition order", func(tb testing.TB, res *Result) []byte {
+		res.Unique[0], res.Unique[1] = res.Unique[1], res.Unique[0]
+		return appendPayload(nil, res)
+	}},
 }
 
 // patternedClass returns the first class with a pin and a pattern.

@@ -167,8 +167,9 @@ func (s *Server) handleECO(w http.ResponseWriter, r *http.Request) {
 	res, rep := txn.Commit()
 
 	// ecoMu already excludes every design writer, so the hash is computed
-	// without blocking readers; designMu guards only the stored value.
-	hash := pao.DesignHash(s.design)
+	// without blocking readers; designMu guards only the stored value. The
+	// session re-renders only the lines the ECO changed.
+	hash := sess.DesignHash()
 	s.designMu.Lock()
 	s.designHash = hash
 	s.designMu.Unlock()

@@ -68,6 +68,11 @@ func TestServeECOApplyAndQuery(t *testing.T) {
 	if er.DesignHash == hashBefore || s.DesignHash() == hashBefore {
 		t.Error("design hash did not change after the ECO")
 	}
+	// The session's kept hash must equal a one-shot hash of the mutated
+	// design (the ECO inserted and deleted, so the session re-rendered it).
+	if want := pao.DesignHash(d); er.DesignHash != want || s.DesignHash() != want {
+		t.Errorf("design hash after the ECO: answered %s, stored %s, want %s", er.DesignHash, s.DesignHash(), want)
+	}
 
 	// The re-placed and inserted instances answer normally post-commit.
 	for _, name := range []string{mover.Name, "eco_new"} {
@@ -90,6 +95,19 @@ func TestServeECOApplyAndQuery(t *testing.T) {
 	fresh := pao.NewAnalyzer(d, pao.DefaultConfig()).Run()
 	if got, want := s.Result().Stats.Counts(), fresh.Stats.Counts(); got != want {
 		t.Errorf("served stats diverge from fresh analysis:\nserved %+v\nfresh  %+v", got, want)
+	}
+
+	// A move-only ECO re-renders only the moved line of the kept hash.
+	code, resp = postECO(t, h, fmt.Sprintf(`{"ops":[{"op":"move","inst":%q,"x":%d,"y":%d}]}`,
+		mover.Name, mover.Pos.X-70, mover.Pos.Y))
+	if code != http.StatusOK {
+		t.Fatalf("second eco status %d: %s", code, resp)
+	}
+	if err := json.Unmarshal(resp, &er); err != nil {
+		t.Fatalf("bad eco JSON: %v\n%s", err, resp)
+	}
+	if want := pao.DesignHash(d); er.DesignHash != want {
+		t.Errorf("design hash after a move: answered %s, want %s", er.DesignHash, want)
 	}
 }
 
