@@ -70,17 +70,19 @@ serve-smoke:
 # scraping /metrics — every scrape must parse under the strict Prometheus
 # text-format checker — then audit a live decision via /v1/access/explain and
 # check the slow log's trace exemplars. The obs package tests cover the one
-# registry (labeled families, type and arity conflicts, histogram merge
-# rules), the exposition writer and its naming rule, the strict checker, and
-# the -metrics-listen endpoint with its publish handoff; the cliutil tests
-# cover the logger's line shape and levels, and the serve tests the sampler,
-# correlation IDs and slow-log ring. The per-call allocation tests prove the two
-# registry lookups a served request makes allocate nothing
-# (TestRegistryLookupsAllocFree), and that the nil-by-default hooks leave the
-# kernels Steps 1-3 run allocation-free: the warm via-verdict hit, region
-# query and count-only stub check (TestViaCacheHitAllocFree,
-# TestQueryMetalCtxAllocFree, TestMetalRectCountAllocFree), the via-pair
-# predicate (TestViaPairCleanDistance) and the polygon union
+# registry (labeled families, type and arity conflicts), the exposition
+# writer and its naming rule, the strict checker, and the -metrics-listen
+# endpoint, whose scrapes read the registry's counters live while a writer
+# counts; the cliutil tests cover the logger's line shape and levels, and the
+# serve tests the sampler, correlation IDs, slow-log ring and the DRC
+# counters every re-analysis and ECO move adds to /metrics. The per-call
+# allocation tests prove the two registry lookups a served request makes
+# allocate nothing (TestRegistryLookupsAllocFree), and that the kernels
+# Steps 1-3 run stay allocation-free: the warm via-verdict hit, region query
+# and count-only stub check, counting into registry series as an analyzer's
+# engines do (TestViaCacheHitAllocFree, TestQueryMetalCtxAllocFree,
+# TestMetalRectCountAllocFree), the via-pair predicate
+# (TestViaPairCleanDistance) and the polygon union
 # (TestUnionScratchNoAllocsWarm).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
@@ -115,7 +117,8 @@ dist-difftest:
 
 # Distributed smoke: boot a real paoworker (ready probe, SIGTERM drain) and
 # run paorun -distributed against in-process shard workers, requiring reports
-# identical to the single-process run.
+# identical to the single-process run and DRC counters where the work ran
+# (the coordinator's failed-pin recount, each worker's shards).
 dist-smoke:
 	$(GO) test -race -v -run 'TestDistSmoke' ./cmd/paoworker ./cmd/paorun
 

@@ -107,7 +107,9 @@ func run(opts *options) (nviol int, err error) {
 		return 0, err
 	}
 	spBuild := o.Root().Start("buildengine")
-	eng := pao.NewAnalyzer(d, pao.DefaultConfig()).GlobalEngine()
+	a := pao.NewAnalyzer(d, pao.DefaultConfig())
+	a.Observe(o)
+	eng := a.GlobalEngine()
 	spBuild.End()
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -115,9 +117,6 @@ func run(opts *options) (nviol int, err error) {
 	spCheck := o.Root().Start("checkall")
 	vs := eng.CheckAll()
 	spCheck.End()
-	if reg := o.Reg(); reg != nil {
-		reg.AddAll(eng.Counters.Snapshot())
-	}
 	fmt.Printf("%s: %d shapes, %d violations\n", d.Name, eng.NumObjs(), len(vs))
 	for i, v := range vs {
 		if i >= opts.maxPrint {

@@ -91,7 +91,7 @@ func run(opts *options) (err error) {
 	pcfg := pao.DefaultConfig()
 	pcfg.FailFast = opts.run.FailFastSet()
 	a := pao.NewAnalyzer(d, pcfg)
-	a.Obs = o
+	a.Observe(o)
 	cfg := router.Config{}
 	if opts.guidePath != "" {
 		gf, err := os.Open(opts.guidePath)
@@ -140,7 +140,6 @@ func run(opts *options) (err error) {
 	spCheck := o.Root().Start("check")
 	router.Check(a, res)
 	spCheck.End()
-	a.PublishObs()
 
 	t := report.New(fmt.Sprintf("Routing summary for %s (%s access)", d.Name, opts.access),
 		"Routed", "Failed", "WL (um)", "#Vias", "#DRCs", "#Access DRCs")

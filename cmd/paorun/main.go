@@ -148,10 +148,8 @@ func run(opts *options) (err error) {
 		res, runErr = c.Run(ctx)
 	} else {
 		a := pao.NewAnalyzer(d, cfg)
-		a.Obs = o
-		ob.SetExtra(a.LiveCounters) // mid-run -metrics-listen scrapes see progress
+		a.Observe(o)
 		res, runErr = a.RunContext(ctx)
-		ob.Publish(a.PublishObs)
 	}
 
 	t := report.New(fmt.Sprintf("Pin access summary for %s", d.Name),

@@ -88,10 +88,10 @@ func TestRunMetricsAndTrace(t *testing.T) {
 		t.Errorf("report name = %q", rep.Name)
 	}
 	if len(rep.Counters) == 0 {
-		t.Error("report has no counters; PublishObs not wired")
+		t.Error("report has no counters; the analyzer is not observed")
 	}
 	// The memoization layer must surface its traffic in -metrics: the
-	// via-verdict cache counters flow through drc.Counters.Snapshot.
+	// via-verdict cache counters are series of the run's registry.
 	for _, name := range []string{"drc.viacache.hit", "drc.viacache.miss"} {
 		if _, ok := rep.Counters[name]; !ok {
 			t.Errorf("report missing cache counter %q", name)
@@ -117,7 +117,9 @@ func TestRunMetricsAndTrace(t *testing.T) {
 // TestDistSmokeRunMatchesLocal runs paorun end to end twice over the same
 // LEF/DEF pair — once single-process, once -distributed against two in-process
 // shard workers — and requires identical reports plus evidence in -metrics
-// that shards actually crossed the wire.
+// that shards actually crossed the wire. The DRC work is counted where it
+// runs: the coordinator's failed-pin recount in the -metrics report, each
+// worker's shards in that worker's observer.
 func TestDistSmokeRunMatchesLocal(t *testing.T) {
 	lefPath, defPath := clitest.WriteLEFDEF(t, clitest.SmallSpec(), nil)
 
@@ -131,6 +133,7 @@ func TestDistSmokeRunMatchesLocal(t *testing.T) {
 
 	// Shard workers load the design from the same files, like paoworker does.
 	servers := make([]string, 2)
+	workers := make([]*dist.Worker, len(servers))
 	for i := range servers {
 		wopts := &options{lefPath: lefPath, defPath: defPath}
 		d, err := loadWorkerDesign(wopts)
@@ -139,7 +142,9 @@ func TestDistSmokeRunMatchesLocal(t *testing.T) {
 		}
 		cfg := pao.DefaultConfig()
 		cfg.K = 3
-		srv := httptest.NewServer(dist.NewWorker(d, cfg).Handler())
+		workers[i] = dist.NewWorker(d, cfg)
+		workers[i].Obs = obs.NewObserver("paoworker")
+		srv := httptest.NewServer(workers[i].Handler())
 		t.Cleanup(srv.Close)
 		servers[i] = srv.URL
 	}
@@ -166,6 +171,14 @@ func TestDistSmokeRunMatchesLocal(t *testing.T) {
 	}
 	if rep.Counters["dist.shards.local"] != 0 {
 		t.Errorf("healthy workers must serve every shard, got %d local", rep.Counters["dist.shards.local"])
+	}
+	if rep.Counters["drc.via.attempted"] == 0 {
+		t.Error("distributed -metrics report counted no via checks of the failed-pin recount")
+	}
+	for i, w := range workers {
+		if n := w.Obs.Reg().Counter("drc.query.count").Load(); n == 0 {
+			t.Errorf("worker %d observer counted no DRC queries", i)
+		}
 	}
 }
 

@@ -129,9 +129,8 @@ func run(opts *options) (err error) {
 	cfg := pao.DefaultConfig()
 	cfg.FailFast = opts.run.FailFastSet()
 	a := pao.NewAnalyzer(d, cfg)
-	a.Obs = o
+	a.Observe(o)
 	res, runErr := a.RunContext(ctx)
-	a.PublishObs()
 	if runErr != nil {
 		return runErr
 	}

@@ -106,7 +106,8 @@ type Coordinator struct {
 	Workers []string // worker base URLs ("host:port" gets "http://" prefixed)
 
 	// Obs receives the dist.* telemetry (shard counters, worker-up gauge,
-	// shard latency histogram) when set.
+	// shard latency histogram) when set, and the local analyzer's spans and
+	// DRC counters.
 	Obs *obs.Observer
 	// NetHook, when set, intercepts every payload crossing the wire at the
 	// Site* network fault points (test-only: faultinject.NetHook).
@@ -201,10 +202,11 @@ func (c *Coordinator) init() {
 }
 
 // localAnalyzer returns the coordinator's own analyzer for fallback compute
-// and the final failed-pin recount. Callers hold localMu.
+// and the final failed-pin recount, bound to c.Obs. Callers hold localMu.
 func (c *Coordinator) localAnalyzer() *pao.Analyzer {
 	if c.local == nil {
 		c.local = pao.NewAnalyzer(c.Design, c.Cfg)
+		c.local.Observe(c.Obs)
 	}
 	return c.local
 }

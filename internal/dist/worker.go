@@ -28,7 +28,8 @@ import (
 type Worker struct {
 	Design *db.Design
 	Cfg    pao.Config
-	// Obs receives worker-side shard counters when set.
+	// Obs receives worker-side shard counters when set, and the analyzer's
+	// spans and DRC counters. Set it before the first shard.
 	Obs *obs.Observer
 	// FaultHook, when set, fires at SiteWorkerShard before each shard is
 	// handled (test-only chaos: delays to stretch a shard, panics to exercise
@@ -65,12 +66,13 @@ func (w *Worker) Handler() http.Handler {
 	return mux
 }
 
-// lazyAnalyzer returns the worker's analyzer, created on first use and reused
-// across shards so the shared ViaCache stays warm for this worker's arc of
-// the signature ring. Callers hold w.mu.
+// lazyAnalyzer returns the worker's analyzer, bound to w.Obs, created on
+// first use and reused across shards so the shared ViaCache stays warm for
+// this worker's arc of the signature ring. Callers hold w.mu.
 func (w *Worker) lazyAnalyzer() *pao.Analyzer {
 	if w.analyzer == nil {
 		w.analyzer = pao.NewAnalyzer(w.Design, w.Cfg)
+		w.analyzer.Observe(w.Obs)
 	}
 	return w.analyzer
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -11,6 +12,7 @@ import (
 // per-kind check counts as checks run.
 func TestCountersTrackChecks(t *testing.T) {
 	e := NewEngine(tech.N45())
+	e.Counters = NewCounters(nil)
 	e.AddMetal(1, geom.R(0, 0, 1000, 70), 1, KindPin, "a")
 
 	vs := e.CheckMetalRect(1, geom.R(0, 130, 1000, 200), 2) // spacing violation
@@ -37,12 +39,12 @@ func TestCountersTrackChecks(t *testing.T) {
 	if snap["drc.query.count"] != c.Queries.Load() {
 		t.Fatal("snapshot disagrees with counter")
 	}
-	// Every family is present in the snapshot even when zero, so downstream
-	// registries always expose the full name set.
+	// Every family is present in the snapshot even when zero.
 	for _, name := range []string{
 		"drc.query.count", "drc.query.objects", "drc.check.metal", "drc.check.cut",
 		"drc.check.eol", "drc.check.minstep", "drc.check.pair",
 		"drc.via.attempted", "drc.via.clean", "drc.violations",
+		"drc.viacache.hit", "drc.viacache.miss",
 	} {
 		if _, ok := snap[name]; !ok {
 			t.Errorf("snapshot missing %q", name)
@@ -50,18 +52,32 @@ func TestCountersTrackChecks(t *testing.T) {
 	}
 }
 
-// TestCountersSharedAcrossEngines: several engines can publish into one
-// Counters instance (the analyzer shares one across its per-cell and global
-// engines).
+// TestCountersSharedAcrossEngines: engines holding one Counters count
+// into the same registry series (the analyzer shares one across its per-cell
+// and global engines), and the registry reports all twelve drc.* families
+// from the start. An engine that nothing binds counts nothing.
 func TestCountersSharedAcrossEngines(t *testing.T) {
-	shared := &Counters{}
+	reg := obs.NewRegistry()
+	shared := NewCounters(reg)
+	if n := len(reg.Snapshot().Counters); n != 12 {
+		t.Fatalf("NewCounters registered %d families, want 12", n)
+	}
 	for i := 0; i < 3; i++ {
 		e := NewEngine(tech.N45())
 		e.Counters = shared
 		e.AddMetal(1, geom.R(0, 0, 1000, 70), 1, KindPin, "a")
 		e.CheckMetalRect(1, geom.R(0, 130, 1000, 200), 2)
 	}
-	if got := shared.MetalChecks.Load(); got != 3 {
-		t.Fatalf("shared MetalChecks = %d, want 3", got)
+	if got := reg.Counter("drc.check.metal").Load(); got != 3 {
+		t.Fatalf("registry drc.check.metal = %d, want 3", got)
+	}
+
+	unbound := NewEngine(tech.N45())
+	unbound.AddMetal(1, geom.R(0, 0, 1000, 70), 1, KindPin, "a")
+	unbound.CheckMetalRect(1, geom.R(0, 130, 1000, 200), 2)
+	for name, v := range unbound.Counters.Snapshot() {
+		if v != 0 {
+			t.Errorf("unbound engine counted %s = %d", name, v)
+		}
 	}
 }

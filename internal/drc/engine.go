@@ -9,9 +9,9 @@ package drc
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 	"repro/internal/tech"
 )
 
@@ -114,59 +114,82 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// Counters aggregates the engine's instrumentation: region-query volume,
-// checks executed per rule family, via drops attempted vs clean, and
-// violations found (pre-dedup). All fields are atomic, so concurrent readers
-// (QueryCtx checks, CheckAllParallel workers) may share one instance, and
-// several engines may point at the same Counters to aggregate across
-// contexts — the pao analyzer shares one across its per-cell engines and the
-// global engine.
+// Counters is the engine's instrumentation: region-query volume, checks
+// executed per rule family, via drops attempted vs clean, violations found
+// (pre-dedup) and via-verdict cache traffic. Each field is a counter series
+// of an obs registry (NewCounters), so every engine holding the same
+// Counters counts into the same store, concurrently and race-free, and a
+// scrape of that registry reads the counts live. The zero value counts
+// nothing: obs counters are nil-safe.
 type Counters struct {
-	Queries       atomic.Int64 // region queries executed
-	QueryObjects  atomic.Int64 // objects returned by region queries
-	MetalChecks   atomic.Int64 // hypothetical-metal short/spacing checks
-	CutChecks     atomic.Int64 // hypothetical-cut spacing checks
-	EOLChecks     atomic.Int64 // end-of-line window checks
-	MinStepChecks atomic.Int64 // min-step union checks (via enclosures)
-	PairChecks    atomic.Int64 // full-design pairwise checks (CheckAll)
-	ViaChecks     atomic.Int64 // via drops attempted
-	ViaClean      atomic.Int64 // via drops that validated clean
-	Violations    atomic.Int64 // violations found (pre-dedup)
-
-	// Via-verdict cache instrumentation (see ViaCache): lookups answered from
-	// the cache, and lookups that ran the full check.
-	CacheHits   atomic.Int64
-	CacheMisses atomic.Int64
+	Queries       *obs.Counter // region queries executed
+	QueryObjects  *obs.Counter // objects returned by region queries
+	MetalChecks   *obs.Counter // hypothetical-metal short/spacing checks
+	CutChecks     *obs.Counter // hypothetical-cut spacing checks
+	EOLChecks     *obs.Counter // end-of-line window checks
+	MinStepChecks *obs.Counter // min-step union checks (via enclosures)
+	PairChecks    *obs.Counter // full-design pairwise checks (CheckAll)
+	ViaChecks     *obs.Counter // via drops attempted
+	ViaClean      *obs.Counter // via drops that validated clean
+	Violations    *obs.Counter // violations found (pre-dedup)
+	CacheHits     *obs.Counter // via verdicts answered from the ViaCache
+	CacheMisses   *obs.Counter // via verdicts that ran the full check
 }
 
-// Snapshot exports the counters under their canonical metric names.
+// namedCounter is one Counters field with its registry name.
+type namedCounter struct {
+	name string
+	ctr  **obs.Counter
+}
+
+// series lists every counter with its registry name.
+func (c *Counters) series() [12]namedCounter {
+	return [12]namedCounter{
+		{"drc.query.count", &c.Queries},
+		{"drc.query.objects", &c.QueryObjects},
+		{"drc.check.metal", &c.MetalChecks},
+		{"drc.check.cut", &c.CutChecks},
+		{"drc.check.eol", &c.EOLChecks},
+		{"drc.check.minstep", &c.MinStepChecks},
+		{"drc.check.pair", &c.PairChecks},
+		{"drc.via.attempted", &c.ViaChecks},
+		{"drc.via.clean", &c.ViaClean},
+		{"drc.violations", &c.Violations},
+		{"drc.viacache.hit", &c.CacheHits},
+		{"drc.viacache.miss", &c.CacheMisses},
+	}
+}
+
+// NewCounters resolves the twelve drc.* counter series of reg, creating them
+// on first use, so the registry reports every family even at zero. A nil reg
+// gets a private registry: the counts are still kept, for Snapshot.
+func NewCounters(reg *obs.Registry) Counters {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	var c Counters
+	for _, s := range c.series() {
+		*s.ctr = reg.Counter(s.name)
+	}
+	return c
+}
+
+// Snapshot exports the counters under their registry names.
 func (c *Counters) Snapshot() map[string]int64 {
-	if c == nil {
-		return nil
+	out := make(map[string]int64, 12)
+	for _, s := range c.series() {
+		out[s.name] = (*s.ctr).Load()
 	}
-	return map[string]int64{
-		"drc.query.count":   c.Queries.Load(),
-		"drc.query.objects": c.QueryObjects.Load(),
-		"drc.check.metal":   c.MetalChecks.Load(),
-		"drc.check.cut":     c.CutChecks.Load(),
-		"drc.check.eol":     c.EOLChecks.Load(),
-		"drc.check.minstep": c.MinStepChecks.Load(),
-		"drc.check.pair":    c.PairChecks.Load(),
-		"drc.via.attempted": c.ViaChecks.Load(),
-		"drc.via.clean":     c.ViaClean.Load(),
-		"drc.violations":    c.Violations.Load(),
-		"drc.viacache.hit":  c.CacheHits.Load(),
-		"drc.viacache.miss": c.CacheMisses.Load(),
-	}
+	return out
 }
 
 // Engine indexes design shapes per layer and runs rule checks against them.
 type Engine struct {
 	Tech *tech.Technology
 
-	// Counters receives the engine's instrumentation. Always non-nil after
-	// NewEngine; reassign it to share one accumulator across engines.
-	Counters *Counters
+	// Counters receives the engine's instrumentation. NewEngine leaves it
+	// zero, counting nothing; assign NewCounters' result to count.
+	Counters Counters
 
 	// FaultHook, when set, is invoked at the start of every via check with
 	// the site name (SiteCheckVia); any violations it returns are appended
@@ -206,7 +229,7 @@ const minBinSize = 256
 // derived from the lower-metal pitch, floored at minBinSize for degenerate
 // rule decks.
 func NewEngine(t *tech.Technology) *Engine {
-	e := &Engine{Tech: t, Counters: &Counters{}}
+	e := &Engine{Tech: t}
 	var bin int64
 	if l := t.Metal(1); l != nil {
 		bin = 24 * l.Pitch

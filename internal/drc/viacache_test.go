@@ -36,11 +36,14 @@ func TestDedupDoesNotClobberInput(t *testing.T) {
 }
 
 // viaCacheFixture builds an engine with one pin bar plus a cache and query
-// context, returning everything a verdict-cache test needs.
+// context, returning everything a verdict-cache test needs. The engine counts
+// into registry series, as an analyzer's engines do, so the alloc-free tests
+// measure the increments production runs.
 func viaCacheFixture(t *testing.T) (*Engine, *tech.ViaDef, geom.Rect, *ViaCache, *QueryCtx) {
 	t.Helper()
 	tt := tech.N45()
 	e := NewEngine(tt)
+	e.Counters = NewCounters(nil)
 	bar := geom.R(0, 400, 1000, 470)
 	e.AddMetal(1, bar, 1, KindPin, "pin")
 	c := NewViaCache()
@@ -76,6 +79,7 @@ func TestViaCacheHitAndVerdictAgreement(t *testing.T) {
 	// Translation invariance: an identical bar far away must hit the same
 	// entries (same relative signature), not add new ones.
 	e2 := NewEngine(e.Tech)
+	e2.Counters = NewCounters(nil)
 	bar2 := bar.Shift(geom.Pt(100000, 50000))
 	e2.AddMetal(1, bar2, 9, KindPin, "pin-far")
 	e2.AttachViaCache(c)
@@ -182,6 +186,7 @@ func TestViaCacheSingleflight(t *testing.T) {
 func TestViaCacheBypass(t *testing.T) {
 	tt := tech.N45()
 	e := NewEngine(tt)
+	e.Counters = NewCounters(nil)
 	bar := geom.R(0, 400, 1000, 470)
 	e.AddMetal(1, bar, 1, KindPin, "pin")
 	v := tt.ViaByName("VIA1_H")

@@ -109,7 +109,7 @@ func RunExp1Obs(ctx context.Context, o *obs.Observer, spec suite.Spec, scale flo
 
 	a := pao.NewAnalyzer(d, pao.DefaultConfig())
 	if deep {
-		a.Obs = o
+		a.Observe(o)
 	}
 	sp = o.Root().Start("exp1." + d.Name + ".paaf")
 	paafRes, err := runStep1Only(ctx, a, d)
@@ -125,9 +125,6 @@ func RunExp1Obs(ctx context.Context, o *obs.Observer, spec suite.Spec, scale flo
 	row.TrDirty = a.CountDirtyAPs(base)
 	row.PaafDirty = a.CountDirtyAPs(paafRes)
 	sp.End()
-	if deep {
-		a.PublishObs()
-	}
 	return row, nil
 }
 
@@ -195,13 +192,13 @@ func RunExp2Obs(ctx context.Context, o *obs.Observer, spec suite.Spec, scale flo
 	sp := o.Root().Start("exp2." + d.Name + ".trrte")
 	base := baseline.Analyze(d)
 	a := pao.NewAnalyzer(d, pao.DefaultConfig())
+	if deep {
+		a.Observe(o)
+	}
 	a.CountFailedPins(base, a.GlobalEngine())
 	row.TrSeconds = sp.End().Seconds()
 	row.TotalPins = base.Stats.TotalPins
 	row.TrFailed = base.Stats.FailedPins
-	if deep {
-		a.PublishObs()
-	}
 	if err := ctx.Err(); err != nil {
 		return row, err
 	}
@@ -212,14 +209,11 @@ func RunExp2Obs(ctx context.Context, o *obs.Observer, spec suite.Spec, scale flo
 	cfg.BCA = false
 	noBCAAn := pao.NewAnalyzer(d, cfg)
 	if deep {
-		noBCAAn.Obs = o
+		noBCAAn.Observe(o)
 	}
 	sp = o.Root().Start("exp2." + d.Name + ".nobca")
 	noBCA, err := noBCAAn.RunContext(ctx)
 	row.NoBCASecond = sp.End().Seconds()
-	if deep {
-		noBCAAn.PublishObs()
-	}
 	if err != nil {
 		return row, err
 	}
@@ -228,14 +222,11 @@ func RunExp2Obs(ctx context.Context, o *obs.Observer, spec suite.Spec, scale flo
 	// PAAF with BCA (up to three patterns, cluster selection).
 	fullAn := pao.NewAnalyzer(d, pao.DefaultConfig())
 	if deep {
-		fullAn.Obs = o
+		fullAn.Observe(o)
 	}
 	sp = o.Root().Start("exp2." + d.Name + ".bca")
 	full, err := fullAn.RunContext(ctx)
 	row.BCASeconds = sp.End().Seconds()
-	if deep {
-		fullAn.PublishObs()
-	}
 	if err != nil {
 		return row, err
 	}
@@ -290,7 +281,7 @@ func RunExp3Obs(ctx context.Context, o *obs.Observer, scale float64) ([]Exp3Resu
 		}
 		a := pao.NewAnalyzer(d, pao.DefaultConfig())
 		if deep {
-			a.Obs = o
+			a.Observe(o)
 		}
 		sp := o.Root().Start("exp3." + mode.String())
 		cfg := router.Config{Mode: mode}
@@ -309,9 +300,6 @@ func RunExp3Obs(ctx context.Context, o *obs.Observer, scale float64) ([]Exp3Resu
 		res := r.Route()
 		router.Check(a, res)
 		sec := sp.End().Seconds()
-		if deep {
-			a.PublishObs()
-		}
 		out = append(out, Exp3Result{
 			Name: d.Name, Mode: mode.String(),
 			Routed: res.Routed, Failed: res.Failed, WireLength: res.WireLength,
@@ -360,14 +348,11 @@ func RunAES14Obs(ctx context.Context, o *obs.Observer, scale float64) (AES14Resu
 	}
 	a := pao.NewAnalyzer(d, pao.DefaultConfig())
 	if deep {
-		a.Obs = o
+		a.Observe(o)
 	}
 	sp := o.Root().Start("aes14.run")
 	res, err := a.RunContext(ctx)
 	sec := sp.End().Seconds()
-	if deep {
-		a.PublishObs()
-	}
 	if err != nil {
 		return AES14Result{Insts: len(d.Instances), Seconds: sec}, err
 	}
@@ -445,14 +430,11 @@ func RunAblationsObs(ctx context.Context, o *obs.Observer, spec suite.Spec, scal
 		}
 		a := pao.NewAnalyzer(d, c.cfg)
 		if deep {
-			a.Obs = o
+			a.Observe(o)
 		}
 		sp := o.Root().Start("ablate." + c.name)
 		res, err := a.RunContext(ctx)
 		sec := sp.End().Seconds()
-		if deep {
-			a.PublishObs()
-		}
 		if err != nil {
 			return out, err
 		}

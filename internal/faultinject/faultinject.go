@@ -96,7 +96,7 @@ type Fault struct {
 	// Seed drives the DelayJitter randomness; faults with equal seeds sleep
 	// identical schedules run to run.
 	Seed int64
-	// Note tags the fault in panic values and the fired log.
+	// Note tags the fault in the panics, violations and errors it injects.
 	Note string
 
 	count int64 // matching invocations seen so far
@@ -118,21 +118,12 @@ func (f *Fault) jitterFactor() float64 {
 	return 1 - j + 2*j*f.rng.Float64()
 }
 
-// Event records one fired fault.
-type Event struct {
-	Site   string
-	Detail string
-	Call   int64 // the matching-invocation ordinal that fired
-	Kind   Kind
-	Note   string
-}
-
-// Injector holds armed faults and a log of fired events. The zero value is
+// Injector holds armed faults and a count of fired ones. The zero value is
 // ready to use; all methods are safe for concurrent hooks.
 type Injector struct {
 	mu     sync.Mutex
 	faults []*Fault
-	fired  []Event
+	fired  int
 }
 
 // New returns an empty injector.
@@ -164,18 +155,11 @@ func (in *Injector) Script(seed int64, site string, kind Kind, n int, maxCall in
 	return in
 }
 
-// Fired returns the fired events in firing order.
-func (in *Injector) Fired() []Event {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return append([]Event(nil), in.fired...)
-}
-
 // FiredCount returns how many faults have fired.
 func (in *Injector) FiredCount() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.fired)
+	return in.fired
 }
 
 // match advances call counting for every armed fault matching (site, detail)
@@ -192,9 +176,7 @@ func (in *Injector) match(site, detail string) []*Fault {
 		if f.Call != 0 && f.count != f.Call {
 			continue
 		}
-		in.fired = append(in.fired, Event{
-			Site: site, Detail: detail, Call: f.count, Kind: f.Kind, Note: f.Note,
-		})
+		in.fired++
 		hit = append(hit, f)
 	}
 	return hit

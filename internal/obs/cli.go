@@ -12,7 +12,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sync"
 	"time"
 )
 
@@ -139,11 +138,6 @@ type Run struct {
 	cpuFile *os.File
 	srv     *http.Server
 	addr    string
-
-	// mu orders each /metrics scrape against SetExtra and Publish, so a
-	// scrape sees the live source or the published totals, never both.
-	mu    sync.Mutex
-	extra func() map[string]int64
 }
 
 // Start validates the flags, begins CPU profiling if requested and returns
@@ -172,9 +166,9 @@ func (f *Flags) Start(name string) (*Run, error) {
 }
 
 // Listen starts the -metrics-listen listener, when one was requested. It
-// serves GET /metrics: the run's registry, plus the live counters (SetExtra),
-// with labels on every series. Call it once the labels are known, for
-// example after the design is parsed.
+// serves GET /metrics: the run's registry as it stands at the scrape, with
+// labels on every series. Call it once the labels are known, for example
+// after the design is parsed.
 func (r *Run) Listen(labels ...Label) error {
 	if r == nil || r.f.Listen == "" {
 		return nil
@@ -185,14 +179,8 @@ func (r *Run) Listen(labels ...Label) error {
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		r.mu.Lock()
-		fams := r.Obs.Reg().Gather(labels...)
-		if r.extra != nil {
-			fams = addCounters(fams, r.extra(), labels)
-		}
-		r.mu.Unlock()
 		w.Header().Set("Content-Type", ContentType)
-		_ = WriteProm(w, fams)
+		_ = WriteProm(w, r.Obs.Reg().Gather(labels...))
 	})
 	r.srv, r.addr = &http.Server{Handler: mux}, ln.Addr().String()
 	go func() { _ = r.srv.Serve(ln) }()
@@ -205,49 +193,6 @@ func (r *Run) Addr() string {
 		return ""
 	}
 	return r.addr
-}
-
-// SetExtra installs a live counter source that every /metrics scrape adds on
-// top of the registry; nil removes it. A tool whose counters reach the
-// registry only at the end of a run (Analyzer.PublishObs) sets it to
-// Analyzer.LiveCounters, so mid-run scrapes see progress, and ends the run
-// with Publish.
-func (r *Run) SetExtra(f func() map[string]int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.extra = f
-	r.mu.Unlock()
-}
-
-// Publish runs publish, the step that moves the live counters into the
-// registry, and removes the SetExtra source in the same critical section as
-// every /metrics scrape, so no scrape counts a total twice. publish must not
-// call back into r.
-func (r *Run) Publish(publish func()) {
-	if r == nil {
-		publish()
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	publish()
-	r.extra = nil
-}
-
-// addCounters adds counts to the flat counters of fams, appending a family
-// for each name the registry lacks.
-func addCounters(fams []FamilySnapshot, counts map[string]int64, labels []Label) []FamilySnapshot {
-	rest := NewRegistry()
-	rest.AddAll(counts)
-	for i, f := range fams {
-		if v, ok := counts[f.Name]; ok && f.Type == TypeCounter && len(f.Labels) == len(labels) {
-			fams[i].Series[0].Value += float64(v)
-			delete(rest.families, f.Name)
-		}
-	}
-	return append(fams, rest.Gather(labels...)...)
 }
 
 // End ends the root span, writes the -metrics report and the -trace file,

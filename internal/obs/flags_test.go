@@ -9,7 +9,7 @@ import (
 
 // TestFlagsDisabledTelemetry: a batch tool run with no telemetry flags set
 // keeps its telemetry off. The run's observer is nil, Listen starts no
-// listener, SetExtra is a no-op, and a nil run is safe to call.
+// listener, and a nil run is safe to call.
 func TestFlagsDisabledTelemetry(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	f := obs.RegisterBatchFlags(fs)
@@ -27,11 +27,8 @@ func TestFlagsDisabledTelemetry(t *testing.T) {
 	if err := run.Listen(obs.Label{Name: "design", Value: "c17"}); err != nil || run.Addr() != "" {
 		t.Fatalf("disabled Listen = %v, addr %q", err, run.Addr())
 	}
-	run.SetExtra(func() map[string]int64 { return nil })
-	run.SetExtra(nil)
 
 	var nilRun *obs.Run
-	nilRun.SetExtra(func() map[string]int64 { return nil })
 	if nilRun.Listen() != nil || nilRun.Addr() != "" {
 		t.Fatal("nil run misbehaved")
 	}

@@ -69,13 +69,12 @@ func (g *Gauge) Load() float64 {
 const histBuckets = 32
 
 // BucketBound returns bucket i's upper bound in microseconds. Every histogram
-// shares these fixed boundaries, which is what makes Merge exact and lets a
-// Prometheus scraper aggregate histograms across processes.
+// shares these fixed boundaries, which lets a Prometheus scraper aggregate
+// histograms across processes.
 func BucketBound(i int) int64 { return int64(1) << i }
 
-// Histogram is a race-safe log2 duration histogram with sum, count and max.
-// Bucket boundaries are fixed (BucketBound), so any two histograms merge
-// exactly bucket-by-bucket.
+// Histogram is a race-safe log2 duration histogram with sum, count and max
+// over the fixed BucketBound boundaries.
 type Histogram struct {
 	count  atomic.Int64
 	sumNS  atomic.Int64
@@ -128,85 +127,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) by linear interpolation
-// inside the log2 buckets, capped at the true observed maximum. The bucket
-// counts are snapshotted first and the total is derived from that snapshot,
-// so the rank is always reachable even while writers are racing: a concurrent
-// Observe can at worst shift the estimate by its own weight, never leave the
-// scan running past the last bucket.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	var counts [histBuckets]int64
-	var total int64
-	for i := range h.bucket {
-		c := h.bucket[i].Load()
-		counts[i] = c
-		total += c
-	}
-	if total == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	max := time.Duration(h.maxNS.Load())
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			est := interpUS(i, rank-(cum-c), c)
-			if est > max {
-				return max
-			}
-			return est
-		}
-	}
-	return max
-}
-
-// interpUS places the pos-th (1-based) of n observations inside bucket i by
-// linear interpolation between the bucket's bounds.
-func interpUS(i int, pos, n int64) time.Duration {
-	var lower int64
-	if i > 0 {
-		lower = BucketBound(i - 1)
-	}
-	upper := BucketBound(i)
-	us := float64(lower) + float64(upper-lower)*float64(pos)/float64(n)
-	return time.Duration(us * float64(time.Microsecond))
-}
-
-// Merge folds other's observations into h. Because all histograms share the
-// same fixed bucket boundaries the merge is exact, not approximate: bucket
-// counts, count and sum add, max takes the larger. h may have concurrent
-// writers; other should be quiescent (a finished shard or a snapshot source).
-func (h *Histogram) Merge(other *Histogram) {
-	if h == nil || other == nil {
-		return
-	}
-	if n := other.count.Load(); n != 0 {
-		h.count.Add(n)
-	}
-	if ns := other.sumNS.Load(); ns != 0 {
-		h.sumNS.Add(ns)
-	}
-	oMax := other.maxNS.Load()
-	for {
-		cur := h.maxNS.Load()
-		if oMax <= cur || h.maxNS.CompareAndSwap(cur, oMax) {
-			break
-		}
-	}
-	for i := range h.bucket {
-		if n := other.bucket[i].Load(); n != 0 {
-			h.bucket[i].Add(n)
-		}
-	}
-}
-
 // BucketCount is one non-empty histogram bucket in an export.
 type BucketCount struct {
 	LeUS  int64 `json:"le_us"` // upper bound of the bucket, microseconds
@@ -220,41 +140,6 @@ type HistStat struct {
 	AvgMS   float64       `json:"avg_ms"`
 	MaxMS   float64       `json:"max_ms"`
 	Buckets []BucketCount `json:"buckets,omitempty"`
-}
-
-// Quantile is Histogram.Quantile over an exported snapshot, in milliseconds.
-// The rank is computed from the bucket counts (not the Count field) so the
-// scan always terminates inside a bucket, mirroring the live estimator.
-func (s HistStat) Quantile(q float64) float64 {
-	var total int64
-	for _, b := range s.Buckets {
-		total += b.Count
-	}
-	if total == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	var cum int64
-	for _, b := range s.Buckets {
-		cum += b.Count
-		if cum >= rank {
-			lower := 0.0
-			if b.LeUS > 1 {
-				lower = float64(b.LeUS) / 2
-			}
-			pos := rank - (cum - b.Count)
-			us := lower + (float64(b.LeUS)-lower)*float64(pos)/float64(b.Count)
-			ms := us / 1e3
-			if ms > s.MaxMS && s.MaxMS > 0 {
-				return s.MaxMS
-			}
-			return ms
-		}
-	}
-	return s.MaxMS
 }
 
 // Snapshot exports the histogram's current state. Count is derived from the
@@ -500,17 +385,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 		return nil
 	}
 	return v.f.get(values).hist
-}
-
-// AddAll folds a map of external counts (for example a DRC engine snapshot)
-// into the registry's counters.
-func (r *Registry) AddAll(counts map[string]int64) {
-	if r == nil {
-		return
-	}
-	for name, v := range counts {
-		r.Counter(name).Add(v)
-	}
 }
 
 // sorted returns the registered families in name order.

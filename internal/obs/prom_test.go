@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -145,9 +146,11 @@ func TestFlagsListenServes(t *testing.T) {
 	}
 }
 
-// TestFlagsLiveExtraCounters: a SetExtra source is folded into every scrape
-// (how mid-run analyzer counters become visible before PublishObs), added on
-// top of the registry's own totals, and cleared by SetExtra(nil).
+// TestFlagsLiveExtraCounters: counters that the run's components count
+// mid-run (the DRC engines' drc.* counters, resolved by name from the run's
+// registry) are registry series, so a -metrics-listen scrape sees them while
+// the run executes, added once to what the registry already held, and the
+// end of the run folds nothing in, so a later scrape does not double-count.
 func TestFlagsLiveExtraCounters(t *testing.T) {
 	run, err := (&obs.Flags{Listen: "127.0.0.1:0"}).Start("tool")
 	if err != nil {
@@ -157,13 +160,6 @@ func TestFlagsLiveExtraCounters(t *testing.T) {
 	if err := run.Listen(obs.Label{Name: "design", Value: "c17"}); err != nil {
 		t.Fatal(err)
 	}
-
-	reg := run.Obs.Reg()
-	reg.Counter("drc.via.attempted").Add(5)
-	live := int64(0)
-	run.SetExtra(func() map[string]int64 {
-		return map[string]int64{"drc.via.attempted": live, "drc.viacache.hit": 2 * live}
-	})
 	series := func() map[string]float64 {
 		t.Helper()
 		s, err := obs.CheckProm(strings.NewReader(httpGet(t, "http://"+run.Addr()+"/metrics")))
@@ -173,27 +169,28 @@ func TestFlagsLiveExtraCounters(t *testing.T) {
 		return s.Series
 	}
 
-	live = 7
+	reg := run.Obs.Reg()
+	reg.Counter("drc.via.attempted").Add(5)
+	// A component resolves the same series by name and counts into it.
+	reg.Counter("drc.via.attempted").Add(7)
+	reg.Counter("drc.viacache.hit").Add(14)
 	got := series()
 	if v := got[`drc_via_attempted_total{design="c17"}`]; v != 12 {
-		t.Fatalf("registry+extra = %v, want 12", v)
+		t.Fatalf("shared counter = %v, want 12", v)
 	}
 	if v := got[`drc_viacache_hit_total{design="c17"}`]; v != 14 {
-		t.Fatalf("extra-only counter = %v, want 14", v)
+		t.Fatalf("component-only counter = %v, want 14", v)
 	}
-
-	// End of run: totals folded into the registry, extra cleared — the scrape
-	// must not double-count.
-	reg.Counter("drc.via.attempted").Add(live)
-	run.SetExtra(nil)
 	if v := series()[`drc_via_attempted_total{design="c17"}`]; v != 12 {
-		t.Fatalf("after clear = %v, want 12", v)
+		t.Fatalf("second scrape = %v, want 12", v)
 	}
 }
 
-// TestFlagsPublishHandoff: a scrape issued while Publish moves the live
-// counters into the registry waits for the handoff and reads each counter
-// once, never the published total plus the live source.
+// TestFlagsPublishHandoff: the run's registry is the only counter store, so
+// there is no end-of-run handoff for a scrape to race: a -metrics-listen
+// scrape issued while the run still counts reads each counter as it stands,
+// once. While a writer counts, successive scrapes never go backwards, and
+// once it stops a scrape reads exactly the counter's total.
 func TestFlagsPublishHandoff(t *testing.T) {
 	run, err := (&obs.Flags{Listen: "127.0.0.1:0"}).Start("tool")
 	if err != nil {
@@ -203,39 +200,42 @@ func TestFlagsPublishHandoff(t *testing.T) {
 	if err := run.Listen(obs.Label{Name: "design", Value: "c17"}); err != nil {
 		t.Fatal(err)
 	}
-	const live = 7
-	run.SetExtra(func() map[string]int64 { return map[string]int64{"drc.via.attempted": live} })
-
-	scraped := make(chan string, 1)
-	scrape := func() {
-		resp, err := http.Get("http://" + run.Addr() + "/metrics")
+	scrape := func() float64 {
+		t.Helper()
+		s, err := obs.CheckProm(strings.NewReader(httpGet(t, "http://"+run.Addr()+"/metrics")))
 		if err != nil {
-			scraped <- err.Error()
-			return
+			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		scraped <- string(b)
+		return s.Series[`drc_via_attempted_total{design="c17"}`]
 	}
-	var body string
-	run.Publish(func() {
-		run.Obs.Reg().Counter("drc.via.attempted").Add(live)
-		go scrape()
-		// A scrape that completes inside the handoff sees both sources.
-		select {
-		case body = <-scraped:
-		case <-time.After(100 * time.Millisecond):
+
+	ctr := run.Obs.Reg().Counter("drc.via.attempted")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				ctr.Inc()
+			}
 		}
-	})
-	if body == "" {
-		body = <-scraped
+	}()
+	var last float64
+	for i := 0; i < 5; i++ {
+		v := scrape()
+		if v < last {
+			t.Fatalf("scrape %d read %v after %v", i, v, last)
+		}
+		last = v
 	}
-	s, err := obs.CheckProm(strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("%v\n%s", err, body)
-	}
-	if v := s.Series[`drc_via_attempted_total{design="c17"}`]; v != live {
-		t.Fatalf("scrape during the handoff = %v, want %d", v, live)
+	close(stop)
+	wg.Wait()
+	if v, want := scrape(), float64(ctr.Load()); v != want {
+		t.Fatalf("scrape after the writer stopped = %v, want %v", v, want)
 	}
 }
 

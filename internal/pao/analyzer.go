@@ -34,13 +34,14 @@ type Analyzer struct {
 	Design *db.Design
 	Cfg    Config
 
-	// Obs receives spans and worker telemetry when set (before the first
-	// Run/AnalyzeUnique call). Nil disables the deep instrumentation; the
-	// coarse per-step durations in Stats.Steps are always populated.
-	Obs *obs.Observer
-	// DRC accumulates the DRC engine counters of every engine the analyzer
-	// creates (per-cell contexts and the global engine). Always non-nil.
-	DRC *drc.Counters
+	// obs receives spans and worker telemetry once Observe binds it. Nil
+	// disables the deep instrumentation; the coarse per-step durations in
+	// Stats.Steps are always populated.
+	obs *obs.Observer
+	// DRC is what every DRC engine the analyzer creates (per-cell contexts
+	// and the global engine) counts into: the drc.* series of a private
+	// registry, or of the observer's registry once Observe binds one.
+	DRC drc.Counters
 
 	// FaultHook, when set before a run, is invoked at the Site* pipeline
 	// points with the site name and a detail string (class signature or
@@ -82,7 +83,7 @@ type termKey struct {
 
 // NewAnalyzer builds an analyzer for the design with the given configuration.
 func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
-	a := &Analyzer{Design: d, Cfg: cfg.normalized(), DRC: &drc.Counters{}, netOf: make(map[termKey]int)}
+	a := &Analyzer{Design: d, Cfg: cfg.normalized(), DRC: drc.NewCounters(nil), netOf: make(map[termKey]int)}
 	if !a.Cfg.NoCache {
 		a.viaCache = drc.NewViaCache()
 	}
@@ -95,34 +96,22 @@ func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
 	return a
 }
 
-// PublishObs folds the analyzer's accumulated DRC counters (including the
-// via-verdict cache hit/miss counts) into the observer's registry. Call once
-// per analyzer, after its last Run.
-func (a *Analyzer) PublishObs() {
-	if reg := a.Obs.Reg(); reg != nil {
-		reg.AddAll(a.LiveCounters())
+// Observe binds the analyzer to o; call it before the first run. Spans and
+// worker telemetry go to o's trace and registry, and DRC becomes the
+// registry's drc.* series, so every engine the analyzer builds from then on
+// counts straight into what o reports and a scrape of it reads. A nil o
+// leaves the analyzer unobserved.
+func (a *Analyzer) Observe(o *obs.Observer) {
+	a.obs = o
+	if reg := o.Reg(); reg != nil {
+		a.DRC = drc.NewCounters(reg)
 	}
 }
 
-// LiveCounters returns the analyzer's accumulated counters as of now. Safe to
-// call while a run executes (everything underneath is atomic), which is what
-// a mid-run -metrics-listen scrape folds into its exposition — PublishObs
-// moves the same totals into the registry permanently once the run is done.
+// LiveCounters returns the analyzer's DRC counters as of now. Safe to call
+// while a run executes: every counter is atomic.
 func (a *Analyzer) LiveCounters() map[string]int64 {
 	return a.DRC.Snapshot()
-}
-
-// CacheStats is a snapshot of the via-drop verdict cache counters.
-type CacheStats struct {
-	ViaHits, ViaMisses int64
-}
-
-// CacheStats reports the analyzer's cache counters accumulated so far.
-func (a *Analyzer) CacheStats() CacheStats {
-	return CacheStats{
-		ViaHits:   a.DRC.CacheHits.Load(),
-		ViaMisses: a.DRC.CacheMisses.Load(),
-	}
 }
 
 // NetOf returns the net index of an instance pin, allocating a pseudo net for
@@ -259,8 +248,8 @@ func (a *Analyzer) addInstanceShapes(eng *drc.Engine, inst *db.Instance) []int {
 // AnalyzeUnique runs Steps 1 and 2 for one unique instance.
 func (a *Analyzer) AnalyzeUnique(ui *db.UniqueInstance) *UniqueAccess {
 	var parent *obs.Span
-	if a.Obs != nil {
-		parent = a.Obs.Root()
+	if a.obs != nil {
+		parent = a.obs.Root()
 	}
 	return a.analyzeUnique(context.Background(), ui, parent, nil)
 }
@@ -342,7 +331,7 @@ func (a *Analyzer) safeAnalyzeUnique(ctx context.Context, ui *db.UniqueInstance,
 func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.UniqueInstance,
 	uas []*UniqueAccess, sp12 *obs.Span, busyTotal *atomic.Int64, h *Health) (done bool) {
 
-	reg := a.Obs.Reg()
+	reg := a.obs.Reg()
 	var busy, wait time.Duration
 	cur := -1
 	defer func() {
@@ -486,8 +475,8 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	tRun := time.Now()
 	a.step1NS.Store(0)
 	a.step2NS.Store(0)
-	reg := a.Obs.Reg()
-	spRun := a.Obs.Root().Start("pao.run")
+	reg := a.obs.Reg()
+	spRun := a.obs.Root().Start("pao.run")
 	res := newResult()
 	h := res.Health
 	uis := a.Design.UniqueInstances()

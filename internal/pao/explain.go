@@ -170,7 +170,6 @@ func Explain(d *db.Design, cfg Config, inst *db.Instance, pinName string) (*Expl
 	}()
 	rep.APs = rec.aps
 	rep.Patterns = rec.patterns
-	cs := a.CacheStats()
-	rep.Cache = CacheAudit{ViaHits: cs.ViaHits, ViaMisses: cs.ViaMisses}
+	rep.Cache = CacheAudit{ViaHits: a.DRC.CacheHits.Load(), ViaMisses: a.DRC.CacheMisses.Load()}
 	return rep, nil
 }

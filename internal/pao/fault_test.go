@@ -89,7 +89,7 @@ func TestFaultPanicsQuarantineClasses(t *testing.T) {
 			a := pao.NewAnalyzer(faultDesign(t), cfg)
 			a.FaultHook = in.SiteHook()
 			o := obs.NewObserver("fault")
-			a.Obs = o
+			a.Observe(o)
 			res, err := a.RunContext(context.Background())
 			if err != nil {
 				t.Fatalf("graceful degradation must not return an error: %v", err)

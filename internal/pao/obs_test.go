@@ -9,7 +9,7 @@ import (
 )
 
 // runWithObs analyzes the design with the given worker count under a fresh
-// observer and returns the result plus the published counter totals.
+// observer and returns the result plus the observer's counter totals.
 func runWithObs(t *testing.T, workers int) (Stats, map[string]int64) {
 	t.Helper()
 	d, err := suite.Generate(suite.Testcases[0].Scale(0.02))
@@ -20,15 +20,14 @@ func runWithObs(t *testing.T, workers int) (Stats, map[string]int64) {
 	cfg.Workers = workers
 	a := NewAnalyzer(d, cfg)
 	o := obs.NewObserver("test")
-	a.Obs = o
+	a.Observe(o)
 	res := a.Run()
-	a.PublishObs()
 	return res.Stats, o.Registry.Snapshot().Counters
 }
 
 // TestObsWorkerEquivalence: the analysis is deterministic across worker
-// counts, and so is every published counter — the same checks, queries and
-// via validations run regardless of how the unique instances are scheduled.
+// counts, and so is every counter — the same checks, queries and via
+// validations run regardless of how the unique instances are scheduled.
 // Histograms and gauges (worker telemetry) legitimately differ and are
 // excluded. Run under -race in CI.
 func TestObsWorkerEquivalence(t *testing.T) {
@@ -52,12 +51,12 @@ func TestObsWorkerEquivalence(t *testing.T) {
 		}
 	}
 	if len(seqCounts) == 0 {
-		t.Fatal("no counters published")
+		t.Fatal("no counters recorded")
 	}
 	// The acceptance-level counter families must be present.
 	for _, name := range []string{"drc.query.count", "drc.check.metal", "drc.via.attempted", "drc.viacache.hit", "drc.viacache.miss", "pao.step12.items"} {
 		if _, ok := seqCounts[name]; !ok {
-			t.Errorf("counter %q missing from publication", name)
+			t.Errorf("counter %q missing from the observer's registry", name)
 		}
 	}
 }
@@ -71,7 +70,7 @@ func TestObsSpanTree(t *testing.T) {
 	}
 	a := NewAnalyzer(d, DefaultConfig())
 	o := obs.NewObserver("test")
-	a.Obs = o
+	a.Observe(o)
 	a.Run()
 
 	e := o.Root().Export()

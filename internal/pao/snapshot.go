@@ -197,13 +197,15 @@ func appendInts(b []byte, vs ...int64) []byte {
 	return b
 }
 
-// ConfigFingerprint renders the analysis-relevant config fields. Workers and
-// FailFast are excluded: results are identical across worker counts, and the
-// abort policy never changes what a completed run contains.
+// ConfigFingerprint renders the analysis-relevant config fields. Workers,
+// FailFast and NoCache are excluded: results are identical across worker
+// counts and with the via cache on or off, and the abort policy never changes
+// what a completed run contains.
 func ConfigFingerprint(c Config) string {
 	c = c.normalized()
 	c.Workers = 0
 	c.FailFast = false
+	c.NoCache = false
 	return fmt.Sprintf("%+v", c)
 }
 

@@ -190,6 +190,33 @@ func TestSnapshotMismatch(t *testing.T) {
 	}
 }
 
+// TestSnapshotNoCacheRoundTrip: the via cache never changes a result, so a
+// snapshot encoded by a cache-off analysis under its own config loads under
+// the default config and re-encodes to the cache-on analysis's snapshot.
+func TestSnapshotNoCacheRoundTrip(t *testing.T) {
+	d := snapshotDesign(t)
+	cfg := pao.DefaultConfig()
+	off := cfg
+	off.NoCache = true
+	encode := func(c pao.Config, res *pao.Result) []byte {
+		t.Helper()
+		res.Stats = res.Stats.Counts()
+		var buf bytes.Buffer
+		if err := pao.EncodeSnapshot(&buf, d, c, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	snap := encode(off, pao.NewAnalyzer(d, off).Run())
+	restored, err := pao.DecodeSnapshot(bytes.NewReader(snap), d, cfg)
+	if err != nil {
+		t.Fatalf("default config refused a NoCache snapshot: %v", err)
+	}
+	if got, want := encode(cfg, restored), encode(cfg, pao.NewAnalyzer(d, cfg).Run()); !bytes.Equal(got, want) {
+		t.Fatalf("restored NoCache snapshot re-encodes to %d bytes, cache-on analysis to %d", len(got), len(want))
+	}
+}
+
 // TestSnapshotFileAtomicity checks WriteSnapshotFile leaves no temp droppings
 // and that ReadSnapshotFile round-trips through the filesystem.
 func TestSnapshotFileAtomicity(t *testing.T) {

@@ -1,6 +1,10 @@
 package pao
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/suite"
+)
 
 // TestPatternKeyCollisionFree pins the fix for the truncating byte(c+1)
 // encoding: choice indices that differ by 256, and index 255 versus the -1
@@ -26,16 +30,23 @@ func TestPatternKeyCollisionFree(t *testing.T) {
 }
 
 // TestNoCacheDisablesMemoization: Config.NoCache must leave the via-verdict
-// cache unbuilt so every check is live.
+// cache unbuilt so every check is live: a full run looks nothing up.
 func TestNoCacheDisablesMemoization(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoCache = true
-	d := newDesign45("nocache")
+	d, err := suite.Generate(suite.Testcases[0].Scale(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := NewAnalyzer(d, cfg)
 	if a.viaCache != nil {
 		t.Fatal("NoCache must disable the via cache")
 	}
-	if s := a.CacheStats(); s != (CacheStats{}) {
-		t.Fatalf("CacheStats with NoCache = %+v, want zero", s)
+	a.Run()
+	if a.DRC.ViaChecks.Load() == 0 {
+		t.Fatal("the run checked no vias; the test is vacuous")
+	}
+	if hits, misses := a.DRC.CacheHits.Load(), a.DRC.CacheMisses.Load(); hits+misses != 0 {
+		t.Fatalf("via cache traffic with NoCache: %d hits, %d misses, want none", hits, misses)
 	}
 }

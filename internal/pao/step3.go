@@ -78,7 +78,7 @@ func (a *Analyzer) selectClusters(ctx context.Context, res *Result, eng *drc.Eng
 // caller's quarantine covers the fan-out.
 func (a *Analyzer) fanOut(eng *drc.Engine, n int, hist string, item func(w, i int, qc *drc.QueryCtx) bool) {
 	workers := a.Cfg.workers()
-	reg := a.Obs.Reg()
+	reg := a.obs.Reg()
 	panics := make([]any, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -105,11 +105,7 @@ func (s *Server) ecoSession() *pao.ECOSession {
 	if s.eco != nil && s.eco.Result() == cur {
 		return s.eco
 	}
-	a := pao.NewAnalyzer(s.design, s.paoCfg)
-	a.Obs = s.Obs
-	a.FaultHook = s.PaoFaultHook
-	a.DRCFaultHook = s.DRCFaultHook
-	s.eco = pao.NewECOSession(a, cur)
+	s.eco = pao.NewECOSession(s.analyzer(), cur)
 	return s.eco
 }
 

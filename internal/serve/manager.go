@@ -342,18 +342,6 @@ func (m *Manager) StateFor(id string) (DesignState, bool) {
 	return DesignState(e.state.Load()), true
 }
 
-// DesignIDs lists registered designs, sorted.
-func (m *Manager) DesignIDs() []string {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.entries))
-	for id := range m.entries {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	sort.Strings(ids)
-	return ids
-}
-
 func (m *Manager) get(id string) *entry {
 	m.mu.Lock()
 	defer m.mu.Unlock()

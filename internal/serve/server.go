@@ -311,15 +311,14 @@ func (s *Server) publishGauges() {
 	}
 }
 
-// compute runs the full pipeline under ctx with the test hooks installed.
-func (s *Server) compute(ctx context.Context) (*pao.Result, error) {
+// analyzer builds an analyzer over the served design with the test hooks
+// installed, counting into the server's registry.
+func (s *Server) analyzer() *pao.Analyzer {
 	a := pao.NewAnalyzer(s.design, s.paoCfg)
-	a.Obs = s.Obs
 	a.FaultHook = s.PaoFaultHook
 	a.DRCFaultHook = s.DRCFaultHook
-	res, err := a.RunContext(ctx)
-	a.PublishObs()
-	return res, err
+	a.Observe(s.Obs)
+	return a
 }
 
 // loadRetry is the warm-restart-load policy: a couple of quick retries for
@@ -376,7 +375,7 @@ func (s *Server) Init(ctx context.Context) error {
 			s.Logger.Warn("snapshot rejected, falling back to recompute", "path", path, "err", err)
 		}
 	}
-	res, err := s.compute(ctx)
+	res, err := s.analyzer().RunContext(ctx)
 	if err != nil {
 		return err
 	}
@@ -487,7 +486,7 @@ func (s *Server) reanalyze(ctx context.Context) {
 	// ECO can't mutate it mid-run while queries stay unblocked.
 	s.ecoMu.Lock()
 	defer s.ecoMu.Unlock()
-	res, err := s.compute(ctx)
+	res, err := s.analyzer().RunContext(ctx)
 	switch {
 	case err != nil:
 		reg.Counter("serve.reanalyze.failed").Inc()

@@ -325,7 +325,7 @@ func TestServeVersionEndpoint(t *testing.T) {
 
 // TestServeObserverBuildsNoTrace: a server's observer has no trace, so its
 // re-analyses and ECO sessions grow no span tree that nothing reads, while
-// their analyzers' counters still reach /metrics.
+// their analyzers count into the registry /metrics scrapes.
 func TestServeObserverBuildsNoTrace(t *testing.T) {
 	d := serveDesign(t)
 	m := newTestManager(t, ManagerConfig{})
@@ -342,7 +342,7 @@ func TestServeObserverBuildsNoTrace(t *testing.T) {
 	}
 	prev := queries()
 	if prev == 0 {
-		t.Fatal("first analysis published no drc.query.count")
+		t.Fatal("first analysis counted no drc.query.count")
 	}
 	for i := 0; i < 3; i++ {
 		s.reanalyze(context.Background())
@@ -357,6 +357,9 @@ func TestServeObserverBuildsNoTrace(t *testing.T) {
 		mover.Name, mover.Pos.X+70, mover.Pos.Y)
 	if code, body := postECO(t, h, move); code != http.StatusOK {
 		t.Fatalf("eco = %d: %s", code, body)
+	}
+	if got := queries(); got <= prev {
+		t.Fatalf("ECO move: drc_query_count_total = %v, was %v", got, prev)
 	}
 	if s.Obs.Trace != nil || s.Obs.Root() != nil {
 		t.Fatalf("server observer holds a span tree: %+v", s.Obs.Root().Export())
