@@ -82,8 +82,11 @@ serve-smoke:
 # and count-only stub check, counting into registry series as an analyzer's
 # engines do (TestViaCacheHitAllocFree, TestQueryMetalCtxAllocFree,
 # TestMetalRectCountAllocFree), the via-pair predicate
-# (TestViaPairCleanDistance) and the polygon union
-# (TestUnionScratchNoAllocsWarm).
+# (TestViaPairCleanDistance), the polygon union
+# (TestUnionScratchNoAllocsWarm), a warm scratch cell engine Reset and
+# refilled with another class's shapes (TestCellScratchRefillAllocFree), a
+# warm Step-3 cluster DP (TestSelectForClusterAllocFree) and the net index
+# (TestNetOfAllocFree).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
 	$(GO) test -race ./internal/obs ./internal/cliutil ./internal/serve

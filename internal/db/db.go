@@ -154,22 +154,31 @@ func (i *Instance) BBox() geom.Rect { return i.Transform().BBox() }
 
 // PinShapes returns the design-coordinate rectangles of the given master pin.
 func (i *Instance) PinShapes(p *MPin) []Shape {
-	tr := i.Transform()
-	out := make([]Shape, len(p.Shapes))
-	for k, s := range p.Shapes {
-		out[k] = Shape{Layer: s.Layer, Rect: tr.ApplyRect(s.Rect)}
-	}
-	return out
+	return i.AppendPinShapes(make([]Shape, 0, len(p.Shapes)), p)
+}
+
+// AppendPinShapes appends the design-coordinate rectangles of the given
+// master pin to dst.
+func (i *Instance) AppendPinShapes(dst []Shape, p *MPin) []Shape {
+	return appendPlaced(dst, i.Transform(), p.Shapes)
 }
 
 // ObsShapes returns the design-coordinate obstruction rectangles.
 func (i *Instance) ObsShapes() []Shape {
-	tr := i.Transform()
-	out := make([]Shape, len(i.Master.Obs))
-	for k, s := range i.Master.Obs {
-		out[k] = Shape{Layer: s.Layer, Rect: tr.ApplyRect(s.Rect)}
+	return i.AppendObsShapes(make([]Shape, 0, len(i.Master.Obs)))
+}
+
+// AppendObsShapes appends the design-coordinate obstruction rectangles to dst.
+func (i *Instance) AppendObsShapes(dst []Shape) []Shape {
+	return appendPlaced(dst, i.Transform(), i.Master.Obs)
+}
+
+// appendPlaced appends the master-local shapes, placed by tr, to dst.
+func appendPlaced(dst []Shape, tr geom.Transform, shapes []Shape) []Shape {
+	for _, s := range shapes {
+		dst = append(dst, Shape{Layer: s.Layer, Rect: tr.ApplyRect(s.Rect)})
 	}
-	return out
+	return dst
 }
 
 // Term is a net terminal: an (instance, pin) pair.

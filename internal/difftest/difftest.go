@@ -30,7 +30,7 @@ import (
 // so both implementations answer queries over the same design state.
 func Mirror(eng *drc.Engine) *oracle.Checker {
 	c := oracle.New(eng.Tech)
-	eng.ForEachObj(func(o *drc.Obj) {
+	eng.ForEachObj(func(o drc.Obj) {
 		if o.CutBelow > 0 {
 			c.AddCut(o.CutBelow, o.Rect, o.Net)
 		} else {

@@ -51,15 +51,16 @@ func (e *Engine) checkMetalRectInto(layer int, r geom.Rect, net int, ctx *QueryC
 	before := len(out)
 	win := r.Bloat(l.SpacingReach())
 	for _, id := range e.QueryMetalCtx(layer, win, ctx) {
-		oNet := int(e.snet[id])
+		o := &e.objs[id]
+		oNet := int(o.net)
 		if sameNet(net, oNet) {
 			continue
 		}
 		var tag string
 		if notes {
-			tag = e.objs[id].describe()
+			tag = e.describe(id)
 		}
-		out = checkMetalPairInto(l, r, net, "candidate", e.objs[id].Rect, oNet, tag, notes, out)
+		out = checkMetalPairInto(l, r, net, "candidate", o.rect, oNet, tag, notes, out)
 	}
 	e.Counters.Violations.Add(int64(len(out) - before))
 	return out
@@ -199,22 +200,22 @@ func (e *Engine) checkCutRectInto(cutBelow int, r geom.Rect, net int, ctx *Query
 	win := r.Bloat(c.Spacing)
 	for _, id := range e.QueryCutCtx(cutBelow, win, ctx) {
 		o := &e.objs[id]
-		if o.Rect == r {
+		if o.rect == r {
 			continue // the same via
 		}
-		if r.Overlaps(o.Rect) {
-			ov, _ := r.Intersect(o.Rect)
+		if r.Overlaps(o.rect) {
+			ov, _ := r.Intersect(o.rect)
 			v := Violation{Rule: "Short", Layer: c.Name, Where: ov}
 			if notes {
-				v.Note = fmt.Sprintf("cut overlaps %s (net %d)", o.describe(), o.Net)
+				v.Note = fmt.Sprintf("cut overlaps %s (net %d)", e.describe(id), o.net)
 			}
 			out = append(out, v)
 			continue
 		}
-		if d := r.DistSquared(o.Rect); d < c.Spacing*c.Spacing {
-			v := Violation{Rule: "CutSpacing", Layer: c.Name, Where: r.UnionBBox(o.Rect)}
+		if d := r.DistSquared(o.rect); d < c.Spacing*c.Spacing {
+			v := Violation{Rule: "CutSpacing", Layer: c.Name, Where: r.UnionBBox(o.rect)}
 			if notes {
-				v.Note = fmt.Sprintf("cut within %d of %s (net %d)", c.Spacing, o.describe(), o.Net)
+				v.Note = fmt.Sprintf("cut within %d of %s (net %d)", c.Spacing, e.describe(id), o.net)
 			}
 			out = append(out, v)
 		}
@@ -378,13 +379,14 @@ func (e *Engine) checkEOLRectInto(layer int, r geom.Rect, net int, ctx *QueryCtx
 	wins, nw := eolWindows(l, r)
 	for _, win := range wins[:nw] {
 		for _, id := range e.QueryMetalCtx(layer, win, ctx) {
-			if sameNet(net, int(e.snet[id])) {
+			o := &e.objs[id]
+			if sameNet(net, int(o.net)) {
 				continue
 			}
-			if win.Overlaps(e.objs[id].Rect) {
+			if win.Overlaps(o.rect) {
 				v := Violation{Rule: "EOL", Layer: l.Name, Where: win}
 				if notes {
-					v.Note = fmt.Sprintf("end-of-line window blocked by %s (net %d)", e.objs[id].describe(), e.objs[id].Net)
+					v.Note = fmt.Sprintf("end-of-line window blocked by %s (net %d)", e.describe(id), o.net)
 				}
 				out = append(out, v)
 				break
@@ -565,38 +567,40 @@ func (e *Engine) checkObjAgainst(id int, qc *QueryCtx, out []Violation) []Violat
 	before := len(out)
 	pairs := int64(0)
 	switch {
-	case o.MetalLayer > 0:
-		l := e.Tech.Metal(o.MetalLayer)
-		win := o.Rect.Bloat(l.SpacingReach())
-		for _, jd := range e.QueryMetalCtx(o.MetalLayer, win, qc) {
+	case o.lay > 0:
+		layer := int(o.lay)
+		l := e.Tech.Metal(layer)
+		win := o.rect.Bloat(l.SpacingReach())
+		for _, jd := range e.QueryMetalCtx(layer, win, qc) {
 			if jd <= id {
 				continue
 			}
 			pairs++
 			q := &e.objs[jd]
-			if sameNet(o.Net, q.Net) {
+			if sameNet(int(o.net), int(q.net)) {
 				continue
 			}
-			out = checkMetalPairInto(l, o.Rect, o.Net, o.describe(), q.Rect, q.Net, q.describe(), true, out)
+			out = checkMetalPairInto(l, o.rect, int(o.net), e.describe(id), q.rect, int(q.net), e.describe(jd), true, out)
 		}
-	case o.CutBelow > 0:
-		c := e.Tech.Cut(o.CutBelow)
-		win := o.Rect.Bloat(c.Spacing)
-		for _, jd := range e.QueryCutCtx(o.CutBelow, win, qc) {
+	case o.lay < 0:
+		cutBelow := int(-o.lay)
+		c := e.Tech.Cut(cutBelow)
+		win := o.rect.Bloat(c.Spacing)
+		for _, jd := range e.QueryCutCtx(cutBelow, win, qc) {
 			if jd <= id {
 				continue
 			}
 			pairs++
 			q := &e.objs[jd]
-			if o.Rect.Overlaps(q.Rect) {
-				ov, _ := o.Rect.Intersect(q.Rect)
+			if o.rect.Overlaps(q.rect) {
+				ov, _ := o.rect.Intersect(q.rect)
 				out = append(out, Violation{Rule: "Short", Layer: c.Name, Where: ov,
-					Note: fmt.Sprintf("%s overlaps %s", o.describe(), q.describe())})
+					Note: fmt.Sprintf("%s overlaps %s", e.describe(id), e.describe(jd))})
 				continue
 			}
-			if d := o.Rect.DistSquared(q.Rect); d < c.Spacing*c.Spacing {
-				out = append(out, Violation{Rule: "CutSpacing", Layer: c.Name, Where: o.Rect.UnionBBox(q.Rect),
-					Note: fmt.Sprintf("%s within %d of %s", o.describe(), c.Spacing, q.describe())})
+			if d := o.rect.DistSquared(q.rect); d < c.Spacing*c.Spacing {
+				out = append(out, Violation{Rule: "CutSpacing", Layer: c.Name, Where: o.rect.UnionBBox(q.rect),
+					Note: fmt.Sprintf("%s within %d of %s", e.describe(id), c.Spacing, e.describe(jd))})
 			}
 		}
 	}

@@ -39,9 +39,10 @@ const NoNet = -1
 // Engine.FaultHook).
 const SiteCheckVia = "drc.CheckVia"
 
-// Obj is one rectangle known to the engine. Metal shapes set MetalLayer to
-// the 1-based metal number; via cuts set CutBelow to the cut layer's metal
-// number and leave MetalLayer zero.
+// Obj is one rectangle known to the engine: what Add takes, and the value
+// Engine.Obj and ForEachObj build from the engine's record. Metal shapes set
+// MetalLayer to the 1-based metal number; via cuts set CutBelow to the cut
+// layer's metal number and leave MetalLayer zero.
 type Obj struct {
 	ID         int
 	Kind       Kind
@@ -52,11 +53,23 @@ type Obj struct {
 	Tag        string
 }
 
-func (o *Obj) describe() string {
-	if o.Tag != "" {
-		return o.Tag
+// obj is the engine's record of one shape (40 bytes). It holds no pointer,
+// so the garbage collector never scans the object array; the few tags live
+// in the engine's side table.
+type obj struct {
+	rect geom.Rect
+	net  int32
+	lay  int16 // +metal layer, -cut-below layer, 0 for an unindexed shape
+	kind Kind
+}
+
+// describe names object id in violation notes: its tag, or its kind and net.
+func (e *Engine) describe(id int) string {
+	if tag := e.tags[int32(id)]; tag != "" {
+		return tag
 	}
-	return fmt.Sprintf("%s(net %d)", o.Kind, o.Net)
+	o := &e.objs[id]
+	return fmt.Sprintf("%s(net %d)", o.kind, o.net)
 }
 
 // Violation is one design rule violation.
@@ -199,16 +212,15 @@ type Engine struct {
 	// goroutines.
 	FaultHook func(site string) []Violation
 
-	objs  []Obj
+	objs  []obj
+	tags  map[int32]string // object ID -> tag, for tagged objects only
 	alive []bool
 
 	// Struct-of-arrays slabs mirroring objs for the query hot loop: clamped
-	// int32 coordinates plus packed net / kind+saturation / layer columns
-	// (see slab.go for the saturation contract).
+	// int32 coordinates plus the rows whose clamping moved a coordinate (see
+	// slab.go for the saturation contract).
 	sxl, syl, sxh, syh []int32
-	snet               []int32
-	sinfo              []uint8 // Kind in the low bits, slabSat in the top bit
-	slay               []int16 // +metal layer, -cut-below layer
+	sat                []bool
 
 	metal   []*binIndex // index 1..NumMetals
 	cut     []*binIndex // index 1..NumMetals-1
@@ -259,12 +271,11 @@ func (e *Engine) NumObjs() int {
 	return n
 }
 
-// ForEachObj calls fn for every live object in insertion order. The *Obj is
-// valid only for the duration of the call.
-func (e *Engine) ForEachObj(fn func(o *Obj)) {
+// ForEachObj calls fn for every live object in insertion order.
+func (e *Engine) ForEachObj(fn func(o Obj)) {
 	for id := range e.objs {
 		if e.alive[id] {
-			fn(&e.objs[id])
+			fn(e.Obj(id))
 		}
 	}
 }
@@ -286,8 +297,22 @@ func (e *Engine) AttachViaCache(c *ViaCache) {
 // Add registers a shape and returns its ID. IDs are handed out consecutively
 // in insertion order and never reused (Remove only marks an ID dead).
 func (e *Engine) Add(o Obj) int {
-	o.ID = len(e.objs)
-	e.objs = append(e.objs, o)
+	id := len(e.objs)
+	rec := obj{rect: o.Rect, net: int32(o.Net), kind: o.Kind}
+	switch {
+	case o.CutBelow > 0:
+		rec.lay = -int16(o.CutBelow)
+	case o.MetalLayer > 0:
+		rec.lay = int16(o.MetalLayer)
+	}
+	idx := e.index(rec.lay)
+	e.objs = append(e.objs, rec)
+	if o.Tag != "" {
+		if e.tags == nil {
+			e.tags = make(map[int32]string)
+		}
+		e.tags[int32(id)] = o.Tag
+	}
 	e.alive = append(e.alive, true)
 	e.stamp = append(e.stamp, 0)
 	xl, yl, xh, yh, sat := clampRect(o.Rect)
@@ -295,31 +320,25 @@ func (e *Engine) Add(o Obj) int {
 	e.syl = append(e.syl, yl)
 	e.sxh = append(e.sxh, xh)
 	e.syh = append(e.syh, yh)
-	e.snet = append(e.snet, int32(o.Net))
-	info := uint8(o.Kind) & slabKindMask
-	if sat {
-		info |= slabSat
+	e.sat = append(e.sat, sat)
+	if idx != nil {
+		idx.insert(int32(id), o.Rect)
+		if idx.needsCompact() {
+			e.compactIndex(idx)
+		}
 	}
-	e.sinfo = append(e.sinfo, info)
+	return id
+}
+
+// index returns the bin index of a record's layer, nil for an unindexed one.
+func (e *Engine) index(lay int16) *binIndex {
 	switch {
-	case o.CutBelow > 0:
-		e.slay = append(e.slay, -int16(o.CutBelow))
-		idx := e.cut[o.CutBelow]
-		idx.insert(int32(o.ID), o.Rect)
-		if idx.needsCompact() {
-			e.compactIndex(idx)
-		}
-	case o.MetalLayer > 0:
-		e.slay = append(e.slay, int16(o.MetalLayer))
-		idx := e.metal[o.MetalLayer]
-		idx.insert(int32(o.ID), o.Rect)
-		if idx.needsCompact() {
-			e.compactIndex(idx)
-		}
-	default:
-		e.slay = append(e.slay, 0)
+	case lay < 0:
+		return e.cut[-lay]
+	case lay > 0:
+		return e.metal[lay]
 	}
-	return o.ID
+	return nil
 }
 
 // Grow reserves room for n more objects in every per-object column, so a
@@ -332,9 +351,36 @@ func (e *Engine) Grow(n int) {
 	e.syl = slices.Grow(e.syl, n)
 	e.sxh = slices.Grow(e.sxh, n)
 	e.syh = slices.Grow(e.syh, n)
-	e.snet = slices.Grow(e.snet, n)
-	e.sinfo = slices.Grow(e.sinfo, n)
-	e.slay = slices.Grow(e.slay, n)
+	e.sat = slices.Grow(e.sat, n)
+}
+
+// Reset empties the engine for reuse, as NewEngine over the same Technology
+// would return it with Counters kept: every object, tag, index entry, the
+// FaultHook and the attached via cache go. Every column, bin run, id slab
+// and overflow list keeps its capacity, so a warm engine refilled with
+// shapes like the ones it held allocates nothing. Reset restores a
+// consistent empty engine from any state, including one a panic left in the
+// middle of an Add, a Compact or a check. Like Add, it needs exclusive
+// access; QueryCtx values created on the engine stay usable.
+func (e *Engine) Reset() {
+	e.FaultHook = nil
+	e.cache = nil
+	e.objs = e.objs[:0]
+	clear(e.tags)
+	e.alive = e.alive[:0]
+	e.stamp = e.stamp[:0]
+	e.sxl, e.syl, e.sxh, e.syh = e.sxl[:0], e.syl[:0], e.sxh[:0], e.syh[:0]
+	e.sat = e.sat[:0]
+	for _, idx := range e.metal {
+		if idx != nil {
+			idx.reset()
+		}
+	}
+	for _, idx := range e.cut {
+		if idx != nil {
+			idx.reset()
+		}
+	}
 }
 
 // AddMetal is a convenience wrapper for metal shapes.
@@ -352,26 +398,27 @@ func (e *Engine) Remove(id int) {
 	if id < 0 || id >= len(e.objs) || !e.alive[id] {
 		return
 	}
-	o := &e.objs[id]
 	e.alive[id] = false
-	switch {
-	case o.CutBelow > 0:
-		idx := e.cut[o.CutBelow]
-		idx.remove(int32(id), o.Rect)
-		if idx.needsCompact() {
-			e.compactIndex(idx)
-		}
-	case o.MetalLayer > 0:
-		idx := e.metal[o.MetalLayer]
-		idx.remove(int32(id), o.Rect)
+	o := &e.objs[id]
+	if idx := e.index(o.lay); idx != nil {
+		idx.remove(int32(id), o.rect)
 		if idx.needsCompact() {
 			e.compactIndex(idx)
 		}
 	}
 }
 
-// Obj returns the object with the given ID (valid until the next Add).
-func (e *Engine) Obj(id int) *Obj { return &e.objs[id] }
+// Obj returns the object with the given ID, built from the engine's record.
+func (e *Engine) Obj(id int) Obj {
+	o := &e.objs[id]
+	out := Obj{ID: id, Kind: o.kind, Rect: o.rect, Net: int(o.net), Tag: e.tags[int32(id)]}
+	if o.lay > 0 {
+		out.MetalLayer = int(o.lay)
+	} else {
+		out.CutBelow = int(-o.lay)
+	}
+	return out
+}
 
 // queryIdx gathers live object IDs from idx touching r, deduped, using the
 // engine-owned stamp state (exclusive-use callers only).
@@ -427,14 +474,14 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, stamp []int32, pass in
 			if e.sxl[id] > qxh || qxl > e.sxh[id] || e.syl[id] > qyh || qyl > e.syh[id] {
 				continue
 			}
-			if (qsat || e.sinfo[id]&slabSat != 0) && !e.objs[id].Rect.Touches(r) {
+			if (qsat || e.sat[id]) && !e.objs[id].rect.Touches(r) {
 				continue
 			}
 			out = append(out, int(id))
 		}
 	}
 	x0, y0, x1, y1 := idx.keyRange(r)
-	dense := idx.runs != nil
+	dense := idx.nx > 0
 	sparse := len(idx.over) > 0
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
@@ -446,7 +493,9 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, stamp []int32, pass in
 				}
 			}
 			if sparse {
-				scan(idx.over[[2]int32{x, y}])
+				if s, ok := idx.over[[2]int32{x, y}]; ok {
+					scan(idx.cells[s])
+				}
 			}
 		}
 	}
@@ -494,9 +543,10 @@ func (ctx *QueryCtx) ensure(e *Engine) {
 	}
 }
 
-// NewQueryCtx allocates query state sized for the engine's current objects.
+// NewQueryCtx allocates query state sized for the engine's current objects,
+// with room for the ones Grow reserved, so adding those does not regrow it.
 func (e *Engine) NewQueryCtx() *QueryCtx {
-	return &QueryCtx{stamp: make([]int32, len(e.objs))}
+	return &QueryCtx{stamp: make([]int32, len(e.objs), cap(e.objs))}
 }
 
 // QueryMetalCtx is QueryMetal with caller-owned state (safe for concurrent

@@ -2,6 +2,7 @@ package drc
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -9,11 +10,11 @@ import (
 // Data-oriented storage for the query core (see DESIGN.md §16).
 //
 // The engine keeps the geometry it scans during region queries in flat
-// struct-of-arrays slabs — int32 XL/YL/XH/YH columns plus packed net/kind/
-// layer columns — so the Touches test over a bin's candidates is a
-// branch-light compare over contiguous memory instead of a pointer-chase
-// through 64-byte Obj structs. The authoritative int64 geometry stays in
-// Engine.objs; the columns are a saturating-clamped projection of it:
+// struct-of-arrays slabs — int32 XL/YL/XH/YH columns plus a saturation
+// column — so the Touches test over a bin's candidates is a branch-light
+// compare over contiguous memory instead of a walk over the 40-byte object
+// records. The authoritative int64 geometry stays in Engine.objs; the
+// columns are a saturating-clamped projection of it:
 //
 //   - clamping is monotone, so a true int64 touch always survives as an int32
 //     touch (no false negatives);
@@ -22,16 +23,8 @@ import (
 //     compares exactly;
 //   - a saturated shape (or a saturated query window) can produce a false
 //     positive, so those candidates get one exact int64 confirm against
-//     Engine.objs. The slabSat flag marks them; the branch is perfectly
-//     predicted (never taken) on unsaturated designs.
-
-const (
-	// slabSat marks a slab row whose clamped coordinates differ from the
-	// authoritative int64 rectangle; matches against it re-check exactly.
-	slabSat uint8 = 1 << 7
-	// slabKindMask extracts the Kind packed in the low bits of the info column.
-	slabKindMask uint8 = 0x0f
-)
+//     Engine.objs. Engine.sat marks them; the branch is perfectly predicted
+//     (never taken) on unsaturated designs.
 
 // clampI32 saturates an int64 coordinate into int32 range.
 func clampI32(v int64) (int32, bool) {
@@ -63,25 +56,31 @@ type binRun struct {
 
 // binIndex is the uniform-grid spatial index over object IDs. The steady
 // state is a dense grid of offset/length runs into one shared, bin-sorted ID
-// slab (rebuilt by compact); inserts since the last compact land in the over
-// map, removals are lazy (queries filter on Engine.alive, compact reclaims).
-// Compaction only ever runs under the engine mutation contract — from
-// Add/Remove past an amortization threshold, or from an explicit
+// slab (rebuilt by compact); inserts since the last compact land in the
+// overflow lists, removals are lazy (queries filter on Engine.alive, compact
+// reclaims). Compaction only ever runs under the engine mutation contract —
+// from Add/Remove past an amortization threshold, or from an explicit
 // Engine.Compact at a freeze point — never from the (concurrent) query side.
 type binIndex struct {
 	size int64
 
 	// Dense base grid. runs is row-major over [gx0,gx0+nx) x [gy0,gy0+ny) in
-	// bin coordinates; nil until the first compact or when mapOnly.
+	// bin coordinates; nx is zero until the first compact and in mapOnly
+	// mode. runs and ids keep their capacity across compactions.
 	gx0, gy0 int32
 	nx, ny   int32
 	runs     []binRun
 	ids      []int32
 
-	// over holds the id→cells pairs inserted since the last compact (and, in
-	// mapOnly mode, the whole index: degenerate extents can make the dense
-	// cell count exceed any reasonable multiple of the pair count).
-	over    map[[2]int32][]int32
+	// over maps a cell to its slot in cells, the id list inserted there since
+	// the last compact (in mapOnly mode, the whole index: degenerate extents
+	// can make the dense cell count exceed any reasonable multiple of the
+	// pair count). Slots are handed out in insertion order and keep their
+	// capacity across compactions and Reset, so refilling an index with
+	// like-sized shapes appends without allocating. The map is made on the
+	// first insert.
+	over    map[[2]int32]int32
+	cells   [][]int32
 	mapOnly bool
 
 	// members lists every inserted id (ascending; may contain dead ids until
@@ -97,7 +96,7 @@ type binIndex struct {
 }
 
 func newBinIndex(size int64) *binIndex {
-	return &binIndex{size: size, over: make(map[[2]int32][]int32)}
+	return &binIndex{size: size}
 }
 
 func (b *binIndex) keyRange(r geom.Rect) (x0, y0, x1, y1 int32) {
@@ -105,18 +104,37 @@ func (b *binIndex) keyRange(r geom.Rect) (x0, y0, x1, y1 int32) {
 		int32(floorDiv(r.XH, b.size)), int32(floorDiv(r.YH, b.size))
 }
 
-// insert registers id covering r. New ids always land in the over map; the
-// dense grid is append-only between compactions.
+// insert registers id covering r. New ids always land in the overflow lists;
+// the dense grid is append-only between compactions.
 func (b *binIndex) insert(id int32, r geom.Rect) {
 	b.members = append(b.members, id)
 	x0, y0, x1, y1 := b.keyRange(r)
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
-			k := [2]int32{x, y}
-			b.over[k] = append(b.over[k], id)
+			b.push([2]int32{x, y}, id)
 			b.overPairs++
 		}
 	}
+}
+
+// push appends id to cell k's overflow list, taking the next slot for a cell
+// the map does not hold yet.
+func (b *binIndex) push(k [2]int32, id int32) {
+	if b.over == nil {
+		b.over = make(map[[2]int32]int32)
+	}
+	s, ok := b.over[k]
+	if !ok {
+		s = int32(len(b.cells))
+		if len(b.cells) < cap(b.cells) {
+			b.cells = b.cells[:s+1]
+			b.cells[s] = b.cells[s][:0]
+		} else {
+			b.cells = append(b.cells, nil)
+		}
+		b.over[k] = s
+	}
+	b.cells[s] = append(b.cells[s], id)
 }
 
 // remove unregisters id covering r. Overflow entries are scrubbed eagerly
@@ -130,12 +148,15 @@ func (b *binIndex) remove(id int32, r geom.Rect) {
 	x0, y0, x1, y1 := b.keyRange(r)
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
-			k := [2]int32{x, y}
-			s := b.over[k]
-			for i, v := range s {
+			s, ok := b.over[[2]int32{x, y}]
+			if !ok {
+				continue
+			}
+			l := b.cells[s]
+			for i, v := range l {
 				if v == id {
-					s[i] = s[len(s)-1]
-					b.over[k] = s[:len(s)-1]
+					l[i] = l[len(l)-1]
+					b.cells[s] = l[:len(l)-1]
 					if b.overPairs > 0 {
 						b.overPairs--
 					}
@@ -158,6 +179,18 @@ func (b *binIndex) needsCompact() bool {
 	return b.dead > 64 && 2*b.dead > len(b.members)
 }
 
+// reset empties the index and keeps the capacity of its members, runs, ids,
+// overflow map and slots.
+func (b *binIndex) reset() {
+	b.members = b.members[:0]
+	b.gx0, b.gy0, b.nx, b.ny = 0, 0, 0, 0
+	b.runs, b.ids = b.runs[:0], b.ids[:0]
+	clear(b.over)
+	b.cells = b.cells[:0]
+	b.mapOnly = false
+	b.basePairs, b.overPairs, b.dead = 0, 0, 0
+}
+
 // compact rebuilds the dense grid from the live members: filters dead ids,
 // recomputes the grid extent, and lays the per-cell candidate runs out in one
 // shared slab with ids ascending within each cell. Must run under the engine
@@ -169,14 +202,8 @@ func (e *Engine) compactIndex(b *binIndex) {
 			live = append(live, id)
 		}
 	}
+	b.reset()
 	b.members = live
-	b.dead = 0
-	b.overPairs = 0
-	clear(b.over)
-	b.runs, b.ids = nil, nil
-	b.nx, b.ny = 0, 0
-	b.mapOnly = false
-	b.basePairs = 0
 	if len(live) == 0 {
 		return
 	}
@@ -184,24 +211,14 @@ func (e *Engine) compactIndex(b *binIndex) {
 	var gx0, gy0, gx1, gy1 int32
 	pairs := 0
 	for i, id := range live {
-		x0, y0, x1, y1 := b.keyRange(e.objs[id].Rect)
+		x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
 		pairs += int(x1-x0+1) * int(y1-y0+1)
 		if i == 0 {
 			gx0, gy0, gx1, gy1 = x0, y0, x1, y1
 			continue
 		}
-		if x0 < gx0 {
-			gx0 = x0
-		}
-		if y0 < gy0 {
-			gy0 = y0
-		}
-		if x1 > gx1 {
-			gx1 = x1
-		}
-		if y1 > gy1 {
-			gy1 = y1
-		}
+		gx0, gy0 = min(gx0, x0), min(gy0, y0)
+		gx1, gy1 = max(gx1, x1), max(gy1, y1)
 	}
 	cells := (int64(gx1) - int64(gx0) + 1) * (int64(gy1) - int64(gy0) + 1)
 	if lim := int64(2 * pairs); cells > 4096 && cells > lim {
@@ -209,11 +226,10 @@ func (e *Engine) compactIndex(b *binIndex) {
 		// empty cells. Keep everything in the map.
 		b.mapOnly = true
 		for _, id := range live {
-			x0, y0, x1, y1 := b.keyRange(e.objs[id].Rect)
+			x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
 			for x := x0; x <= x1; x++ {
 				for y := y0; y <= y1; y++ {
-					k := [2]int32{x, y}
-					b.over[k] = append(b.over[k], id)
+					b.push([2]int32{x, y}, id)
 				}
 			}
 		}
@@ -223,9 +239,10 @@ func (e *Engine) compactIndex(b *binIndex) {
 
 	b.gx0, b.gy0 = gx0, gy0
 	b.nx, b.ny = gx1-gx0+1, gy1-gy0+1
-	b.runs = make([]binRun, cells)
+	b.runs = slices.Grow(b.runs, int(cells))[:cells]
+	clear(b.runs)
 	for _, id := range live {
-		x0, y0, x1, y1 := b.keyRange(e.objs[id].Rect)
+		x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
 		for x := x0; x <= x1; x++ {
 			for y := y0; y <= y1; y++ {
 				b.runs[int(y-gy0)*int(b.nx)+int(x-gx0)].n++
@@ -238,9 +255,9 @@ func (e *Engine) compactIndex(b *binIndex) {
 		off += b.runs[i].n
 		b.runs[i].n = 0
 	}
-	b.ids = make([]int32, pairs)
+	b.ids = slices.Grow(b.ids, pairs)[:pairs]
 	for _, id := range live { // ascending ids -> ascending within each cell
-		x0, y0, x1, y1 := b.keyRange(e.objs[id].Rect)
+		x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
 		for x := x0; x <= x1; x++ {
 			for y := y0; y <= y1; y++ {
 				run := &b.runs[int(y-gy0)*int(b.nx)+int(x-gx0)]

@@ -170,13 +170,13 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 		for _, id := range e.QueryMetalCtx(layer, win, qc) {
 			o := &e.objs[id]
 			var fl uint8
-			if sameNet(net, o.Net) {
+			if sameNet(net, int(o.net)) {
 				fl |= 1
 			}
-			if o.Net == NoNet {
+			if o.net == NoNet {
 				fl |= 2
 			}
-			add(cls, fl, o.Rect)
+			add(cls, fl, o.rect)
 		}
 	}
 	collectMetal(0, k, v.BotRect(p).Bloat(sigHalo(e.Tech.Metal(k))))
@@ -190,7 +190,7 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 			// Cut spacing ignores nets; only the relative rectangle matters
 			// (the coincident-cut exemption compares rects, which survives the
 			// shift to relative coordinates).
-			add(2, 0, e.objs[id].Rect)
+			add(2, 0, e.objs[id].rect)
 		}
 	}
 	for _, r := range sameNetRects {

@@ -64,36 +64,97 @@ type Analyzer struct {
 	// the global engine can share it). Nil when Config.NoCache is set.
 	viaCache *drc.ViaCache
 
-	// netOf maps (instance ID, pin name) to a net index (>= 1). Pins not on
-	// any net receive fresh pseudo-net indexes so that they still conflict
-	// with everything else but never with themselves.
-	netOf map[termKey]int
+	// netOf holds the net index (>= 1) of every instance pin: netOf[inst.ID]
+	// has one slot per master pin, in pin order. Pins on no net hold
+	// pseudo-net indexes, so they still conflict with everything else but
+	// never with themselves.
+	netOf [][]int32
 	// nextPseudo is the next free pseudo-net index.
-	nextPseudo int
+	nextPseudo int32
 
 	// step1NS/step2NS accumulate per-step CPU time across workers for the
 	// current Run (reset at Run start).
 	step1NS, step2NS atomic.Int64
 }
 
-type termKey struct {
-	inst int
-	pin  string
-}
-
 // NewAnalyzer builds an analyzer for the design with the given configuration.
 func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
-	a := &Analyzer{Design: d, Cfg: cfg.normalized(), DRC: drc.NewCounters(nil), netOf: make(map[termKey]int)}
+	a := &Analyzer{Design: d, Cfg: cfg.normalized(), DRC: drc.NewCounters(nil)}
 	if !a.Cfg.NoCache {
 		a.viaCache = drc.NewViaCache()
 	}
+	a.numberNets()
+	return a
+}
+
+// numberNets fills netOf: a pin on net k gets k+1 (a pin listed on several
+// nets keeps the last), then the pins on no net get pseudo nets from
+// len(Nets)+1 on, signal and clock pins first, each pass in instance and pin
+// order. Every instance's slots are carved from one backing array.
+func (a *Analyzer) numberNets() {
+	d := a.Design
+	slots, maxID := 0, -1
+	for _, inst := range d.Instances {
+		slots += len(inst.Master.Pins)
+		maxID = max(maxID, inst.ID)
+	}
+	flat := make([]int32, slots)
+	a.netOf = make([][]int32, maxID+1)
+	for _, inst := range d.Instances {
+		n := len(inst.Master.Pins)
+		a.netOf[inst.ID], flat = flat[:n:n], flat[n:]
+	}
 	for idx, net := range d.Nets {
 		for _, t := range net.Terms {
-			a.netOf[termKey{t.Inst.ID, t.Pin.Name}] = idx + 1
+			if k := pinIndex(t.Inst.Master.Pins, t.Pin); k >= 0 {
+				a.netOf[t.Inst.ID][k] = int32(idx + 1)
+			}
 		}
 	}
-	a.nextPseudo = len(d.Nets) + 1
-	return a
+	a.nextPseudo = int32(len(d.Nets) + 1)
+	for _, signal := range [2]bool{true, false} {
+		for _, inst := range d.Instances {
+			a.numberPseudo(inst, signal)
+		}
+	}
+}
+
+// numberPseudo gives each of inst's pins that is on no net, and is a signal
+// or clock pin exactly when signal is set, the next pseudo net.
+func (a *Analyzer) numberPseudo(inst *db.Instance, signal bool) {
+	nets := a.netOf[inst.ID]
+	for k, pin := range inst.Master.Pins {
+		if nets[k] == 0 && isSignal(pin) == signal {
+			nets[k] = a.nextPseudo
+			a.nextPseudo++
+		}
+	}
+}
+
+// addNets numbers the pins of an instance added to the design after
+// NewAnalyzer (an ECO insert), which is on no net: pseudo nets as
+// numberNets gives them.
+func (a *Analyzer) addNets(inst *db.Instance) {
+	if inst.ID >= len(a.netOf) {
+		a.netOf = append(a.netOf, make([][]int32, inst.ID+1-len(a.netOf))...)
+	}
+	a.netOf[inst.ID] = make([]int32, len(inst.Master.Pins))
+	a.numberPseudo(inst, true)
+	a.numberPseudo(inst, false)
+}
+
+// isSignal reports whether a pin carries a signal or clock: the pins that
+// get access points and their own nets in the cell context.
+func isSignal(pin *db.MPin) bool { return pin.Use == db.UseSignal || pin.Use == db.UseClock }
+
+// pinIndex returns the position of pin in pins, or -1.
+func pinIndex(pins []*db.MPin, pin *db.MPin) int {
+	for k, p := range pins {
+		if p == pin {
+			return k
+		}
+	}
+	return -1
 }
 
 // Observe binds the analyzer to o; call it before the first run. Spans and
@@ -114,86 +175,117 @@ func (a *Analyzer) LiveCounters() map[string]int64 {
 	return a.DRC.Snapshot()
 }
 
-// NetOf returns the net index of an instance pin, allocating a pseudo net for
-// unconnected pins (stable across calls).
+// NetOf returns the net index of an instance pin; a pin on no net has its
+// own pseudo net. pin must be one of inst.Master's pins. NetOf only reads,
+// so concurrent calls are safe.
 func (a *Analyzer) NetOf(inst *db.Instance, pin *db.MPin) int {
-	k := termKey{inst.ID, pin.Name}
-	if n, ok := a.netOf[k]; ok {
-		return n
+	k := pinIndex(inst.Master.Pins, pin)
+	if k < 0 {
+		panic("pao: NetOf: " + pin.Name + " is not a pin of " + inst.Master.Name)
 	}
-	n := a.nextPseudo
-	a.nextPseudo++
-	a.netOf[k] = n
-	return n
+	return int(a.netOf[inst.ID][k])
 }
 
-// cellEngine builds the isolated intra-cell DRC context for a unique
+// cellScratch is one Step-1/2 worker's reusable state: the cell engine that
+// fill refills for every class the worker analyzes, its query context, the
+// filled class's per-pin cell nets and a shape buffer. Scratch lives per
+// worker and per run; a class that panics leaves it to the next fill, whose
+// Engine.Reset restores a consistent empty engine.
+type cellScratch struct {
+	eng    *drc.Engine
+	qc     *drc.QueryCtx
+	pins   []*db.MPin // the filled class's master pins
+	nets   []int      // cell net per pin, in pins order
+	shapes []db.Shape
+}
+
+// newCellScratch returns an empty scratch counting into a.DRC.
+func (a *Analyzer) newCellScratch() *cellScratch {
+	eng := drc.NewEngine(a.Design.Tech)
+	eng.Counters = a.DRC
+	return &cellScratch{eng: eng, qc: eng.NewQueryCtx()}
+}
+
+// fill makes sc.eng the isolated intra-cell DRC context of a unique
 // instance: the pivot member's own pin shapes (each signal pin on its own
-// pseudo net so two pins of the cell conflict with each other but a pin never
+// cell net, so two pins of the cell conflict with each other but a pin never
 // conflicts with itself) plus obstructions and power/ground shapes as NoNet
 // blockages. Steps 1 and 2 validate against this context only, so their
 // results transfer to every member of the class; inter-cell interactions are
 // Step 3's job.
-func (a *Analyzer) cellEngine(ui *db.UniqueInstance) (*drc.Engine, map[string]int) {
-	eng := drc.NewEngine(a.Design.Tech)
-	eng.Counters = a.DRC
+func (a *Analyzer) fill(sc *cellScratch, ui *db.UniqueInstance) {
+	eng := sc.eng
+	eng.Reset()
 	if hook := a.DRCFaultHook; hook != nil {
 		sig := ui.Signature()
 		eng.FaultHook = func(site string) []drc.Violation { return hook(site, sig) }
 	}
 	pivot := ui.Pivot()
 	eng.Grow(numShapes(pivot.Master))
-	nets := make(map[string]int)
+	sc.pins = pivot.Master.Pins
+	sc.nets = sc.nets[:0]
 	nextNet := 1
-	for _, pin := range pivot.Master.Pins {
+	for _, pin := range sc.pins {
 		net := drc.NoNet
-		if pin.Use == db.UseSignal || pin.Use == db.UseClock {
+		if isSignal(pin) {
 			net = nextNet
 			nextNet++
-			nets[pin.Name] = net
 		}
-		for _, s := range pivot.PinShapes(pin) {
+		sc.nets = append(sc.nets, net)
+		sc.shapes = pivot.AppendPinShapes(sc.shapes[:0], pin)
+		for _, s := range sc.shapes {
 			eng.AddMetal(s.Layer, s.Rect, net, drc.KindPin, "")
 		}
 	}
-	for _, s := range pivot.ObsShapes() {
+	sc.shapes = pivot.AppendObsShapes(sc.shapes[:0])
+	for _, s := range sc.shapes {
 		eng.AddMetal(s.Layer, s.Rect, drc.NoNet, drc.KindObs, "")
 	}
 	// The engine is frozen from here on: fold the construction churn into the
 	// dense index before queries fan out.
 	eng.Compact()
 	eng.AttachViaCache(a.viaCache)
-	return eng, nets
+}
+
+// netOf returns the cell net of one of the filled class's pins.
+func (sc *cellScratch) netOf(pin *db.MPin) int {
+	if k := pinIndex(sc.pins, pin); k >= 0 {
+		return sc.nets[k]
+	}
+	return drc.NoNet
 }
 
 // GlobalEngine indexes every fixed shape of the design (instance pins with
 // their real nets, obstructions and power shapes as blockages, IO pins) for
 // Step-3 inter-cell checks and failed-pin accounting.
 func (a *Analyzer) GlobalEngine() *drc.Engine {
-	return a.globalEngine(a.viaCache, nil)
+	return a.globalEngine(a.viaCache, nil, 0)
 }
 
 // globalEngine is GlobalEngine with an explicit verdict cache (nil for none:
-// the ECO failed-pin engine re-validates too few vias to need one) and
-// an optional per-object callback that reports which instance contributed
-// each engine object — the ECO engines use it to remove exactly an instance's
-// shapes later. IO-pin objects are not reported (they never mutate).
-func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instance, objID int)) *drc.Engine {
+// the ECO failed-pin engine re-validates too few vias to need one), an
+// optional callback that reports the span of engine objects each instance
+// contributed — the ECO engines use it to remove exactly an instance's
+// shapes later; IO-pin objects are not reported (they never mutate) — and
+// room reserved for extra more objects, so the failed-pin vias placed later
+// do not regrow the engine's columns.
+func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instance, objs objSpan), extra int) *drc.Engine {
 	eng := drc.NewEngine(a.Design.Tech)
 	eng.Counters = a.DRC
 	if hook := a.DRCFaultHook; hook != nil {
 		eng.FaultHook = func(site string) []drc.Violation { return hook(site, "global") }
 	}
-	shapes := len(a.Design.IOPins)
+	shapes := len(a.Design.IOPins) + extra
 	for _, inst := range a.Design.Instances {
 		shapes += numShapes(inst.Master)
 	}
 	eng.Grow(shapes)
+	var buf []db.Shape
 	for _, inst := range a.Design.Instances {
-		for _, id := range a.addInstanceShapes(eng, inst) {
-			if record != nil {
-				record(inst, id)
-			}
+		var objs objSpan
+		objs, buf = a.addInstanceShapes(eng, inst, buf)
+		if record != nil {
+			record(inst, objs)
 		}
 	}
 	ioNet := make(map[*db.IOPin]int, len(a.Design.IOPins))
@@ -226,23 +318,50 @@ func numShapes(m *db.Master) int {
 	return n
 }
 
+// objSpan is the run of consecutive engine object IDs [first, first+n) that
+// one instance's shapes occupy.
+type objSpan struct{ first, n int32 }
+
+// add extends the span by the next object ID (Engine.Add hands them out
+// consecutively).
+func (s *objSpan) add(id int) {
+	if s.n == 0 {
+		s.first = int32(id)
+	}
+	s.n++
+}
+
+// remove takes the span's objects out of eng, calling note (when non-nil)
+// with each ID first.
+func (s objSpan) remove(eng *drc.Engine, note func(id int)) {
+	for id := int(s.first); id < int(s.first+s.n); id++ {
+		if note != nil {
+			note(id)
+		}
+		eng.Remove(id)
+	}
+}
+
 // addInstanceShapes registers one instance's pin and obstruction shapes with
-// the engine exactly as the global engine does, returning the object IDs.
-func (a *Analyzer) addInstanceShapes(eng *drc.Engine, inst *db.Instance) []int {
-	var ids []int
-	for _, pin := range inst.Master.Pins {
+// the engine exactly as the global engine does and returns the span of
+// object IDs they took. buf is shape scratch, returned for reuse.
+func (a *Analyzer) addInstanceShapes(eng *drc.Engine, inst *db.Instance, buf []db.Shape) (objSpan, []db.Shape) {
+	var span objSpan
+	for k, pin := range inst.Master.Pins {
 		net := drc.NoNet
-		if pin.Use == db.UseSignal || pin.Use == db.UseClock {
-			net = a.NetOf(inst, pin)
+		if isSignal(pin) {
+			net = int(a.netOf[inst.ID][k])
 		}
-		for _, s := range inst.PinShapes(pin) {
-			ids = append(ids, eng.AddMetal(s.Layer, s.Rect, net, drc.KindPin, ""))
+		buf = inst.AppendPinShapes(buf[:0], pin)
+		for _, s := range buf {
+			span.add(eng.AddMetal(s.Layer, s.Rect, net, drc.KindPin, ""))
 		}
 	}
-	for _, s := range inst.ObsShapes() {
-		ids = append(ids, eng.AddMetal(s.Layer, s.Rect, drc.NoNet, drc.KindObs, ""))
+	buf = inst.AppendObsShapes(buf[:0])
+	for _, s := range buf {
+		span.add(eng.AddMetal(s.Layer, s.Rect, drc.NoNet, drc.KindObs, ""))
 	}
-	return ids
+	return span, buf
 }
 
 // AnalyzeUnique runs Steps 1 and 2 for one unique instance.
@@ -251,7 +370,7 @@ func (a *Analyzer) AnalyzeUnique(ui *db.UniqueInstance) *UniqueAccess {
 	if a.obs != nil {
 		parent = a.obs.Root()
 	}
-	return a.analyzeUnique(context.Background(), ui, parent, nil)
+	return a.analyzeUnique(context.Background(), ui, parent, nil, a.newCellScratch())
 }
 
 // analyzeUnique is AnalyzeUnique with an explicit span parent: when non-nil,
@@ -259,18 +378,21 @@ func (a *Analyzer) AnalyzeUnique(ui *db.UniqueInstance) *UniqueAccess {
 // per-pin DRC-validation leaves below. Step 1/2 CPU time always accumulates
 // into the analyzer's per-Run totals. A cancelled ctx abandons the class and
 // returns nil, so a partial result never contains half-analyzed access data;
-// curPin, when non-nil, tracks the pin in flight for panic reports.
-func (a *Analyzer) analyzeUnique(ctx context.Context, ui *db.UniqueInstance, parent *obs.Span, curPin *string) *UniqueAccess {
+// curPin, when non-nil, tracks the pin in flight for panic reports. The
+// class's cell engine is built in sc.
+func (a *Analyzer) analyzeUnique(ctx context.Context, ui *db.UniqueInstance, parent *obs.Span, curPin *string, sc *cellScratch) *UniqueAccess {
 	t0 := time.Now()
 	var sp *obs.Span
 	if parent != nil {
 		sp = parent.Agg("ui:" + ui.Signature())
 	}
-	eng, nets := a.cellEngine(ui)
-	qc := eng.NewQueryCtx()
+	a.fill(sc, ui)
 	pivot := ui.Pivot()
 	ua := &UniqueAccess{UI: ui, PivotPos: pivot.Pos}
-	for _, pin := range pivot.Master.SignalPins() {
+	for k, pin := range sc.pins {
+		if !isSignal(pin) {
+			continue
+		}
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -281,7 +403,7 @@ func (a *Analyzer) analyzeUnique(ctx context.Context, ui *db.UniqueInstance, par
 		if sp != nil {
 			tp = time.Now()
 		}
-		pa := a.genAccessPoints(eng, qc, pivot, pin, nets[pin.Name])
+		pa := a.genAccessPoints(sc.eng, sc.qc, pivot, pin, sc.nets[k])
 		if sp != nil {
 			sp.AddTime("pin:"+pin.Name, time.Since(tp))
 		}
@@ -300,11 +422,11 @@ func (a *Analyzer) analyzeUnique(ctx context.Context, ui *db.UniqueInstance, par
 	return ua
 }
 
-// safeAnalyzeUnique runs Steps 1-2 for one class with panic quarantine: a
-// panicking class is recorded as failed in the health report and the run
-// continues with every other class intact.
+// safeAnalyzeUnique runs Steps 1-2 for one class in the worker's scratch
+// with panic quarantine: a panicking class is recorded as failed in the
+// health report and the run continues with every other class intact.
 func (a *Analyzer) safeAnalyzeUnique(ctx context.Context, ui *db.UniqueInstance, parent *obs.Span,
-	uas []*UniqueAccess, i int, h *Health) {
+	uas []*UniqueAccess, i int, h *Health, sc *cellScratch) {
 
 	sig := ui.Signature()
 	var curPin string
@@ -320,16 +442,17 @@ func (a *Analyzer) safeAnalyzeUnique(ctx context.Context, ui *db.UniqueInstance,
 	if hook := a.FaultHook; hook != nil {
 		hook(SiteAnalyzeUnique, sig)
 	}
-	uas[i] = a.analyzeUnique(ctx, ui, parent, &curPin)
+	uas[i] = a.analyzeUnique(ctx, ui, parent, &curPin, sc)
 }
 
-// workerRun drains unique-instance indexes from next, recording per-goroutine
-// busy time and queue wait when telemetry is enabled. It returns true when
-// the channel is exhausted or the context cancelled, and false when a panic
-// escaped the per-class recovery and killed the worker (the in-flight class
-// is recorded as failed; the caller respawns a replacement).
+// workerRun drains unique-instance indexes from next, analyzing each class in
+// sc and recording per-goroutine busy time and queue wait when telemetry is
+// enabled. It returns true when the channel is exhausted or the context
+// cancelled, and false when a panic escaped the per-class recovery and killed
+// the worker (the in-flight class is recorded as failed; the caller respawns
+// a replacement on the same scratch).
 func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.UniqueInstance,
-	uas []*UniqueAccess, sp12 *obs.Span, busyTotal *atomic.Int64, h *Health) (done bool) {
+	uas []*UniqueAccess, sp12 *obs.Span, busyTotal *atomic.Int64, h *Health, sc *cellScratch) (done bool) {
 
 	reg := a.obs.Reg()
 	var busy, wait time.Duration
@@ -378,10 +501,10 @@ func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.Uni
 		}
 		if reg != nil {
 			tb := time.Now()
-			a.safeAnalyzeUnique(ctx, uis[i], sp12, uas, i, h)
+			a.safeAnalyzeUnique(ctx, uis[i], sp12, uas, i, h, sc)
 			busy += time.Since(tb)
 		} else {
-			a.safeAnalyzeUnique(ctx, uis[i], sp12, uas, i, h)
+			a.safeAnalyzeUnique(ctx, uis[i], sp12, uas, i, h, sc)
 		}
 		cur = -1
 	}
@@ -389,7 +512,8 @@ func (a *Analyzer) workerRun(ctx context.Context, next <-chan int, uis []*db.Uni
 
 // analyzeClasses is the Step-1/2 class driver RunContext and AnalyzeClasses
 // share: it analyzes uis on a channel-fed pool of the configured worker count,
-// whose workers are respawned if a panic escapes the per-class recovery, then
+// each worker refilling one scratch cell engine for every class it takes and
+// respawned on that scratch if a panic escapes the per-class recovery, then
 // folds every analyzed class into res in uis order. A class that failed or was
 // never reached (cancellation) has no access data; its pins count as failed
 // downstream. sp12, when non-nil, parents the per-class spans. It returns the
@@ -404,9 +528,10 @@ func (a *Analyzer) analyzeClasses(ctx context.Context, res *Result, uis []*db.Un
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := a.newCellScratch()
 			// Respawn loop: a worker killed by an escaped panic is replaced
 			// immediately, so the pool never silently shrinks.
-			for !a.workerRun(ctx, next, uis, uas, sp12, &busy, h) {
+			for !a.workerRun(ctx, next, uis, uas, sp12, &busy, h, sc) {
 				h.noteRespawn()
 			}
 		}()
@@ -513,11 +638,13 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	spEng := spRun.Start("drc.engine")
-	eng := a.GlobalEngine()
+	eng := a.globalEngine(a.viaCache, nil, numNetTerms(a.Design)*maxViaObjs(res))
 	spEng.End()
+	// One query context per worker serves the Step-3 and failed-pin fan-outs.
+	qcs := a.queryCtxs()
 	spSel := spRun.Start("pao.step3")
 	tSel := time.Now()
-	a.selectPatterns(ctx, res, eng, h)
+	a.selectPatterns(ctx, res, eng, h, qcs)
 	selDur = time.Since(tSel)
 	spSel.End()
 	if err := a.runErr(ctx, h); err != nil {
@@ -526,7 +653,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	}
 	spFail := spRun.Start("pao.failedpins")
 	tFail := time.Now()
-	a.countFailedPins(ctx, res, eng, h)
+	a.countFailedPins(ctx, res, eng, h, qcs)
 	failDur = time.Since(tFail)
 	spFail.End()
 	finish()
@@ -540,8 +667,9 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 // skip real DRC validation score higher.
 func (a *Analyzer) CountDirtyAPs(res *Result) int {
 	dirty := 0
+	sc := a.newCellScratch()
 	for _, ua := range res.Unique {
-		eng, nets := a.cellEngine(ua.UI)
+		a.fill(sc, ua.UI)
 		pivot := ua.UI.Pivot()
 		for _, pa := range ua.Pins {
 			rects := pinRectsByLayer(pivot, pa.Pin)
@@ -550,7 +678,7 @@ func (a *Analyzer) CountDirtyAPs(res *Result) int {
 				if v == nil {
 					continue
 				}
-				if len(eng.CheckVia(v, ap.Pos, nets[pa.Pin.Name], rects[ap.Layer])) > 0 {
+				if len(sc.eng.CheckVia(v, ap.Pos, sc.netOf(pa.Pin), rects[ap.Layer])) > 0 {
 					dirty++
 				}
 			}

@@ -263,7 +263,7 @@ type ECOSession struct {
 	bySig map[string]*UniqueAccess // class signature -> class of res
 	eng   *drc.Engine
 	qc    *drc.QueryCtx
-	objs  map[int][]int     // instance ID -> its live engine object IDs
+	objs  map[int]objSpan   // instance ID -> its live engine objects
 	ext   map[int]geom.Rect // instance ID -> instExtent at its current placement
 	rows  rowIndex
 	hash  hashParts // built by the first DesignHash call
@@ -275,7 +275,7 @@ type ECOSession struct {
 	// the session started with (live drops those of deleted instances).
 	fp     *drc.Engine
 	fpQC   *drc.QueryCtx
-	fpObjs map[int][]int // instance ID -> its fixed-shape object IDs in fp
+	fpObjs map[int]objSpan // instance ID -> its fixed-shape objects in fp
 	pinLedger
 	termsOf map[int][]int32 // instance ID -> its indexes into terms
 	owner   []int32         // fp object ID -> 1 + terms index of its via; 0 for fixed shapes
@@ -289,17 +289,17 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	s := &ECOSession{
 		a: a, res: res, halo: a.ecoHalo(),
 		bySig:   make(map[string]*UniqueAccess, len(res.Unique)),
-		objs:    make(map[int][]int, len(d.Instances)),
+		objs:    make(map[int]objSpan, len(d.Instances)),
 		ext:     make(map[int]geom.Rect, len(d.Instances)),
-		fpObjs:  make(map[int][]int, len(d.Instances)),
+		fpObjs:  make(map[int]objSpan, len(d.Instances)),
 		termsOf: make(map[int][]int32),
 	}
 	for _, ua := range res.Unique {
 		s.bySig[ua.UI.Signature()] = ua
 	}
-	s.eng = a.globalEngine(a.viaCache, func(inst *db.Instance, id int) {
-		s.objs[inst.ID] = append(s.objs[inst.ID], id)
-	})
+	s.eng = a.globalEngine(a.viaCache, func(inst *db.Instance, objs objSpan) {
+		s.objs[inst.ID] = objs
+	}, 0)
 	s.qc = s.eng.NewQueryCtx()
 	for _, inst := range d.Instances {
 		s.ext[inst.ID] = instExtent(inst)
@@ -307,11 +307,15 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	s.rows = newRowIndex(d, s.ext)
 
 	// The failed-pin engine needs no via cache: after this one full pass, a
-	// commit re-validates only the terminals an edit can reach.
-	s.fp = a.globalEngine(nil, func(inst *db.Instance, id int) {
-		s.fpObjs[inst.ID] = append(s.fpObjs[inst.ID], id)
-	})
-	s.pinLedger = a.buildLedger(context.TODO(), res, s.fp)
+	// commit re-validates only the terminals an edit can reach. It is sized
+	// for the fixed shapes plus exactly the ledger's vias before its first
+	// Add, so placing them copies no column.
+	var objs int
+	s.pinLedger, objs = a.resolveLedger(context.TODO(), res)
+	s.fp = a.globalEngine(nil, func(inst *db.Instance, objs objSpan) {
+		s.fpObjs[inst.ID] = objs
+	}, objs)
+	a.checkLedger(context.TODO(), &s.pinLedger, s.fp, objs, a.queryCtxs())
 	s.fpQC = s.fp.NewQueryCtx()
 	for i := range s.terms {
 		id := s.terms[i].inst.ID
@@ -445,7 +449,9 @@ func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 				// continue with a half-applied script.
 				panic(err)
 			}
-			t.attach(d.InstByName(op.Inst))
+			inst := d.InstByName(op.Inst)
+			s.a.addNets(inst)
+			t.attach(inst)
 			t.structural = true
 		case ECODelete:
 			inst := d.InstByName(op.Inst)
@@ -504,9 +510,7 @@ func (t *ECOTxn) detach(inst *db.Instance) {
 	ch := t.change(t.currentSig(inst))
 	delete(ch.added, inst.ID)
 	ch.removed[inst.ID] = true
-	for _, id := range t.s.objs[inst.ID] {
-		t.s.eng.Remove(id)
-	}
+	t.s.objs[inst.ID].remove(t.s.eng, nil)
 	delete(t.s.objs, inst.ID)
 }
 
@@ -523,7 +527,7 @@ func (t *ECOTxn) attach(inst *db.Instance) {
 	sig := t.s.a.Design.InstanceSignature(inst)
 	t.change(sig).added[inst.ID] = inst
 	t.curSig[inst.ID] = sig
-	t.s.objs[inst.ID] = t.s.a.addInstanceShapes(t.s.eng, inst)
+	t.s.objs[inst.ID], _ = t.s.a.addInstanceShapes(t.s.eng, inst, nil)
 	t.affected[inst.ID] = inst
 	if old := t.s.res.ByInstance[inst.ID]; old == nil || old.UI.Signature() != sig {
 		t.dirty[inst.ID] = true
@@ -645,9 +649,10 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	t.reselected = t.dirtyClusters()
 	rep.TotalClusters = s.rows.total
 	rep.DirtyClusters = len(t.reselected)
+	var dp dpScratch
 	for _, cl := range t.reselected {
-		for id, ni := range s.a.selectForCluster(res, s.eng, cl, s.qc) {
-			res.Selected[id] = ni
+		for _, p := range s.a.selectForCluster(res, s.eng, cl, s.qc, &dp) {
+			res.Selected[p.id] = p.pattern
 		}
 		for _, inst := range cl.Insts {
 			touched[inst.ID] = inst
@@ -861,7 +866,7 @@ func (t *ECOTxn) clusterDirty(cl db.Cluster) bool {
 func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 	s := t.s
 	var mutated []drc.Obj
-	note := func(id int) { mutated = append(mutated, *s.fp.Obj(id)) }
+	note := func(id int) { mutated = append(mutated, s.fp.Obj(id)) }
 	remove := func(id int) {
 		note(id)
 		s.fp.Remove(id)
@@ -877,9 +882,7 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 
 	// Deleted instances take their shapes and their terminals with them.
 	for id := range t.deleted {
-		for _, oid := range s.fpObjs[id] {
-			remove(oid)
-		}
+		s.fpObjs[id].remove(s.fp, note)
 		delete(s.fpObjs, id)
 		for _, i := range s.termsOf[id] {
 			tm := &s.terms[i]
@@ -892,14 +895,12 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 	// Re-placed instances move their shapes; their pin shapes join every
 	// own terminal's check, so those are re-validated regardless.
 	for id, inst := range t.affected {
-		for _, oid := range s.fpObjs[id] {
-			remove(oid)
+		s.fpObjs[id].remove(s.fp, note)
+		objs, _ := s.a.addInstanceShapes(s.fp, inst, nil)
+		for oid := objs.first; oid < objs.first+objs.n; oid++ {
+			note(int(oid))
 		}
-		ids := s.a.addInstanceShapes(s.fp, inst)
-		for _, oid := range ids {
-			note(oid)
-		}
-		s.fpObjs[id] = ids
+		s.fpObjs[id] = objs
 		for _, i := range s.termsOf[id] {
 			recheck[i] = true
 		}

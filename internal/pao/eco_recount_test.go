@@ -32,7 +32,7 @@ func freshFailing(t *testing.T, d *db.Design) (map[termName]int, *Result) {
 	t.Helper()
 	a := NewAnalyzer(d, DefaultConfig())
 	res := a.Run()
-	eng := a.globalEngine(nil, nil)
+	eng := a.globalEngine(nil, nil, 0)
 	var all []pinTerm
 	for _, net := range d.Nets {
 		for _, nt := range net.Terms {

@@ -76,9 +76,11 @@ func diffVerdicts(t *testing.T, d *db.Design, ui *db.UniqueInstance, pin *db.MPi
 	cfg := DefaultConfig()
 	cfg.NoCache = true
 	live := NewAnalyzer(d, cfg)
-	eng, nets := live.cellEngine(ui)
+	sc := live.newCellScratch()
+	live.fill(sc, ui)
+	eng := sc.eng
 	pivot := ui.Pivot()
-	net := nets[pin.Name]
+	net := sc.netOf(pin)
 
 	viaByName := make(map[string]*tech.ViaDef)
 	for layer := 0; layer < d.Tech.NumMetals(); layer++ {

@@ -60,10 +60,18 @@ func uaBySig(res *pao.Result) map[string]string {
 // TestFaultPanicsQuarantineClasses is the headline acceptance test: K panics
 // injected into K distinct unique-instance classes yield exactly K failed
 // classes, every surviving class byte-identical to a clean run, and the
-// process never crashes.
+// process never crashes. The panics fire before a class starts or, in the
+// mid-class case, from inside its second via check: with one worker every
+// later class then refills the scratch cell engine and query context the
+// panic left mid-query.
 func TestFaultPanicsQuarantineClasses(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		workers  int
+		midClass bool
+	}{{"workers=1", 1, false}, {"workers=4", 4, false}, {"workers=1,mid-class", 1, true}} {
+		workers := tc.workers
+		t.Run(tc.name, func(t *testing.T) {
 			d := faultDesign(t)
 			cfg := pao.DefaultConfig()
 			cfg.Workers = workers
@@ -81,13 +89,20 @@ func TestFaultPanicsQuarantineClasses(t *testing.T) {
 
 			in := faultinject.New()
 			for _, sig := range targets {
-				in.Add(&faultinject.Fault{
+				f := &faultinject.Fault{
 					Site: pao.SiteAnalyzeUnique, Detail: sig,
 					Kind: faultinject.Panic, Note: "quarantine " + sig,
-				})
+				}
+				if tc.midClass {
+					f.Site, f.Call = drc.SiteCheckVia, 2
+				}
+				in.Add(f)
 			}
 			a := pao.NewAnalyzer(faultDesign(t), cfg)
 			a.FaultHook = in.SiteHook()
+			if tc.midClass {
+				a.DRCFaultHook = in.DRCHook()
+			}
 			o := obs.NewObserver("fault")
 			a.Observe(o)
 			res, err := a.RunContext(context.Background())

@@ -341,9 +341,21 @@ func (r *Result) PatternFor(inst *db.Instance) *AccessPattern {
 // the instance's own design coordinates, or nil when the pin has no clean
 // access.
 func (r *Result) AccessPointFor(inst *db.Instance, pin *db.MPin) *AccessPoint {
+	ap, pos := r.accessPoint(inst, pin)
+	if ap == nil {
+		return nil
+	}
+	cp := *ap
+	cp.Pos = pos
+	return &cp
+}
+
+// accessPoint is AccessPointFor without the copy: the class's access point
+// (its Pos in pivot coordinates) and its position on inst.
+func (r *Result) accessPoint(inst *db.Instance, pin *db.MPin) (*AccessPoint, geom.Point) {
 	ua := r.ByInstance[inst.ID]
 	if ua == nil {
-		return nil
+		return nil, geom.Point{}
 	}
 	pat := r.PatternFor(inst)
 	for i, pa := range ua.Pins {
@@ -358,11 +370,9 @@ func (r *Result) AccessPointFor(inst *db.Instance, pin *db.MPin) *AccessPoint {
 			ap = pa.APs[0]
 		}
 		if ap == nil {
-			return nil
+			return nil, geom.Point{}
 		}
-		cp := *ap
-		cp.Pos = ua.TranslateTo(inst, ap.Pos)
-		return &cp
+		return ap, ua.TranslateTo(inst, ap.Pos)
 	}
-	return nil
+	return nil, geom.Point{}
 }

@@ -236,7 +236,7 @@ func (a *Analyzer) SelectClusters(ctx context.Context, res *Result, eng *drc.Eng
 	}
 	h := newHealth()
 	picks := make(map[int]int)
-	a.selectClusters(ctx, res, eng, run, h, picks)
+	a.selectClusters(ctx, res, eng, run, h, picks, a.queryCtxs())
 	if err := ctx.Err(); err != nil {
 		h.MarkCancelled()
 		return picks, h, err

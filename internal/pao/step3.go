@@ -33,51 +33,54 @@ func (a *Analyzer) SelectPatterns(res *Result, eng *drc.Engine) {
 	if h == nil {
 		h = newHealth()
 	}
-	a.selectPatterns(context.Background(), res, eng, h)
+	a.selectPatterns(context.Background(), res, eng, h, a.queryCtxs())
 }
 
 // selectPatterns is SelectPatterns under a context: cancellation stops at the
 // next cluster boundary (instances then keep the default pattern 0) and a
 // panicking cluster DP degrades its member classes instead of crashing.
-func (a *Analyzer) selectPatterns(ctx context.Context, res *Result, eng *drc.Engine, h *Health) {
+func (a *Analyzer) selectPatterns(ctx context.Context, res *Result, eng *drc.Engine, h *Health, qcs []*drc.QueryCtx) {
 	SeedDefaultSelections(a.Design, res)
-	a.selectClusters(ctx, res, eng, a.Design.Clusters(), h, res.Selected)
+	a.selectClusters(ctx, res, eng, a.Design.Clusters(), h, res.Selected, qcs)
 }
+
+// pick is one Step-3 selection: an instance ID and its pattern index.
+type pick struct{ id, pattern int }
 
 // selectClusters is the one Step-3 cluster loop: it runs the DP of every
 // cluster with panic quarantine into h, fanned over the configured workers
-// (clusters are disjoint and eng is only read), and writes the picks
-// (instance ID -> pattern index) into picks once every worker is done.
-// Cancellation and the fail-fast policy stop it at the next cluster boundary.
-func (a *Analyzer) selectClusters(ctx context.Context, res *Result, eng *drc.Engine, clusters []db.Cluster, h *Health, picks map[int]int) {
-	local := make([]map[int]int, a.Cfg.workers())
-	for w := range local {
-		local[w] = make(map[int]int)
-	}
-	a.fanOut(eng, len(clusters), "pao.step3.worker.busy", func(w, i int, qc *drc.QueryCtx) bool {
+// (clusters are disjoint and eng is only read) with one DP scratch each, and
+// writes the picks into picks once every worker is done. Cancellation and
+// the fail-fast policy stop it at the next cluster boundary.
+func (a *Analyzer) selectClusters(ctx context.Context, res *Result, eng *drc.Engine, clusters []db.Cluster, h *Health, picks map[int]int, qcs []*drc.QueryCtx) {
+	dps := make([]dpScratch, len(qcs))
+	local := make([][]pick, len(qcs))
+	a.fanOut(eng, len(clusters), "pao.step3.worker.busy", qcs, func(w, i int, qc *drc.QueryCtx) bool {
 		if ctx.Err() != nil || a.abort(h) {
 			return false
 		}
-		for inst, ni := range a.safeSelectForCluster(res, eng, clusters[i], qc, h) {
-			local[w][inst] = ni
-		}
+		local[w] = append(local[w], a.safeSelectForCluster(res, eng, clusters[i], qc, &dps[w], h)...)
 		return true
 	})
-	for _, m := range local {
-		for inst, ni := range m {
-			picks[inst] = ni
+	for _, l := range local {
+		for _, p := range l {
+			picks[p.id] = p.pattern
 		}
 	}
 }
 
-// fanOut runs item over 0..n-1 on the configured worker count: worker w takes
-// items w, w+workers, ... in order with its own query context on eng, and
-// stops at the first item that returns false. With telemetry on, each
-// worker's busy time is observed into the histogram hist. A panic that
-// escapes an item is re-raised here once every worker has stopped, so the
-// caller's quarantine covers the fan-out.
-func (a *Analyzer) fanOut(eng *drc.Engine, n int, hist string, item func(w, i int, qc *drc.QueryCtx) bool) {
-	workers := a.Cfg.workers()
+// queryCtxs returns one empty query-context slot per configured worker, for
+// fanOut to fill; a run shares it across its fan-outs over one engine.
+func (a *Analyzer) queryCtxs() []*drc.QueryCtx { return make([]*drc.QueryCtx, a.Cfg.workers()) }
+
+// fanOut runs item over 0..n-1 on len(qcs) workers: worker w takes items w,
+// w+workers, ... in order with query context qcs[w] on eng (made on first
+// use and kept there for the next fan-out), and stops at the first item that
+// returns false. With telemetry on, each worker's busy time is observed into
+// the histogram hist. A panic that escapes an item is re-raised here once
+// every worker has stopped, so the caller's quarantine covers the fan-out.
+func (a *Analyzer) fanOut(eng *drc.Engine, n int, hist string, qcs []*drc.QueryCtx, item func(w, i int, qc *drc.QueryCtx) bool) {
+	workers := len(qcs)
 	reg := a.obs.Reg()
 	panics := make([]any, workers)
 	var wg sync.WaitGroup
@@ -90,9 +93,11 @@ func (a *Analyzer) fanOut(eng *drc.Engine, n int, hist string, item func(w, i in
 			if reg != nil {
 				t0 = time.Now()
 			}
-			qc := eng.NewQueryCtx()
+			if qcs[w] == nil {
+				qcs[w] = eng.NewQueryCtx()
+			}
 			for i := w; i < n; i += workers {
-				if !item(w, i, qc) {
+				if !item(w, i, qcs[w]) {
 					break
 				}
 			}
@@ -118,11 +123,11 @@ func clusterDetail(cl db.Cluster) string {
 	return "cluster:" + cl.Insts[0].Name
 }
 
-// safeSelectForCluster runs the Step-3 DP for one cluster with panic
+// safeSelectForCluster runs the Step-3 DP for one cluster in dp with panic
 // quarantine: on a panic every member class is downgraded to degraded (the
 // default pattern 0 from Step 2 remains in effect) and the run continues.
 func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, cl db.Cluster,
-	qc *drc.QueryCtx, h *Health) (picks map[int]int) {
+	qc *drc.QueryCtx, dp *dpScratch, h *Health) (picks []pick) {
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -141,7 +146,7 @@ func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, cl db.Clus
 	if hook := a.FaultHook; hook != nil {
 		hook(SiteSelectCluster, clusterDetail(cl))
 	}
-	return a.selectForCluster(res, eng, cl, qc)
+	return a.selectForCluster(res, eng, cl, qc, dp)
 }
 
 // chosenAP is a pattern's chosen access point translated onto a member
@@ -209,67 +214,83 @@ func (a *Analyzer) edgeCost3(left, right []chosenAP) int {
 	return 0
 }
 
-// selectForCluster runs the Step-3 DP over one cluster and returns the
-// selected pattern index per instance ID (written by the caller, so the DP
-// itself never touches shared state).
-func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster, ctx *drc.QueryCtx) map[int]int {
-	var insts []*db.Instance
+// dpScratch is one Step-3 worker's reusable DP state: the cluster members
+// that have patterns, every (member, pattern) vertex with its chosen access
+// points (a range of aps) and DP cell, where each member's vertices start,
+// and the picks of the last cluster. Scratch lives per worker and per run.
+type dpScratch struct {
+	insts []*db.Instance
+	aps   []chosenAP
+	verts []dpVert
+	first []int // first[gi]: index in verts of insts[gi]'s pattern 0
+	picks []pick
+}
+
+// dpVert is one (member, pattern) vertex of the Step-3 DP: its chosen access
+// points aps[lo:hi] and its DP cell.
+type dpVert struct {
+	lo, hi int
+	dpVertex
+}
+
+// selectForCluster runs the Step-3 DP over one cluster in dp and returns the
+// selected pattern index per member instance (written by the caller, so the
+// DP itself never touches shared state). The picks alias dp and are valid
+// until its next cluster.
+func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster, ctx *drc.QueryCtx, dp *dpScratch) []pick {
+	dp.insts = dp.insts[:0]
 	for _, inst := range cl.Insts {
 		if ua := res.ByInstance[inst.ID]; ua != nil && len(ua.Patterns) > 0 {
-			insts = append(insts, inst)
+			dp.insts = append(dp.insts, inst)
 		}
 	}
-	if len(insts) == 0 {
-		return nil
+	dp.picks = dp.picks[:0]
+	if len(dp.insts) == 0 {
+		return dp.picks
 	}
-	pats := func(inst *db.Instance) []*AccessPattern { return res.ByInstance[inst.ID].Patterns }
-
-	// chosen[gi][ni] holds insts[gi]'s chosen APs under its pattern ni,
-	// computed once and shared by the vertex term and every edge term. The
-	// sub-slices are capped, so a later append that moves buf leaves them
-	// intact.
-	chosen := make([][][]chosenAP, len(insts))
-	var buf []chosenAP
-	dp := make([][]dpVertex, len(insts))
-	for gi, inst := range insts {
-		ps := pats(inst)
-		chosen[gi] = make([][]chosenAP, len(ps))
-		dp[gi] = make([]dpVertex, len(ps))
-		for ni, p := range ps {
-			start := len(buf)
-			buf = a.appendChosenAPs(buf, res, inst, p)
-			aps := buf[start:len(buf):len(buf)]
-			chosen[gi][ni] = aps
+	// Each vertex's chosen APs are computed once and shared by its vertex
+	// term and every edge term.
+	dp.aps, dp.verts, dp.first = dp.aps[:0], dp.verts[:0], dp.first[:0]
+	for gi, inst := range dp.insts {
+		dp.first = append(dp.first, len(dp.verts))
+		for _, p := range res.ByInstance[inst.ID].Patterns {
+			v := dpVert{lo: len(dp.aps)}
+			dp.aps = a.appendChosenAPs(dp.aps, res, inst, p)
+			v.hi = len(dp.aps)
+			aps := dp.aps[v.lo:v.hi]
 			vc := a.vertexCost(eng, inst, p, aps, ctx)
 			if gi == 0 {
-				dp[0][ni] = dpVertex{cost: vc, prev: -1}
+				v.dpVertex = dpVertex{cost: vc, prev: -1}
+				dp.verts = append(dp.verts, v)
 				continue
 			}
 			best, bestPrev := math.MaxInt, -1
-			for pi, prevAPs := range chosen[gi-1] {
-				if dp[gi-1][pi].cost == math.MaxInt {
+			prev := dp.verts[dp.first[gi-1]:dp.first[gi]]
+			for pi := range prev {
+				if prev[pi].cost == math.MaxInt {
 					continue
 				}
-				c := dp[gi-1][pi].cost + vc + a.edgeCost3(prevAPs, aps)
+				c := prev[pi].cost + vc + a.edgeCost3(dp.aps[prev[pi].lo:prev[pi].hi], aps)
 				if c < best {
 					best, bestPrev = c, pi
 				}
 			}
-			dp[gi][ni] = dpVertex{cost: best, prev: bestPrev}
+			v.dpVertex = dpVertex{cost: best, prev: bestPrev}
+			dp.verts = append(dp.verts, v)
 		}
 	}
+	last := len(dp.insts) - 1
 	bestNi, bestCost := -1, math.MaxInt
-	for ni, v := range dp[len(insts)-1] {
+	for ni, v := range dp.verts[dp.first[last]:] {
 		if v.cost < bestCost {
 			bestCost, bestNi = v.cost, ni
 		}
 	}
-	out := make(map[int]int, len(insts))
-	for gi := len(insts) - 1; gi >= 0 && bestNi >= 0; gi-- {
-		out[insts[gi].ID] = bestNi
-		bestNi = dp[gi][bestNi].prev
+	for gi := last; gi >= 0 && bestNi >= 0; gi-- {
+		dp.picks = append(dp.picks, pick{dp.insts[gi].ID, bestNi})
+		bestNi = dp.verts[dp.first[gi]+bestNi].prev
 	}
-	return out
+	return dp.picks
 }
 
 // CountFailedPins fills Stats.TotalPins and Stats.FailedPins: every instance
@@ -282,7 +303,7 @@ func (a *Analyzer) CountFailedPins(res *Result, eng *drc.Engine) {
 	if h == nil {
 		h = newHealth()
 	}
-	a.countFailedPins(context.Background(), res, eng, h)
+	a.countFailedPins(context.Background(), res, eng, h, a.queryCtxs())
 }
 
 // termVia is a net terminal's selected primary via in design coordinates:
@@ -302,11 +323,11 @@ type termVia struct {
 // false when the pin has no access point at all, which counts as failed.
 func (a *Analyzer) resolveTerm(res *Result, inst *db.Instance, pin *db.MPin) (tv termVia, ok bool) {
 	tv = termVia{inst: inst, pin: pin}
-	ap := res.AccessPointFor(inst, pin)
+	ap, pos := res.accessPoint(inst, pin)
 	if ap == nil {
 		return tv, false
 	}
-	tv.via, tv.pos, tv.layer = ap.Primary(), ap.Pos, ap.Layer
+	tv.via, tv.pos, tv.layer = ap.Primary(), pos, ap.Layer
 	if tv.via != nil {
 		tv.net = a.NetOf(inst, pin)
 	}
@@ -370,20 +391,17 @@ func (l *pinLedger) mark(tm *pinTerm, failed bool) {
 	}
 }
 
-// buildLedger resolves every net terminal's selected access point in net
-// order, places the selected vias into eng (which already holds the fixed
-// shapes), compacts it and checks every via terminal, fanned over the
-// configured workers. Cancellation is checked periodically in the resolve
-// pass and per terminal in the check; the counts then cover the terminals
-// resolved and checked so far.
-func (a *Analyzer) buildLedger(ctx context.Context, res *Result, eng *drc.Engine) pinLedger {
-	l := pinLedger{terms: make([]pinTerm, 0, numNetTerms(a.Design))}
-	objs := 0
-resolve:
+// resolveLedger resolves every net terminal's selected access point in net
+// order into a ledger whose terminals without access are already failed, and
+// returns the number of engine objects its vias take. Cancellation is checked
+// periodically; the ledger then covers the terminals resolved so far.
+func (a *Analyzer) resolveLedger(ctx context.Context, res *Result) (l pinLedger, objs int) {
+	l.terms = make([]pinTerm, 0, numNetTerms(a.Design))
 	for _, net := range a.Design.Nets {
 		for _, t := range net.Terms {
 			if len(l.terms)%256 == 0 && ctx.Err() != nil {
-				break resolve
+				l.live = len(l.terms)
+				return l, objs
 			}
 			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
 			tm := pinTerm{termVia: tv, access: ok}
@@ -395,6 +413,14 @@ resolve:
 		}
 	}
 	l.live = len(l.terms)
+	return l, objs
+}
+
+// checkLedger places the ledger's vias, objs engine objects in all, into eng
+// (which already holds the fixed shapes), compacts it and checks every via
+// terminal, fanned over the workers of qcs. Cancellation is checked per
+// terminal; the counts then cover the terminals checked so far.
+func (a *Analyzer) checkLedger(ctx context.Context, l *pinLedger, eng *drc.Engine, objs int, qcs []*drc.QueryCtx) {
 	eng.Grow(objs)
 	for i := range l.terms {
 		if tm := &l.terms[i]; tm.hasVia() {
@@ -404,8 +430,8 @@ resolve:
 	// The check is read-only over the frozen engine: fold the placement churn
 	// into the dense index, then fan out.
 	eng.Compact()
-	counts := make([]int, a.Cfg.workers())
-	a.fanOut(eng, len(l.terms), "pao.failedpins.worker.busy", func(w, i int, qc *drc.QueryCtx) bool {
+	counts := make([]int, len(qcs))
+	a.fanOut(eng, len(l.terms), "pao.failedpins.worker.busy", qcs, func(w, i int, qc *drc.QueryCtx) bool {
 		if ctx.Err() != nil {
 			return false
 		}
@@ -418,7 +444,6 @@ resolve:
 	for _, c := range counts {
 		l.failing += c
 	}
-	return l
 }
 
 // numNetTerms counts the instance terminals on the design's nets.
@@ -430,10 +455,27 @@ func numNetTerms(d *db.Design) int {
 	return n
 }
 
+// maxViaObjs is the most engine objects the primary via of any access point
+// in res takes: times numNetTerms, a bound on the objects the failed-pin
+// ledger places.
+func maxViaObjs(res *Result) int {
+	n := 0
+	for _, ua := range res.Unique {
+		for _, pa := range ua.Pins {
+			for _, ap := range pa.APs {
+				if v := ap.Primary(); v != nil {
+					n = max(n, viaObjs(v))
+				}
+			}
+		}
+	}
+	return n
+}
+
 // countFailedPins is CountFailedPins under a context (the stats then reflect
 // the terminals checked before cancellation) with whole-phase panic
 // quarantine.
-func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, h *Health) {
+func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, h *Health, qcs []*drc.QueryCtx) {
 	defer func() {
 		if r := recover(); r != nil {
 			h.Record(&PipelineError{
@@ -444,7 +486,8 @@ func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.En
 	if hook := a.FaultHook; hook != nil {
 		hook(SiteFailedPins, "")
 	}
-	l := a.buildLedger(ctx, res, eng)
+	l, objs := a.resolveLedger(ctx, res)
+	a.checkLedger(ctx, &l, eng, objs, qcs)
 	res.Stats.TotalPins = l.live
 	res.Stats.FailedPins = l.failing
 }
