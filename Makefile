@@ -86,11 +86,15 @@ serve-smoke:
 # (TestUnionScratchNoAllocsWarm), a warm scratch cell engine Reset and
 # refilled with another class's shapes (TestCellScratchRefillAllocFree), a
 # warm Step-3 cluster DP (TestSelectForClusterAllocFree) and the net index
-# (TestNetOfAllocFree).
+# (TestNetOfAllocFree). The size gates pin the DRC engine's per-object record
+# at 24 pointer-free bytes (TestEngineRecordSize), a new QueryCtx at what it
+# allocates on an empty engine, however many objects the engine holds
+# (TestNewQueryCtxAllocsFlat), and the failed-pin ledger's per-terminal entry
+# at 56 bytes (TestLedgerEntrySize).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
 	$(GO) test -race ./internal/obs ./internal/cliutil ./internal/serve
-	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance' ./internal/obs ./internal/drc ./internal/pao ./internal/geom
+	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance|TestEngineRecordSize|TestNewQueryCtxAllocsFlat|TestLedgerEntrySize' ./internal/obs ./internal/drc ./internal/pao ./internal/geom
 
 # Multi-tenant smoke campaign under the race detector: one paoserve process
 # serving three designs (one at boot, two registered over POST /v1/designs), a

@@ -51,8 +51,7 @@ func (e *Engine) checkMetalRectInto(layer int, r geom.Rect, net int, ctx *QueryC
 	before := len(out)
 	win := r.Bloat(l.SpacingReach())
 	for _, id := range e.QueryMetalCtx(layer, win, ctx) {
-		o := &e.objs[id]
-		oNet := int(o.net)
+		oNet := int(e.objs[id].net)
 		if sameNet(net, oNet) {
 			continue
 		}
@@ -60,7 +59,7 @@ func (e *Engine) checkMetalRectInto(layer int, r geom.Rect, net int, ctx *QueryC
 		if notes {
 			tag = e.describe(id)
 		}
-		out = checkMetalPairInto(l, r, net, "candidate", o.rect, oNet, tag, notes, out)
+		out = checkMetalPairInto(l, r, net, "candidate", e.rect(id), oNet, tag, notes, out)
 	}
 	e.Counters.Violations.Add(int64(len(out) - before))
 	return out
@@ -199,23 +198,23 @@ func (e *Engine) checkCutRectInto(cutBelow int, r geom.Rect, net int, ctx *Query
 	before := len(out)
 	win := r.Bloat(c.Spacing)
 	for _, id := range e.QueryCutCtx(cutBelow, win, ctx) {
-		o := &e.objs[id]
-		if o.rect == r {
+		or := e.rect(id)
+		if or == r {
 			continue // the same via
 		}
-		if r.Overlaps(o.rect) {
-			ov, _ := r.Intersect(o.rect)
+		if r.Overlaps(or) {
+			ov, _ := r.Intersect(or)
 			v := Violation{Rule: "Short", Layer: c.Name, Where: ov}
 			if notes {
-				v.Note = fmt.Sprintf("cut overlaps %s (net %d)", e.describe(id), o.net)
+				v.Note = fmt.Sprintf("cut overlaps %s (net %d)", e.describe(id), e.objs[id].net)
 			}
 			out = append(out, v)
 			continue
 		}
-		if d := r.DistSquared(o.rect); d < c.Spacing*c.Spacing {
-			v := Violation{Rule: "CutSpacing", Layer: c.Name, Where: r.UnionBBox(o.rect)}
+		if d := r.DistSquared(or); d < c.Spacing*c.Spacing {
+			v := Violation{Rule: "CutSpacing", Layer: c.Name, Where: r.UnionBBox(or)}
 			if notes {
-				v.Note = fmt.Sprintf("cut within %d of %s (net %d)", c.Spacing, e.describe(id), o.net)
+				v.Note = fmt.Sprintf("cut within %d of %s (net %d)", c.Spacing, e.describe(id), e.objs[id].net)
 			}
 			out = append(out, v)
 		}
@@ -379,14 +378,14 @@ func (e *Engine) checkEOLRectInto(layer int, r geom.Rect, net int, ctx *QueryCtx
 	wins, nw := eolWindows(l, r)
 	for _, win := range wins[:nw] {
 		for _, id := range e.QueryMetalCtx(layer, win, ctx) {
-			o := &e.objs[id]
-			if sameNet(net, int(o.net)) {
+			oNet := e.objs[id].net
+			if sameNet(net, int(oNet)) {
 				continue
 			}
-			if win.Overlaps(o.rect) {
+			if win.Overlaps(e.rect(id)) {
 				v := Violation{Rule: "EOL", Layer: l.Name, Where: win}
 				if notes {
-					v.Note = fmt.Sprintf("end-of-line window blocked by %s (net %d)", e.describe(id), o.net)
+					v.Note = fmt.Sprintf("end-of-line window blocked by %s (net %d)", e.describe(id), oNet)
 				}
 				out = append(out, v)
 				break
@@ -549,10 +548,10 @@ func connectedInto(seed geom.Rect, rects []geom.Rect, out []geom.Rect, used []bo
 // cut spacing over every indexed cut — the post-route full-design check.
 // Each violating pair is reported once.
 func (e *Engine) CheckAll() []Violation {
-	e.Compact() // exclusive caller by the stamp contract; fold churn first
+	e.Compact() // fold churn (and close a bulk build) first
 	var out []Violation
 	for id := range e.objs {
-		if e.alive[id] {
+		if e.objs[id].alive() {
 			out = e.checkObjAgainst(id, nil, out)
 		}
 	}
@@ -560,46 +559,47 @@ func (e *Engine) CheckAll() []Violation {
 }
 
 // checkObjAgainst runs the pairwise checks of one object against the engine
-// using the caller-owned query state (nil: the engine-owned stamps); only
-// pairs (id < jd) are reported so the full sweep sees each pair once.
+// using the caller-owned query state (nil: fresh result slices); only pairs
+// (id < jd) are reported so the full sweep sees each pair once.
 func (e *Engine) checkObjAgainst(id int, qc *QueryCtx, out []Violation) []Violation {
 	o := &e.objs[id]
+	or := e.rect(id)
 	before := len(out)
 	pairs := int64(0)
 	switch {
 	case o.lay > 0:
 		layer := int(o.lay)
 		l := e.Tech.Metal(layer)
-		win := o.rect.Bloat(l.SpacingReach())
+		win := or.Bloat(l.SpacingReach())
 		for _, jd := range e.QueryMetalCtx(layer, win, qc) {
 			if jd <= id {
 				continue
 			}
 			pairs++
-			q := &e.objs[jd]
-			if sameNet(int(o.net), int(q.net)) {
+			qNet := int(e.objs[jd].net)
+			if sameNet(int(o.net), qNet) {
 				continue
 			}
-			out = checkMetalPairInto(l, o.rect, int(o.net), e.describe(id), q.rect, int(q.net), e.describe(jd), true, out)
+			out = checkMetalPairInto(l, or, int(o.net), e.describe(id), e.rect(jd), qNet, e.describe(jd), true, out)
 		}
 	case o.lay < 0:
 		cutBelow := int(-o.lay)
 		c := e.Tech.Cut(cutBelow)
-		win := o.rect.Bloat(c.Spacing)
+		win := or.Bloat(c.Spacing)
 		for _, jd := range e.QueryCutCtx(cutBelow, win, qc) {
 			if jd <= id {
 				continue
 			}
 			pairs++
-			q := &e.objs[jd]
-			if o.rect.Overlaps(q.rect) {
-				ov, _ := o.rect.Intersect(q.rect)
+			qr := e.rect(jd)
+			if or.Overlaps(qr) {
+				ov, _ := or.Intersect(qr)
 				out = append(out, Violation{Rule: "Short", Layer: c.Name, Where: ov,
 					Note: fmt.Sprintf("%s overlaps %s", e.describe(id), e.describe(jd))})
 				continue
 			}
-			if d := o.rect.DistSquared(q.rect); d < c.Spacing*c.Spacing {
-				out = append(out, Violation{Rule: "CutSpacing", Layer: c.Name, Where: o.rect.UnionBBox(q.rect),
+			if d := or.DistSquared(qr); d < c.Spacing*c.Spacing {
+				out = append(out, Violation{Rule: "CutSpacing", Layer: c.Name, Where: or.UnionBBox(qr),
 					Note: fmt.Sprintf("%s within %d of %s", e.describe(id), c.Spacing, e.describe(jd))})
 			}
 		}
@@ -625,7 +625,7 @@ func (e *Engine) CheckAllParallel(workers int) []Violation {
 			qc := e.NewQueryCtx()
 			var local []Violation
 			for id := w; id < n; id += workers {
-				if !e.alive[id] {
+				if !e.objs[id].alive() {
 					continue
 				}
 				local = e.checkObjAgainst(id, qc, local)

@@ -53,14 +53,33 @@ type Obj struct {
 	Tag        string
 }
 
-// obj is the engine's record of one shape (40 bytes). It holds no pointer,
-// so the garbage collector never scans the object array; the few tags live
-// in the engine's side table.
+// obj is the engine's record of one shape (24 bytes). It holds no pointer,
+// so the garbage collector never scans the object array. The rectangle is
+// kept clamped into int32; a saturated record (one whose clamping moved a
+// coordinate) keeps its exact rectangle in the engine's side table, and so
+// does a tag. Every reader of the rectangle goes through Engine.rect.
 type obj struct {
-	rect geom.Rect
-	net  int32
-	lay  int16 // +metal layer, -cut-below layer, 0 for an unindexed shape
-	kind Kind
+	xl, yl, xh, yh int32 // the rectangle, saturating-clamped into int32
+	net            int32
+	lay            int16 // +metal layer, -cut-below layer, 0 for an unindexed shape
+	kind           Kind
+	flags          uint8 // objAlive | objSat
+}
+
+const (
+	objAlive uint8 = 1 << iota // not removed
+	objSat                     // clamped: the exact rectangle is in Engine.sats
+)
+
+func (o *obj) alive() bool { return o.flags&objAlive != 0 }
+
+// rect returns object id's exact rectangle.
+func (e *Engine) rect(id int) geom.Rect {
+	o := &e.objs[id]
+	if o.flags&objSat != 0 {
+		return e.sats[int32(id)]
+	}
+	return geom.Rect{XL: int64(o.xl), YL: int64(o.yl), XH: int64(o.xh), YH: int64(o.yh)}
 }
 
 // describe names object id in violation notes: its tag, or its kind and net.
@@ -212,20 +231,19 @@ type Engine struct {
 	// goroutines.
 	FaultHook func(site string) []Violation
 
-	objs  []obj
-	tags  map[int32]string // object ID -> tag, for tagged objects only
-	alive []bool
+	objs []obj
+	tags map[int32]string    // object ID -> tag, for tagged objects only
+	sats map[int32]geom.Rect // object ID -> exact rect, for saturated objects only
 
-	// Struct-of-arrays slabs mirroring objs for the query hot loop: clamped
-	// int32 coordinates plus the rows whose clamping moved a coordinate (see
-	// slab.go for the saturation contract).
-	sxl, syl, sxh, syh []int32
-	sat                []bool
+	metal []*binIndex // index 1..NumMetals
+	cut   []*binIndex // index 1..NumMetals-1
+	all   []*binIndex // every metal and cut index
 
-	metal   []*binIndex // index 1..NumMetals
-	cut     []*binIndex // index 1..NumMetals-1
-	stamp   []int32     // per-object visit stamp for query dedup
-	curPass int32
+	// bulk is set between Grow and Compact: Add then only appends the
+	// record, and Compact hands the records from bulkFrom on to their
+	// layers' indexes in one pass (see Grow).
+	bulk     bool
+	bulkFrom int
 
 	// cache, when attached, memoizes via-drop verdicts (CheckViaVerdictCtx)
 	// keyed by canonicalized local geometry.
@@ -252,10 +270,12 @@ func NewEngine(t *tech.Technology) *Engine {
 	e.metal = make([]*binIndex, t.NumMetals()+1)
 	for i := 1; i <= t.NumMetals(); i++ {
 		e.metal[i] = newBinIndex(bin)
+		e.all = append(e.all, e.metal[i])
 	}
 	e.cut = make([]*binIndex, t.NumMetals())
 	for i := 1; i < t.NumMetals(); i++ {
 		e.cut[i] = newBinIndex(bin)
+		e.all = append(e.all, e.cut[i])
 	}
 	return e
 }
@@ -263,8 +283,8 @@ func NewEngine(t *tech.Technology) *Engine {
 // NumObjs returns the number of live objects.
 func (e *Engine) NumObjs() int {
 	n := 0
-	for _, a := range e.alive {
-		if a {
+	for i := range e.objs {
+		if e.objs[i].alive() {
 			n++
 		}
 	}
@@ -274,7 +294,7 @@ func (e *Engine) NumObjs() int {
 // ForEachObj calls fn for every live object in insertion order.
 func (e *Engine) ForEachObj(fn func(o Obj)) {
 	for id := range e.objs {
-		if e.alive[id] {
+		if e.objs[id].alive() {
 			fn(e.Obj(id))
 		}
 	}
@@ -295,17 +315,27 @@ func (e *Engine) AttachViaCache(c *ViaCache) {
 }
 
 // Add registers a shape and returns its ID. IDs are handed out consecutively
-// in insertion order and never reused (Remove only marks an ID dead).
+// in insertion order and never reused (Remove only marks an ID dead). Inside
+// a bulk build (see Grow) the shape is only recorded; otherwise it is
+// indexed at once.
 func (e *Engine) Add(o Obj) int {
 	id := len(e.objs)
-	rec := obj{rect: o.Rect, net: int32(o.Net), kind: o.Kind}
+	xl, yl, xh, yh, sat := clampRect(o.Rect)
+	rec := obj{xl: xl, yl: yl, xh: xh, yh: yh, net: int32(o.Net), kind: o.Kind, flags: objAlive}
 	switch {
 	case o.CutBelow > 0:
 		rec.lay = -int16(o.CutBelow)
 	case o.MetalLayer > 0:
 		rec.lay = int16(o.MetalLayer)
 	}
-	idx := e.index(rec.lay)
+	idx := e.index(rec.lay) // a layer the technology lacks panics before anything is recorded
+	if sat {
+		rec.flags |= objSat
+		if e.sats == nil {
+			e.sats = make(map[int32]geom.Rect)
+		}
+		e.sats[int32(id)] = o.Rect
+	}
 	e.objs = append(e.objs, rec)
 	if o.Tag != "" {
 		if e.tags == nil {
@@ -313,15 +343,7 @@ func (e *Engine) Add(o Obj) int {
 		}
 		e.tags[int32(id)] = o.Tag
 	}
-	e.alive = append(e.alive, true)
-	e.stamp = append(e.stamp, 0)
-	xl, yl, xh, yh, sat := clampRect(o.Rect)
-	e.sxl = append(e.sxl, xl)
-	e.syl = append(e.syl, yl)
-	e.sxh = append(e.sxh, xh)
-	e.syh = append(e.syh, yh)
-	e.sat = append(e.sat, sat)
-	if idx != nil {
+	if idx != nil && !e.bulk {
 		idx.insert(int32(id), o.Rect)
 		if idx.needsCompact() {
 			e.compactIndex(idx)
@@ -341,45 +363,37 @@ func (e *Engine) index(lay int16) *binIndex {
 	return nil
 }
 
-// Grow reserves room for n more objects in every per-object column, so a
-// caller that knows its shape count adds them without slice regrowth.
+// Grow reserves room for n more objects and opens a bulk build: until the
+// next Compact, Add only appends each shape's record, and Compact then
+// indexes every shape added since Grow in one pass per layer instead of
+// inserting them one by one. A caller that knows its shape count calls
+// Grow, adds them and calls Compact before its first query; a query inside
+// the bulk build panics, because the index does not hold its shapes yet.
 func (e *Engine) Grow(n int) {
 	e.objs = slices.Grow(e.objs, n)
-	e.alive = slices.Grow(e.alive, n)
-	e.stamp = slices.Grow(e.stamp, n)
-	e.sxl = slices.Grow(e.sxl, n)
-	e.syl = slices.Grow(e.syl, n)
-	e.sxh = slices.Grow(e.sxh, n)
-	e.syh = slices.Grow(e.syh, n)
-	e.sat = slices.Grow(e.sat, n)
+	if !e.bulk {
+		e.bulk, e.bulkFrom = true, len(e.objs)
+	}
 }
 
 // Reset empties the engine for reuse, as NewEngine over the same Technology
-// would return it with Counters kept: every object, tag, index entry, the
-// FaultHook and the attached via cache go. Every column, bin run, id slab
-// and overflow list keeps its capacity, so a warm engine refilled with
-// shapes like the ones it held allocates nothing. Reset restores a
-// consistent empty engine from any state, including one a panic left in the
-// middle of an Add, a Compact or a check. Like Add, it needs exclusive
-// access; QueryCtx values created on the engine stay usable.
+// would return it with Counters kept: every object, tag, saturated rect,
+// index entry, an open bulk build, the FaultHook and the attached via cache
+// go. The record array, bin runs, id slabs and overflow lists keep their
+// capacity, so a warm engine refilled with shapes like the ones it held
+// allocates nothing. Reset restores a consistent empty engine from any
+// state, including one a panic left in the middle of an Add, a bulk build,
+// a Compact or a check. Like Add, it needs exclusive access; QueryCtx
+// values created on the engine stay usable.
 func (e *Engine) Reset() {
 	e.FaultHook = nil
 	e.cache = nil
 	e.objs = e.objs[:0]
 	clear(e.tags)
-	e.alive = e.alive[:0]
-	e.stamp = e.stamp[:0]
-	e.sxl, e.syl, e.sxh, e.syh = e.sxl[:0], e.syl[:0], e.sxh[:0], e.syh[:0]
-	e.sat = e.sat[:0]
-	for _, idx := range e.metal {
-		if idx != nil {
-			idx.reset()
-		}
-	}
-	for _, idx := range e.cut {
-		if idx != nil {
-			idx.reset()
-		}
+	clear(e.sats)
+	e.bulk, e.bulkFrom = false, 0
+	for _, idx := range e.all {
+		idx.reset()
 	}
 }
 
@@ -395,13 +409,16 @@ func (e *Engine) AddCut(cutBelow int, r geom.Rect, net int, tag string) int {
 
 // Remove deletes a previously added object.
 func (e *Engine) Remove(id int) {
-	if id < 0 || id >= len(e.objs) || !e.alive[id] {
+	if id < 0 || id >= len(e.objs) || !e.objs[id].alive() {
 		return
 	}
-	e.alive[id] = false
 	o := &e.objs[id]
+	o.flags &^= objAlive
+	if e.bulk && id >= e.bulkFrom {
+		return // not indexed yet: Compact skips dead records
+	}
 	if idx := e.index(o.lay); idx != nil {
-		idx.remove(int32(id), o.rect)
+		idx.remove(int32(id), e.rect(id))
 		if idx.needsCompact() {
 			e.compactIndex(idx)
 		}
@@ -411,7 +428,7 @@ func (e *Engine) Remove(id int) {
 // Obj returns the object with the given ID, built from the engine's record.
 func (e *Engine) Obj(id int) Obj {
 	o := &e.objs[id]
-	out := Obj{ID: id, Kind: o.kind, Rect: o.rect, Net: int(o.net), Tag: e.tags[int32(id)]}
+	out := Obj{ID: id, Kind: o.kind, Rect: e.rect(id), Net: int(o.net), Tag: e.tags[int32(id)]}
 	if o.lay > 0 {
 		out.MetalLayer = int(o.lay)
 	} else {
@@ -420,27 +437,22 @@ func (e *Engine) Obj(id int) Obj {
 	return out
 }
 
-// queryIdx gathers live object IDs from idx touching r, deduped, using the
-// engine-owned stamp state (exclusive-use callers only).
-func (e *Engine) queryIdx(idx *binIndex, r geom.Rect) []int {
-	e.curPass++
-	return e.queryIdxInto(idx, r, e.stamp, e.curPass, nil)
-}
-
-// QueryMetal returns IDs of live metal shapes on layer touching r.
+// QueryMetal returns IDs of live metal shapes on layer touching r, in a
+// fresh slice.
 func (e *Engine) QueryMetal(layer int, r geom.Rect) []int {
 	if layer < 1 || layer >= len(e.metal) {
 		return nil
 	}
-	return e.queryIdx(e.metal[layer], r)
+	return e.queryIdxInto(e.metal[layer], r, nil)
 }
 
-// QueryCut returns IDs of live via cuts on cut layer cutBelow touching r.
+// QueryCut returns IDs of live via cuts on cut layer cutBelow touching r, in
+// a fresh slice.
 func (e *Engine) QueryCut(cutBelow int, r geom.Rect) []int {
 	if cutBelow < 1 || cutBelow >= len(e.cut) {
 		return nil
 	}
-	return e.queryIdx(e.cut[cutBelow], r)
+	return e.queryIdxInto(e.cut[cutBelow], r, nil)
 }
 
 // sameNet reports whether two net IDs should be exempt from spacing/short
@@ -453,34 +465,57 @@ func sameNet(a, b int) bool {
 	return a == b && a != NoNet
 }
 
-// queryIdxInto is the thread-safe query core: the caller owns the visit-stamp
-// buffer (len >= len(objs) — the Ctx entry points grow it lazily) and the
-// pass counter, so concurrent readers never share state. Candidates are
-// filtered by a branch-light compare over the int32 coordinate slabs; only
-// saturated rows (or a saturated query window) fall back to the exact int64
+// queryIdxInto is the query core. It writes nothing but out, so concurrent
+// readers share the engine freely. It walks the window's cells x-major,
+// each cell's dense run before its overflow list, and filters candidates by
+// a branch-light compare of the records' int32 coordinates; only a
+// saturated record (or a saturated window) falls back to the exact int64
 // geometry.
-func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, stamp []int32, pass int32, out []int) []int {
+//
+// A shape that spans several cells is reported only from the cell holding
+// the low corner of its overlap with the window. That is the first cell of
+// the scan that lists the shape, so results come out in first-visit order
+// with no per-object visit state, provided no cell list holds an ID twice
+// (binIndex keeps each ID at most once per cell).
+func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
 	if idx == nil {
 		return out
 	}
+	if e.bulk {
+		panic("drc: query inside a bulk build (Grow without Compact)")
+	}
 	before := len(out)
 	qxl, qyl, qxh, qyh, qsat := clampRect(r)
-	scan := func(cands []int32) {
+	x0, y0, x1, y1 := idx.keyRange(r)
+	objs := e.objs
+	scan := func(cands []int32, x, y int32) {
+		// Report a shape only from the cell that holds its overlap's low
+		// corner: in x, the window's first column or the column the shape
+		// starts in; the same in y.
+		cxl, cyl := int64(x)*idx.size, int64(y)*idx.size
+		firstX, firstY := x == x0, y == y0
 		for _, id := range cands {
-			if !e.alive[id] || stamp[id] == pass {
+			o := &objs[id]
+			if o.flags&objAlive == 0 || o.xl > qxh || qxl > o.xh || o.yl > qyh || qyl > o.yh {
 				continue
 			}
-			stamp[id] = pass
-			if e.sxl[id] > qxh || qxl > e.sxh[id] || e.syl[id] > qyh || qyl > e.syh[id] {
-				continue
-			}
-			if (qsat || e.sat[id]) && !e.objs[id].rect.Touches(r) {
+			if qsat || o.flags&objSat != 0 {
+				// Exact geometry, and the low corner test on the bin keys
+				// the index filed the shape under.
+				or := e.rect(int(id))
+				if !or.Touches(r) {
+					continue
+				}
+				ox0, oy0, _, _ := idx.keyRange(or)
+				if x != max(x0, ox0) || y != max(y0, oy0) {
+					continue
+				}
+			} else if (!firstX && int64(o.xl) < cxl) || (!firstY && int64(o.yl) < cyl) {
 				continue
 			}
 			out = append(out, int(id))
 		}
 	}
-	x0, y0, x1, y1 := idx.keyRange(r)
 	dense := idx.nx > 0
 	sparse := len(idx.over) > 0
 	for x := x0; x <= x1; x++ {
@@ -489,12 +524,12 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, stamp []int32, pass in
 				cx, cy := int(x)-int(idx.gx0), int(y)-int(idx.gy0)
 				if cx >= 0 && cx < int(idx.nx) && cy >= 0 && cy < int(idx.ny) {
 					run := idx.runs[cy*int(idx.nx)+cx]
-					scan(idx.ids[run.off : run.off+run.n])
+					scan(idx.ids[run.off:run.off+run.n], x, y)
 				}
 			}
 			if sparse {
 				if s, ok := idx.over[[2]int32{x, y}]; ok {
-					scan(idx.cells[s])
+					scan(idx.cells[s], x, y)
 				}
 			}
 		}
@@ -508,20 +543,18 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, stamp []int32, pass in
 // concurrently against one engine, and doubles as the check cores' scratch
 // arena: every per-check buffer (query results, violation accumulation,
 // dedup keys, min-step union geometry) lives here, so the count-only verdict
-// path allocates nothing after warm-up. Obtain with NewQueryCtx; shapes added
-// afterwards are picked up lazily (the visit-stamp buffer grows on the next
-// query through the context).
+// path allocates nothing after warm-up. Obtain with NewQueryCtx; its size
+// does not depend on the engine's, and shapes added afterwards need nothing
+// from it.
 //
 // A slice returned by QueryMetalCtx/QueryCutCtx is only valid until the next
 // query through the same context. Every in-tree caller consumes the IDs
 // before issuing another query; callers that need to keep results across
 // queries must copy them.
 type QueryCtx struct {
-	stamp []int32
-	pass  int32
-	buf   []int      // reused query result buffer
-	sig   []sigEntry // via-signature scratch (viacache.go)
-	enc   []byte     // via-signature encode scratch
+	buf []int      // reused query result buffer
+	sig []sigEntry // via-signature scratch (viacache.go)
+	enc []byte     // via-signature encode scratch
 
 	// Check-core arenas (see checks.go): violation accumulation for the
 	// count-only verdict path, dedup keys, connected-component rects, ring
@@ -534,19 +567,9 @@ type QueryCtx struct {
 	union geom.UnionScratch
 }
 
-// ensure grows the stamp buffer to cover shapes added after the context was
-// created. New entries stamp 0, which no in-use pass value equals (passes
-// start at 1), so pending passes stay valid.
-func (ctx *QueryCtx) ensure(e *Engine) {
-	if n := len(e.objs); len(ctx.stamp) < n {
-		ctx.stamp = append(ctx.stamp, make([]int32, n-len(ctx.stamp))...)
-	}
-}
-
-// NewQueryCtx allocates query state sized for the engine's current objects,
-// with room for the ones Grow reserved, so adding those does not regrow it.
+// NewQueryCtx returns empty query state; its buffers grow on first use.
 func (e *Engine) NewQueryCtx() *QueryCtx {
-	return &QueryCtx{stamp: make([]int32, len(e.objs), cap(e.objs))}
+	return &QueryCtx{}
 }
 
 // QueryMetalCtx is QueryMetal with caller-owned state (safe for concurrent
@@ -559,9 +582,7 @@ func (e *Engine) QueryMetalCtx(layer int, r geom.Rect, ctx *QueryCtx) []int {
 	if layer < 1 || layer >= len(e.metal) {
 		return nil
 	}
-	ctx.ensure(e)
-	ctx.pass++
-	ctx.buf = e.queryIdxInto(e.metal[layer], r, ctx.stamp, ctx.pass, ctx.buf[:0])
+	ctx.buf = e.queryIdxInto(e.metal[layer], r, ctx.buf[:0])
 	return ctx.buf
 }
 
@@ -574,8 +595,6 @@ func (e *Engine) QueryCutCtx(cutBelow int, r geom.Rect, ctx *QueryCtx) []int {
 	if cutBelow < 1 || cutBelow >= len(e.cut) {
 		return nil
 	}
-	ctx.ensure(e)
-	ctx.pass++
-	ctx.buf = e.queryIdxInto(e.cut[cutBelow], r, ctx.stamp, ctx.pass, ctx.buf[:0])
+	ctx.buf = e.queryIdxInto(e.cut[cutBelow], r, ctx.buf[:0])
 	return ctx.buf
 }

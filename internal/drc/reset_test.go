@@ -19,19 +19,34 @@ type resetRound struct {
 	// (and so bypasses the via cache); panic makes the round's last via check
 	// panic from inside the check instead, leaving the engine mid-query.
 	hook, panic bool
+	// bulk adds the round's shapes through a bulk build (Grow … Compact);
+	// buildPanic panics halfway through adding them instead, leaving the
+	// engine mid-build (a bulk build when bulk is set).
+	bulk, buildPanic bool
 }
 
-// play fills e with the round's shapes (some tagged), removes a third of
-// them, compacts, adds two far-apart shapes on metal 3 so its next
-// compaction is map-only, attaches a new via cache, and answers a fixed set
-// of questions: region queries (IDs in result order), via reports, cached
-// verdicts, metal checks and the full-design sweep. It returns the answers
-// rendered as strings.
+// play fills e with the round's shapes (some tagged, one beyond int32),
+// removes a third of them, compacts, adds two far-apart shapes on metal 3 so
+// its next compaction is map-only, attaches a new via cache, and answers a
+// fixed set of questions: region queries (IDs in result order), via reports,
+// cached verdicts, metal checks and the full-design sweep. It returns the
+// answers rendered as strings.
 func (r resetRound) play(e *Engine) (answers []string) {
 	tc := e.Tech
 	rng := rand.New(rand.NewSource(r.seed))
-	var ids []int
-	for i := 0; i < 120+rng.Intn(120); i++ {
+	say := func(v any) { answers = append(answers, fmt.Sprint(v)) }
+	if r.buildPanic {
+		defer func() { say(recover()) }()
+	}
+	n := 120 + rng.Intn(120)
+	if r.bulk {
+		e.Grow(n + 1)
+	}
+	ids := []int{e.AddMetal(3, geom.R(3e9, 3e9, 3e9+100, 3e9+70), 4, KindWire, "sat")}
+	for i := 0; i < n; i++ {
+		if r.buildPanic && i == n/2 {
+			panic("injected mid-build panic")
+		}
 		x, y := int64(rng.Intn(40000)), int64(rng.Intn(40000))
 		w, h := int64(70+rng.Intn(3000)), int64(70+rng.Intn(400))
 		net := rng.Intn(6) - 1 // NoNet included
@@ -62,7 +77,6 @@ func (r resetRound) play(e *Engine) (answers []string) {
 		}
 	}
 	qc := e.NewQueryCtx()
-	say := func(v any) { answers = append(answers, fmt.Sprint(v)) }
 	for i := 0; i < 30; i++ {
 		x, y := int64(rng.Intn(40000)), int64(rng.Intn(40000))
 		win := geom.R(x, y, x+3000, y+3000)
@@ -71,6 +85,7 @@ func (r resetRound) play(e *Engine) (answers []string) {
 		say(e.QueryMetal(2, win))
 	}
 	say(e.QueryMetal(3, geom.R(9e8, 9e8, 9e8+10, 9e8+10)))
+	say(e.QueryMetal(3, geom.R(3e9-10, 3e9-10, 3e9+10, 3e9+10)))
 	via := tc.ViasAbove(1)[0]
 	for i := 0; i < 40; i++ {
 		p := geom.Pt(int64(rng.Intn(40000)), int64(rng.Intn(40000)))
@@ -93,37 +108,68 @@ func (r resetRound) play(e *Engine) (answers []string) {
 // TestResetMatchesFresh: one engine, Reset between seeded rounds, answers
 // every round exactly as a fresh engine holding the same shapes — the same
 // IDs, result order, violation lists and drc.* counters — although each
-// round leaves tags, removals, a map-only index, a fault hook, a via cache
-// or a panic mid-check behind for the next Reset.
+// round leaves tags, a saturated shape, removals, a map-only index, a fault
+// hook, a via cache, a panic mid-check or a panic mid-build (bulk or not)
+// behind for the next Reset. A round filled through a bulk build also
+// answers exactly as the same round filled one Add at a time.
 func TestResetMatchesFresh(t *testing.T) {
 	tc := tech.N45()
 	reused := NewEngine(tc)
 	reused.Counters = NewCounters(obs.NewRegistry())
 	rounds := []resetRound{
-		{seed: 1}, {seed: 2, hook: true}, {seed: 3, panic: true}, {seed: 4},
-		{seed: 5, hook: true, panic: true}, {seed: 6}, {seed: 2},
+		{seed: 1}, {seed: 2, hook: true}, {seed: 3, panic: true}, {seed: 4, bulk: true},
+		{seed: 5, hook: true, panic: true}, {seed: 6, bulk: true, buildPanic: true},
+		{seed: 6, bulk: true}, {seed: 2}, {seed: 7, bulk: true, hook: true},
+		{seed: 8, buildPanic: true}, {seed: 1, bulk: true, panic: true},
 	}
-	for i, r := range rounds {
-		before := reused.Counters.Snapshot()
-		reused.Reset()
-		got := r.play(reused)
-		after := reused.Counters.Snapshot()
-
+	// play runs r on e and returns its answers with the counter deltas.
+	play := func(e *Engine, r resetRound) ([]string, map[string]int64) {
+		before := e.Counters.Snapshot()
+		got := r.play(e)
+		delta := e.Counters.Snapshot()
+		for name := range delta {
+			delta[name] -= before[name]
+		}
+		return got, delta
+	}
+	freshPlay := func(r resetRound) ([]string, map[string]int64) {
 		fresh := NewEngine(tc)
 		fresh.Counters = NewCounters(obs.NewRegistry())
-		want := r.play(fresh)
+		return play(fresh, r)
+	}
+	same := func(i int, r resetRound, what string, got, want []string, gotC, wantC map[string]int64) {
+		t.Helper()
 		if !reflect.DeepEqual(got, want) {
 			for k := range want {
 				if k >= len(got) || got[k] != want[k] {
-					t.Fatalf("round %d (%+v): answer %d after Reset\n got %s\nwant %s", i, r, k, got[k], want[k])
+					t.Fatalf("round %d (%+v): answer %d %s\n got %s\nwant %s", i, r, k, what, got[k], want[k])
 				}
 			}
-			t.Fatalf("round %d (%+v): %d answers after Reset, %d fresh", i, r, len(got), len(want))
+			t.Fatalf("round %d (%+v): %d answers %s, want %d", i, r, len(got), what, len(want))
 		}
-		for name, n := range fresh.Counters.Snapshot() {
-			if d := after[name] - before[name]; d != n {
-				t.Errorf("round %d: %s moved %d after Reset, %d on a fresh engine", i, name, d, n)
+		if !reflect.DeepEqual(gotC, wantC) {
+			t.Errorf("round %d (%+v): counter deltas %s %v, want %v", i, r, what, gotC, wantC)
+		}
+	}
+	for i, r := range rounds {
+		reused.Reset()
+		if reused.bulk || len(reused.objs) != 0 || len(reused.sats) != 0 || len(reused.tags) != 0 {
+			t.Fatalf("round %d: Reset left bulk=%v, %d records, %d saturated rects, %d tags",
+				i, reused.bulk, len(reused.objs), len(reused.sats), len(reused.tags))
+		}
+		for k, idx := range reused.all {
+			if len(idx.members) != 0 || idx.pending != 0 || idx.nx != 0 || len(idx.over) != 0 || idx.dirty() {
+				t.Fatalf("round %d: Reset left index %d non-empty", i, k)
 			}
+		}
+		got, gotC := play(reused, r)
+		want, wantC := freshPlay(r)
+		same(i, r, "after Reset", got, want, gotC, wantC)
+		if r.bulk && !r.buildPanic {
+			one := r
+			one.bulk = false
+			want, wantC := freshPlay(one)
+			same(i, r, "from a bulk build", got, want, gotC, wantC)
 		}
 	}
 }

@@ -9,22 +9,21 @@ import (
 
 // Data-oriented storage for the query core (see DESIGN.md §16).
 //
-// The engine keeps the geometry it scans during region queries in flat
-// struct-of-arrays slabs — int32 XL/YL/XH/YH columns plus a saturation
-// column — so the Touches test over a bin's candidates is a branch-light
-// compare over contiguous memory instead of a walk over the 40-byte object
-// records. The authoritative int64 geometry stays in Engine.objs; the
-// columns are a saturating-clamped projection of it:
+// Each shape's record (Engine.objs) keeps its rectangle as int32
+// coordinates, so the Touches test over a bin's candidates is four compares
+// on the 24-byte record the alive flag also lives in. The int32 rectangle is
+// a saturating-clamped projection of the exact int64 one:
 //
 //   - clamping is monotone, so a true int64 touch always survives as an int32
 //     touch (no false negatives);
 //   - a shape whose coordinates fit int32 — every real design; DEF caps
 //     coordinates at 1e15 DBU but practical designs stay far below 2^31 —
-//     compares exactly;
+//     compares exactly, and its record is its exact rectangle;
 //   - a saturated shape (or a saturated query window) can produce a false
-//     positive, so those candidates get one exact int64 confirm against
-//     Engine.objs. Engine.sat marks them; the branch is perfectly predicted
-//     (never taken) on unsaturated designs.
+//     positive, so those candidates get one exact int64 confirm against the
+//     exact rectangle, which a saturated record keeps in Engine.sats. The
+//     objSat flag marks them; the branch is perfectly predicted (never
+//     taken) on unsaturated designs.
 
 // clampI32 saturates an int64 coordinate into int32 range.
 func clampI32(v int64) (int32, bool) {
@@ -37,7 +36,7 @@ func clampI32(v int64) (int32, bool) {
 	return int32(v), false
 }
 
-// clampRect saturates a rectangle into the int32 slab domain. sat reports
+// clampRect saturates a rectangle into the records' int32 domain. sat reports
 // whether any coordinate moved (exact int64 confirmation required).
 func clampRect(r geom.Rect) (xl, yl, xh, yh int32, sat bool) {
 	var s1, s2, s3, s4 bool
@@ -57,10 +56,12 @@ type binRun struct {
 // binIndex is the uniform-grid spatial index over object IDs. The steady
 // state is a dense grid of offset/length runs into one shared, bin-sorted ID
 // slab (rebuilt by compact); inserts since the last compact land in the
-// overflow lists, removals are lazy (queries filter on Engine.alive, compact
-// reclaims). Compaction only ever runs under the engine mutation contract —
-// from Add/Remove past an amortization threshold, or from an explicit
-// Engine.Compact at a freeze point — never from the (concurrent) query side.
+// overflow lists, removals are lazy (queries filter on the records' alive
+// flag, compact reclaims). No cell list ever holds an ID twice: the query's
+// dedup relies on it. Compaction only ever runs under the engine mutation
+// contract — from Add/Remove past an amortization threshold, or from an
+// explicit Engine.Compact at a freeze point — never from the (concurrent)
+// query side.
 type binIndex struct {
 	size int64
 
@@ -84,8 +85,10 @@ type binIndex struct {
 	mapOnly bool
 
 	// members lists every inserted id (ascending; may contain dead ids until
-	// compact filters them against Engine.alive).
+	// compact filters them). pending counts the last of them, which Compact
+	// took from a bulk build and no cell lists yet.
 	members []int32
+	pending int
 
 	// Amortization accounting: compact() resets these; Add/Remove trigger a
 	// rebuild once the churn since the last compact rivals the base size, so
@@ -138,7 +141,7 @@ func (b *binIndex) push(k [2]int32, id int32) {
 }
 
 // remove unregisters id covering r. Overflow entries are scrubbed eagerly
-// (cheap map lookups); dense entries are left to the alive[] query filter and
+// (cheap map lookups); dense entries are left to the query's alive filter and
 // reclaimed by the next compact.
 func (b *binIndex) remove(id int32, r geom.Rect) {
 	b.dead++
@@ -168,7 +171,7 @@ func (b *binIndex) remove(id int32, r geom.Rect) {
 }
 
 // dirty reports whether the index has churn a compact would fold in.
-func (b *binIndex) dirty() bool { return b.overPairs > 0 || b.dead > 0 }
+func (b *binIndex) dirty() bool { return b.overPairs > 0 || b.dead > 0 || b.pending > 0 }
 
 // needsCompact applies the amortization thresholds: rebuild when the overflow
 // rivals the dense base, or when lazy removals dominate the member list.
@@ -183,6 +186,7 @@ func (b *binIndex) needsCompact() bool {
 // overflow map and slots.
 func (b *binIndex) reset() {
 	b.members = b.members[:0]
+	b.pending = 0
 	b.gx0, b.gy0, b.nx, b.ny = 0, 0, 0, 0
 	b.runs, b.ids = b.runs[:0], b.ids[:0]
 	clear(b.over)
@@ -198,7 +202,7 @@ func (b *binIndex) reset() {
 func (e *Engine) compactIndex(b *binIndex) {
 	live := b.members[:0]
 	for _, id := range b.members {
-		if e.alive[id] {
+		if e.objs[id].alive() {
 			live = append(live, id)
 		}
 	}
@@ -211,7 +215,7 @@ func (e *Engine) compactIndex(b *binIndex) {
 	var gx0, gy0, gx1, gy1 int32
 	pairs := 0
 	for i, id := range live {
-		x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
+		x0, y0, x1, y1 := b.keyRange(e.rect(int(id)))
 		pairs += int(x1-x0+1) * int(y1-y0+1)
 		if i == 0 {
 			gx0, gy0, gx1, gy1 = x0, y0, x1, y1
@@ -226,7 +230,7 @@ func (e *Engine) compactIndex(b *binIndex) {
 		// empty cells. Keep everything in the map.
 		b.mapOnly = true
 		for _, id := range live {
-			x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
+			x0, y0, x1, y1 := b.keyRange(e.rect(int(id)))
 			for x := x0; x <= x1; x++ {
 				for y := y0; y <= y1; y++ {
 					b.push([2]int32{x, y}, id)
@@ -242,7 +246,7 @@ func (e *Engine) compactIndex(b *binIndex) {
 	b.runs = slices.Grow(b.runs, int(cells))[:cells]
 	clear(b.runs)
 	for _, id := range live {
-		x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
+		x0, y0, x1, y1 := b.keyRange(e.rect(int(id)))
 		for x := x0; x <= x1; x++ {
 			for y := y0; y <= y1; y++ {
 				b.runs[int(y-gy0)*int(b.nx)+int(x-gx0)].n++
@@ -257,7 +261,7 @@ func (e *Engine) compactIndex(b *binIndex) {
 	}
 	b.ids = slices.Grow(b.ids, pairs)[:pairs]
 	for _, id := range live { // ascending ids -> ascending within each cell
-		x0, y0, x1, y1 := b.keyRange(e.objs[id].rect)
+		x0, y0, x1, y1 := b.keyRange(e.rect(int(id)))
 		for x := x0; x <= x1; x++ {
 			for y := y0; y <= y1; y++ {
 				run := &b.runs[int(y-gy0)*int(b.nx)+int(x-gx0)]
@@ -270,20 +274,40 @@ func (e *Engine) compactIndex(b *binIndex) {
 }
 
 // Compact folds every index's overflow inserts and lazy removals into its
-// dense grid. It must run under the engine mutation contract — the analyzer
-// calls it at engine freeze points (after bulk construction, after Step-3
-// placement) before fanning queries out to goroutines; queries themselves
-// never rebuild, so a missed Compact costs speed, never correctness. An ECO
-// session skips it: a rebuild costs time proportional to the whole index,
-// while an edit leaves only a few shapes in the overflow map.
+// dense grid, and closes a bulk build: the live shapes added since Grow join
+// their layers' member lists (one pass counts them per layer, one appends,
+// so each list grows once) and each layer's grid is built from its members
+// in one compaction. It must run under the engine mutation contract — the
+// analyzer calls it at engine freeze points (after bulk construction, after
+// Step-3 placement) before fanning queries out to goroutines; queries
+// themselves never rebuild. Outside a bulk build a missed Compact costs
+// speed, never correctness. An ECO session skips it: a rebuild costs time
+// proportional to the whole index, while an edit leaves only a few shapes in
+// the overflow map.
 func (e *Engine) Compact() {
-	for _, idx := range e.metal {
-		if idx != nil && idx.dirty() {
-			e.compactIndex(idx)
+	if e.bulk {
+		e.bulk = false
+		recs := e.objs[e.bulkFrom:]
+		for i := range recs {
+			if o := &recs[i]; o.alive() {
+				if idx := e.index(o.lay); idx != nil {
+					idx.pending++
+				}
+			}
+		}
+		for _, idx := range e.all {
+			idx.members = slices.Grow(idx.members, idx.pending)
+		}
+		for i := range recs {
+			if o := &recs[i]; o.alive() {
+				if idx := e.index(o.lay); idx != nil {
+					idx.members = append(idx.members, int32(e.bulkFrom+i))
+				}
+			}
 		}
 	}
-	for _, idx := range e.cut {
-		if idx != nil && idx.dirty() {
+	for _, idx := range e.all {
+		if idx.dirty() {
 			e.compactIndex(idx)
 		}
 	}

@@ -3,17 +3,21 @@ package drc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/tech"
 )
 
 // TestQueryCtxSurvivesMidContextAdd pins the stamp-growth regression: a
-// QueryCtx created before later Adds used to carry a too-short stamp buffer,
-// and the first query touching a new object panicked with an index out of
-// range. The context must instead pick new shapes up lazily.
+// QueryCtx created before later Adds used to carry a too-short visit-stamp
+// buffer, and the first query touching a new object panicked with an index
+// out of range. A context holds no per-object state now; shapes added after
+// it was made must still be found through it.
 func TestQueryCtxSurvivesMidContextAdd(t *testing.T) {
 	e := NewEngine(tech.N45())
 	e.AddMetal(1, geom.R(0, 0, 100, 70), 1, KindPin, "p0")
@@ -21,7 +25,7 @@ func TestQueryCtxSurvivesMidContextAdd(t *testing.T) {
 	if got := e.QueryMetalCtx(1, geom.R(0, 0, 50, 50), qc); len(got) != 1 {
 		t.Fatalf("warm-up query = %v, want 1 id", got)
 	}
-	// Grow the engine well past the context's original stamp length.
+	// Add well past the engine's size when the context was made.
 	var late []int
 	for i := 0; i < 50; i++ {
 		late = append(late, e.AddMetal(1, geom.R(int64(i)*1000+500, 0, int64(i)*1000+600, 70), i+2, KindWire, ""))
@@ -94,9 +98,11 @@ func TestDedupKeyEquivalence(t *testing.T) {
 }
 
 // TestBinIndexMultiBinRemove covers multi-bin membership end to end: a shape
-// spanning many grid cells is found through any of them and disappears from
-// all of them on removal. A manually duplicated index entry checks that the
-// query's stamp dedup tolerates duplicate IDs in a cell list.
+// spanning many grid cells is found through any of them, once, and
+// disappears from all of them on removal. No cell list ever holds an ID
+// twice, before or after a compaction: the query reports a shape only from
+// the cell of its overlap's low corner, so a duplicate entry would be
+// reported twice.
 func TestBinIndexMultiBinRemove(t *testing.T) {
 	e := NewEngine(tech.N45())
 	wide := geom.R(-50000, -3000, 150000, 3000) // spans many bins incl. negatives
@@ -111,13 +117,20 @@ func TestBinIndexMultiBinRemove(t *testing.T) {
 			t.Fatalf("window %v = %v, want [%d]", w, got, id)
 		}
 	}
-	// Duplicate insertion (as a stand-in for any index path that lists one id
-	// twice in a cell): queries must still return the id once.
-	e.metal[1].insert(int32(id), wide)
-	if got := e.QueryMetal(1, geom.R(0, 0, 10, 10)); len(got) != 1 {
-		t.Fatalf("duplicate index entry leaked: %v", got)
+	if got := e.QueryMetal(1, wide); len(got) != 1 || got[0] != id {
+		t.Fatalf("whole-shape window = %v, want [%d]", got, id)
 	}
+	checkNoDupCells(t, e)
+	e.Compact()
+	checkNoDupCells(t, e)
+	late := e.AddMetal(1, wide, 2, KindWire, "wide-late") // overflow over the dense grid
+	checkNoDupCells(t, e)
+	if got := e.QueryMetal(1, wide); len(got) != 2 || got[0] != id || got[1] != late {
+		t.Fatalf("whole-shape window with overflow = %v, want [%d %d]", got, id, late)
+	}
+	e.Remove(late)
 	e.Remove(id)
+	checkNoDupCells(t, e)
 	for _, w := range windows {
 		if got := e.QueryMetal(1, w); len(got) != 0 {
 			t.Fatalf("window %v after remove = %v, want empty", w, got)
@@ -287,5 +300,54 @@ func TestCheckViaVerdictMatchesReport(t *testing.T) {
 				t.Fatalf("cached pass %d at %v: verdict %d != report %d", pass, p, v, want)
 			}
 		}
+	}
+}
+
+// TestEngineRecordSize pins the engine's per-object record at 24 bytes with
+// no pointer field, so the garbage collector never scans the object array.
+func TestEngineRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(obj{}); n != 24 {
+		t.Errorf("engine record is %d bytes, want 24", n)
+	}
+	rt := reflect.TypeOf(obj{})
+	for i := 0; i < rt.NumField(); i++ {
+		switch f := rt.Field(i); f.Type.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("engine record field %s is a %s, which holds a pointer", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestNewQueryCtxAllocsFlat: a QueryCtx holds no per-object state, so making
+// one on a 100K-object engine allocates what it does on an empty engine,
+// counted in allocations and in bytes.
+func TestNewQueryCtxAllocsFlat(t *testing.T) {
+	empty := NewEngine(tech.N45())
+	full := NewEngine(tech.N45())
+	full.Grow(100_000)
+	for i := 0; i < 100_000; i++ {
+		x := int64(i%1000) * 200
+		y := int64(i/1000) * 200
+		full.AddMetal(1+i%2, geom.R(x, y, x+100, y+70), i%50, KindPin, "")
+	}
+	full.Compact()
+	var sink *QueryCtx
+	measure := func(e *Engine) (allocs float64, bytes uint64) {
+		allocs = testing.AllocsPerRun(100, func() { sink = e.NewQueryCtx() })
+		const runs = 1000
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < runs; i++ {
+			sink = e.NewQueryCtx()
+		}
+		runtime.ReadMemStats(&m1)
+		return allocs, (m1.TotalAlloc - m0.TotalAlloc) / runs
+	}
+	ea, eb := measure(empty)
+	fa, fb := measure(full)
+	_ = sink
+	if fa != ea || fb != eb {
+		t.Fatalf("NewQueryCtx on 100K objects: %v allocs, %d bytes; on an empty engine: %v allocs, %d bytes", fa, fb, ea, eb)
 	}
 }

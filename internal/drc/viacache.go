@@ -168,15 +168,15 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 	}
 	collectMetal := func(cls uint8, layer int, win geom.Rect) {
 		for _, id := range e.QueryMetalCtx(layer, win, qc) {
-			o := &e.objs[id]
+			oNet := e.objs[id].net
 			var fl uint8
-			if sameNet(net, int(o.net)) {
+			if sameNet(net, int(oNet)) {
 				fl |= 1
 			}
-			if o.net == NoNet {
+			if oNet == NoNet {
 				fl |= 2
 			}
-			add(cls, fl, o.rect)
+			add(cls, fl, e.rect(id))
 		}
 	}
 	collectMetal(0, k, v.BotRect(p).Bloat(sigHalo(e.Tech.Metal(k))))
@@ -190,7 +190,7 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 			// Cut spacing ignores nets; only the relative rectangle matters
 			// (the coincident-cut exemption compares rects, which survives the
 			// shift to relative coordinates).
-			add(2, 0, e.objs[id].rect)
+			add(2, 0, e.rect(id))
 		}
 	}
 	for _, r := range sameNetRects {

@@ -331,11 +331,12 @@ func (s *ECOSession) own(i int32) {
 	if !tm.hasVia() {
 		return
 	}
-	end := tm.obj0 + viaObjs(tm.via)
+	sp := tm.viaSpan()
+	end := int(sp.first + sp.n)
 	if n := len(s.owner); n < end {
 		s.owner = append(s.owner, make([]int32, end-n)...)
 	}
-	for id := tm.obj0; id < end; id++ {
+	for id := int(sp.first); id < end; id++ {
 		s.owner[id] = i + 1
 	}
 }
@@ -867,15 +868,9 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 	s := t.s
 	var mutated []drc.Obj
 	note := func(id int) { mutated = append(mutated, s.fp.Obj(id)) }
-	remove := func(id int) {
-		note(id)
-		s.fp.Remove(id)
-	}
 	removeVia := func(tm *pinTerm) {
 		if tm.hasVia() {
-			for id := tm.obj0; id < tm.obj0+viaObjs(tm.via); id++ {
-				remove(id)
-			}
+			tm.viaSpan().remove(s.fp, note)
 		}
 	}
 	recheck := make(map[int32]bool)
@@ -918,8 +913,9 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 			if tm.hasVia() {
 				tm.obj0 = tm.place(s.fp)
 				s.own(i)
-				for oid := tm.obj0; oid < tm.obj0+viaObjs(tm.via); oid++ {
-					note(oid)
+				sp := tm.viaSpan()
+				for oid := sp.first; oid < sp.first+sp.n; oid++ {
+					note(int(oid))
 				}
 			}
 			recheck[i] = true

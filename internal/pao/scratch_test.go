@@ -3,6 +3,7 @@ package pao
 import (
 	"bytes"
 	"testing"
+	"unsafe"
 
 	"repro/internal/db"
 	"repro/internal/suite"
@@ -87,6 +88,15 @@ func TestSelectForClusterAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { a.selectForCluster(res, eng, cl, qc, &dp) }); n != 0 {
 		t.Fatalf("a warm Step-3 cluster DP allocates %v times, want 0", n)
+	}
+}
+
+// TestLedgerEntrySize pins the failed-pin ledger's per-terminal entry at 56
+// bytes: an aes_14nm analysis builds 57,774 of them, and an ECO session
+// keeps them.
+func TestLedgerEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(pinTerm{}); n != 56 {
+		t.Fatalf("pinTerm is %d bytes, want 56", n)
 	}
 }
 

@@ -313,10 +313,10 @@ func (a *Analyzer) CountFailedPins(res *Result, eng *drc.Engine) {
 type termVia struct {
 	inst  *db.Instance
 	pin   *db.MPin
-	net   int
 	via   *tech.ViaDef
 	pos   geom.Point
-	layer int // the access point's metal: its pin shapes join the min-step union
+	net   int32
+	layer int16 // the access point's metal: its pin shapes join the min-step union
 }
 
 // resolveTerm looks up the selected access point of an instance pin. ok is
@@ -327,9 +327,9 @@ func (a *Analyzer) resolveTerm(res *Result, inst *db.Instance, pin *db.MPin) (tv
 	if ap == nil {
 		return tv, false
 	}
-	tv.via, tv.pos, tv.layer = ap.Primary(), pos, ap.Layer
+	tv.via, tv.pos, tv.layer = ap.Primary(), pos, int16(ap.Layer)
 	if tv.via != nil {
-		tv.net = a.NetOf(inst, pin)
+		tv.net = int32(a.NetOf(inst, pin))
 	}
 	return tv, true
 }
@@ -337,31 +337,38 @@ func (a *Analyzer) resolveTerm(res *Result, inst *db.Instance, pin *db.MPin) (tv
 // place adds the via to eng on the terminal's net: the two enclosures as
 // via-enclosure metal, then every cut. It returns the first object ID; the
 // via occupies viaObjs(tv.via) consecutive IDs from there.
-func (tv *termVia) place(eng *drc.Engine) int {
-	v := tv.via
-	first := eng.AddMetal(v.CutBelow, v.BotRect(tv.pos), tv.net, drc.KindViaEnc, "")
-	eng.AddMetal(v.CutBelow+1, v.TopRect(tv.pos), tv.net, drc.KindViaEnc, "")
+func (tv *termVia) place(eng *drc.Engine) int32 {
+	v, net := tv.via, int(tv.net)
+	first := eng.AddMetal(v.CutBelow, v.BotRect(tv.pos), net, drc.KindViaEnc, "")
+	eng.AddMetal(v.CutBelow+1, v.TopRect(tv.pos), net, drc.KindViaEnc, "")
 	for _, c := range v.Cuts {
-		eng.AddCut(v.CutBelow, c.Shift(tv.pos), tv.net, "")
+		eng.AddCut(v.CutBelow, c.Shift(tv.pos), net, "")
 	}
-	return first
+	return int32(first)
 }
 
 // viaObjs is the number of engine objects place adds for v.
 func viaObjs(v *tech.ViaDef) int { return 2 + len(v.Cuts) }
 
+// viaSpan is the span of engine objects tm's placed via occupies (hasVia
+// only).
+func (tm *pinTerm) viaSpan() objSpan {
+	return objSpan{first: tm.obj0, n: int32(viaObjs(tm.via))}
+}
+
 // fails re-validates the placed via in eng's full context.
 func (tv *termVia) fails(eng *drc.Engine, qc *drc.QueryCtx) bool {
 	var buf [8]geom.Rect
-	pinRects := appendPinRects(buf[:0], tv.inst, tv.pin, tv.layer)
-	return eng.CheckViaVerdictCtx(tv.via, tv.pos, tv.net, pinRects, qc) > 0
+	pinRects := appendPinRects(buf[:0], tv.inst, tv.pin, int(tv.layer))
+	return eng.CheckViaVerdictCtx(tv.via, tv.pos, int(tv.net), pinRects, qc) > 0
 }
 
-// pinTerm is one net terminal's state in a pinLedger.
+// pinTerm is one net terminal's state in a pinLedger (56 bytes: termVia
+// takes 48, obj0 and the two flags the last 8).
 type pinTerm struct {
 	termVia
-	obj0   int  // first engine object of the placed via (hasVia only)
-	access bool // has a selected access point; false counts as failed
+	obj0   int32 // first engine object of the placed via (hasVia only)
+	access bool  // has a selected access point; false counts as failed
 	failed bool
 }
 
