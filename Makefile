@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet experiments \
 	experiments-full examples clean difftest eco-difftest golden-update \
 	fuzz-smoke cover faultinject serve-smoke telemetry-smoke tenant-smoke \
-	dist-difftest dist-smoke
+	dist-difftest dist-smoke bench-analyze
 
 all: build vet test
 
@@ -78,9 +78,10 @@ serve-smoke:
 # counters every re-analysis and ECO move adds to /metrics. The per-call
 # allocation tests prove the two registry lookups a served request makes
 # allocate nothing (TestRegistryLookupsAllocFree), and that the kernels
-# Steps 1-3 run stay allocation-free: the warm via-verdict hit, region query
-# and count-only stub check, counting into registry series as an analyzer's
-# engines do (TestViaCacheHitAllocFree, TestQueryMetalCtxAllocFree,
+# Steps 1-3 run stay allocation-free: the warm via-verdict hit, focused
+# verdict, region query and count-only stub check, counting into registry
+# series as an analyzer's engines do (TestViaCacheHitAllocFree,
+# TestFocusedVerdictAllocFree, TestQueryMetalCtxAllocFree,
 # TestMetalRectCountAllocFree), the via-pair predicate
 # (TestViaPairCleanDistance), the polygon union
 # (TestUnionScratchNoAllocsWarm), a warm scratch cell engine Reset and
@@ -128,6 +129,13 @@ dist-difftest:
 # (the coordinator's failed-pin recount, each worker's shards).
 dist-smoke:
 	$(GO) test -race -v -run 'TestDistSmoke' ./cmd/paoworker ./cmd/paorun
+
+# One analysis (NewAnalyzer + RunContext, two workers) of each perfbench
+# workload's design, eight samples each for benchstat: wall time, process CPU
+# per analysis (cpu-s/op, perfbench's analyze_cpu_s) and allocations. A quick
+# in-process companion to paired perfbench runs.
+bench-analyze:
+	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeWorkloads' -benchmem -count 8 .
 
 # Re-pin the golden per-testcase result snapshots after an intentional
 # behaviour change (testdata/golden/*.json).

@@ -7,6 +7,7 @@
 //	BenchmarkFig8Exp3          — Fig. 8 / Experiment 3 (routed DRCs by access mode)
 //	BenchmarkFig9Aes14nm       — Fig. 9 (14 nm off-track study)
 //	BenchmarkAblation*         — design-choice sweeps DESIGN.md calls out
+//	BenchmarkAnalyzeWorkloads  — one analysis of each perfbench workload design
 //	Benchmark{Step1,DP,...}    — microbenchmarks of the framework's hot paths
 //
 // Benchmarks run the suite at bench scale (cells and nets scaled down
@@ -16,12 +17,19 @@
 package repro
 
 import (
+	"bytes"
+	"context"
 	"flag"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/baseline"
+	"repro/internal/db"
+	"repro/internal/def"
 	"repro/internal/exp"
 	"repro/internal/geom"
+	"repro/internal/lef"
 	"repro/internal/pao"
 	"repro/internal/router"
 	"repro/internal/suite"
@@ -197,6 +205,81 @@ func BenchmarkAblationCoordTypes(b *testing.B) {
 		cfg.AllowedTypes = []pao.CoordType{pao.OnTrack}
 		benchConfig(b, cfg)
 	})
+}
+
+// --- Workload analyses -----------------------------------------------------
+
+// BenchmarkAnalyzeWorkloads times one analysis (NewAnalyzer + RunContext, two
+// workers) of each perfbench workload's design, built as perfbench builds
+// it: the suite spec at seed 1, written as LEF/DEF and parsed back. Besides
+// wall time and allocations it reports the process CPU per analysis
+// (getrusage), perfbench's analyze_cpu_s. `make bench-analyze` runs it with
+// -count 8 for benchstat.
+func BenchmarkAnalyzeWorkloads(b *testing.B) {
+	test1, _ := suite.ByName("pao_test1")
+	test4, _ := suite.ByName("pao_test4")
+	for _, w := range []struct {
+		name string
+		spec suite.Spec
+	}{
+		{"batch_highreuse", test1},
+		{"batch_lowreuse", test4.Scale(0.1)},
+		{"serve_eco", suite.AES14},
+	} {
+		w := w
+		var d *db.Design
+		b.Run(w.name, func(b *testing.B) {
+			if d == nil {
+				d = workloadDesign(b, w.spec.WithSeed(1))
+			}
+			cfg := pao.DefaultConfig()
+			cfg.Workers = 2
+			b.ReportAllocs()
+			b.ResetTimer()
+			c0 := processCPU(b)
+			for i := 0; i < b.N; i++ {
+				if _, err := pao.NewAnalyzer(d, cfg).RunContext(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric((processCPU(b)-c0).Seconds()/float64(b.N), "cpu-s/op")
+		})
+	}
+}
+
+// workloadDesign generates spec's design, writes it as LEF/DEF and parses
+// the bytes back.
+func workloadDesign(b *testing.B, spec suite.Spec) *db.Design {
+	b.Helper()
+	g, err := suite.Generate(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lb, defBuf bytes.Buffer
+	if err := lef.Write(&lb, g.Tech, g.Masters); err != nil {
+		b.Fatal(err)
+	}
+	if err := def.Write(&defBuf, g); err != nil {
+		b.Fatal(err)
+	}
+	lib, err := lef.Parse(&lb)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := def.Parse(&defBuf, lib.Tech, lib.Masters)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// processCPU returns the user plus system CPU time the process has used.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // --- Microbenchmarks -------------------------------------------------------

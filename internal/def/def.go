@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/db"
+	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/tech"
 )
@@ -218,14 +219,50 @@ func (p *parser) sectionCount(section string) (int64, error) {
 }
 
 // Parse reads a DEF design against a technology and master library (as
-// produced by lef.Parse).
+// produced by lef.Parse). A design holding a shape too large for the DRC
+// index is refused (see checkExtents).
 func Parse(r io.Reader, t *tech.Technology, masters []*db.Master) (*db.Design, error) {
 	p := newParser(r)
 	d, err := parse(p, t, masters)
 	if terr := p.finish(); terr != nil {
 		return nil, terr
 	}
-	return d, err
+	if err != nil {
+		return d, err
+	}
+	if err := checkExtents(d); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// checkExtents refuses a design whose IO pins, or the pin and obstruction
+// shapes of any master in its library, include one the DRC index would not
+// take (drc.CheckExtent: wherever it is placed, it could be filed in more
+// bins than one shape may cost). Every tool then reports such a design as
+// an input error instead of failing inside the engine. Unplaced masters are
+// checked too, since an ECO insert may place any of them.
+func checkExtents(d *db.Design) error {
+	for _, m := range d.Masters {
+		for _, pin := range m.Pins {
+			for _, s := range pin.Shapes {
+				if err := drc.CheckExtent(d.Tech, s.Rect); err != nil {
+					return fmt.Errorf("def: master %s pin %s: %w", m.Name, pin.Name, err)
+				}
+			}
+		}
+		for _, s := range m.Obs {
+			if err := drc.CheckExtent(d.Tech, s.Rect); err != nil {
+				return fmt.Errorf("def: master %s obstruction: %w", m.Name, err)
+			}
+		}
+	}
+	for _, io := range d.IOPins {
+		if err := drc.CheckExtent(d.Tech, io.Shape.Rect); err != nil {
+			return fmt.Errorf("def: pin %s: %w", io.Name, err)
+		}
+	}
+	return nil
 }
 
 func parse(p *parser, t *tech.Technology, masters []*db.Master) (*db.Design, error) {

@@ -97,15 +97,21 @@ func WriteRouted(w io.Writer, d *db.Design, routing map[string]*Routing) error {
 }
 
 // ParseRouted reads a DEF design plus any ROUTED clauses. It accepts the same
-// input as Parse (routing is optional) and additionally returns the parsed
-// routing per net name.
+// input as Parse (routing is optional, and the same shape extents are
+// refused) and additionally returns the parsed routing per net name.
 func ParseRouted(r io.Reader, t *tech.Technology, masters []*db.Master) (*db.Design, map[string]*Routing, error) {
 	p := newParser(r)
 	d, routing, err := parseRouted(p, t, masters)
 	if terr := p.finish(); terr != nil {
 		return nil, nil, terr
 	}
-	return d, routing, err
+	if err != nil {
+		return d, routing, err
+	}
+	if err := checkExtents(d); err != nil {
+		return nil, nil, err
+	}
+	return d, routing, nil
 }
 
 func parseRouted(p *parser, t *tech.Technology, masters []*db.Master) (*db.Design, map[string]*Routing, error) {

@@ -248,6 +248,14 @@ type Engine struct {
 	// cache, when attached, memoizes via-drop verdicts (CheckViaVerdictCtx)
 	// keyed by canonicalized local geometry.
 	cache *ViaCache
+
+	// halo[k] is metal k's signature halo (sigHalo), computed once here
+	// rather than from the spacing table on every via signature.
+	halo []int64
+
+	// gen counts mutations of the object set (Add, Remove, Reset): a focus
+	// gathered at an older generation is retired (see Focus).
+	gen uint64
 }
 
 // minBinSize floors the spatial-index bin size: a degenerate technology
@@ -255,22 +263,26 @@ type Engine struct {
 // would divide by zero on the first insert.
 const minBinSize = 256
 
-// NewEngine creates an empty engine for the given technology. Bin size is
-// derived from the lower-metal pitch, floored at minBinSize for degenerate
-// rule decks.
-func NewEngine(t *tech.Technology) *Engine {
-	e := &Engine{Tech: t}
+// binSize is the spatial-index bin size of an engine for t: derived from the
+// lower-metal pitch, floored at minBinSize for degenerate rule decks.
+func binSize(t *tech.Technology) int64 {
 	var bin int64
 	if l := t.Metal(1); l != nil {
 		bin = 24 * l.Pitch
 	}
-	if bin < minBinSize {
-		bin = minBinSize
-	}
+	return max(bin, minBinSize)
+}
+
+// NewEngine creates an empty engine for the given technology.
+func NewEngine(t *tech.Technology) *Engine {
+	e := &Engine{Tech: t}
+	bin := binSize(t)
 	e.metal = make([]*binIndex, t.NumMetals()+1)
+	e.halo = make([]int64, t.NumMetals()+1)
 	for i := 1; i <= t.NumMetals(); i++ {
 		e.metal[i] = newBinIndex(bin)
 		e.all = append(e.all, e.metal[i])
+		e.halo[i] = sigHalo(t.Metal(i))
 	}
 	e.cut = make([]*binIndex, t.NumMetals())
 	for i := 1; i < t.NumMetals(); i++ {
@@ -317,7 +329,9 @@ func (e *Engine) AttachViaCache(c *ViaCache) {
 // Add registers a shape and returns its ID. IDs are handed out consecutively
 // in insertion order and never reused (Remove only marks an ID dead). Inside
 // a bulk build (see Grow) the shape is only recorded; otherwise it is
-// indexed at once.
+// indexed at once. A shape on a layer the technology lacks, or one that
+// spans more than maxCellSpan index bins, panics before anything is
+// recorded; design readers refuse the latter as input (CheckExtent).
 func (e *Engine) Add(o Obj) int {
 	id := len(e.objs)
 	xl, yl, xh, yh, sat := clampRect(o.Rect)
@@ -328,7 +342,13 @@ func (e *Engine) Add(o Obj) int {
 	case o.MetalLayer > 0:
 		rec.lay = int16(o.MetalLayer)
 	}
-	idx := e.index(rec.lay) // a layer the technology lacks panics before anything is recorded
+	idx := e.index(rec.lay)
+	if idx != nil {
+		if n := cellSpan(idx.keys(o.Rect, xl, yl, xh, yh, sat)); n > maxCellSpan {
+			panic(fmt.Sprintf("drc: shape %v spans %d index bins, more than the %d one shape may take", o.Rect, n, maxCellSpan))
+		}
+	}
+	e.gen++
 	if sat {
 		rec.flags |= objSat
 		if e.sats == nil {
@@ -386,6 +406,7 @@ func (e *Engine) Grow(n int) {
 // a Compact or a check. Like Add, it needs exclusive access; QueryCtx
 // values created on the engine stay usable.
 func (e *Engine) Reset() {
+	e.gen++
 	e.FaultHook = nil
 	e.cache = nil
 	e.objs = e.objs[:0]
@@ -412,6 +433,7 @@ func (e *Engine) Remove(id int) {
 	if id < 0 || id >= len(e.objs) || !e.objs[id].alive() {
 		return
 	}
+	e.gen++
 	o := &e.objs[id]
 	o.flags &^= objAlive
 	if e.bulk && id >= e.bulkFrom {
@@ -467,16 +489,18 @@ func sameNet(a, b int) bool {
 
 // queryIdxInto is the query core. It writes nothing but out, so concurrent
 // readers share the engine freely. It walks the window's cells x-major,
-// each cell's dense run before its overflow list, and filters candidates by
-// a branch-light compare of the records' int32 coordinates; only a
-// saturated record (or a saturated window) falls back to the exact int64
-// geometry.
+// clipped to the index's populated extent, each cell's dense run before its
+// overflow list, and filters candidates by a branch-light compare of the
+// records' int32 coordinates; only a saturated record (or a saturated
+// window) falls back to the exact int64 geometry.
 //
 // A shape that spans several cells is reported only from the cell holding
-// the low corner of its overlap with the window. That is the first cell of
-// the scan that lists the shape, so results come out in first-visit order
-// with no per-object visit state, provided no cell list holds an ID twice
-// (binIndex keeps each ID at most once per cell).
+// the low corner of its overlap with the (clipped) window. That is the
+// first cell of the scan that lists the shape, so results come out in
+// first-visit order with no per-object visit state, provided no cell list
+// holds an ID twice (binIndex keeps each ID at most once per cell). The clip
+// moves no shape's low-corner cell: every cell listing a shape lies inside
+// the extent.
 func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
 	if idx == nil {
 		return out
@@ -484,9 +508,18 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
 	if e.bulk {
 		panic("drc: query inside a bulk build (Grow without Compact)")
 	}
-	before := len(out)
+	e.Counters.Queries.Add(1)
 	qxl, qyl, qxh, qyh, qsat := clampRect(r)
-	x0, y0, x1, y1 := idx.keyRange(r)
+	x0, y0, x1, y1 := idx.keys(r, qxl, qyl, qxh, qyh, qsat)
+	ex0, ey0, ex1, ey1, populated := idx.extent()
+	if !populated {
+		return out
+	}
+	x0, y0, x1, y1 = max(x0, ex0), max(y0, ey0), min(x1, ex1), min(y1, ey1)
+	if x0 > x1 || y0 > y1 {
+		return out
+	}
+	before := len(out)
 	objs := e.objs
 	scan := func(cands []int32, x, y int32) {
 		// Report a shape only from the cell that holds its overlap's low
@@ -534,7 +567,6 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
 			}
 		}
 	}
-	e.Counters.Queries.Add(1)
 	e.Counters.QueryObjects.Add(int64(len(out) - before))
 	return out
 }
@@ -565,6 +597,9 @@ type QueryCtx struct {
 	used  []bool
 	steps []bool
 	union geom.UnionScratch
+
+	// focus is the gathered neighbourhood via signatures read (focus.go).
+	focus focus
 }
 
 // NewQueryCtx returns empty query state; its buffers grow on first use.

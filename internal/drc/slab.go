@@ -1,10 +1,12 @@
 package drc
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/geom"
+	"repro/internal/tech"
 )
 
 // Data-oriented storage for the query core (see DESIGN.md §16).
@@ -47,6 +49,65 @@ func clampRect(r geom.Rect) (xl, yl, xh, yh int32, sat bool) {
 	return xl, yl, xh, yh, s1 || s2 || s3 || s4
 }
 
+// Bin keys are computed in int64 and saturated into [-maxBinKey, maxBinKey],
+// for inserts and queries alike. The key map stays monotone, so a shape and a
+// window that touch still share a bin, while a coordinate far beyond int32
+// (DEF admits 1e15 DBU) lands in an edge bin instead of wrapping, and every
+// walk over keys, or difference of two keys, stays inside int32.
+const maxBinKey = 1 << 29
+
+// A shape is filed in every bin it touches, so one shape may cost the index
+// at most shapeBudget bytes. Filed by a lone Add, a bin costs an overflow
+// map key, a cell list and its one-ID array: 73 bytes measured over 65,536
+// bins, taken as overflowCellBytes (a bulk-built dense grid costs 12). So one
+// shape may span at most maxCellSpan = 2^22 bins, a 2,048 x 2,048-bin
+// square: about 3.1 mm on a side at the 14 nm bin (1,536 DBU), 6.9 mm at the
+// 45 nm one. Add refuses a larger shape before recording anything; readers
+// of design input refuse it first (CheckExtent).
+const (
+	shapeBudget       = 320 << 20
+	overflowCellBytes = 80
+	maxCellSpan       = shapeBudget / overflowCellBytes
+)
+
+// CheckExtent returns an error when a shape the size of r, placed anywhere
+// and in any orientation, could be filed in more than maxCellSpan bins of an
+// engine for t, so that Add would refuse it. A rect w DBU wide touches at
+// most ceil(w/bin)+1 bins along x; likewise along y.
+func CheckExtent(t *tech.Technology, r geom.Rect) error {
+	bin := binSize(t)
+	nx := ceilDiv(r.Width(), bin) + 1
+	ny := ceilDiv(r.Height(), bin) + 1
+	if nx > maxCellSpan || ny > maxCellSpan || nx*ny > maxCellSpan {
+		return fmt.Errorf("shape %v is %d x %d DBU: the DRC index may take up to %d bins of %d DBU for one shape, it could need %d x %d",
+			r, r.Width(), r.Height(), maxCellSpan, bin, nx, ny)
+	}
+	return nil
+}
+
+// ceilDiv is ceil(a/b) for a >= 0 and b > 0, without overflow.
+func ceilDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 {
+		q++
+	}
+	return q
+}
+
+// binKey is the saturated bin key of coordinate v.
+func binKey(v, size int64) int32 {
+	return int32(min(max(floorDiv(v, size), -maxBinKey), maxBinKey))
+}
+
+// floorDiv32 is floorDiv for an int32 dividend and a positive divisor.
+func floorDiv32(a, b int32) int32 {
+	q := a / b
+	if a%b != 0 && a < 0 {
+		q--
+	}
+	return q
+}
+
 // binRun is one cell of the dense grid: a run of candidate IDs inside the
 // shared ids slab.
 type binRun struct {
@@ -63,7 +124,8 @@ type binRun struct {
 // explicit Engine.Compact at a freeze point — never from the (concurrent)
 // query side.
 type binIndex struct {
-	size int64
+	size   int64
+	size32 int32 // size when it fits int32 (the unsaturated key path), else 0
 
 	// Dense base grid. runs is row-major over [gx0,gx0+nx) x [gy0,gy0+ny) in
 	// bin coordinates; nx is zero until the first compact and in mapOnly
@@ -83,6 +145,9 @@ type binIndex struct {
 	over    map[[2]int32]int32
 	cells   [][]int32
 	mapOnly bool
+	// ox0..oy1 bound the keys over holds (valid while it holds any): with
+	// the dense grid, the populated extent a query's walk is clipped to.
+	ox0, oy0, ox1, oy1 int32
 
 	// members lists every inserted id (ascending; may contain dead ids until
 	// compact filters them). pending counts the last of them, which Compact
@@ -99,12 +164,48 @@ type binIndex struct {
 }
 
 func newBinIndex(size int64) *binIndex {
-	return &binIndex{size: size}
+	b := &binIndex{size: size}
+	if size <= math.MaxInt32 {
+		b.size32 = int32(size)
+	}
+	return b
 }
 
+// keyRange returns the saturated bin keys a rectangle covers.
 func (b *binIndex) keyRange(r geom.Rect) (x0, y0, x1, y1 int32) {
-	return int32(floorDiv(r.XL, b.size)), int32(floorDiv(r.YL, b.size)),
-		int32(floorDiv(r.XH, b.size)), int32(floorDiv(r.YH, b.size))
+	xl, yl, xh, yh, sat := clampRect(r)
+	return b.keys(r, xl, yl, xh, yh, sat)
+}
+
+// keys is keyRange for a rectangle whose clampRect the caller already has.
+// An unsaturated rectangle divides in int32: its keys are at most
+// 2^31/minBinSize in magnitude, so none saturates.
+func (b *binIndex) keys(r geom.Rect, xl, yl, xh, yh int32, sat bool) (x0, y0, x1, y1 int32) {
+	if s := b.size32; !sat && s != 0 {
+		return floorDiv32(xl, s), floorDiv32(yl, s), floorDiv32(xh, s), floorDiv32(yh, s)
+	}
+	return binKey(r.XL, b.size), binKey(r.YL, b.size), binKey(r.XH, b.size), binKey(r.YH, b.size)
+}
+
+// cellSpan is the number of bins a key range covers.
+func cellSpan(x0, y0, x1, y1 int32) int64 {
+	return (int64(x1) - int64(x0) + 1) * (int64(y1) - int64(y0) + 1)
+}
+
+// extent returns the populated key extent: the dense grid and the keys over
+// holds (ok is false when the index holds neither). Every cell that lists a
+// shape lies inside it.
+func (b *binIndex) extent() (x0, y0, x1, y1 int32, ok bool) {
+	if b.nx > 0 {
+		x0, y0, x1, y1, ok = b.gx0, b.gy0, b.gx0+b.nx-1, b.gy0+b.ny-1, true
+	}
+	if len(b.over) == 0 {
+		return x0, y0, x1, y1, ok
+	}
+	if !ok {
+		return b.ox0, b.oy0, b.ox1, b.oy1, true
+	}
+	return min(x0, b.ox0), min(y0, b.oy0), max(x1, b.ox1), max(y1, b.oy1), true
 }
 
 // insert registers id covering r. New ids always land in the overflow lists;
@@ -128,6 +229,12 @@ func (b *binIndex) push(k [2]int32, id int32) {
 	}
 	s, ok := b.over[k]
 	if !ok {
+		if len(b.over) == 0 {
+			b.ox0, b.oy0, b.ox1, b.oy1 = k[0], k[1], k[0], k[1]
+		} else {
+			b.ox0, b.oy0 = min(b.ox0, k[0]), min(b.oy0, k[1])
+			b.ox1, b.oy1 = max(b.ox1, k[0]), max(b.oy1, k[1])
+		}
 		s = int32(len(b.cells))
 		if len(b.cells) < cap(b.cells) {
 			b.cells = b.cells[:s+1]
@@ -224,7 +331,7 @@ func (e *Engine) compactIndex(b *binIndex) {
 		gx0, gy0 = min(gx0, x0), min(gy0, y0)
 		gx1, gy1 = max(gx1, x1), max(gy1, y1)
 	}
-	cells := (int64(gx1) - int64(gx0) + 1) * (int64(gy1) - int64(gy0) + 1)
+	cells := cellSpan(gx0, gy0, gx1, gy1)
 	if lim := int64(2 * pairs); cells > 4096 && cells > lim {
 		// Sparse or wildly spread extents: a dense grid would waste memory on
 		// empty cells. Keep everything in the map.

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -349,5 +351,181 @@ func TestNewQueryCtxAllocsFlat(t *testing.T) {
 	_ = sink
 	if fa != ea || fb != eb {
 		t.Fatalf("NewQueryCtx on 100K objects: %v allocs, %d bytes; on an empty engine: %v allocs, %d bytes", fa, fb, ea, eb)
+	}
+}
+
+// TestQueryHugeWindow: bin keys saturate instead of wrapping at int32, a
+// query walks only the part of its window inside the populated key extent,
+// and Add refuses a shape that would be filed in more than maxCellSpan bins
+// before recording anything, so no test here builds the giant index the cap
+// guards against. Each engine holds shapes in one place: near the origin, or
+// beyond int32 where their keys saturate. Each holds one shape 5,000 bins
+// from the others, so a Compact goes map-only, and runs over the index's
+// three layouts: overflow lists only, map-only after a Compact, and a dense
+// grid with overflow inserts.
+func TestQueryHugeWindow(t *testing.T) {
+	tc := tech.N45()
+	bin := binSize(tc)
+	far := int64(1) << 42               // beyond int32; its bin key saturates
+	edge := int64(maxBinKey-5000) * bin // beyond int32, 5,000 bins short of the saturated key
+	type query struct {
+		win  geom.Rect
+		want []int // indices into the case's shapes
+	}
+	cases := []struct {
+		name string
+		// shapes: a, b in a's bin, c 5,000 bins away.
+		shapes  [3]geom.Rect
+		wire    geom.Rect // crosses a
+		queries []query
+	}{
+		{"near", [3]geom.Rect{geom.R(0, 0, 100, 70), geom.R(10, 0, 50, 70), geom.R(5000*bin, 0, 5000*bin+100, 70)},
+			geom.R(20, -50, 40, 150),
+			[]query{
+				{geom.R(-1<<42, -50, 1<<42, 50), []int{0, 1, 2}}, // keys wrapped at int32: answered nothing
+				{geom.R(-1<<40, -50, 1<<40, 50), []int{0, 1, 2}}, // walked 1.4e9 empty bins
+				{geom.R(-1<<62, -1<<62, 1<<62, 1<<62), []int{0, 1, 2}},
+				{geom.R(-1<<43, 200, 1<<43, 300), nil},
+				{geom.R(-1<<43, 0, -1<<42, 70), nil},
+				{geom.R(far, far, 2*far, 2*far), nil}, // beyond the extent on both axes
+			}},
+		{"far", [3]geom.Rect{geom.R(far, 0, 2*far, 100), geom.R(far+1000, 0, far+2000, 100), geom.R(edge, 0, edge+100, 70)},
+			geom.R(far+500, -50, far+600, 150),
+			[]query{
+				{geom.R(-2*far, -50, 2*far, 50), []int{2, 0, 1}},
+				{geom.R(-1<<62, -1<<62, 1<<62, 1<<62), []int{2, 0, 1}},
+				{geom.R(far+500, -50, far+600, 150), []int{0}},
+				{geom.R(-2*far, 0, -far, 70), nil},
+				{geom.R(-2*far, -2*far, -far, -far), nil}, // beyond the extent on both axes
+			}},
+	}
+	for _, c := range cases {
+		for _, mode := range []string{"overflow", "map-only", "dense+overflow"} {
+			e := NewEngine(tc)
+			var ids [3]int
+			for i, r := range c.shapes {
+				ids[i] = e.AddMetal(1, r, i+1, KindPin, "")
+				if i == 0 && mode == "dense+overflow" {
+					e.Compact()
+				}
+			}
+			if mode == "map-only" {
+				e.Compact()
+			}
+			if got := e.metal[1].mapOnly; got != (mode == "map-only") {
+				t.Fatalf("%s %s: map-only = %v", c.name, mode, got)
+			}
+			for _, q := range c.queries {
+				var want []int
+				for _, i := range q.want {
+					want = append(want, ids[i])
+				}
+				if got := e.QueryMetal(1, q.win); !slices.Equal(got, want) {
+					t.Fatalf("%s %s: QueryMetal(1, %v) = %v, want %v", c.name, mode, q.win, got, want)
+				}
+			}
+			if vs := e.CheckMetalRect(1, c.wire, 9); !hasRule(vs, "Short") {
+				t.Fatalf("%s %s: a wire across the first shape reports %v, want a Short", c.name, mode, rules(vs))
+			}
+			if mode == "map-only" {
+				// A window beyond the extent on both axes walks nothing.
+				qc := e.NewQueryCtx()
+				win := c.queries[len(c.queries)-1].win
+				if n := testing.AllocsPerRun(10, func() { e.QueryMetalCtx(1, win, qc) }); n != 0 {
+					t.Fatalf("%s: a query beyond the extent allocates %v times", c.name, n)
+				}
+			}
+
+			// A shape spanning 2^30 bins is refused, inside a bulk build
+			// too, and the engine is left as it was.
+			huge := geom.R(-1<<42, 0, 1<<42, 100)
+			if CheckExtent(tc, huge) == nil {
+				t.Fatalf("CheckExtent accepts %v", huge)
+			}
+			all := e.QueryMetal(1, geom.R(-1<<62, -1<<62, 1<<62, 1<<62))
+			for _, bulk := range []bool{false, true} {
+				if bulk {
+					e.Grow(1)
+				}
+				func() {
+					defer func() {
+						if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "index bins") {
+							t.Fatalf("%s %s bulk %v: Add of %v recovered %v, want a refusal", c.name, mode, bulk, huge, r)
+						}
+					}()
+					e.AddMetal(1, huge, 4, KindWire, "huge")
+				}()
+				if bulk {
+					e.Compact()
+				}
+				if n := len(e.objs); n != 3 {
+					t.Fatalf("%s %s bulk %v: the refused Add left %d records, want 3", c.name, mode, bulk, n)
+				}
+				if got := e.QueryMetal(1, geom.R(-1<<62, -1<<62, 1<<62, 1<<62)); !slices.Equal(got, all) {
+					t.Fatalf("%s %s bulk %v: after the refused Add, QueryMetal = %v, want %v", c.name, mode, bulk, got, all)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckExtentBoundsAdd: CheckExtent accepts a shape exactly when no
+// placement of it is filed in more than maxCellSpan bins. A square whose
+// worst placement takes 2,048 x 2,048 bins (the cap) passes, and so does a
+// one-bin-high strip maxCellSpan bins long; one DBU more on a side fails,
+// and some placement of it then takes more than the cap, which Add refuses.
+// The spans are computed from the keys; nothing that large is added.
+func TestCheckExtentBoundsAdd(t *testing.T) {
+	tc := tech.N14()
+	bin := binSize(tc)
+	if bin != 1536 || maxCellSpan != 1<<22 {
+		t.Fatalf("bin %d, cap %d: the figures in the maxCellSpan comment are stale", bin, maxCellSpan)
+	}
+	e := NewEngine(tc)
+	idx := e.metal[1]
+	worst := func(w, h int64) int64 {
+		var most int64
+		for _, off := range []int64{0, 1, bin / 2, bin - 1, -1, -bin + 1, 7 * bin, -3*bin - 5} {
+			most = max(most, cellSpan(idx.keyRange(geom.R(off, off, off+w, off+h))))
+		}
+		return most
+	}
+	side := (2048 - 1) * bin
+	strip := (maxCellSpan - 1) * bin
+	for _, s := range []struct {
+		w, h int64
+		ok   bool
+	}{
+		{side, side, true},
+		{side + 1, side, false},
+		{side, side + 1, false},
+		{strip, 0, true},
+		{0, strip, true},
+		{strip + 1, 0, false},
+		{bin, bin, true},
+	} {
+		err := CheckExtent(tc, geom.R(0, 0, s.w, s.h))
+		if (err == nil) != s.ok {
+			t.Fatalf("CheckExtent(%d x %d) = %v, want ok %v", s.w, s.h, err, s.ok)
+		}
+		if n := worst(s.w, s.h); (n <= maxCellSpan) != s.ok {
+			t.Fatalf("%d x %d: the worst placement takes %d bins against the cap %d; CheckExtent ok %v", s.w, s.h, n, maxCellSpan, s.ok)
+		}
+	}
+	// Add refuses the first rejected square at its worst placement.
+	r := geom.R(bin-1, bin-1, bin-1+side+1, bin-1+side)
+	if n := cellSpan(idx.keyRange(r)); n <= maxCellSpan {
+		t.Fatalf("%v takes %d bins, not over the cap", r, n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("Add of %v was not refused", r)
+			}
+		}()
+		e.AddMetal(1, r, 1, KindObs, "")
+	}()
+	if len(e.objs) != 0 {
+		t.Fatalf("the refused Add left %d records", len(e.objs))
 	}
 }

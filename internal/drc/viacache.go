@@ -134,7 +134,9 @@ type sigEntry struct {
 // every query window a via check opens on the layer, and so the farthest any
 // metal rule can fire. Incremental flows use it to bound how far an engine
 // mutation can change a via verdict; the via-pair check skips a layer whose
-// two shapes are at least this far apart.
+// two shapes are at least this far apart. It walks the layer's spacing
+// table; an engine computes its layers' halos once, in NewEngine, for the
+// via signatures.
 func SigHalo(l *tech.RoutingLayer) int64 { return sigHalo(l) }
 
 // sigHalo returns the halo distance that covers every query window CheckVia
@@ -158,39 +160,28 @@ func sigHalo(l *tech.RoutingLayer) int64 {
 // (relative to p, tagged with its net relation) plus the caller-provided
 // same-net rects that join the min-step union. Identical signatures guarantee
 // identical verdicts; the converse need not hold (a too-wide halo only costs
-// hit rate, never correctness). The encoding aliases qc.enc and is valid
+// hit rate, never correctness). A window inside qc's focus (see Focus) reads
+// the gathered records instead of the index; the entries are sorted, so the
+// bytes do not depend on which. The encoding aliases qc.enc and is valid
 // until the next signature built through qc.
 func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRects []geom.Rect, qc *QueryCtx) []byte {
-	k := v.CutBelow
 	ents := qc.sig[:0]
 	add := func(cls, flags uint8, r geom.Rect) {
 		ents = append(ents, sigEntry{cls, flags, geom.R(r.XL-p.X, r.YL-p.Y, r.XH-p.X, r.YH-p.Y)})
 	}
-	collectMetal := func(cls uint8, layer int, win geom.Rect) {
-		for _, id := range e.QueryMetalCtx(layer, win, qc) {
-			oNet := e.objs[id].net
-			var fl uint8
-			if sameNet(net, int(oNet)) {
-				fl |= 1
+	ws, n := e.viaWindows(v, p)
+	for _, w := range ws[:n] {
+		if recs, ok := qc.focused(e, w.slot, w.win); ok {
+			for i := range recs {
+				if rc := &recs[i]; rc.r.Touches(w.win) {
+					add(w.cls, sigFlags(w.cls, net, rc.net), rc.r)
+				}
 			}
-			if oNet == NoNet {
-				fl |= 2
-			}
-			add(cls, fl, e.rect(id))
+			continue
 		}
-	}
-	collectMetal(0, k, v.BotRect(p).Bloat(sigHalo(e.Tech.Metal(k))))
-	collectMetal(1, k+1, v.TopRect(p).Bloat(sigHalo(e.Tech.Metal(k+1))))
-	if c := e.Tech.Cut(k); c != nil && len(v.Cuts) > 0 {
-		win := v.Cuts[0].Shift(p)
-		for _, cr := range v.Cuts[1:] {
-			win = win.UnionBBox(cr.Shift(p))
-		}
-		for _, id := range e.QueryCutCtx(k, win.Bloat(c.Spacing), qc) {
-			// Cut spacing ignores nets; only the relative rectangle matters
-			// (the coincident-cut exemption compares rects, which survives the
-			// shift to relative coordinates).
-			add(2, 0, e.rect(id))
+		qc.buf = e.queryIdxInto(e.all[w.slot], w.win, qc.buf[:0])
+		for _, id := range qc.buf {
+			add(w.cls, sigFlags(w.cls, net, e.objs[id].net), e.rect(id))
 		}
 	}
 	for _, r := range sameNetRects {
@@ -210,6 +201,24 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 	}
 	qc.enc = buf
 	return buf
+}
+
+// sigFlags is a signature entry's net relation to the candidate's net: on
+// metal, bit 0 for the same net and bit 1 for a NoNet blockage. Cut spacing
+// ignores nets (the coincident-cut exemption compares rects, which survives
+// the shift to relative coordinates), so a cut entry carries none.
+func sigFlags(cls uint8, net int, oNet int32) uint8 {
+	var fl uint8
+	if cls == 2 {
+		return fl
+	}
+	if sameNet(net, int(oNet)) {
+		fl |= 1
+	}
+	if oNet == NoNet {
+		fl |= 2
+	}
+	return fl
 }
 
 // cmpSigEntry orders signature entries by class, rectangle, then flags.

@@ -59,6 +59,11 @@ type Analyzer struct {
 	// call site gates on it, so the hot path pays nothing.
 	rec *explainRecorder
 
+	// shortcutAudit, set only by tests, is called with every chosen via
+	// Step 3 prices at its Step-1 verdict without a lookup (priceAPs), from
+	// the Step-3 workers.
+	shortcutAudit func(eng *drc.Engine, inst *db.Instance, ap *chosenAP)
+
 	// viaCache is the shared via-drop verdict memo attached to every DRC
 	// engine the analyzer creates (content-keyed, so per-cell contexts and
 	// the global engine can share it). Nil when Config.NoCache is set.
@@ -308,6 +313,17 @@ func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instan
 	return eng
 }
 
+// locatedGlobalEngine is globalEngine with the analyzer's verdict cache and
+// room for extra more objects, returned with the first-object table of its
+// instances (see newFirsts).
+func (a *Analyzer) locatedGlobalEngine(extra int) (*drc.Engine, []int32) {
+	firsts := newFirsts(len(a.netOf))
+	eng := a.globalEngine(a.viaCache, func(inst *db.Instance, objs objSpan) {
+		firsts[inst.ID] = objs.first
+	}, extra)
+	return eng, firsts
+}
+
 // numShapes counts a master's pin and obstruction shapes: the engine objects
 // one placed instance adds.
 func numShapes(m *db.Master) int {
@@ -321,6 +337,27 @@ func numShapes(m *db.Master) int {
 // objSpan is the run of consecutive engine object IDs [first, first+n) that
 // one instance's shapes occupy.
 type objSpan struct{ first, n int32 }
+
+// newFirsts returns a first-object table over instance IDs 0..n-1 with no
+// instance located (-1). Such a table locates each instance's fixed shapes in
+// one engine: firsts[inst.ID] is the first of the consecutive object IDs
+// addInstanceShapes gave them, numShapes(inst.Master) in all.
+func newFirsts(n int) []int32 {
+	f := make([]int32, n)
+	for i := range f {
+		f[i] = -1
+	}
+	return f
+}
+
+// spanIn returns the objects inst's shapes occupy per the first-object table
+// firsts; n is 0 when the table does not locate them.
+func spanIn(firsts []int32, inst *db.Instance) objSpan {
+	if inst.ID >= len(firsts) || firsts[inst.ID] < 0 {
+		return objSpan{}
+	}
+	return objSpan{first: firsts[inst.ID], n: int32(numShapes(inst.Master))}
+}
 
 // add extends the span by the next object ID (Engine.Add hands them out
 // consecutively).
@@ -638,13 +675,13 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	spEng := spRun.Start("drc.engine")
-	eng := a.globalEngine(a.viaCache, nil, numNetTerms(a.Design)*maxViaObjs(res))
+	eng, firsts := a.locatedGlobalEngine(numNetTerms(a.Design) * maxViaObjs(res))
 	spEng.End()
 	// One query context per worker serves the Step-3 and failed-pin fan-outs.
 	qcs := a.queryCtxs()
 	spSel := spRun.Start("pao.step3")
 	tSel := time.Now()
-	a.selectPatterns(ctx, res, eng, h, qcs)
+	a.selectPatterns(ctx, res, eng, firsts, h, qcs)
 	selDur = time.Since(tSel)
 	spSel.End()
 	if err := a.runErr(ctx, h); err != nil {

@@ -263,7 +263,7 @@ type ECOSession struct {
 	bySig map[string]*UniqueAccess // class signature -> class of res
 	eng   *drc.Engine
 	qc    *drc.QueryCtx
-	objs  map[int]objSpan   // instance ID -> its live engine objects
+	objs  []int32           // first-object table of eng (see newFirsts)
 	ext   map[int]geom.Rect // instance ID -> instExtent at its current placement
 	rows  rowIndex
 	hash  hashParts // built by the first DesignHash call
@@ -289,7 +289,6 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	s := &ECOSession{
 		a: a, res: res, halo: a.ecoHalo(),
 		bySig:   make(map[string]*UniqueAccess, len(res.Unique)),
-		objs:    make(map[int]objSpan, len(d.Instances)),
 		ext:     make(map[int]geom.Rect, len(d.Instances)),
 		fpObjs:  make(map[int]objSpan, len(d.Instances)),
 		termsOf: make(map[int][]int32),
@@ -297,9 +296,7 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	for _, ua := range res.Unique {
 		s.bySig[ua.UI.Signature()] = ua
 	}
-	s.eng = a.globalEngine(a.viaCache, func(inst *db.Instance, objs objSpan) {
-		s.objs[inst.ID] = objs
-	}, 0)
+	s.eng, s.objs = a.locatedGlobalEngine(0)
 	s.qc = s.eng.NewQueryCtx()
 	for _, inst := range d.Instances {
 		s.ext[inst.ID] = instExtent(inst)
@@ -511,8 +508,8 @@ func (t *ECOTxn) detach(inst *db.Instance) {
 	ch := t.change(t.currentSig(inst))
 	delete(ch.added, inst.ID)
 	ch.removed[inst.ID] = true
-	t.s.objs[inst.ID].remove(t.s.eng, nil)
-	delete(t.s.objs, inst.ID)
+	spanIn(t.s.objs, inst).remove(t.s.eng, nil)
+	t.s.objs[inst.ID] = -1
 }
 
 // attach records the instance arriving at its new placement (the inverse of
@@ -528,7 +525,11 @@ func (t *ECOTxn) attach(inst *db.Instance) {
 	sig := t.s.a.Design.InstanceSignature(inst)
 	t.change(sig).added[inst.ID] = inst
 	t.curSig[inst.ID] = sig
-	t.s.objs[inst.ID], _ = t.s.a.addInstanceShapes(t.s.eng, inst, nil)
+	if n := inst.ID + 1; n > len(t.s.objs) {
+		t.s.objs = append(t.s.objs, newFirsts(n-len(t.s.objs))...)
+	}
+	objs, _ := t.s.a.addInstanceShapes(t.s.eng, inst, nil)
+	t.s.objs[inst.ID] = objs.first
 	t.affected[inst.ID] = inst
 	if old := t.s.res.ByInstance[inst.ID]; old == nil || old.UI.Signature() != sig {
 		t.dirty[inst.ID] = true
@@ -652,7 +653,7 @@ func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	rep.DirtyClusters = len(t.reselected)
 	var dp dpScratch
 	for _, cl := range t.reselected {
-		for _, p := range s.a.selectForCluster(res, s.eng, cl, s.qc, &dp) {
+		for _, p := range s.a.selectForCluster(res, s.eng, s.objs, cl, s.qc, &dp) {
 			res.Selected[p.id] = p.pattern
 		}
 		for _, inst := range cl.Insts {

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"repro/internal/db"
+	"repro/internal/drc"
 	"repro/internal/suite"
 )
 
@@ -53,7 +54,11 @@ func TestCellScratchRefillAllocFree(t *testing.T) {
 }
 
 // TestSelectForClusterAllocFree: once warm, a worker's Step-3 scratch runs
-// one cluster's DP without allocating, and its picks are the run's.
+// one cluster's DP without allocating, and its picks are the run's. It runs
+// on two engines: one with its first-object table, as RunContext builds it,
+// so the focus and the own-cell shortcut run; and GlobalEngine's, with no
+// table, as SelectPatterns and SelectClusters (the dist worker) run it, so
+// every via takes the focused lookup.
 func TestSelectForClusterAllocFree(t *testing.T) {
 	d := scratchDesign(t)
 	a := NewAnalyzer(d, DefaultConfig())
@@ -74,20 +79,29 @@ func TestSelectForClusterAllocFree(t *testing.T) {
 	if most < 2 {
 		t.Fatal("design has no cluster with two multi-pattern members")
 	}
-	eng := a.GlobalEngine()
-	qc := eng.NewQueryCtx()
-	var dp dpScratch
-	picks := a.selectForCluster(res, eng, cl, qc, &dp)
-	if len(picks) < most {
-		t.Fatalf("%d picks for %d members with patterns", len(picks), most)
-	}
-	for _, p := range picks {
-		if res.Selected[p.id] != p.pattern {
-			t.Fatalf("instance %d: picked pattern %d, the run selected %d", p.id, p.pattern, res.Selected[p.id])
+	located, firsts := a.locatedGlobalEngine(0)
+	for _, c := range []struct {
+		name   string
+		eng    *drc.Engine
+		firsts []int32
+	}{
+		{"first-object table", located, firsts},
+		{"no table", a.GlobalEngine(), nil},
+	} {
+		qc := c.eng.NewQueryCtx()
+		var dp dpScratch
+		picks := a.selectForCluster(res, c.eng, c.firsts, cl, qc, &dp)
+		if len(picks) < most {
+			t.Fatalf("%s: %d picks for %d members with patterns", c.name, len(picks), most)
 		}
-	}
-	if n := testing.AllocsPerRun(20, func() { a.selectForCluster(res, eng, cl, qc, &dp) }); n != 0 {
-		t.Fatalf("a warm Step-3 cluster DP allocates %v times, want 0", n)
+		for _, p := range picks {
+			if res.Selected[p.id] != p.pattern {
+				t.Fatalf("%s: instance %d: picked pattern %d, the run selected %d", c.name, p.id, p.pattern, res.Selected[p.id])
+			}
+		}
+		if n := testing.AllocsPerRun(20, func() { a.selectForCluster(res, c.eng, c.firsts, cl, qc, &dp) }); n != 0 {
+			t.Fatalf("%s: a warm Step-3 cluster DP allocates %v times, want 0", c.name, n)
+		}
 	}
 }
 

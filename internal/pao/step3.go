@@ -33,15 +33,15 @@ func (a *Analyzer) SelectPatterns(res *Result, eng *drc.Engine) {
 	if h == nil {
 		h = newHealth()
 	}
-	a.selectPatterns(context.Background(), res, eng, h, a.queryCtxs())
+	a.selectPatterns(context.Background(), res, eng, nil, h, a.queryCtxs())
 }
 
 // selectPatterns is SelectPatterns under a context: cancellation stops at the
 // next cluster boundary (instances then keep the default pattern 0) and a
 // panicking cluster DP degrades its member classes instead of crashing.
-func (a *Analyzer) selectPatterns(ctx context.Context, res *Result, eng *drc.Engine, h *Health, qcs []*drc.QueryCtx) {
+func (a *Analyzer) selectPatterns(ctx context.Context, res *Result, eng *drc.Engine, firsts []int32, h *Health, qcs []*drc.QueryCtx) {
 	SeedDefaultSelections(a.Design, res)
-	a.selectClusters(ctx, res, eng, a.Design.Clusters(), h, res.Selected, qcs)
+	a.selectClusters(ctx, res, eng, firsts, a.Design.Clusters(), h, res.Selected, qcs)
 }
 
 // pick is one Step-3 selection: an instance ID and its pattern index.
@@ -51,15 +51,16 @@ type pick struct{ id, pattern int }
 // cluster with panic quarantine into h, fanned over the configured workers
 // (clusters are disjoint and eng is only read) with one DP scratch each, and
 // writes the picks into picks once every worker is done. Cancellation and
-// the fail-fast policy stop it at the next cluster boundary.
-func (a *Analyzer) selectClusters(ctx context.Context, res *Result, eng *drc.Engine, clusters []db.Cluster, h *Health, picks map[int]int, qcs []*drc.QueryCtx) {
+// the fail-fast policy stop it at the next cluster boundary. firsts, when
+// known, locates each instance's fixed shapes in eng (see priceAPs).
+func (a *Analyzer) selectClusters(ctx context.Context, res *Result, eng *drc.Engine, firsts []int32, clusters []db.Cluster, h *Health, picks map[int]int, qcs []*drc.QueryCtx) {
 	dps := make([]dpScratch, len(qcs))
 	local := make([][]pick, len(qcs))
 	a.fanOut(eng, len(clusters), "pao.step3.worker.busy", qcs, func(w, i int, qc *drc.QueryCtx) bool {
 		if ctx.Err() != nil || a.abort(h) {
 			return false
 		}
-		local[w] = append(local[w], a.safeSelectForCluster(res, eng, clusters[i], qc, &dps[w], h)...)
+		local[w] = append(local[w], a.safeSelectForCluster(res, eng, firsts, clusters[i], qc, &dps[w], h)...)
 		return true
 	})
 	for _, l := range local {
@@ -126,7 +127,7 @@ func clusterDetail(cl db.Cluster) string {
 // safeSelectForCluster runs the Step-3 DP for one cluster in dp with panic
 // quarantine: on a panic every member class is downgraded to degraded (the
 // default pattern 0 from Step 2 remains in effect) and the run continues.
-func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, cl db.Cluster,
+func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, firsts []int32, cl db.Cluster,
 	qc *drc.QueryCtx, dp *dpScratch, h *Health) (picks []pick) {
 
 	defer func() {
@@ -146,16 +147,18 @@ func (a *Analyzer) safeSelectForCluster(res *Result, eng *drc.Engine, cl db.Clus
 	if hook := a.FaultHook; hook != nil {
 		hook(SiteSelectCluster, clusterDetail(cl))
 	}
-	return a.selectForCluster(res, eng, cl, qc, dp)
+	return a.selectForCluster(res, eng, firsts, cl, qc, dp)
 }
 
 // chosenAP is a pattern's chosen access point translated onto a member
-// instance.
+// instance, with the violations its primary via meets in the fixed design
+// context (set by priceAPs).
 type chosenAP struct {
-	ap  *AccessPoint
-	pos geom.Point
-	net int
-	pin *db.MPin
+	ap   *AccessPoint
+	pos  geom.Point
+	net  int
+	pin  *db.MPin
+	viol int
 }
 
 // appendChosenAPs appends the pattern's chosen access points on the given
@@ -181,23 +184,90 @@ func (a *Analyzer) appendChosenAPs(dst []chosenAP, res *Result, inst *db.Instanc
 }
 
 // vertexCost scores one (instance, pattern) choice against the fixed design
-// context: every chosen via (aps) is re-validated with the global engine,
-// which catches spacing and end-of-line conflicts with neighboring instances
-// that the isolated Step-1 context could not see. (The paper's boundary-only
-// acceleration applies to the pattern-to-pattern via checks — edgeCost3 —
-// not to this fixed-environment term; inner pins near a cell edge conflict
-// with neighbors too.)
-func (a *Analyzer) vertexCost(eng *drc.Engine, inst *db.Instance, pat *AccessPattern, aps []chosenAP, ctx *drc.QueryCtx) int {
+// context: the pattern's own cost plus DRCCost per violation its chosen vias
+// (aps, priced by priceAPs) meet there. That catches spacing and end-of-line
+// conflicts with neighboring instances that the isolated Step-1 context
+// could not see. (The paper's boundary-only acceleration applies to the
+// pattern-to-pattern via checks — edgeCost3 — not to this fixed-environment
+// term; inner pins near a cell edge conflict with neighbors too.)
+func (a *Analyzer) vertexCost(pat *AccessPattern, aps []chosenAP) int {
 	cost := pat.Cost
-	var buf [8]geom.Rect
-	for _, b := range aps {
-		if b.ap.Primary() == nil {
-			continue
-		}
-		pinRects := appendPinRects(buf[:0], inst, b.pin, b.ap.Layer)
-		cost += a.Cfg.DRCCost * eng.CheckViaVerdictCtx(b.ap.Primary(), b.pos, b.net, pinRects, ctx)
+	for i := range aps {
+		cost += a.Cfg.DRCCost * aps[i].viol
 	}
 	return cost
+}
+
+// priceAPs sets viol on every chosen access point of one member instance
+// (aps covers all its patterns). It gathers the instance's neighbourhood once
+// (drc.Engine.Focus over every chosen via's signature windows) and prices
+// each distinct access point once. A via whose windows hold none of eng's
+// objects but the instance's own keeps its Step-1 verdict, 0, without a
+// lookup, when:
+//
+//   - eng has no FaultHook (injected violations are not in that verdict);
+//   - firsts locates the instance's shapes in eng (see spanIn), as
+//     RunContext and the ECO session record them for their engines;
+//   - the instance's signal pins are on pairwise-distinct nets.
+//
+// Then the via's signature in eng is byte-identical to the one Step 1
+// validated as clean in the class's cell context: the same shapes at the
+// same offsets (same master and orientation), the candidate pin's shapes on
+// its net and every other signal pin on a net of its own in both, and every
+// other shape a NoNet blockage in both. Any other via takes the focused
+// lookup.
+func (a *Analyzer) priceAPs(eng *drc.Engine, firsts []int32, inst *db.Instance, aps []chosenAP, qc *drc.QueryCtx) {
+	for i := range aps {
+		if v := aps[i].ap.Primary(); v != nil {
+			eng.FocusVia(v, aps[i].pos, qc)
+		}
+	}
+	eng.Focus(qc)
+	own := spanIn(firsts, inst)
+	if own.n > 0 && (eng.FaultHook != nil || !a.distinctSignalNets(inst)) {
+		own.n = 0
+	}
+	var buf [8]geom.Rect
+next:
+	for i := range aps {
+		b := &aps[i]
+		for j := range aps[:i] {
+			if aps[j].ap == b.ap {
+				b.viol = aps[j].viol
+				continue next
+			}
+		}
+		v := b.ap.Primary()
+		switch {
+		case v == nil:
+			b.viol = 0
+		case own.n > 0 && !eng.ForeignNearVia(v, b.pos, int(own.first), int(own.n), qc):
+			b.viol = 0
+			if a.shortcutAudit != nil {
+				a.shortcutAudit(eng, inst, b)
+			}
+		default:
+			pinRects := appendPinRects(buf[:0], inst, b.pin, b.ap.Layer)
+			b.viol = eng.CheckViaVerdictCtx(v, b.pos, b.net, pinRects, qc)
+		}
+	}
+}
+
+// distinctSignalNets reports whether inst's signal pins are on pairwise
+// distinct nets, as the cell context puts them.
+func (a *Analyzer) distinctSignalNets(inst *db.Instance) bool {
+	pins, nets := inst.Master.Pins, a.netOf[inst.ID]
+	for i, p := range pins {
+		if !isSignal(p) {
+			continue
+		}
+		for j := i + 1; j < len(pins); j++ {
+			if nets[j] == nets[i] && isSignal(pins[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // edgeCost3 scores the interaction between the right boundary via of the left
@@ -237,7 +307,7 @@ type dpVert struct {
 // selected pattern index per member instance (written by the caller, so the
 // DP itself never touches shared state). The picks alias dp and are valid
 // until its next cluster.
-func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster, ctx *drc.QueryCtx, dp *dpScratch) []pick {
+func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, firsts []int32, cl db.Cluster, ctx *drc.QueryCtx, dp *dpScratch) []pick {
 	dp.insts = dp.insts[:0]
 	for _, inst := range cl.Insts {
 		if ua := res.ByInstance[inst.ID]; ua != nil && len(ua.Patterns) > 0 {
@@ -248,24 +318,30 @@ func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster,
 	if len(dp.insts) == 0 {
 		return dp.picks
 	}
-	// Each vertex's chosen APs are computed once and shared by its vertex
-	// term and every edge term.
+	// Each vertex's chosen APs are computed and priced once per member and
+	// shared by its vertex term and every edge term.
 	dp.aps, dp.verts, dp.first = dp.aps[:0], dp.verts[:0], dp.first[:0]
 	for gi, inst := range dp.insts {
-		dp.first = append(dp.first, len(dp.verts))
-		for _, p := range res.ByInstance[inst.ID].Patterns {
+		pats := res.ByInstance[inst.ID].Patterns
+		first, lo := len(dp.verts), len(dp.aps)
+		dp.first = append(dp.first, first)
+		for _, p := range pats {
 			v := dpVert{lo: len(dp.aps)}
 			dp.aps = a.appendChosenAPs(dp.aps, res, inst, p)
 			v.hi = len(dp.aps)
+			dp.verts = append(dp.verts, v)
+		}
+		a.priceAPs(eng, firsts, inst, dp.aps[lo:], ctx)
+		for ni, p := range pats {
+			v := &dp.verts[first+ni]
 			aps := dp.aps[v.lo:v.hi]
-			vc := a.vertexCost(eng, inst, p, aps, ctx)
+			vc := a.vertexCost(p, aps)
 			if gi == 0 {
 				v.dpVertex = dpVertex{cost: vc, prev: -1}
-				dp.verts = append(dp.verts, v)
 				continue
 			}
 			best, bestPrev := math.MaxInt, -1
-			prev := dp.verts[dp.first[gi-1]:dp.first[gi]]
+			prev := dp.verts[dp.first[gi-1]:first]
 			for pi := range prev {
 				if prev[pi].cost == math.MaxInt {
 					continue
@@ -276,7 +352,6 @@ func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, cl db.Cluster,
 				}
 			}
 			v.dpVertex = dpVertex{cost: best, prev: bestPrev}
-			dp.verts = append(dp.verts, v)
 		}
 	}
 	last := len(dp.insts) - 1
