@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet experiments \
 	experiments-full examples clean difftest eco-difftest golden-update \
 	fuzz-smoke cover faultinject serve-smoke telemetry-smoke tenant-smoke \
-	dist-difftest dist-smoke bench-analyze
+	dist-difftest dist-smoke bench-analyze bench-eco
 
 all: build vet test
 
@@ -35,13 +35,15 @@ difftest:
 # against a full check, the row-local cluster scoping against the full
 # d.Clusters() scan and the session's kept design hash against a one-shot
 # DesignHash (TestECOClusterScopeMatchesFullScan), the /v1/eco server path
-# and its answered design hash under the race detector, and the via-cache
-# unit tests (mutation re-keys a drop, shard cap, alloc-free hits).
+# and its answered design hash under the race detector, the via-cache unit
+# tests (mutation re-keys a drop, shard cap, alloc-free hits), and the
+# via-blind view the session's Step 3 reads against a via-free twin engine
+# (TestFocusDifferential).
 eco-difftest:
 	$(GO) test -v -run 'TestECO|TestPivotIndependence' ./internal/difftest
 	$(GO) test -race -run 'TestServeECO' ./internal/serve
 	$(GO) test -run 'TestECO' ./internal/pao
-	$(GO) test -run 'TestViaCache' ./internal/drc
+	$(GO) test -run 'TestViaCache|TestFocusDifferential' ./internal/drc
 
 # Fault-injection campaign under the race detector: the injector's own unit
 # tests plus the pipeline-level quarantine/cancellation/respawn properties
@@ -136,6 +138,15 @@ dist-smoke:
 # in-process companion to paired perfbench runs.
 bench-analyze:
 	$(GO) test -run '^$$' -bench 'BenchmarkAnalyzeWorkloads' -benchmem -count 8 .
+
+# The ECO session of the serve_eco workload (aes_14nm, seed 1, analyzed once
+# with two workers), eight samples for benchstat: each op builds a session
+# on a fresh analyzer, as paoserve does, and reports its heap (session-MB:
+# the HeapAlloc delta across NewAnalyzer plus NewECOSession, two forced GCs
+# on each side), its build CPU (build-cpu-s) and the median CPU of one
+# single-move Apply over 20 x+70 shuttles (apply-cpu-ms).
+bench-eco:
+	$(GO) test -run '^$$' -bench 'BenchmarkECOSession' -count 8 .
 
 # Re-pin the golden per-testcase result snapshots after an intentional
 # behaviour change (testdata/golden/*.json).

@@ -8,6 +8,7 @@
 //	BenchmarkFig9Aes14nm       — Fig. 9 (14 nm off-track study)
 //	BenchmarkAblation*         — design-choice sweeps DESIGN.md calls out
 //	BenchmarkAnalyzeWorkloads  — one analysis of each perfbench workload design
+//	BenchmarkECOSession        — the serve_eco ECO session: heap, build, moves
 //	Benchmark{Step1,DP,...}    — microbenchmarks of the framework's hot paths
 //
 // Benchmarks run the suite at bench scale (cells and nets scaled down
@@ -20,6 +21,9 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"math/rand"
+	"runtime"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -245,6 +249,69 @@ func BenchmarkAnalyzeWorkloads(b *testing.B) {
 			b.ReportMetric((processCPU(b)-c0).Seconds()/float64(b.N), "cpu-s/op")
 		})
 	}
+}
+
+// BenchmarkECOSession measures the ECO session of the serve_eco workload:
+// aes_14nm at seed 1 through LEF/DEF, analyzed once (RunContext, two
+// workers). Each op builds a session over that analysis as paoserve does, on
+// a fresh analyzer whose via cache is empty, and reports its heap
+// (session-MB: the HeapAlloc delta across NewAnalyzer plus NewECOSession,
+// two forced GCs on each side, so the verdicts the build caches count), the
+// process CPU of the build (build-cpu-s) and the median process CPU of one
+// single-move Apply over 20 x+70 shuttles, each out and home (apply-cpu-ms).
+// `make bench-eco` runs it with -count 8 for benchstat.
+func BenchmarkECOSession(b *testing.B) {
+	var (
+		d   *db.Design
+		cfg pao.Config
+		res *pao.Result
+	)
+	b.Run("serve_eco", func(b *testing.B) {
+		if d == nil {
+			d = workloadDesign(b, suite.AES14.WithSeed(1))
+			cfg = pao.DefaultConfig()
+			cfg.Workers = 2
+			var err error
+			if res, err = pao.NewAnalyzer(d, cfg).RunContext(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		var heapMB, buildS float64
+		var applyMS []float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h0 := liveHeap()
+			c0 := processCPU(b)
+			sess := pao.NewECOSession(pao.NewAnalyzer(d, cfg), res)
+			buildS += (processCPU(b) - c0).Seconds()
+			heapMB += float64(int64(liveHeap())-int64(h0)) / (1 << 20)
+			for k := 0; k < 20; k++ {
+				inst := d.Instances[rng.Intn(len(d.Instances))]
+				home := inst.Pos
+				for _, to := range []geom.Point{geom.Pt(home.X+70, home.Y), home} {
+					c := processCPU(b)
+					if _, _, err := sess.Apply([]pao.ECOOp{{Kind: pao.ECOMove, Inst: inst.Name, To: to}}); err != nil {
+						b.Fatal(err)
+					}
+					applyMS = append(applyMS, float64(processCPU(b)-c)/float64(time.Millisecond))
+				}
+			}
+		}
+		slices.Sort(applyMS)
+		b.ReportMetric(heapMB/float64(b.N), "session-MB")
+		b.ReportMetric(buildS/float64(b.N), "build-cpu-s")
+		b.ReportMetric(applyMS[len(applyMS)/2], "apply-cpu-ms")
+	})
+}
+
+// liveHeap returns the heap in use after two forced collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 // workloadDesign generates spec's design, writes it as LEF/DEF and parses

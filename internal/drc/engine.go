@@ -63,12 +63,13 @@ type obj struct {
 	net            int32
 	lay            int16 // +metal layer, -cut-below layer, 0 for an unindexed shape
 	kind           Kind
-	flags          uint8 // objAlive | objSat
+	flags          uint8 // objAlive | objSat | objVia
 }
 
 const (
 	objAlive uint8 = 1 << iota // not removed
 	objSat                     // clamped: the exact rectangle is in Engine.sats
+	objVia                     // a via enclosure or cut: a fixed-shape view skips it
 )
 
 func (o *obj) alive() bool { return o.flags&objAlive != 0 }
@@ -336,6 +337,9 @@ func (e *Engine) Add(o Obj) int {
 	id := len(e.objs)
 	xl, yl, xh, yh, sat := clampRect(o.Rect)
 	rec := obj{xl: xl, yl: yl, xh: xh, yh: yh, net: int32(o.Net), kind: o.Kind, flags: objAlive}
+	if o.Kind == KindViaEnc || o.Kind == KindViaCut {
+		rec.flags |= objVia
+	}
 	switch {
 	case o.CutBelow > 0:
 		rec.lay = -int16(o.CutBelow)
@@ -465,7 +469,7 @@ func (e *Engine) QueryMetal(layer int, r geom.Rect) []int {
 	if layer < 1 || layer >= len(e.metal) {
 		return nil
 	}
-	return e.queryIdxInto(e.metal[layer], r, nil)
+	return e.queryIdxInto(e.metal[layer], r, 0, nil)
 }
 
 // QueryCut returns IDs of live via cuts on cut layer cutBelow touching r, in
@@ -474,7 +478,7 @@ func (e *Engine) QueryCut(cutBelow int, r geom.Rect) []int {
 	if cutBelow < 1 || cutBelow >= len(e.cut) {
 		return nil
 	}
-	return e.queryIdxInto(e.cut[cutBelow], r, nil)
+	return e.queryIdxInto(e.cut[cutBelow], r, 0, nil)
 }
 
 // sameNet reports whether two net IDs should be exempt from spacing/short
@@ -488,7 +492,9 @@ func sameNet(a, b int) bool {
 }
 
 // queryIdxInto is the query core. It writes nothing but out, so concurrent
-// readers share the engine freely. It walks the window's cells x-major,
+// readers share the engine freely. It reports live records with none of the
+// skip flags set (a context's view, see QueryCtx.skip): one masked compare
+// tests both. It walks the window's cells x-major,
 // clipped to the index's populated extent, each cell's dense run before its
 // overflow list, and filters candidates by a branch-light compare of the
 // records' int32 coordinates; only a saturated record (or a saturated
@@ -501,7 +507,7 @@ func sameNet(a, b int) bool {
 // holds an ID twice (binIndex keeps each ID at most once per cell). The clip
 // moves no shape's low-corner cell: every cell listing a shape lies inside
 // the extent.
-func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
+func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, skip uint8, out []int) []int {
 	if idx == nil {
 		return out
 	}
@@ -521,6 +527,7 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
 	}
 	before := len(out)
 	objs := e.objs
+	mask := objAlive | skip
 	scan := func(cands []int32, x, y int32) {
 		// Report a shape only from the cell that holds its overlap's low
 		// corner: in x, the window's first column or the column the shape
@@ -529,7 +536,7 @@ func (e *Engine) queryIdxInto(idx *binIndex, r geom.Rect, out []int) []int {
 		firstX, firstY := x == x0, y == y0
 		for _, id := range cands {
 			o := &objs[id]
-			if o.flags&objAlive == 0 || o.xl > qxh || qxl > o.xh || o.yl > qyh || qyl > o.yh {
+			if o.flags&mask != objAlive || o.xl > qxh || qxl > o.xh || o.yl > qyh || qyl > o.yh {
 				continue
 			}
 			if qsat || o.flags&objSat != 0 {
@@ -600,11 +607,24 @@ type QueryCtx struct {
 
 	// focus is the gathered neighbourhood via signatures read (focus.go).
 	focus focus
+
+	// skip holds the record flags the context's view passes over besides
+	// removal: objVia for a fixed-shape context (NewFixedQueryCtx), none
+	// for a plain one.
+	skip uint8
 }
 
 // NewQueryCtx returns empty query state; its buffers grow on first use.
 func (e *Engine) NewQueryCtx() *QueryCtx {
 	return &QueryCtx{}
+}
+
+// NewFixedQueryCtx is NewQueryCtx with a via-blind view: every query, focus,
+// via signature and check through it skips via objects (KindViaEnc,
+// KindViaCut) as it skips removed ones, so it answers as a plain context
+// does on the engine without them. A nil context keeps the plain view.
+func (e *Engine) NewFixedQueryCtx() *QueryCtx {
+	return &QueryCtx{skip: objVia}
 }
 
 // QueryMetalCtx is QueryMetal with caller-owned state (safe for concurrent
@@ -617,7 +637,7 @@ func (e *Engine) QueryMetalCtx(layer int, r geom.Rect, ctx *QueryCtx) []int {
 	if layer < 1 || layer >= len(e.metal) {
 		return nil
 	}
-	ctx.buf = e.queryIdxInto(e.metal[layer], r, ctx.buf[:0])
+	ctx.buf = e.queryIdxInto(e.metal[layer], r, ctx.skip, ctx.buf[:0])
 	return ctx.buf
 }
 
@@ -630,6 +650,6 @@ func (e *Engine) QueryCutCtx(cutBelow int, r geom.Rect, ctx *QueryCtx) []int {
 	if cutBelow < 1 || cutBelow >= len(e.cut) {
 		return nil
 	}
-	ctx.buf = e.queryIdxInto(e.cut[cutBelow], r, ctx.buf[:0])
+	ctx.buf = e.queryIdxInto(e.cut[cutBelow], r, ctx.skip, ctx.buf[:0])
 	return ctx.buf
 }

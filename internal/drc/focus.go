@@ -7,8 +7,9 @@ import (
 
 // A focus is a QueryCtx's gathered neighbourhood. FocusVia widens, layer by
 // layer, the window the next Focus gathers; Focus runs one region query per
-// widened layer and keeps every live object touching that layer's window as
-// a pointer-free record on the context. Until the engine's object set next
+// widened layer and keeps every live object the context's view holds (a
+// fixed-shape context skips vias) touching that layer's window as a
+// pointer-free record on the context. Until the engine's object set next
 // changes, a via signature (viaSignature) or a foreign-object test
 // (ForeignNearVia) whose window lies inside its layer's focus window filters
 // those records instead of querying the index. The records are exactly the
@@ -95,10 +96,10 @@ func (e *Engine) FocusVia(v *tech.ViaDef, p geom.Point, qc *QueryCtx) {
 
 // Focus replaces qc's focus with a gather of the windows FocusVia widened on
 // e since the last Focus: one region query per widened layer, keeping every
-// live object touching that layer's window. The focus serves e until its
-// object set next changes (Add, Remove, Reset); a window outside it, or on
-// a layer it did not gather, still queries the index. Like a query, Focus
-// writes nothing the engine owns.
+// live object of qc's view touching that layer's window. The focus serves e
+// until its object set next changes (Add, Remove, Reset); a window outside
+// it, or on a layer it did not gather, still queries the index. Like a
+// query, Focus writes nothing the engine owns.
 func (e *Engine) Focus(qc *QueryCtx) {
 	f := &qc.focus
 	f.layersFor(e)
@@ -112,7 +113,7 @@ func (e *Engine) Focus(qc *QueryCtx) {
 		}
 		l.win = l.want
 		l.lo = int32(len(f.recs))
-		qc.buf = e.queryIdxInto(e.all[s], l.win, qc.buf[:0])
+		qc.buf = e.queryIdxInto(e.all[s], l.win, qc.skip, qc.buf[:0])
 		for _, id := range qc.buf {
 			f.recs = append(f.recs, focusRec{r: e.rect(id), id: int32(id), net: e.objs[id].net})
 		}
@@ -136,10 +137,11 @@ func (qc *QueryCtx) focused(e *Engine, s int, win geom.Rect) (recs []focusRec, o
 	return f.recs[l.lo:l.hi], true
 }
 
-// ForeignNearVia reports whether any live object touching the signature
-// windows of via v at p has an ID outside [first, first+n): whether the via's
-// signature sees anything but those objects. It reads qc's focus where that
-// covers a window and queries the index otherwise; qc must not be nil.
+// ForeignNearVia reports whether any live object of qc's view touching the
+// signature windows of via v at p has an ID outside [first, first+n): whether
+// the via's signature sees anything but those objects. It reads qc's focus
+// where that covers a window and queries the index otherwise; qc must not be
+// nil.
 func (e *Engine) ForeignNearVia(v *tech.ViaDef, p geom.Point, first, n int, qc *QueryCtx) bool {
 	outside := func(id int) bool { return id < first || id-first >= n }
 	ws, nw := e.viaWindows(v, p)
@@ -152,7 +154,7 @@ func (e *Engine) ForeignNearVia(v *tech.ViaDef, p geom.Point, first, n int, qc *
 			}
 			continue
 		}
-		qc.buf = e.queryIdxInto(e.all[w.slot], w.win, qc.buf[:0])
+		qc.buf = e.queryIdxInto(e.all[w.slot], w.win, qc.skip, qc.buf[:0])
 		for _, id := range qc.buf {
 			if outside(id) {
 				return true

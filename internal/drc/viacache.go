@@ -155,15 +155,15 @@ func sigHalo(l *tech.RoutingLayer) int64 {
 	return h
 }
 
-// viaSignature canonicalizes the local geometry a CheckVia of v at p would
-// see: every indexed object touching the halo around the enclosures and cuts
-// (relative to p, tagged with its net relation) plus the caller-provided
-// same-net rects that join the min-step union. Identical signatures guarantee
-// identical verdicts; the converse need not hold (a too-wide halo only costs
-// hit rate, never correctness). A window inside qc's focus (see Focus) reads
-// the gathered records instead of the index; the entries are sorted, so the
-// bytes do not depend on which. The encoding aliases qc.enc and is valid
-// until the next signature built through qc.
+// viaSignature canonicalizes the local geometry a CheckVia of v at p through
+// qc would see: every indexed object of qc's view touching the halo around
+// the enclosures and cuts (relative to p, tagged with its net relation) plus
+// the caller-provided same-net rects that join the min-step union. Identical
+// signatures guarantee identical verdicts; the converse need not hold (a
+// too-wide halo only costs hit rate, never correctness). A window inside
+// qc's focus (see Focus) reads the gathered records instead of the index;
+// the entries are sorted, so the bytes do not depend on which. The encoding
+// aliases qc.enc and is valid until the next signature built through qc.
 func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRects []geom.Rect, qc *QueryCtx) []byte {
 	ents := qc.sig[:0]
 	add := func(cls, flags uint8, r geom.Rect) {
@@ -179,7 +179,7 @@ func (e *Engine) viaSignature(v *tech.ViaDef, p geom.Point, net int, sameNetRect
 			}
 			continue
 		}
-		qc.buf = e.queryIdxInto(e.all[w.slot], w.win, qc.buf[:0])
+		qc.buf = e.queryIdxInto(e.all[w.slot], w.win, qc.skip, qc.buf[:0])
 		for _, id := range qc.buf {
 			add(w.cls, sigFlags(w.cls, net, e.objs[id].net), e.rect(id))
 		}

@@ -9,8 +9,9 @@ import "sort"
 //
 // The returned polygons and every ring they reference alias the scratch: they
 // are valid only until the next Union call on the same scratch. Callers that
-// keep results across calls must copy them. UnionRects wraps a fresh scratch
-// per call, so its results remain caller-owned.
+// keep results across calls must copy them. UnionRects is a separate,
+// map-based union that returns caller-owned results; it is the reference
+// TestUnionScratchMatchesUnionRects and the oracle use.
 type UnionScratch struct {
 	xs, ys []int64
 	cov    []bool

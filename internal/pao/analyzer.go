@@ -264,17 +264,15 @@ func (sc *cellScratch) netOf(pin *db.MPin) int {
 // their real nets, obstructions and power shapes as blockages, IO pins) for
 // Step-3 inter-cell checks and failed-pin accounting.
 func (a *Analyzer) GlobalEngine() *drc.Engine {
-	return a.globalEngine(a.viaCache, nil, 0)
+	eng, _ := a.globalEngine(0)
+	return eng
 }
 
-// globalEngine is GlobalEngine with an explicit verdict cache (nil for none:
-// the ECO failed-pin engine re-validates too few vias to need one), an
-// optional callback that reports the span of engine objects each instance
-// contributed — the ECO engines use it to remove exactly an instance's
-// shapes later; IO-pin objects are not reported (they never mutate) — and
-// room reserved for extra more objects, so the failed-pin vias placed later
-// do not regrow the engine's columns.
-func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instance, objs objSpan), extra int) *drc.Engine {
+// globalEngine is GlobalEngine with room reserved for extra more objects, so
+// the failed-pin vias placed later do not regrow the engine's columns, and
+// returned with the first-object table of its instances (see newFirsts);
+// IO-pin objects are in no table (they never mutate).
+func (a *Analyzer) globalEngine(extra int) (*drc.Engine, []int32) {
 	eng := drc.NewEngine(a.Design.Tech)
 	eng.Counters = a.DRC
 	if hook := a.DRCFaultHook; hook != nil {
@@ -285,13 +283,12 @@ func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instan
 		shapes += numShapes(inst.Master)
 	}
 	eng.Grow(shapes)
+	firsts := newFirsts(len(a.netOf))
 	var buf []db.Shape
 	for _, inst := range a.Design.Instances {
 		var objs objSpan
 		objs, buf = a.addInstanceShapes(eng, inst, buf)
-		if record != nil {
-			record(inst, objs)
-		}
+		firsts[inst.ID] = objs.first
 	}
 	ioNet := make(map[*db.IOPin]int, len(a.Design.IOPins))
 	for idx, net := range a.Design.Nets {
@@ -309,18 +306,7 @@ func (a *Analyzer) globalEngine(cache *drc.ViaCache, record func(inst *db.Instan
 		eng.AddMetal(io.Shape.Layer, io.Shape.Rect, net, drc.KindIOPin, io.Name)
 	}
 	eng.Compact() // bulk construction done; Step-3 queries fan out from here
-	eng.AttachViaCache(cache)
-	return eng
-}
-
-// locatedGlobalEngine is globalEngine with the analyzer's verdict cache and
-// room for extra more objects, returned with the first-object table of its
-// instances (see newFirsts).
-func (a *Analyzer) locatedGlobalEngine(extra int) (*drc.Engine, []int32) {
-	firsts := newFirsts(len(a.netOf))
-	eng := a.globalEngine(a.viaCache, func(inst *db.Instance, objs objSpan) {
-		firsts[inst.ID] = objs.first
-	}, extra)
+	eng.AttachViaCache(a.viaCache)
 	return eng, firsts
 }
 
@@ -675,7 +661,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 		return res, err
 	}
 	spEng := spRun.Start("drc.engine")
-	eng, firsts := a.locatedGlobalEngine(numNetTerms(a.Design) * maxViaObjs(res))
+	eng, firsts := a.globalEngine(numNetTerms(a.Design) * maxViaObjs(res))
 	spEng.End()
 	// One query context per worker serves the Step-3 and failed-pin fan-outs.
 	qcs := a.queryCtxs()
@@ -705,31 +691,24 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 func (a *Analyzer) CountDirtyAPs(res *Result) int {
 	dirty := 0
 	sc := a.newCellScratch()
+	var buf [8]geom.Rect
 	for _, ua := range res.Unique {
 		a.fill(sc, ua.UI)
 		pivot := ua.UI.Pivot()
 		for _, pa := range ua.Pins {
-			rects := pinRectsByLayer(pivot, pa.Pin)
 			for _, ap := range pa.APs {
 				v := ap.Primary()
 				if v == nil {
 					continue
 				}
-				if len(sc.eng.CheckVia(v, ap.Pos, sc.netOf(pa.Pin), rects[ap.Layer])) > 0 {
+				rects := appendPinRects(buf[:0], pivot, pa.Pin, ap.Layer)
+				if len(sc.eng.CheckVia(v, ap.Pos, sc.netOf(pa.Pin), rects)) > 0 {
 					dirty++
 				}
 			}
 		}
 	}
 	return dirty
-}
-
-func pinRectsByLayer(inst *db.Instance, pin *db.MPin) map[int][]geom.Rect {
-	out := make(map[int][]geom.Rect)
-	for _, s := range inst.PinShapes(pin) {
-		out[s.Layer] = append(out[s.Layer], s.Rect)
-	}
-	return out
 }
 
 // appendPinRects appends the pin's shapes on the given layer, in the

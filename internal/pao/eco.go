@@ -32,20 +32,21 @@ package pao
 //     old one: cloned instance maps with only the changed classes' members
 //     rewritten, the class list spliced, and the stats moved by each changed
 //     class (foldClassStats).
-//   - engine scoping: the session maintains one tracked global engine across
-//     ECOs, removing and re-adding exactly the mutated instances' shapes.
-//     The shared via-verdict cache needs no update: it is content-addressed,
-//     so a mutated environment encodes to a new key (see drc.ViaCache).
-//   - failed-pin scoping: a second engine holds the fixed shapes plus every
-//     net terminal's selected via, with each terminal's verdict on record.
-//     A commit moves only the mutated instances' shapes and the vias whose
-//     (via, position) changed, then re-validates the terminals of moved
-//     instances, the terminals whose via changed, and every terminal whose
-//     via-check window can reach a removed or added object. A via check
-//     queries only within the ECO halo of the via's own shapes on their own
-//     layers, so querying the engine around each mutated object finds them
-//     all (see recount). The Step-3 vertex costs need the tracked engine's
-//     fixed-shapes-only view, hence two engines.
+//   - engine scoping: the session keeps one global engine across ECOs, as
+//     RunContext does: the fixed shapes plus every net terminal's selected
+//     via, with each terminal's verdict on record. Begin removes and re-adds
+//     exactly the mutated instances' shapes. Step 3 reads the engine through
+//     a via-blind context (drc.Engine.NewFixedQueryCtx), so its vertex costs
+//     see the fixed shapes only. The shared via-verdict cache needs no
+//     update: it is content-addressed, so a mutated environment encodes to a
+//     new key (see drc.ViaCache).
+//   - failed-pin scoping: a commit replaces only the vias whose (via,
+//     position) changed, then re-validates the terminals of moved instances,
+//     the terminals whose via changed, and every terminal whose via-check
+//     window can reach a removed or added object. A via check queries only
+//     within the ECO halo of the via's own shapes on their own layers, so
+//     querying the engine around each mutated object finds them all (see
+//     recount).
 //
 // The paper motivates all of this with placement optimization, "where
 // frequent changes in placement require a tremendous amount of inter-cell pin
@@ -249,10 +250,10 @@ func instExtent(inst *db.Instance) geom.Rect {
 }
 
 // ECOSession holds the mutable state incremental re-analysis needs across ECO
-// batches: the current Result and its signature -> class index, a tracked
-// global engine kept in sync with the design, the engine object IDs and
-// shape extent of each instance, the row index of the current placement, the
-// design-hash parts, and the failed-pin engine with every net terminal's
+// batches: the current Result and its signature -> class index, the global
+// engine kept in sync with the design, the engine object IDs and shape
+// extent of each instance, the row index of the current placement, the
+// design-hash parts, and the failed-pin ledger with every net terminal's
 // verdict. A session is single-writer: Begin/Commit (or Apply) and
 // DesignHash must not run concurrently, and the design must not be mutated
 // behind its back. Readers of the previous Result are never disturbed —
@@ -261,24 +262,23 @@ type ECOSession struct {
 	a     *Analyzer
 	res   *Result
 	bySig map[string]*UniqueAccess // class signature -> class of res
-	eng   *drc.Engine
-	qc    *drc.QueryCtx
-	objs  []int32           // first-object table of eng (see newFirsts)
-	ext   map[int]geom.Rect // instance ID -> instExtent at its current placement
+	eng   *drc.Engine              // the fixed shapes plus the ledger's vias
+	qc    *drc.QueryCtx            // Step 3's via-blind view of eng
+	objs  []int32                  // first-object table of eng (see newFirsts)
+	ext   map[int]geom.Rect        // instance ID -> instExtent at its current placement
 	rows  rowIndex
 	hash  hashParts // built by the first DesignHash call
 	halo  int64
 	txn   *ECOTxn
 
-	// Failed-pin accounting: fp holds the fixed shapes plus the selected via
-	// of every net terminal, and the embedded ledger covers every terminal
-	// the session started with (live drops those of deleted instances).
-	fp     *drc.Engine
-	fpQC   *drc.QueryCtx
-	fpObjs map[int]objSpan // instance ID -> its fixed-shape objects in fp
+	// Failed-pin accounting: the embedded ledger covers every terminal the
+	// session started with (live drops those of deleted instances), its vias
+	// are placed in eng, and its rechecks read eng through lqc, a plain
+	// context.
+	lqc *drc.QueryCtx
 	pinLedger
 	termsOf map[int][]int32 // instance ID -> its indexes into terms
-	owner   []int32         // fp object ID -> 1 + terms index of its via; 0 for fixed shapes
+	owner   []int32         // eng object ID -> 1 + terms index of its via; 0 for fixed shapes
 }
 
 // NewECOSession builds a session over an analyzed result. The analyzer must
@@ -290,30 +290,25 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 		a: a, res: res, halo: a.ecoHalo(),
 		bySig:   make(map[string]*UniqueAccess, len(res.Unique)),
 		ext:     make(map[int]geom.Rect, len(d.Instances)),
-		fpObjs:  make(map[int]objSpan, len(d.Instances)),
 		termsOf: make(map[int][]int32),
 	}
 	for _, ua := range res.Unique {
 		s.bySig[ua.UI.Signature()] = ua
 	}
-	s.eng, s.objs = a.locatedGlobalEngine(0)
-	s.qc = s.eng.NewQueryCtx()
 	for _, inst := range d.Instances {
 		s.ext[inst.ID] = instExtent(inst)
 	}
 	s.rows = newRowIndex(d, s.ext)
 
-	// The failed-pin engine needs no via cache: after this one full pass, a
-	// commit re-validates only the terminals an edit can reach. It is sized
-	// for the fixed shapes plus exactly the ledger's vias before its first
-	// Add, so placing them copies no column.
+	// One engine, as in RunContext: the ledger is resolved first, so the
+	// engine is sized for the fixed shapes plus exactly its vias before the
+	// first Add, and checked with the analyzer's via cache. After this one
+	// full pass, a commit re-validates only the terminals an edit can reach.
 	var objs int
 	s.pinLedger, objs = a.resolveLedger(context.TODO(), res)
-	s.fp = a.globalEngine(nil, func(inst *db.Instance, objs objSpan) {
-		s.fpObjs[inst.ID] = objs
-	}, objs)
-	a.checkLedger(context.TODO(), &s.pinLedger, s.fp, objs, a.queryCtxs())
-	s.fpQC = s.fp.NewQueryCtx()
+	s.eng, s.objs = a.globalEngine(objs)
+	a.checkLedger(context.TODO(), &s.pinLedger, s.eng, objs, a.queryCtxs())
+	s.qc, s.lqc = s.eng.NewFixedQueryCtx(), s.eng.NewQueryCtx()
 	for i := range s.terms {
 		id := s.terms[i].inst.ID
 		s.termsOf[id] = append(s.termsOf[id], int32(i))
@@ -338,10 +333,10 @@ func (s *ECOSession) own(i int32) {
 	}
 }
 
-// recheck re-validates terminal i against the failed-pin engine.
+// recheck re-validates terminal i against the engine with every via placed.
 func (s *ECOSession) recheck(i int32) {
 	tm := &s.terms[i]
-	s.mark(tm, !tm.access || (tm.via != nil && tm.fails(s.fp, s.fpQC)))
+	s.mark(tm, !tm.access || (tm.via != nil && tm.fails(s.eng, s.lqc)))
 }
 
 // Result returns the session's current result (the merged result after the
@@ -382,7 +377,7 @@ type sigChange struct {
 	added   map[int]*db.Instance
 }
 
-// ECOTxn is an ECO batch between Begin (design and tracked engine mutated,
+// ECOTxn is an ECO batch between Begin (design and engine shapes mutated,
 // dirty plan computed) and Commit (re-analysis and merge). Between the two,
 // the session's Result still describes the pre-ECO analysis; DirtyInstances
 // reports which instances it can no longer answer for.
@@ -397,6 +392,7 @@ type ECOTxn struct {
 	curSig     map[int]string     // class sig of instances touched so far this txn
 	rects      []geom.Rect        // op extents bloated by the ECO halo
 	rows       map[db.RowKey]bool // rows an op left or entered
+	before     []drc.Obj          // the pre-ECO shapes of every instance detached
 
 	// Set by Commit: the instances to re-pick and the clusters re-selected.
 	repick     map[int]*db.Instance
@@ -404,10 +400,10 @@ type ECOTxn struct {
 }
 
 // Begin validates an ECO script, applies it to the design database, the
-// tracked engine and the row index, and records the dirty plan. The script
-// is all-or-nothing: a validation error mutates nothing. After a successful
-// Begin the session's design reflects the ECO but its Result does not — call
-// Commit.
+// engine's instance shapes and the row index, and records the dirty plan.
+// The script is all-or-nothing: a validation error mutates nothing. After a
+// successful Begin the session's design reflects the ECO but its Result does
+// not — call Commit.
 func (s *ECOSession) Begin(ops []ECOOp) (*ECOTxn, error) {
 	if s.txn != nil {
 		return nil, fmt.Errorf("eco: a transaction is already in flight")
@@ -498,17 +494,23 @@ func (t *ECOTxn) currentSig(inst *db.Instance) string {
 
 // detach records the instance leaving its current placement: extent into the
 // dirty region, membership out of its class and its row, shapes out of the
-// tracked engine.
+// engine. At the first detach of an instance placed before the transaction
+// (no attach yet, so no curSig entry), its shapes go into t.before: the
+// ledger's verdicts saw them there, and never any placement in between.
 func (t *ECOTxn) detach(inst *db.Instance) {
 	t.rects = append(t.rects, t.s.ext[inst.ID].Bloat(t.s.halo))
 	if k, ok := t.s.rows.leave(inst); ok {
 		t.rows[k] = true
 	}
 	delete(t.s.ext, inst.ID)
+	var note func(id int)
+	if _, again := t.curSig[inst.ID]; !again {
+		note = func(id int) { t.before = append(t.before, t.s.eng.Obj(id)) }
+	}
 	ch := t.change(t.currentSig(inst))
 	delete(ch.added, inst.ID)
 	ch.removed[inst.ID] = true
-	spanIn(t.s.objs, inst).remove(t.s.eng, nil)
+	spanIn(t.s.objs, inst).remove(t.s.eng, note)
 	t.s.objs[inst.ID] = -1
 }
 
@@ -597,11 +599,12 @@ func classCmp(x, y *UniqueAccess) int {
 }
 
 // Commit re-analyzes the dirty classes, patches a copy of the Result,
-// re-selects the dirty clusters on the tracked engine, and brings the
-// failed-pin accounting up to date (recount). The previous Result is left
-// fully intact for concurrent readers. The patched Result is byte-identical
-// (snapshot encoding, timings zeroed) to a fresh full analysis of the
-// mutated design, and so are its class memberships and instance bindings.
+// re-selects the dirty clusters through the engine's via-blind view, and
+// brings the failed-pin accounting up to date (recount). The previous Result
+// is left fully intact for concurrent readers. The patched Result is
+// byte-identical (snapshot encoding, timings zeroed) to a fresh full
+// analysis of the mutated design, and so are its class memberships and
+// instance bindings.
 func (t *ECOTxn) Commit() (*Result, *ECOReport) {
 	s := t.s
 	old := s.res
@@ -853,33 +856,33 @@ func (t *ECOTxn) clusterDirty(cl db.Cluster) bool {
 	return false
 }
 
-// recount brings the failed-pin engine and the terminal verdicts in step
-// with res and returns how many terminals it re-validated. touched holds
-// every instance whose selected access may have changed.
+// recount brings the ledger's vias and the terminal verdicts in step with
+// res and returns how many terminals it re-validated. touched holds every
+// instance whose selected access may have changed.
 //
 // A terminal's verdict depends only on its own via, position, net and pin
 // shapes and on the engine objects its via check can see. The check queries
 // each via shape's own layer within the largest rule halo around it, and
 // ecoHalo bounds that halo, so any removed or added object that can change
 // the verdict lies within ecoHalo of one of the terminal's via shapes on the
-// same layer. Querying the engine around each mutated object therefore finds
-// every terminal whose verdict can change; the rest keep theirs, and the
-// counts equal a full CountFailedPins over the mutated design.
+// same layer. The mutated objects are the pre-ECO shapes of the instances
+// Begin detached (t.before), the final shapes of the re-placed ones and the
+// replaced vias; querying the engine around each finds every terminal whose
+// verdict can change. The rest keep theirs, and the counts equal a full
+// CountFailedPins over the mutated design.
 func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 	s := t.s
-	var mutated []drc.Obj
-	note := func(id int) { mutated = append(mutated, s.fp.Obj(id)) }
+	mutated := t.before
+	note := func(id int) { mutated = append(mutated, s.eng.Obj(id)) }
 	removeVia := func(tm *pinTerm) {
 		if tm.hasVia() {
-			tm.viaSpan().remove(s.fp, note)
+			tm.viaSpan().remove(s.eng, note)
 		}
 	}
 	recheck := make(map[int32]bool)
 
-	// Deleted instances take their shapes and their terminals with them.
+	// Deleted instances take their terminals with them.
 	for id := range t.deleted {
-		s.fpObjs[id].remove(s.fp, note)
-		delete(s.fpObjs, id)
 		for _, i := range s.termsOf[id] {
 			tm := &s.terms[i]
 			removeVia(tm)
@@ -888,15 +891,13 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 		}
 		delete(s.termsOf, id)
 	}
-	// Re-placed instances move their shapes; their pin shapes join every
-	// own terminal's check, so those are re-validated regardless.
+	// Re-placed instances: their pin shapes join every own terminal's check,
+	// so those are re-validated regardless.
 	for id, inst := range t.affected {
-		s.fpObjs[id].remove(s.fp, note)
-		objs, _ := s.a.addInstanceShapes(s.fp, inst, nil)
-		for oid := objs.first; oid < objs.first+objs.n; oid++ {
+		sp := spanIn(s.objs, inst)
+		for oid := sp.first; oid < sp.first+sp.n; oid++ {
 			note(int(oid))
 		}
-		s.fpObjs[id] = objs
 		for _, i := range s.termsOf[id] {
 			recheck[i] = true
 		}
@@ -912,7 +913,7 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 			removeVia(tm)
 			tm.termVia, tm.access = tv, ok
 			if tm.hasVia() {
-				tm.obj0 = tm.place(s.fp)
+				tm.obj0 = tm.place(s.eng)
 				s.own(i)
 				sp := tm.viaSpan()
 				for oid := sp.first; oid < sp.first+sp.n; oid++ {
@@ -928,9 +929,9 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 		win := o.Rect.Bloat(s.halo)
 		var ids []int
 		if o.CutBelow > 0 {
-			ids = s.fp.QueryCutCtx(o.CutBelow, win, s.fpQC)
+			ids = s.eng.QueryCutCtx(o.CutBelow, win, s.lqc)
 		} else {
-			ids = s.fp.QueryMetalCtx(o.MetalLayer, win, s.fpQC)
+			ids = s.eng.QueryMetalCtx(o.MetalLayer, win, s.lqc)
 		}
 		for _, id := range ids {
 			if id < len(s.owner) && s.owner[id] > 0 {

@@ -2,6 +2,7 @@ package pao
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -27,12 +28,15 @@ func sessionFailing(s *ECOSession) map[termName]int {
 
 // freshFailing is the from-scratch reference: a fresh analysis of the design
 // and a full check of its failing terminals on a new global engine with every
-// selected via placed.
+// selected via placed. It stays uncached (NoCache), so the sessions' cached
+// rechecks are held to the check core itself.
 func freshFailing(t *testing.T, d *db.Design) (map[termName]int, *Result) {
 	t.Helper()
-	a := NewAnalyzer(d, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.NoCache = true
+	a := NewAnalyzer(d, cfg)
 	res := a.Run()
-	eng := a.globalEngine(nil, nil, 0)
+	eng := a.GlobalEngine()
 	var all []pinTerm
 	for _, net := range d.Nets {
 		for _, nt := range net.Terms {
@@ -209,4 +213,58 @@ func TestECORecheckScoping(t *testing.T) {
 	if rep.RecheckedPins == 0 || 10*rep.RecheckedPins >= res.Stats.TotalPins {
 		t.Errorf("RecheckedPins = %d of %d total, want (0, 10%%)", rep.RecheckedPins, res.Stats.TotalPins)
 	}
+}
+
+// TestECODoubleMoveRechecks pins the recount's first-detach rule: an
+// instance moved to x and then to y in one script must recheck exactly the
+// terminals its direct move to y rechecks, with the same failing terminals
+// after. The ledger's verdicts never saw the instance at x, so nothing
+// there is a mutation. x is beside another instance elsewhere, whose
+// terminals a recheck around x would reach; each case is reverted before
+// the next.
+func TestECODoubleMoveRechecks(t *testing.T) {
+	d, err := suite.Generate(suite.Testcases[0].Scale(0.05).WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAnalyzer(d, DefaultConfig())
+	sess := NewECOSession(a, a.Run())
+	var onNets []*db.Instance
+	for _, inst := range d.Instances {
+		if len(sess.termsOf[inst.ID]) > 0 {
+			onNets = append(onNets, inst)
+		}
+	}
+	apply := func(ops ...ECOOp) *ECOReport {
+		t.Helper()
+		_, rep, err := sess.Apply(ops)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	rng := rand.New(rand.NewSource(7))
+	rechecked := 0
+	for k := 0; k < 30; k++ {
+		inst, far := onNets[rng.Intn(len(onNets))], onNets[rng.Intn(len(onNets))]
+		home := inst.Pos
+		move := func(to geom.Point) ECOOp { return ECOOp{Kind: ECOMove, Inst: inst.Name, To: to} }
+		x, y := geom.Pt(far.Pos.X+140, far.Pos.Y), geom.Pt(home.X+70, home.Y)
+
+		direct := apply(move(y)).RecheckedPins
+		directFailing := sessionFailing(sess)
+		apply(move(home))
+		double := apply(move(x), move(y)).RecheckedPins
+		doubleFailing := sessionFailing(sess)
+		apply(move(home))
+
+		rechecked += double
+		if double != direct {
+			t.Errorf("%s via %v to %v rechecks %d terminals, straight to %v %d", inst.Name, x, y, double, y, direct)
+		}
+		if !maps.Equal(doubleFailing, directFailing) {
+			t.Errorf("%s via %v to %v leaves failing %v, straight to %v %v", inst.Name, x, y, doubleFailing, y, directFailing)
+		}
+	}
+	t.Logf("%d instances: 30 double moves rechecked %d terminals", len(d.Instances), rechecked)
 }

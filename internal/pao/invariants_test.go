@@ -78,7 +78,7 @@ func TestSuiteInvariants(t *testing.T) {
 						if len(pa.APs) == 0 {
 							continue
 						}
-						p := Translate(ua.UI, member, pa.APs[0].Pos)
+						p := ua.TranslateTo(member, pa.APs[0].Pos)
 						var rects []geom.Rect
 						for _, s := range member.PinShapes(pa.Pin) {
 							rects = append(rects, s.Rect)

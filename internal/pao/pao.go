@@ -60,7 +60,8 @@ func (d AccessDir) String() string { return accessDirNames[d] }
 // AccessPoint is an x-y coordinate on a metal layer where the detailed router
 // may finish routing a pin, together with the directions and vias that are
 // valid there (Section II-B1). Coordinates are design coordinates of the
-// unique instance's pivot member; Translate maps them onto other members.
+// unique instance's pivot member; UniqueAccess.TranslateTo maps them onto
+// other members.
 type AccessPoint struct {
 	Pos    geom.Point
 	Layer  int // metal number
@@ -157,17 +158,10 @@ func (ua *UniqueAccess) TotalAPs() int {
 	return n
 }
 
-// Translate maps a pivot-coordinate point onto another member instance of the
-// same unique instance (same master, orientation and track offsets, so a pure
-// translation). Prefer UniqueAccess.TranslateTo, which stays correct when the
-// pivot instance later moves.
-func Translate(ui *db.UniqueInstance, member *db.Instance, p geom.Point) geom.Point {
-	pivot := ui.Pivot()
-	return p.Sub(pivot.Pos).Add(member.Pos)
-}
-
-// TranslateTo maps a class-coordinate point onto a member instance using the
-// pivot position captured at analysis time.
+// TranslateTo maps a class-coordinate point onto another member instance of
+// the class (same master, orientation and track offsets, so a pure
+// translation) using the pivot position captured at analysis time, so it
+// stays correct when the pivot instance later moves.
 func (ua *UniqueAccess) TranslateTo(member *db.Instance, p geom.Point) geom.Point {
 	return p.Sub(ua.PivotPos).Add(member.Pos)
 }

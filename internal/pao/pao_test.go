@@ -313,11 +313,11 @@ func TestTranslateAndAccessPointFor(t *testing.T) {
 	if !on {
 		t.Errorf("i1 AP %v not on the pin shape", ap1.Pos)
 	}
-	// Translate helper round trip.
-	ui := d.UniqueInstances()[0]
+	// TranslateTo round trip.
+	ua := res.Unique[0]
 	p := geom.Pt(100, 200)
-	if got := Translate(ui, ui.Pivot(), p); got != p {
-		t.Errorf("Translate to pivot must be identity, got %v", got)
+	if got := ua.TranslateTo(ua.UI.Pivot(), p); got != p {
+		t.Errorf("TranslateTo to the pivot must be identity, got %v", got)
 	}
 }
 

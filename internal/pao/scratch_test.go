@@ -79,7 +79,7 @@ func TestSelectForClusterAllocFree(t *testing.T) {
 	if most < 2 {
 		t.Fatal("design has no cluster with two multi-pattern members")
 	}
-	located, firsts := a.locatedGlobalEngine(0)
+	located, firsts := a.globalEngine(0)
 	for _, c := range []struct {
 		name   string
 		eng    *drc.Engine

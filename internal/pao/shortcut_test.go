@@ -2,6 +2,7 @@ package pao
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -21,16 +22,18 @@ type shortcutAudit struct {
 }
 
 // audit is the Analyzer.shortcutAudit hook. A skip is exact when the full,
-// uncached check of the via in the engine finds no violation, and the
-// via-cache lookup the shortcut replaced — with a signature built from the
-// index, not the focus — would have been a hit on an entry of verdict 0: the
-// signature is one the cache already holds, the cell-context signature Step
-// 1 validated, so skipping it moves no check or miss counter either.
+// uncached check of the via in the engine's fixed shapes finds no violation,
+// and the via-cache lookup the shortcut replaced — with a signature built
+// from the index, not the focus — would have been a hit on an entry of
+// verdict 0: the signature is one the cache already holds, the cell-context
+// signature Step 1 validated, so skipping it moves no check or miss counter
+// either. Both read a via-blind context, as Step 3 does: an ECO session's
+// engine also holds the failed-pin ledger's vias.
 func (s *shortcutAudit) audit(eng *drc.Engine, inst *db.Instance, b *chosenAP) {
 	v := b.ap.Primary()
 	pinRects := appendPinRects(nil, inst, b.pin, b.ap.Layer)
-	full := eng.CheckVia(v, b.pos, b.net, pinRects)
-	verdict, hit := eng.CheckViaVerdictProvCtx(v, b.pos, b.net, pinRects, eng.NewQueryCtx())
+	full := eng.CheckViaCtx(v, b.pos, b.net, pinRects, eng.NewFixedQueryCtx())
+	verdict, hit := eng.CheckViaVerdictProvCtx(v, b.pos, b.net, pinRects, eng.NewFixedQueryCtx())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.skipped++
@@ -41,12 +44,12 @@ func (s *shortcutAudit) audit(eng *drc.Engine, inst *db.Instance, b *chosenAP) {
 	}
 }
 
-// runAudited runs a with the shortcut audited and returns the audit.
-func runAudited(t *testing.T, a *Analyzer) *shortcutAudit {
+// audited runs fn with a's shortcut audited and returns the audit.
+func audited(t *testing.T, a *Analyzer, fn func()) *shortcutAudit {
 	t.Helper()
 	s := &shortcutAudit{insts: make(map[int]bool)}
 	a.shortcutAudit = s.audit
-	a.Run()
+	fn()
 	for i, msg := range s.bad {
 		if i == 10 {
 			t.Errorf("... %d more", len(s.bad)-i)
@@ -57,13 +60,21 @@ func runAudited(t *testing.T, a *Analyzer) *shortcutAudit {
 	return s
 }
 
+// runAudited runs a with the shortcut audited and returns the audit.
+func runAudited(t *testing.T, a *Analyzer) *shortcutAudit {
+	t.Helper()
+	return audited(t, a, func() { a.Run() })
+}
+
 // TestStep3ShortcutExact audits the Step-3 shortcut (priceAPs): every via it
 // prices at its Step-1 verdict without a lookup must have a clean full
 // check and a lookup that would have hit a verdict-0 entry. It runs on
-// pao_test1, aes_14nm and the multi-height case at test scale, and on three
-// designs built to defeat one guard each: an instance with two signal pins
-// on one net, an IO pin abutting an instance's pin, and a global engine with
-// a FaultHook that injects a violation into every via check.
+// pao_test1, aes_14nm and the multi-height case at test scale; on the ECO
+// commits of a session, whose engine holds the ledger's vias while Step 3
+// reads it; and on three designs built to defeat one guard each: an
+// instance with two signal pins on one net, an IO pin abutting an
+// instance's pin, and a global engine with a FaultHook that injects a
+// violation into every via check.
 func TestStep3ShortcutExact(t *testing.T) {
 	for _, spec := range []suite.Spec{
 		suite.Testcases[0].Scale(0.01).WithSeed(7),
@@ -80,6 +91,27 @@ func TestStep3ShortcutExact(t *testing.T) {
 		}
 		t.Logf("%s: %d vias priced without a lookup", spec.Name, s.skipped)
 	}
+
+	t.Run("ECO commits", func(t *testing.T) {
+		d, err := suite.Generate(suite.Testcases[0].Scale(0.01).WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewAnalyzer(d, DefaultConfig())
+		sess := NewECOSession(a, a.Run())
+		rng := rand.New(rand.NewSource(2000))
+		s := audited(t, a, func() {
+			for round := 0; round < 6; round++ {
+				if _, _, err := sess.Apply(recountScript(d, rng, 4, round)); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+			}
+		})
+		if s.skipped == 0 {
+			t.Error("no commit priced a via without a lookup")
+		}
+		t.Logf("%d vias priced without a lookup in commits", s.skipped)
+	})
 
 	t.Run("shared net", func(t *testing.T) {
 		d := scratchDesign(t)
