@@ -36,13 +36,15 @@ difftest:
 # d.Clusters() scan and the session's kept design hash against a one-shot
 # DesignHash (TestECOClusterScopeMatchesFullScan), the /v1/eco server path
 # and its answered design hash under the race detector, the via-cache unit
-# tests (mutation re-keys a drop, shard cap, alloc-free hits), and the
+# tests (mutation re-keys a drop, shard cap, alloc-free hits), the
 # via-blind view the session's Step 3 reads against a via-free twin engine
-# (TestFocusDifferential).
+# (TestFocusDifferential), and the failed-pin shortcut the session's ledger
+# build takes, audited against full uncached checks
+# (TestLedgerShortcutExact).
 eco-difftest:
 	$(GO) test -v -run 'TestECO|TestPivotIndependence' ./internal/difftest
 	$(GO) test -race -run 'TestServeECO' ./internal/serve
-	$(GO) test -run 'TestECO' ./internal/pao
+	$(GO) test -run 'TestECO|TestLedgerShortcutExact' ./internal/pao
 	$(GO) test -run 'TestViaCache|TestFocusDifferential' ./internal/drc
 
 # Fault-injection campaign under the race detector: the injector's own unit
@@ -88,8 +90,9 @@ serve-smoke:
 # (TestViaPairCleanDistance), the polygon union
 # (TestUnionScratchNoAllocsWarm), a warm scratch cell engine Reset and
 # refilled with another class's shapes (TestCellScratchRefillAllocFree), a
-# warm Step-3 cluster DP (TestSelectForClusterAllocFree) and the net index
-# (TestNetOfAllocFree). The size gates pin the DRC engine's per-object record
+# warm Step-3 cluster DP (TestSelectForClusterAllocFree), a warm failed-pin
+# check of one instance — focus gather, shortcut and focused lookup
+# (TestLedgerInstanceAllocFree) — and the net index (TestNetOfAllocFree). The size gates pin the DRC engine's per-object record
 # at 24 pointer-free bytes (TestEngineRecordSize), a new QueryCtx at what it
 # allocates on an empty engine, however many objects the engine holds
 # (TestNewQueryCtxAllocsFlat), and the failed-pin ledger's per-terminal entry

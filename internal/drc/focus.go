@@ -138,17 +138,30 @@ func (qc *QueryCtx) focused(e *Engine, s int, win geom.Rect) (recs []focusRec, o
 }
 
 // ForeignNearVia reports whether any live object of qc's view touching the
-// signature windows of via v at p has an ID outside [first, first+n): whether
-// the via's signature sees anything but those objects. It reads qc's focus
-// where that covers a window and queries the index otherwise; qc must not be
-// nil.
-func (e *Engine) ForeignNearVia(v *tech.ViaDef, p geom.Point, first, n int, qc *QueryCtx) bool {
-	outside := func(id int) bool { return id < first || id-first >= n }
+// signature windows of via v at p lies outside both owned spans, [first,
+// first+n) and [first2, first2+n2): whether the via's signature sees
+// anything but those objects. held, when non-nil, is called with every
+// object of the second span that touches a window, once per window it
+// touches; the search stops at the first foreign object, so held has seen
+// them all only when the answer is false. It reads qc's focus where that
+// covers a window and queries the index otherwise; qc must not be nil.
+func (e *Engine) ForeignNearVia(v *tech.ViaDef, p geom.Point, first, n, first2, n2 int, qc *QueryCtx, held func(id int)) bool {
+	in := func(id, first, n int) bool { return id >= first && id-first < n }
+	// owned reports whether id lies in a span, calling held for the second.
+	owned := func(id int) bool {
+		if in(id, first2, n2) {
+			if held != nil {
+				held(id)
+			}
+			return true
+		}
+		return in(id, first, n)
+	}
 	ws, nw := e.viaWindows(v, p)
 	for _, w := range ws[:nw] {
 		if recs, ok := qc.focused(e, w.slot, w.win); ok {
 			for i := range recs {
-				if rc := &recs[i]; outside(int(rc.id)) && rc.r.Touches(w.win) {
+				if rc := &recs[i]; rc.r.Touches(w.win) && !owned(int(rc.id)) {
 					return true
 				}
 			}
@@ -156,7 +169,7 @@ func (e *Engine) ForeignNearVia(v *tech.ViaDef, p geom.Point, first, n int, qc *
 		}
 		qc.buf = e.queryIdxInto(e.all[w.slot], w.win, qc.skip, qc.buf[:0])
 		for _, id := range qc.buf {
-			if outside(id) {
+			if !owned(id) {
 				return true
 			}
 		}

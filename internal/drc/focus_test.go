@@ -22,19 +22,44 @@ func slotLay(e *Engine, slot int) int16 {
 
 // bruteForeign is ForeignNearVia from the records alone: does any live
 // object without a skip flag on a signature window's layer touch that window
-// with an ID outside [first, first+n)? skip is a view's flags: 0 for a plain
-// context, objVia for a fixed one.
-func bruteForeign(e *Engine, v *tech.ViaDef, p geom.Point, first, n int, skip uint8) bool {
+// with an ID outside both spans [first, first+n) and [first2, first2+n2)?
+// held lists, sorted, the objects of the second span that touch a window.
+// skip is a view's flags: 0 for a plain context, objVia for a fixed one.
+func bruteForeign(e *Engine, v *tech.ViaDef, p geom.Point, first, n, first2, n2 int, skip uint8) (foreign bool, held []int) {
 	ws, nw := e.viaWindows(v, p)
-	for _, w := range ws[:nw] {
-		for id := range e.objs {
-			if o := &e.objs[id]; o.alive() && o.flags&skip == 0 && o.lay == slotLay(e, w.slot) &&
-				e.rect(id).Touches(w.win) && (id < first || id >= first+n) {
-				return true
+	for id := range e.objs {
+		o := &e.objs[id]
+		if !o.alive() || o.flags&skip != 0 {
+			continue
+		}
+		for _, w := range ws[:nw] {
+			if o.lay != slotLay(e, w.slot) || !e.rect(id).Touches(w.win) {
+				continue
+			}
+			switch {
+			case id >= first2 && id < first2+n2:
+				if !slices.Contains(held, id) {
+					held = append(held, id)
+				}
+			case id < first || id >= first+n:
+				foreign = true
 			}
 		}
 	}
-	return false
+	return foreign, held
+}
+
+// heldBy runs ForeignNearVia through qc and returns its answer with the
+// distinct objects it reported held, sorted.
+func heldBy(e *Engine, v *tech.ViaDef, p geom.Point, first, n, first2, n2 int, qc *QueryCtx) (bool, []int) {
+	var held []int
+	foreign := e.ForeignNearVia(v, p, first, n, first2, n2, qc, func(id int) {
+		if !slices.Contains(held, id) {
+			held = append(held, id)
+		}
+	})
+	slices.Sort(held)
+	return foreign, held
 }
 
 // fixedShape is diffShape with its cuts made cut-layer blockages, so that no
@@ -108,7 +133,9 @@ func allFocused(e *Engine, v *tech.ViaDef, p geom.Point, qc *QueryCtx) bool {
 //     and equals the index-built signature byte for byte;
 //   - one whose focus covers only part of its windows falls back to the
 //     index for the rest, with the same bytes;
-//   - ForeignNearVia agrees with a brute-force scan, focused or not;
+//   - ForeignNearVia agrees with a brute-force scan, focused or not, over
+//     one owned span or two, and when it finds nothing foreign it has
+//     reported every object of the second span touching a window as held;
 //   - through a fixed context the engine answers as a plain context does on
 //     its twin: the same QueryMetalCtx and QueryCutCtx shapes (in the same
 //     order on the bulk-built pair, whose indexes share a layout; the
@@ -171,7 +198,7 @@ func TestFocusDifferential(t *testing.T) {
 		for i := 0; i < 5; i++ { // and removals of vias the build indexed
 			remove(viaIDs[rng.Intn(len(viaIDs))])
 		}
-		sawPartial, sawForeign, sawOwn, sawVia := false, false, false, false
+		sawPartial, sawForeign, sawOwn, sawHeld, sawVia := false, false, false, false, false
 		for _, pair := range []struct {
 			e, twin *Engine
 			ordered bool
@@ -243,18 +270,32 @@ func TestFocusDifferential(t *testing.T) {
 				if rng.Intn(4) == 0 { // a span holding the via's whole neighbourhood
 					first, cnt = 0, len(e.objs)
 				}
-				brute := bruteForeign(e, v, p, first, cnt, 0)
-				bruteFixed := bruteForeign(e, v, p, first, cnt, objVia)
+				first2, cnt2 := 0, 0
+				if rng.Intn(2) == 0 { // a second span, which may overlap the first
+					first2, cnt2 = rng.Intn(len(e.objs)+1), rng.Intn(40)
+				}
+				brute, bruteHeld := bruteForeign(e, v, p, first, cnt, first2, cnt2, 0)
+				bruteFixed, bruteFixedHeld := bruteForeign(e, v, p, first, cnt, first2, cnt2, objVia)
+				foreignNear := func(name string, qc *QueryCtx, want bool, wantHeld []int) {
+					t.Helper()
+					if got := e.ForeignNearVia(v, p, first, cnt, first2, cnt2, qc, nil); got != want {
+						t.Fatalf("seed %d: %s ForeignNearVia(%s at %v, [%d,+%d), [%d,+%d)) = %v, brute force %v", seed, name, v.Name, p, first, cnt, first2, cnt2, got, want)
+					}
+					got, held := heldBy(e, v, p, first, cnt, first2, cnt2, qc)
+					if got != want || (!want && !slices.Equal(held, wantHeld)) {
+						t.Fatalf("seed %d: %s ForeignNearVia(%s at %v) = %v holding %v, brute force %v holding %v", seed, name, v.Name, p, got, held, want, wantHeld)
+					}
+				}
 				for _, c := range []struct {
 					name string
 					qc   *QueryCtx
 					want bool
-				}{{"focused", qc, brute}, {"unfocused", plain, brute}, {"focused fixed", fixed, bruteFixed}, {"unfocused fixed", fixedIdx, bruteFixed}} {
-					if got := e.ForeignNearVia(v, p, first, cnt, c.qc); got != c.want {
-						t.Fatalf("seed %d: %s ForeignNearVia(%s at %v, [%d,+%d)) = %v, brute force %v", seed, c.name, v.Name, p, first, cnt, got, c.want)
-					}
+					held []int
+				}{{"focused", qc, brute, bruteHeld}, {"unfocused", plain, brute, bruteHeld}, {"focused fixed", fixed, bruteFixed, bruteFixedHeld}, {"unfocused fixed", fixedIdx, bruteFixed, bruteFixedHeld}} {
+					foreignNear(c.name, c.qc, c.want, c.held)
 				}
 				sawForeign, sawOwn = sawForeign || brute, sawOwn || !brute
+				sawHeld = sawHeld || (!brute && len(bruteHeld) > 0)
 
 				// A focus on a neighbouring drop covers v's windows at p only
 				// in part: those windows query the index.
@@ -272,12 +313,8 @@ func TestFocusDifferential(t *testing.T) {
 				if got := sigOf(e, v, p, net, rects, fixed); !bytes.Equal(got, wantFixed) {
 					t.Fatalf("seed %d: partly focused fixed signature of %s at %v (focus at %v) = %x, twin %x", seed, v.Name, p, q, got, wantFixed)
 				}
-				if got := e.ForeignNearVia(v, p, first, cnt, qc); got != brute {
-					t.Fatalf("seed %d: partly focused ForeignNearVia(%s at %v) = %v, brute force %v", seed, v.Name, p, got, brute)
-				}
-				if got := e.ForeignNearVia(v, p, first, cnt, fixed); got != bruteFixed {
-					t.Fatalf("seed %d: partly focused fixed ForeignNearVia(%s at %v) = %v, brute force %v", seed, v.Name, p, got, bruteFixed)
-				}
+				foreignNear("partly focused", qc, brute, bruteHeld)
+				foreignNear("partly focused fixed", fixed, bruteFixed, bruteFixedHeld)
 			}
 			// A mutation retires the focus: a via object added over the via's
 			// bottom enclosure stays out of the fixed view's next signature,
@@ -297,8 +334,8 @@ func TestFocusDifferential(t *testing.T) {
 				t.Fatalf("seed %d: signature after Add through a retired focus = %x, index-built %x", seed, got, want)
 			}
 		}
-		if !sawPartial || !sawForeign || !sawOwn || !sawVia {
-			t.Fatalf("seed %d: cases not covered (partial focus %v, foreign %v, own only %v, a via in a signature %v)", seed, sawPartial, sawForeign, sawOwn, sawVia)
+		if !sawPartial || !sawForeign || !sawOwn || !sawHeld || !sawVia {
+			t.Fatalf("seed %d: cases not covered (partial focus %v, foreign %v, own only %v, own with a held object %v, a via in a signature %v)", seed, sawPartial, sawForeign, sawOwn, sawHeld, sawVia)
 		}
 	}
 }

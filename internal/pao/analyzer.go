@@ -63,6 +63,10 @@ type Analyzer struct {
 	// Step 3 prices at its Step-1 verdict without a lookup (priceAPs), from
 	// the Step-3 workers.
 	shortcutAudit func(eng *drc.Engine, inst *db.Instance, ap *chosenAP)
+	// ledgerAudit, set only by tests, is called with every via terminal the
+	// failed-pin check keeps clean without a lookup (checkInstance), from
+	// the ledger's workers.
+	ledgerAudit func(eng *drc.Engine, tm *pinTerm)
 
 	// viaCache is the shared via-drop verdict memo attached to every DRC
 	// engine the analyzer creates (content-keyed, so per-cell contexts and
@@ -610,7 +614,7 @@ func (a *Analyzer) Run() *Result {
 
 // RunContext executes the full three-step flow under ctx. Steps 1 and 2 fan
 // out per unique instance, Step 3 per row cluster and the failed-pin check per
-// terminal, each across Cfg.Workers goroutines; the work items are independent,
+// instance, each across Cfg.Workers goroutines; the work items are independent,
 // so the result is identical at every worker count.
 //
 // Failure semantics: a panic inside one class's analysis or one cluster's
@@ -676,7 +680,7 @@ func (a *Analyzer) RunContext(ctx context.Context) (*Result, error) {
 	}
 	spFail := spRun.Start("pao.failedpins")
 	tFail := time.Now()
-	a.countFailedPins(ctx, res, eng, h, qcs)
+	a.countFailedPins(ctx, res, eng, firsts, h, qcs)
 	failDur = time.Since(tFail)
 	spFail.End()
 	finish()

@@ -254,10 +254,10 @@ func instExtent(inst *db.Instance) geom.Rect {
 // engine kept in sync with the design, the engine object IDs and shape
 // extent of each instance, the row index of the current placement, the
 // design-hash parts, and the failed-pin ledger with every net terminal's
-// verdict. A session is single-writer: Begin/Commit (or Apply) and
-// DesignHash must not run concurrently, and the design must not be mutated
-// behind its back. Readers of the previous Result are never disturbed —
-// Commit patches a copy into a fresh Result.
+// verdict, grouped by instance. A session is single-writer: Begin/Commit (or
+// Apply) and DesignHash must not run concurrently, and the design must not be
+// mutated behind its back. Readers of the previous Result are never
+// disturbed — Commit patches a copy into a fresh Result.
 type ECOSession struct {
 	a     *Analyzer
 	res   *Result
@@ -265,20 +265,20 @@ type ECOSession struct {
 	eng   *drc.Engine              // the fixed shapes plus the ledger's vias
 	qc    *drc.QueryCtx            // Step 3's via-blind view of eng
 	objs  []int32                  // first-object table of eng (see newFirsts)
-	ext   map[int]geom.Rect        // instance ID -> instExtent at its current placement
+	ext   []geom.Rect              // instance ID -> instExtent at its current placement
 	rows  rowIndex
 	hash  hashParts // built by the first DesignHash call
 	halo  int64
 	txn   *ECOTxn
 
 	// Failed-pin accounting: the embedded ledger covers every terminal the
-	// session started with (live drops those of deleted instances), its vias
+	// session started with, grouped by instance (an instance inserted later
+	// has none; a deleted one's run is dropped, and live with it), its vias
 	// are placed in eng, and its rechecks read eng through lqc, a plain
 	// context.
 	lqc *drc.QueryCtx
 	pinLedger
-	termsOf map[int][]int32 // instance ID -> its indexes into terms
-	owner   []int32         // eng object ID -> 1 + terms index of its via; 0 for fixed shapes
+	owner []int32 // eng object ID -> 1 + terms index of its via; 0 for fixed shapes
 }
 
 // NewECOSession builds a session over an analyzed result. The analyzer must
@@ -288,9 +288,8 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 	d := a.Design
 	s := &ECOSession{
 		a: a, res: res, halo: a.ecoHalo(),
-		bySig:   make(map[string]*UniqueAccess, len(res.Unique)),
-		ext:     make(map[int]geom.Rect, len(d.Instances)),
-		termsOf: make(map[int][]int32),
+		bySig: make(map[string]*UniqueAccess, len(res.Unique)),
+		ext:   make([]geom.Rect, len(a.netOf)),
 	}
 	for _, ua := range res.Unique {
 		s.bySig[ua.UI.Signature()] = ua
@@ -302,16 +301,15 @@ func NewECOSession(a *Analyzer, res *Result) *ECOSession {
 
 	// One engine, as in RunContext: the ledger is resolved first, so the
 	// engine is sized for the fixed shapes plus exactly its vias before the
-	// first Add, and checked with the analyzer's via cache. After this one
-	// full pass, a commit re-validates only the terminals an edit can reach.
+	// first Add, and checked with the analyzer's via cache and the engine's
+	// first-object table, per instance. After this one full pass, a commit
+	// re-validates only the terminals an edit can reach, one at a time.
 	var objs int
 	s.pinLedger, objs = a.resolveLedger(context.TODO(), res)
 	s.eng, s.objs = a.globalEngine(objs)
-	a.checkLedger(context.TODO(), &s.pinLedger, s.eng, objs, a.queryCtxs())
+	a.checkLedger(context.TODO(), &s.pinLedger, s.eng, s.objs, objs, a.queryCtxs())
 	s.qc, s.lqc = s.eng.NewFixedQueryCtx(), s.eng.NewQueryCtx()
 	for i := range s.terms {
-		id := s.terms[i].inst.ID
-		s.termsOf[id] = append(s.termsOf[id], int32(i))
 		s.own(int32(i))
 	}
 	return s
@@ -502,7 +500,6 @@ func (t *ECOTxn) detach(inst *db.Instance) {
 	if k, ok := t.s.rows.leave(inst); ok {
 		t.rows[k] = true
 	}
-	delete(t.s.ext, inst.ID)
 	var note func(id int)
 	if _, again := t.curSig[inst.ID]; !again {
 		note = func(id int) { t.before = append(t.before, t.s.eng.Obj(id)) }
@@ -519,6 +516,9 @@ func (t *ECOTxn) detach(inst *db.Instance) {
 // when its class binding changed.
 func (t *ECOTxn) attach(inst *db.Instance) {
 	ext := instExtent(inst)
+	if n := inst.ID + 1; n > len(t.s.ext) {
+		t.s.ext = append(t.s.ext, make([]geom.Rect, n-len(t.s.ext))...)
+	}
 	t.s.ext[inst.ID] = ext
 	t.rects = append(t.rects, ext.Bloat(t.s.halo))
 	if k, ok := t.s.rows.enter(inst, ext); ok {
@@ -883,13 +883,14 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 
 	// Deleted instances take their terminals with them.
 	for id := range t.deleted {
-		for _, i := range s.termsOf[id] {
+		lo, hi := s.run(id)
+		for i := lo; i < hi; i++ {
 			tm := &s.terms[i]
 			removeVia(tm)
 			s.mark(tm, false)
 			s.live--
 		}
-		delete(s.termsOf, id)
+		s.drop(id)
 	}
 	// Re-placed instances: their pin shapes join every own terminal's check,
 	// so those are re-validated regardless.
@@ -898,13 +899,15 @@ func (t *ECOTxn) recount(res *Result, touched map[int]*db.Instance) int {
 		for oid := sp.first; oid < sp.first+sp.n; oid++ {
 			note(int(oid))
 		}
-		for _, i := range s.termsOf[id] {
+		lo, hi := s.run(id)
+		for i := lo; i < hi; i++ {
 			recheck[i] = true
 		}
 	}
 	// Replace exactly the vias whose selected (via, position) changed.
 	for id, inst := range touched {
-		for _, i := range s.termsOf[id] {
+		lo, hi := s.run(id)
+		for i := lo; i < hi; i++ {
 			tm := &s.terms[i]
 			tv, ok := s.a.resolveTerm(res, inst, tm.pin)
 			if ok == tm.access && tv == tm.termVia {
@@ -970,7 +973,7 @@ type rowIndex struct {
 }
 
 // newRowIndex indexes the design's current placement.
-func newRowIndex(d *db.Design, ext map[int]geom.Rect) rowIndex {
+func newRowIndex(d *db.Design, ext []geom.Rect) rowIndex {
 	x := rowIndex{
 		rows:      make(map[db.RowKey]*ecoRow),
 		clusterOf: make(map[int][]*db.Instance, len(d.Instances)),
@@ -1036,7 +1039,7 @@ func (x *rowIndex) known(cl db.Cluster) bool {
 }
 
 // install replaces a row's clusters.
-func (x *rowIndex) install(row *ecoRow, cls []db.Cluster, ext map[int]geom.Rect) {
+func (x *rowIndex) install(row *ecoRow, cls []db.Cluster, ext []geom.Rect) {
 	x.total += len(cls) - len(row.clusters)
 	row.clusters = cls
 	row.ext = row.ext[:0]

@@ -200,7 +200,7 @@ func TestECORecheckScoping(t *testing.T) {
 	sess := NewECOSession(a, a.Run())
 	var onNets []*db.Instance
 	for _, inst := range d.Instances {
-		if len(sess.termsOf[inst.ID]) > 0 {
+		if lo, hi := sess.run(inst.ID); hi > lo {
 			onNets = append(onNets, inst)
 		}
 	}
@@ -231,7 +231,7 @@ func TestECODoubleMoveRechecks(t *testing.T) {
 	sess := NewECOSession(a, a.Run())
 	var onNets []*db.Instance
 	for _, inst := range d.Instances {
-		if len(sess.termsOf[inst.ID]) > 0 {
+		if lo, hi := sess.run(inst.ID); hi > lo {
 			onNets = append(onNets, inst)
 		}
 	}

@@ -192,7 +192,7 @@ type Config struct {
 	DRCCost     int // conflicting access point pair cost (Algorithm 3)
 	// Workers sets the number of goroutines of each fan-out: Steps 1-2 per
 	// unique-instance class, Step 3 per row cluster and the failed-pin check
-	// per terminal (the multi-threading the paper lists as future work). 0 or
+	// per instance (the multi-threading the paper lists as future work). 0 or
 	// 1 runs one, matching the paper's single-threaded setup. Results are
 	// identical regardless of worker count.
 	Workers int

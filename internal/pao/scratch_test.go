@@ -2,6 +2,7 @@ package pao
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"unsafe"
 
@@ -102,6 +103,50 @@ func TestSelectForClusterAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() { a.selectForCluster(res, c.eng, c.firsts, cl, qc, &dp) }); n != 0 {
 			t.Fatalf("%s: a warm Step-3 cluster DP allocates %v times, want 0", c.name, n)
 		}
+	}
+}
+
+// TestLedgerInstanceAllocFree: once warm, the failed-pin check of one
+// instance — the focus gather, the shortcut for one via and the focused,
+// cached lookup for another — allocates nothing.
+func TestLedgerInstanceAllocFree(t *testing.T) {
+	d := scratchDesign(t)
+	a := NewAnalyzer(d, DefaultConfig())
+	res := a.Run()
+	l, objs := a.resolveLedger(context.Background(), res)
+	eng, firsts := a.globalEngine(objs)
+	s := ledgerAudited(t, a, func() { a.checkLedger(context.Background(), &l, eng, firsts, objs, a.queryCtxs()) })
+	id := -1
+	for _, inst := range d.Instances {
+		lo, hi := l.run(inst.ID)
+		skip, lookup := false, false
+		for i := lo; i < hi; i++ {
+			if tm := &l.terms[i]; tm.hasVia() {
+				if s.terms[termName{inst.Name, tm.pin.Name}] {
+					skip = true
+				} else {
+					lookup = true
+				}
+			}
+		}
+		if skip && lookup {
+			id = inst.ID
+			break
+		}
+	}
+	if id < 0 {
+		t.Fatal("no instance has both a via that skipped its lookup and one that took it")
+	}
+	lo, hi := l.run(id)
+	qc := eng.NewQueryCtx()
+	var held []bool
+	want := a.checkInstance(eng, firsts, l.terms[lo:hi], qc, &held)
+	if n := testing.AllocsPerRun(50, func() {
+		if a.checkInstance(eng, firsts, l.terms[lo:hi], qc, &held) != want {
+			t.Fatal("the instance's failing count changed")
+		}
+	}); n != 0 {
+		t.Fatalf("a warm per-instance failed-pin check allocates %v times, want 0", n)
 	}
 }
 

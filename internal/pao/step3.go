@@ -241,7 +241,7 @@ next:
 		switch {
 		case v == nil:
 			b.viol = 0
-		case own.n > 0 && !eng.ForeignNearVia(v, b.pos, int(own.first), int(own.n), qc):
+		case own.n > 0 && !eng.ForeignNearVia(v, b.pos, int(own.first), int(own.n), 0, 0, qc, nil):
 			b.viol = 0
 			if a.shortcutAudit != nil {
 				a.shortcutAudit(eng, inst, b)
@@ -371,14 +371,17 @@ func (a *Analyzer) selectForCluster(res *Result, eng *drc.Engine, firsts []int32
 // CountFailedPins fills Stats.TotalPins and Stats.FailedPins: every instance
 // pin attached to a net needs a DRC-clean access point; the selected primary
 // vias of all pins are placed together with the design's fixed shapes and
-// each is re-validated in that full context (the Table III metric). The
-// engine is mutated (vias are added) — pass a fresh or end-of-life engine.
+// each is re-validated in that full context (the Table III metric), one
+// instance at a time. The engine is mutated (vias are added) — pass a fresh
+// or end-of-life engine. It locates no instance in eng, so every via takes
+// the lookup: the results it recounts (the distributed coordinator's merge,
+// Experiment 2's baselines) need not carry Step-1 verdicts.
 func (a *Analyzer) CountFailedPins(res *Result, eng *drc.Engine) {
 	h := res.Health
 	if h == nil {
 		h = newHealth()
 	}
-	a.countFailedPins(context.Background(), res, eng, h, a.queryCtxs())
+	a.countFailedPins(context.Background(), res, eng, nil, h, a.queryCtxs())
 }
 
 // termVia is a net terminal's selected primary via in design coordinates:
@@ -451,14 +454,40 @@ type pinTerm struct {
 func (tm *pinTerm) hasVia() bool { return tm.access && tm.via != nil }
 
 // pinLedger is failed-pin accounting over one engine that holds the fixed
-// shapes plus every selected via: each net terminal in net order with its
-// verdict, the terminals still in the design (TotalPins) and those of them
-// that fail (FailedPins). countFailedPins builds one per batch run; an
-// ECOSession keeps one current across commits.
+// shapes plus every selected via: each net terminal with its verdict,
+// grouped by instance, the terminals still in the design (TotalPins) and
+// those of them that fail (FailedPins). countFailedPins builds one per batch
+// run; an ECOSession keeps one current across commits.
 type pinLedger struct {
-	terms   []pinTerm
+	terms []pinTerm
+	// off groups terms by instance ID: instance id's terminals are
+	// terms[off[id]:off[id+1]]. A dropped instance's entry is complemented
+	// (^off[id]), which empties its run and keeps the start of the next one
+	// readable.
+	off     []int32
 	live    int
 	failing int
+}
+
+// run returns the index range [lo, hi) of instance id's terminals in terms:
+// empty for an instance the ledger was resolved without (an ECO insert) or
+// has dropped.
+func (l *pinLedger) run(id int) (lo, hi int32) {
+	if id+1 >= len(l.off) || l.off[id] < 0 {
+		return 0, 0
+	}
+	if hi = l.off[id+1]; hi < 0 {
+		hi = ^hi
+	}
+	return l.off[id], hi
+}
+
+// drop empties instance id's run for good: the terminals of a deleted
+// instance are never visited again.
+func (l *pinLedger) drop(id int) {
+	if id+1 < len(l.off) && l.off[id] >= 0 {
+		l.off[id] = ^l.off[id]
+	}
 }
 
 // mark records a terminal's verdict and keeps the failing count in step.
@@ -473,36 +502,55 @@ func (l *pinLedger) mark(tm *pinTerm, failed bool) {
 	}
 }
 
-// resolveLedger resolves every net terminal's selected access point in net
-// order into a ledger whose terminals without access are already failed, and
-// returns the number of engine objects its vias take. Cancellation is checked
-// periodically; the ledger then covers the terminals resolved so far.
+// resolveLedger resolves every net terminal's selected access point into a
+// ledger grouped by instance, whose terminals without access are already
+// failed, and returns the number of engine objects its vias take. A counting
+// pass over the nets' terms sizes each instance's run; the terms are then
+// resolved, net by net, into their runs. Cancellation is checked
+// periodically; the ledger then counts the terminals resolved so far, and
+// the slots left empty hold no via and count nowhere.
 func (a *Analyzer) resolveLedger(ctx context.Context, res *Result) (l pinLedger, objs int) {
-	l.terms = make([]pinTerm, 0, numNetTerms(a.Design))
+	// Counts go two slots up, so that after the prefix sum off[id+1] is
+	// instance id's start, a cursor that filling moves to its end: the
+	// next instance's start. off[0] stays 0.
+	off := make([]int32, len(a.netOf)+2)
 	for _, net := range a.Design.Nets {
 		for _, t := range net.Terms {
-			if len(l.terms)%256 == 0 && ctx.Err() != nil {
-				l.live = len(l.terms)
+			off[t.Inst.ID+2]++
+		}
+	}
+	for id := 1; id < len(off); id++ {
+		off[id] += off[id-1]
+	}
+	l.terms = make([]pinTerm, off[len(off)-1])
+	l.off = off[:len(off)-1]
+	for _, net := range a.Design.Nets {
+		for _, t := range net.Terms {
+			if l.live%256 == 0 && ctx.Err() != nil {
 				return l, objs
 			}
 			tv, ok := a.resolveTerm(res, t.Inst, t.Pin)
-			tm := pinTerm{termVia: tv, access: ok}
+			tm := &l.terms[off[t.Inst.ID+1]]
+			off[t.Inst.ID+1]++
+			*tm = pinTerm{termVia: tv, access: ok}
 			if tm.hasVia() {
 				objs += viaObjs(tm.via)
 			}
-			l.mark(&tm, !ok)
-			l.terms = append(l.terms, tm)
+			l.mark(tm, !ok)
+			l.live++
 		}
 	}
-	l.live = len(l.terms)
 	return l, objs
 }
 
 // checkLedger places the ledger's vias, objs engine objects in all, into eng
-// (which already holds the fixed shapes), compacts it and checks every via
-// terminal, fanned over the workers of qcs. Cancellation is checked per
-// terminal; the counts then cover the terminals checked so far.
-func (a *Analyzer) checkLedger(ctx context.Context, l *pinLedger, eng *drc.Engine, objs int, qcs []*drc.QueryCtx) {
+// (which already holds the fixed shapes) in ledger order, so each instance's
+// vias take one run of object IDs; compacts it; and checks every via
+// terminal, fanned out per instance over the workers of qcs (checkInstance).
+// firsts, when it locates the instances' shapes in eng, lets a via that only
+// its own cell can reach keep its Step-1 verdict. Cancellation is checked
+// per instance; the counts then cover the instances checked so far.
+func (a *Analyzer) checkLedger(ctx context.Context, l *pinLedger, eng *drc.Engine, firsts []int32, objs int, qcs []*drc.QueryCtx) {
 	eng.Grow(objs)
 	for i := range l.terms {
 		if tm := &l.terms[i]; tm.hasVia() {
@@ -513,19 +561,112 @@ func (a *Analyzer) checkLedger(ctx context.Context, l *pinLedger, eng *drc.Engin
 	// into the dense index, then fan out.
 	eng.Compact()
 	counts := make([]int, len(qcs))
-	a.fanOut(eng, len(l.terms), "pao.failedpins.worker.busy", qcs, func(w, i int, qc *drc.QueryCtx) bool {
+	held := make([][]bool, len(qcs))
+	a.fanOut(eng, len(l.off)-1, "pao.failedpins.worker.busy", qcs, func(w, id int, qc *drc.QueryCtx) bool {
 		if ctx.Err() != nil {
 			return false
 		}
-		if tm := &l.terms[i]; tm.hasVia() && tm.fails(eng, qc) {
-			tm.failed = true
-			counts[w]++
-		}
+		lo, hi := l.run(id)
+		counts[w] += a.checkInstance(eng, firsts, l.terms[lo:hi], qc, &held[w])
 		return true
 	})
 	for _, c := range counts {
 		l.failing += c
 	}
+}
+
+// checkInstance checks one instance's terminals, placed in eng, through qc:
+// it marks the failing via terminals and returns how many there are. held
+// is the caller's scratch. One focus gathers the windows of all the
+// instance's vias. A via keeps its Step-1 verdict, clean, without a lookup
+// when:
+//
+//   - eng has no FaultHook (injected violations are not in that verdict);
+//   - firsts locates the instance's fixed shapes in eng (see spanIn), as
+//     RunContext and the ECO session record them for their engines;
+//   - no object but those shapes and the instance's own vias touches the
+//     via's signature windows (drc.Engine.ForeignNearVia, with the run of
+//     object IDs the vias take as the second span);
+//   - ViaPairClean, on the design nets, clears the via against itself and
+//     against every sibling via those windows hold.
+//
+// That is exact because every violation a via check reports comes from one
+// object it queried, except min step, which reads only the via and its pin
+// shapes. Step 1 found the via clean in the class's cell context: the same
+// pin and obstruction shapes at the same offsets, the same pin shapes in its
+// min-step union. The design nets can only turn another pin's "other net"
+// there into "same net" here, which removes violations and adds none. So
+// the instance's fixed shapes add no violation; the pair check rules out
+// every one its vias could add, a multi-cut via's own cuts included; and no
+// other object is in reach. Unlike Step 3's shortcut, this needs no
+// distinct-net guard: it does not claim the signature is Step 1's (a placed
+// via is in it), only that the verdict is. Every other via takes the
+// focused, cached lookup.
+func (a *Analyzer) checkInstance(eng *drc.Engine, firsts []int32, terms []pinTerm, qc *drc.QueryCtx, held *[]bool) (failing int) {
+	var vias objSpan // the run of object IDs the instance's vias take
+	var inst *db.Instance
+	for i := range terms {
+		if tm := &terms[i]; tm.hasVia() {
+			eng.FocusVia(tm.via, tm.pos, qc)
+			if vias.n == 0 {
+				vias.first, inst = tm.obj0, tm.inst
+			}
+			vias.n = tm.obj0 + int32(viaObjs(tm.via)) - vias.first
+		}
+	}
+	if vias.n == 0 {
+		return 0
+	}
+	eng.Focus(qc)
+	var own objSpan
+	if eng.FaultHook == nil {
+		own = spanIn(firsts, inst)
+	}
+	if cap(*held) < len(terms) {
+		*held = make([]bool, len(terms))
+	}
+	h := (*held)[:len(terms)]
+	// hold marks the terminal whose via holds object id.
+	hold := func(id int) {
+		for j := range terms {
+			if sj := &terms[j]; sj.hasVia() && int32(id) >= sj.obj0 && int32(id)-sj.obj0 < int32(viaObjs(sj.via)) {
+				h[j] = true
+				return
+			}
+		}
+	}
+	for i := range terms {
+		tm := &terms[i]
+		if !tm.hasVia() {
+			continue
+		}
+		clear(h)
+		if own.n > 0 && !eng.ForeignNearVia(tm.via, tm.pos, int(own.first), int(own.n), int(vias.first), int(vias.n), qc, hold) &&
+			a.pairsClean(terms, i, h) {
+			if a.ledgerAudit != nil {
+				a.ledgerAudit(eng, tm)
+			}
+			continue
+		}
+		if tm.fails(eng, qc) {
+			tm.failed = true
+			failing++
+		}
+	}
+	return failing
+}
+
+// pairsClean reports whether ViaPairClean, on the design nets, clears
+// terms[i]'s via against the via of every terminal held marks, its own
+// included.
+func (a *Analyzer) pairsClean(terms []pinTerm, i int, held []bool) bool {
+	tm := &terms[i]
+	for j, near := range held {
+		if sj := &terms[j]; near && !ViaPairClean(a.Design.Tech, tm.via, tm.pos, int(tm.net), sj.via, sj.pos, int(sj.net)) {
+			return false
+		}
+	}
+	return true
 }
 
 // numNetTerms counts the instance terminals on the design's nets.
@@ -556,8 +697,8 @@ func maxViaObjs(res *Result) int {
 
 // countFailedPins is CountFailedPins under a context (the stats then reflect
 // the terminals checked before cancellation) with whole-phase panic
-// quarantine.
-func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, h *Health, qcs []*drc.QueryCtx) {
+// quarantine. firsts is checkLedger's.
+func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.Engine, firsts []int32, h *Health, qcs []*drc.QueryCtx) {
 	defer func() {
 		if r := recover(); r != nil {
 			h.Record(&PipelineError{
@@ -569,7 +710,7 @@ func (a *Analyzer) countFailedPins(ctx context.Context, res *Result, eng *drc.En
 		hook(SiteFailedPins, "")
 	}
 	l, objs := a.resolveLedger(ctx, res)
-	a.checkLedger(ctx, &l, eng, objs, qcs)
+	a.checkLedger(ctx, &l, eng, firsts, objs, qcs)
 	res.Stats.TotalPins = l.live
 	res.Stats.FailedPins = l.failing
 }
