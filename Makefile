@@ -92,15 +92,18 @@ serve-smoke:
 # refilled with another class's shapes (TestCellScratchRefillAllocFree), a
 # warm Step-3 cluster DP (TestSelectForClusterAllocFree), a warm failed-pin
 # check of one instance — focus gather, shortcut and focused lookup
-# (TestLedgerInstanceAllocFree) — and the net index (TestNetOfAllocFree). The size gates pin the DRC engine's per-object record
-# at 24 pointer-free bytes (TestEngineRecordSize), a new QueryCtx at what it
+# (TestLedgerInstanceAllocFree) — the net index (TestNetOfAllocFree) and one
+# pin's warm Step-1 pass, which allocates only the access points it returns,
+# however many candidates it rejects (TestStep1PinAllocs). The size gates pin
+# the DRC engine's per-object record at 24 pointer-free bytes
+# (TestEngineRecordSize), a new QueryCtx at what it
 # allocates on an empty engine, however many objects the engine holds
 # (TestNewQueryCtxAllocsFlat), and the failed-pin ledger's per-terminal entry
 # at 56 bytes (TestLedgerEntrySize).
 telemetry-smoke:
 	$(GO) test -race -v -run 'TestTelemetrySmoke' ./cmd/paoserve
 	$(GO) test -race ./internal/obs ./internal/cliutil ./internal/serve
-	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance|TestEngineRecordSize|TestNewQueryCtxAllocsFlat|TestLedgerEntrySize' ./internal/obs ./internal/drc ./internal/pao ./internal/geom
+	$(GO) test -v -run 'AllocFree|NoAllocsWarm|TestViaPairCleanDistance|TestEngineRecordSize|TestNewQueryCtxAllocsFlat|TestLedgerEntrySize|TestStep1PinAllocs' ./internal/obs ./internal/drc ./internal/pao ./internal/geom
 
 # Multi-tenant smoke campaign under the race detector: one paoserve process
 # serving three designs (one at boot, two registered over POST /v1/designs), a

@@ -68,15 +68,19 @@ func (p *MPin) BBox() geom.Rect {
 // Layers lists the metal numbers carrying the pin's shapes, ascending. Step 1
 // generates access points on these layers, lowest first, and the
 // unique-instance signature covers their tracks (see signatureTracks).
-func (p *MPin) Layers() []int {
-	var out []int
+func (p *MPin) Layers() []int { return p.AppendLayers(nil) }
+
+// AppendLayers appends the pin's Layers to dst, so a caller reading many
+// pins' layers reuses one buffer.
+func (p *MPin) AppendLayers(dst []int) []int {
+	n := len(dst)
 	for _, s := range p.Shapes {
-		if !slices.Contains(out, s.Layer) {
-			out = append(out, s.Layer)
+		if !slices.Contains(dst[n:], s.Layer) {
+			dst = append(dst, s.Layer)
 		}
 	}
-	slices.Sort(out)
-	return out
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // ShapesOnLayer returns the pin rectangles on the given metal number.
@@ -228,19 +232,26 @@ func (tp TrackPattern) IsOnTrack(coord int64) bool {
 
 // CoordsIn returns the track coordinates within [lo, hi].
 func (tp TrackPattern) CoordsIn(lo, hi int64) []int64 {
-	if tp.Num <= 0 || tp.Step <= 0 {
-		return nil
-	}
 	var out []int64
-	first := tp.Start
-	if lo > first {
-		k := (lo - tp.Start + tp.Step - 1) / tp.Step
-		first = tp.Start + k*tp.Step
-	}
-	for c := first; c <= hi && c <= tp.Last(); c += tp.Step {
+	first, last := tp.Range(lo, hi)
+	for c := first; c <= last; c += tp.Step {
 		out = append(out, c)
 	}
 	return out
+}
+
+// Range returns the first and the last track coordinate within [lo, hi],
+// so a walk from first by Step to last visits what CoordsIn lists without
+// building the slice; first > last when no track lies there.
+func (tp TrackPattern) Range(lo, hi int64) (first, last int64) {
+	if tp.Num <= 0 || tp.Step <= 0 {
+		return 0, -1
+	}
+	first = tp.Start
+	if lo > first {
+		first += (lo - tp.Start + tp.Step - 1) / tp.Step * tp.Step
+	}
+	return first, min(hi, tp.Last())
 }
 
 // Offset returns the phase of coord relative to the pattern, in [0, Step).
@@ -391,21 +402,22 @@ func (d *Design) NumMacros() int {
 // TracksFor returns the track patterns carrying wires for the given metal
 // number, split by wire direction.
 func (d *Design) TracksFor(layer int) (preferred, nonPreferred []TrackPattern) {
+	return d.appendTracks(nil, layer, true), d.appendTracks(nil, layer, false)
+}
+
+// appendTracks appends to dst the track patterns of the given metal number
+// whose wires run in its preferred direction or, with !preferred, across it.
+func (d *Design) appendTracks(dst []TrackPattern, layer int, preferred bool) []TrackPattern {
 	l := d.Tech.Metal(layer)
 	if l == nil {
-		return nil, nil
+		return dst
 	}
 	for _, tp := range d.Tracks {
-		if tp.Layer != layer {
-			continue
-		}
-		if tp.WireDir == l.Dir {
-			preferred = append(preferred, tp)
-		} else {
-			nonPreferred = append(nonPreferred, tp)
+		if tp.Layer == layer && (tp.WireDir == l.Dir) == preferred {
+			dst = append(dst, tp)
 		}
 	}
-	return preferred, nonPreferred
+	return dst
 }
 
 // AccessTracks returns the tracks pin access reads on the given metal
@@ -413,12 +425,20 @@ func (d *Design) TracksFor(layer int) (preferred, nonPreferred []TrackPattern) {
 // non-preferred direction. Per Section II-C, the upper layer's preferred
 // tracks serve as the non-preferred ones so that on-track up-via access
 // aligns to both layers; a design-provided non-preferred pattern on the
-// layer itself takes precedence. Step 1, the TrRte baseline and the
-// unique-instance signature (signatureTracks) all read tracks through it.
+// layer itself takes precedence. Step 1 (through AppendAccessTracks), the
+// TrRte baseline and the unique-instance signature (signatureTracks) all
+// read tracks through it.
 func (d *Design) AccessTracks(layer int) (preferred, nonPreferred []TrackPattern) {
-	preferred, nonPreferred = d.TracksFor(layer)
-	if len(nonPreferred) == 0 {
-		nonPreferred, _ = d.TracksFor(layer + 1)
+	return d.AppendAccessTracks(nil, nil, layer)
+}
+
+// AppendAccessTracks is AccessTracks appending to preferred and
+// nonPreferred, so a caller reading many pins' tracks reuses two buffers.
+func (d *Design) AppendAccessTracks(preferred, nonPreferred []TrackPattern, layer int) ([]TrackPattern, []TrackPattern) {
+	preferred = d.appendTracks(preferred, layer, true)
+	n := len(nonPreferred)
+	if nonPreferred = d.appendTracks(nonPreferred, layer, false); len(nonPreferred) == n {
+		nonPreferred = d.appendTracks(nonPreferred, layer+1, true)
 	}
 	return preferred, nonPreferred
 }

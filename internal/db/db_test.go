@@ -154,6 +154,66 @@ func TestTrackPattern(t *testing.T) {
 	}
 }
 
+// TestTrackPatternRange: a walk from Range's first coordinate by Step to its
+// last visits exactly the pattern's tracks inside the window, for windows
+// inside, across, at the ends of and beyond the pattern; a pattern without
+// tracks or step has none.
+func TestTrackPatternRange(t *testing.T) {
+	for _, tp := range []TrackPattern{
+		{Start: 70, Num: 10, Step: 140},
+		{Start: -35, Num: 3, Step: 70},
+		{Start: 70, Num: 0, Step: 140},
+		{Start: 70, Num: 5, Step: 0},
+	} {
+		for _, w := range [][2]int64{{200, 500}, {-1000, 100000}, {10000, 20000}, {71, 209}, {70, 70}, {1330, 1330}, {-200, -100}, {500, 200}} {
+			var got, want []int64
+			first, last := tp.Range(w[0], w[1])
+			for c := first; c <= last; c += tp.Step {
+				got = append(got, c)
+			}
+			for k := 0; k < tp.Num && tp.Step > 0; k++ {
+				if c := tp.Start + int64(k)*tp.Step; c >= w[0] && c <= w[1] {
+					want = append(want, c)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%+v in [%d, %d]: Range walks %v, want %v", tp, w[0], w[1], got, want)
+			}
+		}
+	}
+}
+
+// TestAppendAccessTracks: AppendAccessTracks and AppendLayers append to
+// their buffers exactly what AccessTracks and Layers return, with and
+// without the layer's own non-preferred patterns.
+func TestAppendAccessTracks(t *testing.T) {
+	d, m := newTestDesign(t)
+	junk := TrackPattern{Layer: 9, Start: 1, Num: 1, Step: 1}
+	check := func() {
+		t.Helper()
+		for layer := 0; layer <= 3; layer++ {
+			wantP, wantN := d.AccessTracks(layer)
+			p, n := d.AppendAccessTracks([]TrackPattern{junk}, []TrackPattern{junk}, layer)
+			if !slices.Equal(p[1:], wantP) || !slices.Equal(n[1:], wantN) || p[0] != junk || n[0] != junk {
+				t.Fatalf("M%d: appended %+v, %+v; AccessTracks gives %+v, %+v", layer, p, n, wantP, wantN)
+			}
+		}
+	}
+	check()
+	d.Tracks = append(d.Tracks, TrackPattern{Layer: 1, WireDir: tech.Vertical, Start: 35, Num: 142, Step: 140})
+	check()
+
+	pin := &MPin{Shapes: []Shape{{Layer: 3}, {Layer: 1}, {Layer: 3}, {Layer: 2}}}
+	if got := pin.AppendLayers([]int{7}); !slices.Equal(got, []int{7, 1, 2, 3}) {
+		t.Fatalf("AppendLayers = %v, want [7 1 2 3]", got)
+	}
+	for _, p := range m.Pins {
+		if got := p.AppendLayers([]int{7}); !slices.Equal(got[1:], p.Layers()) {
+			t.Fatalf("%s: AppendLayers = %v, Layers = %v", p.Name, got, p.Layers())
+		}
+	}
+}
+
 func TestUniqueInstances(t *testing.T) {
 	d, m := newTestDesign(t)
 	// Same master+orient, x positions differing by a multiple of the vertical

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -112,6 +113,14 @@ func (g *grid) at(i, j int) bool { return g.cov[j*g.nx()+i] }
 
 func buildGrid(rects []Rect) *grid {
 	g := &grid{}
+	g.build(rects)
+	return g
+}
+
+// build fills g with the compressed grid over rects, reusing its buffers,
+// and reports whether the rects cover any area; only then is g.cov set.
+func (g *grid) build(rects []Rect) bool {
+	g.xs, g.ys = g.xs[:0], g.ys[:0]
 	for _, r := range rects {
 		if r.Empty() {
 			continue
@@ -122,10 +131,11 @@ func buildGrid(rects []Rect) *grid {
 	g.xs = dedupSorted(g.xs)
 	g.ys = dedupSorted(g.ys)
 	if len(g.xs) < 2 || len(g.ys) < 2 {
-		return g
+		return false
 	}
 	nx, ny := g.nx(), g.ny()
-	g.cov = make([]bool, nx*ny)
+	g.cov = slices.Grow(g.cov[:0], nx*ny)[:nx*ny]
+	clear(g.cov)
 	for _, r := range rects {
 		if r.Empty() {
 			continue
@@ -141,7 +151,7 @@ func buildGrid(rects []Rect) *grid {
 			}
 		}
 	}
-	return g
+	return true
 }
 
 // label assigns 4-connected component ids to covered cells.
@@ -386,13 +396,29 @@ func UnionArea(rects []Rect) int64 {
 // "maximum rectangles of the polygon(s)" used for shape-center coordinates.
 // Results are sorted by (XL, YL, XH, YH).
 func MaxRects(rects []Rect) []Rect {
-	g := buildGrid(rects)
-	if g.cov == nil {
+	var s MaxRectsScratch
+	return s.MaxRects(rects)
+}
+
+// MaxRectsScratch pools the buffers MaxRects needs, so a caller that takes
+// the maximal rectangles of many shape sets allocates only while they grow.
+type MaxRectsScratch struct {
+	g   grid
+	all []bool
+	out []Rect
+}
+
+// MaxRects is the package-level MaxRects on s's buffers. The result aliases
+// s and is valid until the next call.
+func (s *MaxRectsScratch) MaxRects(rects []Rect) []Rect {
+	g := &s.g
+	if !g.build(rects) {
 		return nil
 	}
 	nx, ny := g.nx(), g.ny()
-	var out []Rect
-	all := make([]bool, nx) // all[i]: columns i covered for rows jlo..jhi
+	out := s.out[:0]
+	s.all = slices.Grow(s.all[:0], nx)[:nx]
+	all := s.all // all[i]: columns i covered for rows jlo..jhi
 	for jlo := 0; jlo < ny; jlo++ {
 		for i := 0; i < nx; i++ {
 			all[i] = g.at(i, jlo)
@@ -440,27 +466,21 @@ func MaxRects(rects []Rect) []Rect {
 			}
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		ra, rb := out[a], out[b]
-		if ra.XL != rb.XL {
-			return ra.XL < rb.XL
+	slices.SortFunc(out, func(ra, rb Rect) int {
+		if c := cmp.Compare(ra.XL, rb.XL); c != 0 {
+			return c
 		}
-		if ra.YL != rb.YL {
-			return ra.YL < rb.YL
+		if c := cmp.Compare(ra.YL, rb.YL); c != 0 {
+			return c
 		}
-		if ra.XH != rb.XH {
-			return ra.XH < rb.XH
+		if c := cmp.Compare(ra.XH, rb.XH); c != 0 {
+			return c
 		}
-		return ra.YH < rb.YH
+		return cmp.Compare(ra.YH, rb.YH)
 	})
+	s.out = out
 	// Drop duplicates (the same rect can surface from multiple row pairs).
-	dst := out[:0]
-	for i, r := range out {
-		if i == 0 || r != out[i-1] {
-			dst = append(dst, r)
-		}
-	}
-	return dst
+	return slices.Compact(out)
 }
 
 // CoversPt reports whether the union of rects contains p (closed sets).

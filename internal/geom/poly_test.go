@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -163,6 +164,38 @@ func TestUnionAreaMatchesPolygons(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: polygon area sum %d != union area %d (rects %v)", trial, got, want, rects)
 		}
+	}
+}
+
+// TestMaxRectsScratchReuse: one scratch reused across random shape sets
+// that grow and shrink answers as a fresh MaxRects each time, an empty set
+// included.
+func TestMaxRectsScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var s MaxRectsScratch
+	for i := 0; i < 300; i++ {
+		rects := make([]Rect, rng.Intn(7))
+		for j := range rects {
+			x, y := rng.Int63n(60), rng.Int63n(60)
+			rects[j] = R(x, y, x+rng.Int63n(40), y+rng.Int63n(40))
+		}
+		got, want := s.MaxRects(rects), MaxRects(rects)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: reused scratch gives %v, a fresh one %v", rects, got, want)
+		}
+	}
+}
+
+// TestMaxRectsScratchNoAllocsWarm: a warm scratch takes the maximal
+// rectangles of a pin-like shape set without allocating.
+func TestMaxRectsScratchNoAllocsWarm(t *testing.T) {
+	var s MaxRectsScratch
+	rects := []Rect{R(0, 0, 140, 70), R(40, 0, 110, 420), R(0, 350, 280, 420)}
+	if len(s.MaxRects(rects)) < 3 {
+		t.Fatal("the shape set has fewer than three maximal rectangles")
+	}
+	if n := testing.AllocsPerRun(50, func() { s.MaxRects(rects) }); n != 0 {
+		t.Fatalf("warm MaxRects allocates %v times per run, want 0", n)
 	}
 }
 

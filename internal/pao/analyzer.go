@@ -11,6 +11,7 @@ import (
 	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/tech"
 )
 
 // Fault-hook site names. The hooks exist for the deterministic fault
@@ -56,7 +57,7 @@ type Analyzer struct {
 
 	// rec, set only by Explain, receives a decision record at every Step-1
 	// candidate validation and Step-2 pattern iteration. Nil otherwise; every
-	// call site gates on it, so the hot path pays nothing.
+	// call site gates on it, so the hot path builds no record.
 	rec *explainRecorder
 
 	// shortcutAudit, set only by tests, is called with every chosen via
@@ -72,6 +73,11 @@ type Analyzer struct {
 	// engine the analyzer creates (content-keyed, so per-cell contexts and
 	// the global engine can share it). Nil when Config.NoCache is set.
 	viaCache *drc.ViaCache
+
+	// vias lists, per metal number, the via definitions whose cut sits
+	// directly above it (Tech.ViasAbove, which allocates per call): Step 1
+	// reads them for every pin and layer.
+	vias [][]*tech.ViaDef
 
 	// netOf holds the net index (>= 1) of every instance pin: netOf[inst.ID]
 	// has one slot per master pin, in pin order. Pins on no net hold
@@ -91,6 +97,10 @@ func NewAnalyzer(d *db.Design, cfg Config) *Analyzer {
 	a := &Analyzer{Design: d, Cfg: cfg.normalized(), DRC: drc.NewCounters(nil)}
 	if !a.Cfg.NoCache {
 		a.viaCache = drc.NewViaCache()
+	}
+	a.vias = make([][]*tech.ViaDef, d.Tech.NumMetals()+1)
+	for k := range a.vias {
+		a.vias[k] = d.Tech.ViasAbove(k)
 	}
 	a.numberNets()
 	return a
@@ -197,22 +207,37 @@ func (a *Analyzer) NetOf(inst *db.Instance, pin *db.MPin) int {
 
 // cellScratch is one Step-1/2 worker's reusable state: the cell engine that
 // fill refills for every class the worker analyzes, its query context, the
-// filled class's per-pin cell nets and a shape buffer. Scratch lives per
-// worker and per run; a class that panics leaves it to the next fill, whose
-// Engine.Reset restores a consistent empty engine.
+// filled class's per-pin cell nets, a shape buffer and Step 1's candidate
+// state. Scratch lives per worker and per run; a class that panics leaves it
+// to the next fill, whose Engine.Reset restores a consistent empty engine,
+// and to the next pin, whose Step 1 resets the candidate state.
 type cellScratch struct {
 	eng    *drc.Engine
 	qc     *drc.QueryCtx
 	pins   []*db.MPin // the filled class's master pins
 	nets   []int      // cell net per pin, in pins order
 	shapes []db.Shape
+
+	// Step 1 (step1.go). Per pin: its layers and the access points
+	// accepted so far. Per pin and layer: its shapes, their maximal
+	// rectangles, the tracks, each rectangle's candidate coordinates and the
+	// points already tried. Per candidate: its via verdicts and clean vias.
+	layers                    []int
+	aps                       []*AccessPoint
+	pinRects                  []geom.Rect
+	maxRects                  geom.MaxRectsScratch
+	prefTracks, nonPrefTracks []db.TrackPattern
+	pref, nonPref             []coordCandidates
+	seen                      map[geom.Point]struct{}
+	verdicts                  []ViaAudit
+	clean                     []*tech.ViaDef
 }
 
 // newCellScratch returns an empty scratch counting into a.DRC.
 func (a *Analyzer) newCellScratch() *cellScratch {
 	eng := drc.NewEngine(a.Design.Tech)
 	eng.Counters = a.DRC
-	return &cellScratch{eng: eng, qc: eng.NewQueryCtx()}
+	return &cellScratch{eng: eng, qc: eng.NewQueryCtx(), seen: make(map[geom.Point]struct{})}
 }
 
 // fill makes sc.eng the isolated intra-cell DRC context of a unique
@@ -430,7 +455,7 @@ func (a *Analyzer) analyzeUnique(ctx context.Context, ui *db.UniqueInstance, par
 		if sp != nil {
 			tp = time.Now()
 		}
-		pa := a.genAccessPoints(sc.eng, sc.qc, pivot, pin, sc.nets[k])
+		pa := a.genAccessPoints(sc, pivot, pin, sc.nets[k])
 		if sp != nil {
 			sp.AddTime("pin:"+pin.Name, time.Since(tp))
 		}

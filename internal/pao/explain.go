@@ -18,7 +18,8 @@ const (
 	// RejectOffPin: the candidate coordinate does not lie on the pin shape.
 	RejectOffPin = "off-pin"
 	// RejectViaRequired: Cfg.RequireVia is set, the instance is a core cell,
-	// and no via variant dropped DRC-free.
+	// and no via variant dropped DRC-free. The planar stubs are then not
+	// checked, so the record lists no dirs.
 	RejectViaRequired = "via-required"
 	// RejectNoAccess: neither a via nor any planar escape stub was DRC-clean.
 	RejectNoAccess = "no-access"

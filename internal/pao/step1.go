@@ -1,10 +1,9 @@
 package pao
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/db"
-	"repro/internal/drc"
 	"repro/internal/geom"
 	"repro/internal/tech"
 )
@@ -12,15 +11,20 @@ import (
 // genAccessPoints implements Algorithm 1: pin-based access point generation.
 // Candidate coordinates are enumerated per coordinate type — all four types
 // for the layer's preferred direction, the first three for the non-preferred
-// direction — in cost order, validated with the DRC engine, and the loop
-// early-terminates once at least Cfg.K valid points exist.
-func (a *Analyzer) genAccessPoints(eng *drc.Engine, qc *drc.QueryCtx, pivot *db.Instance, pin *db.MPin, net int) *PinAccess {
+// direction — in cost order, validated with the DRC engine of sc, and the
+// loop early-terminates once at least Cfg.K valid points exist.
+func (a *Analyzer) genAccessPoints(sc *cellScratch, pivot *db.Instance, pin *db.MPin, net int) *PinAccess {
 	pa := &PinAccess{Pin: pin}
-	for _, layer := range pin.Layers() {
-		a.genAccessPointsOnLayer(eng, qc, pivot, pin, net, layer, pa)
-		if len(pa.APs) >= a.Cfg.K {
+	sc.aps = sc.aps[:0]
+	sc.layers = pin.AppendLayers(sc.layers[:0])
+	for _, layer := range sc.layers {
+		a.genAccessPointsOnLayer(sc, pivot, pin, net, layer)
+		if len(sc.aps) >= a.Cfg.K {
 			break
 		}
+	}
+	if len(sc.aps) > 0 {
+		pa.APs = slices.Clone(sc.aps)
 	}
 	return pa
 }
@@ -29,24 +33,29 @@ func (a *Analyzer) genAccessPoints(eng *drc.Engine, qc *drc.QueryCtx, pivot *db.
 // one maximal pin rectangle.
 type coordCandidates [4][]int64
 
-func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, pivot *db.Instance, pin *db.MPin, net, layer int, pa *PinAccess) {
+// genAccessPointsOnLayer runs Algorithm 1 on one layer of the pin, appending
+// the access points it accepts to sc.aps.
+func (a *Analyzer) genAccessPointsOnLayer(sc *cellScratch, pivot *db.Instance, pin *db.MPin, net, layer int) {
 	l := a.Design.Tech.Metal(layer)
 	if l == nil {
 		return
 	}
-	allPinRects := appendPinRects(nil, pivot, pin, layer)
-	rects := geom.MaxRects(allPinRects)
+	sc.pinRects = appendPinRects(sc.pinRects[:0], pivot, pin, layer)
+	rects := sc.maxRects.MaxRects(sc.pinRects)
 	if len(rects) == 0 {
 		return
 	}
-	vias := a.Design.Tech.ViasAbove(layer)
+	vias := a.vias[layer]
+	if a.viaCache != nil {
+		sc.focusPin(vias)
+	}
 
-	prefTracks, nonPrefTracks := a.Design.AccessTracks(layer)
+	sc.prefTracks, sc.nonPrefTracks = a.Design.AppendAccessTracks(sc.prefTracks[:0], sc.nonPrefTracks[:0], layer)
 
 	// Per maximal rect, candidates for the preferred-direction coordinate
 	// (all four types) and the non-preferred one (first three types).
-	prefCands := make([]coordCandidates, len(rects))
-	nonPrefCands := make([]coordCandidates, len(rects))
+	sc.pref = resetCands(sc.pref, len(rects))
+	sc.nonPref = resetCands(sc.nonPref, len(rects))
 	for i, r := range rects {
 		var prefLo, prefHi, npLo, npHi int64
 		if l.Dir == tech.Horizontal {
@@ -56,11 +65,12 @@ func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, piv
 			prefLo, prefHi = r.SpanX()
 			npLo, npHi = r.SpanY()
 		}
-		prefCands[i] = a.axisCandidates(prefTracks, prefLo, prefHi, vias, l.Dir, true)
-		nonPrefCands[i] = a.axisCandidates(nonPrefTracks, npLo, npHi, nil, l.Dir, false)
+		axisCandidates(&sc.pref[i], sc.prefTracks, prefLo, prefHi, vias, l.Dir, true)
+		axisCandidates(&sc.nonPref[i], sc.nonPrefTracks, npLo, npHi, nil, l.Dir, false)
 	}
 
-	seen := make(map[geom.Point]bool, 8)
+	clear(sc.seen)
+	core := pivot.Master.Class == db.ClassCore
 	// Algorithm 1 main loop: non-preferred type outer, preferred type inner,
 	// both in ascending cost order.
 	for _, t1 := range [...]CoordType{OnTrack, HalfTrack, ShapeCenter} {
@@ -72,32 +82,65 @@ func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, piv
 				continue
 			}
 			for i := range rects {
-				for _, pc := range prefCands[i][t0] {
-					for _, nc := range nonPrefCands[i][t1] {
+				for _, pc := range sc.pref[i][t0] {
+					for _, nc := range sc.nonPref[i][t1] {
 						pt := geom.Pt(nc, pc)
 						if l.Dir == tech.Vertical {
 							pt = geom.Pt(pc, nc)
 						}
-						if seen[pt] {
+						if _, dup := sc.seen[pt]; dup {
 							continue
 						}
-						seen[pt] = true
-						ap := a.validateAP(eng, qc, pt, layer, net, pin.Name, allPinRects, vias, pivot.Master.Class, t0, t1, l.Dir)
-						if ap != nil {
-							pa.APs = append(pa.APs, ap)
-						}
+						sc.seen[pt] = struct{}{}
+						a.decideAP(sc, pt, layer, net, pin.Name, vias, core, t0, t1, l.Dir)
 					}
 				}
 			}
-			if len(pa.APs) >= a.Cfg.K {
+			if len(sc.aps) >= a.Cfg.K {
 				return
 			}
 		}
 	}
 }
 
-// axisCandidates computes the candidate coordinates of each type along one
-// axis within [lo, hi] (the maximal rectangle's span on that axis).
+// focusPin gathers, through sc.qc, the neighbourhood that the via signature
+// of every candidate on the pin shapes sc.pinRects reads. A via's signature
+// windows at p are its windows at the origin moved by p, and a candidate
+// that reaches the via lookups lies on the pin, so inside the shapes'
+// bounding box: the windows at the box's low and high corners span those of
+// every such candidate. So a signature filters the gathered records instead
+// of running its index queries.
+func (sc *cellScratch) focusPin(vias []*tech.ViaDef) {
+	if len(vias) == 0 {
+		return
+	}
+	bb := sc.pinRects[0]
+	for _, r := range sc.pinRects[1:] {
+		bb = bb.UnionBBox(r)
+	}
+	lo, hi := geom.Pt(bb.XL, bb.YL), geom.Pt(bb.XH, bb.YH)
+	for _, v := range vias {
+		sc.eng.FocusVia(v, lo, sc.qc)
+		sc.eng.FocusVia(v, hi, sc.qc)
+	}
+	sc.eng.Focus(sc.qc)
+}
+
+// resetCands returns cs with n entries, each with its slices emptied but
+// their storage kept.
+func resetCands(cs []coordCandidates, n int) []coordCandidates {
+	cs = slices.Grow(cs[:0], n)[:n]
+	for i := range cs {
+		for t := range cs[i] {
+			cs[i][t] = cs[i][t][:0]
+		}
+	}
+	return cs
+}
+
+// axisCandidates appends to out the candidate coordinates of each type
+// along one axis within [lo, hi] (the maximal rectangle's span on that
+// axis).
 //
 //   - OnTrack: every track coordinate inside the span;
 //   - HalfTrack: midpoints between neighboring tracks inside the span;
@@ -105,19 +148,19 @@ func (a *Analyzer) genAccessPointsOnLayer(eng *drc.Engine, qc *drc.QueryCtx, piv
 //     more tracks (Section II-C's rule for limiting unique off-track coords);
 //   - EncBoundary (preferred axis only): coordinates aligning each via
 //     variant's bottom-enclosure edge with the span boundary.
-func (a *Analyzer) axisCandidates(tracks []db.TrackPattern, lo, hi int64, vias []*tech.ViaDef, layerDir tech.Dir, preferred bool) coordCandidates {
-	var out coordCandidates
+func axisCandidates(out *coordCandidates, tracks []db.TrackPattern, lo, hi int64, vias []*tech.ViaDef, layerDir tech.Dir, preferred bool) {
 	onTrackCount := 0
 	for _, tp := range tracks {
-		for _, c := range tp.CoordsIn(lo, hi) {
+		first, last := tp.Range(lo, hi)
+		for c := first; c <= last; c += tp.Step {
 			out[OnTrack] = append(out[OnTrack], c)
 			onTrackCount++
 		}
 		// Half-track: midpoints of neighboring tracks whose midpoint falls
 		// inside the span.
-		for _, c := range tp.CoordsIn(lo-tp.Step, hi) {
-			m := c + tp.Step/2
-			if m >= lo && m <= hi {
+		first, last = tp.Range(lo-tp.Step, hi)
+		for c := first; c <= last; c += tp.Step {
+			if m := c + tp.Step/2; m >= lo && m <= hi {
 				out[HalfTrack] = append(out[HalfTrack], m)
 			}
 		}
@@ -126,7 +169,6 @@ func (a *Analyzer) axisCandidates(tracks []db.TrackPattern, lo, hi int64, vias [
 		out[ShapeCenter] = append(out[ShapeCenter], (lo+hi)/2)
 	}
 	if preferred {
-		seen := map[int64]bool{}
 		for _, v := range vias {
 			// The bottom enclosure's span on this axis, relative to origin.
 			var encLo, encHi int64
@@ -136,67 +178,69 @@ func (a *Analyzer) axisCandidates(tracks []db.TrackPattern, lo, hi int64, vias [
 				encLo, encHi = v.BotEnc.XL, v.BotEnc.XH
 			}
 			for _, c := range [...]int64{lo - encLo, hi - encHi} {
-				if c >= lo && c <= hi && !seen[c] {
-					seen[c] = true
+				if c >= lo && c <= hi && !slices.Contains(out[EncBoundary], c) {
 					out[EncBoundary] = append(out[EncBoundary], c)
 				}
 			}
 		}
-		sort.Slice(out[EncBoundary], func(i, j int) bool { return out[EncBoundary][i] < out[EncBoundary][j] })
+		slices.Sort(out[EncBoundary])
 	}
-	for t := OnTrack; t <= HalfTrack; t++ {
-		s := out[t]
-		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	}
-	return out
+	slices.Sort(out[OnTrack])
+	slices.Sort(out[HalfTrack])
 }
 
-// validateAP checks one candidate point: it must lie on the pin shape, and a
-// via must drop DRC-free (up access) and/or a planar escape stub must be
-// DRC-clean. Standard cells require via access when Cfg.RequireVia is set
-// (footnote 1); macro pins accept planar-only access points.
-//
-// When a.rec is attached (explain path) every decision — including rejects —
-// is recorded with per-via verdict provenance; with rec nil the function is
-// byte-for-byte the plain validation loop.
-func (a *Analyzer) validateAP(eng *drc.Engine, qc *drc.QueryCtx, pt geom.Point, layer, net int, pinName string,
-	pinRects []geom.Rect, vias []*tech.ViaDef, class db.MasterClass, t0, t1 CoordType, dir tech.Dir) *AccessPoint {
+// decideAP validates one candidate point and, when it is accepted, appends
+// its access point to sc.aps; an Explain run records the decision either
+// way.
+func (a *Analyzer) decideAP(sc *cellScratch, pt geom.Point, layer, net int, pinName string,
+	vias []*tech.ViaDef, core bool, t0, t1 CoordType, dir tech.Dir) {
 
-	rec := a.rec
-	if !geom.CoversPt(pinRects, pt) {
-		if rec != nil {
-			rec.RecordAP(pinName, apAudit(pt, layer, t0, t1, dir, RejectOffPin, nil, nil))
+	dirs, reject := a.validateAP(sc, pt, layer, net, vias, core)
+	if reject == "" {
+		ap := &AccessPoint{Pos: pt, Layer: layer, OnPref: t0, Dirs: dirs}
+		if dir == tech.Horizontal {
+			ap.TypeY, ap.TypeX = t0, t1
+		} else {
+			ap.TypeX, ap.TypeY = t0, t1
 		}
-		return nil
+		if len(sc.clean) > 0 {
+			ap.Vias = slices.Clone(sc.clean)
+		}
+		sc.aps = append(sc.aps, ap)
 	}
-	ap := &AccessPoint{Pos: pt, Layer: layer, OnPref: t0}
-	if dir == tech.Horizontal {
-		ap.TypeY, ap.TypeX = t0, t1
-	} else {
-		ap.TypeX, ap.TypeY = t0, t1
+	if a.rec != nil {
+		a.rec.RecordAP(pinName, apAudit(pt, layer, t0, t1, dir, reject, sc.verdicts, dirs))
 	}
-	// Up (via) access: collect the DRC-clean via variants; the first valid
-	// one is primary. The verdict cache short-circuits repeats of the same
-	// local geometry across candidate points and unique-instance classes.
-	var viaAudits []ViaAudit
+}
+
+// validateAP checks one candidate point, whose pin has the shapes
+// sc.pinRects on the layer, and returns its clean access directions, or the
+// reason it is rejected. The point must lie on the pin shape. Every via
+// variant's verdict is looked up into sc.verdicts, and the clean variants
+// collect in sc.clean (up access; the first is primary). Standard cells
+// require via access when Cfg.RequireVia is set (footnote 1), so a core-cell
+// candidate without a clean via is rejected here: its planar stubs could not
+// change that. Otherwise a wire stub in each compass direction must be
+// spacing-clean against the cell context; macro pins accept planar-only
+// access points.
+func (a *Analyzer) validateAP(sc *cellScratch, pt geom.Point, layer, net int, vias []*tech.ViaDef, core bool) (dirs [5]bool, reject string) {
+	sc.verdicts, sc.clean = sc.verdicts[:0], sc.clean[:0]
+	if !geom.CoversPt(sc.pinRects, pt) {
+		return dirs, RejectOffPin
+	}
+	// The verdict cache short-circuits repeats of the same local geometry
+	// across candidate points and unique-instance classes.
 	for _, v := range vias {
-		if rec == nil {
-			if eng.CheckViaVerdictCtx(v, pt, net, pinRects, qc) == 0 {
-				ap.Vias = append(ap.Vias, v)
-			}
-			continue
-		}
-		verdict, cached := eng.CheckViaVerdictProvCtx(v, pt, net, pinRects, qc)
-		viaAudits = append(viaAudits, ViaAudit{Via: v.Name, Violations: verdict, FromCache: cached})
+		verdict, cached := sc.eng.CheckViaVerdictProvCtx(v, pt, net, sc.pinRects, sc.qc)
+		sc.verdicts = append(sc.verdicts, ViaAudit{Via: v.Name, Violations: verdict, FromCache: cached})
 		if verdict == 0 {
-			ap.Vias = append(ap.Vias, v)
+			sc.clean = append(sc.clean, v)
 		}
 	}
-	if len(ap.Vias) > 0 {
-		ap.Dirs[DirUp] = true
+	dirs[DirUp] = len(sc.clean) > 0
+	if a.Cfg.RequireVia && core && !dirs[DirUp] {
+		return dirs, RejectViaRequired
 	}
-	// Planar access in the four compass directions: a wire stub from the
-	// point outward must be spacing-clean against the cell context.
 	l := a.Design.Tech.Metal(layer)
 	hw := l.Width / 2
 	ext := 2 * l.Pitch
@@ -210,47 +254,37 @@ func (a *Analyzer) validateAP(eng *drc.Engine, qc *drc.QueryCtx, pt geom.Point, 
 		{DirSouth, geom.R(pt.X-hw, pt.Y-ext, pt.X+hw, pt.Y)},
 	}
 	for _, s := range stubs {
-		if eng.CheckMetalRectCountCtx(layer, s.r, net, qc) == 0 {
-			ap.Dirs[s.d] = true
+		if sc.eng.CheckMetalRectCountCtx(layer, s.r, net, sc.qc) == 0 {
+			dirs[s.d] = true
 		}
 	}
-	if a.Cfg.RequireVia && class == db.ClassCore && !ap.Dirs[DirUp] {
-		if rec != nil {
-			rec.RecordAP(pinName, apAudit(pt, layer, t0, t1, dir, RejectViaRequired, viaAudits, ap))
-		}
-		return nil
+	if dirs == [5]bool{} {
+		return dirs, RejectNoAccess
 	}
-	if !ap.Dirs[DirUp] && !ap.Dirs[DirEast] && !ap.Dirs[DirWest] && !ap.Dirs[DirNorth] && !ap.Dirs[DirSouth] {
-		if rec != nil {
-			rec.RecordAP(pinName, apAudit(pt, layer, t0, t1, dir, RejectNoAccess, viaAudits, ap))
-		}
-		return nil
-	}
-	if rec != nil {
-		rec.RecordAP(pinName, apAudit(pt, layer, t0, t1, dir, "", viaAudits, ap))
-	}
-	return ap
+	return dirs, ""
 }
 
-// apAudit assembles the decision record for one candidate point; ap may be
-// nil when the candidate was rejected before validation started.
+// apAudit assembles the decision record for one candidate access point from
+// its via verdicts (none when it was rejected off the pin) and its clean
+// directions.
 func apAudit(pt geom.Point, layer int, t0, t1 CoordType, dir tech.Dir, reject string,
-	vias []ViaAudit, ap *AccessPoint) APAudit {
+	vias []ViaAudit, dirs [5]bool) APAudit {
 
 	au := APAudit{
 		X: pt.X, Y: pt.Y, Layer: layer,
-		Accepted: reject == "", Reject: reject, Vias: vias,
+		Accepted: reject == "", Reject: reject,
+	}
+	if len(vias) > 0 {
+		au.Vias = slices.Clone(vias)
 	}
 	if dir == tech.Horizontal {
 		au.TypeY, au.TypeX = t0.String(), t1.String()
 	} else {
 		au.TypeX, au.TypeY = t0.String(), t1.String()
 	}
-	if ap != nil {
-		for d := DirUp; d <= DirSouth; d++ {
-			if ap.Dirs[d] {
-				au.Dirs = append(au.Dirs, d.String())
-			}
+	for d := DirUp; d <= DirSouth; d++ {
+		if dirs[d] {
+			au.Dirs = append(au.Dirs, d.String())
 		}
 	}
 	return au
